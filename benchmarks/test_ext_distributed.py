@@ -1,19 +1,23 @@
-"""Extension E1 — distributed-memory forest reduction (paper future work).
+"""Extension E1 — distributed-memory connected components (paper future work).
 
 Not a paper figure: the conclusions propose extending Afforest to
-distributed memory; this bench characterises the extension built in
-:mod:`repro.distributed` — exactness across world sizes, O(|V| log R)
-communication independent of |E|, and the local/communication work split.
+distributed memory; this bench runs Afforest (``kout+settle``) on the
+engine's :class:`~repro.engine.backends.DistributedBackend` — labels
+bit-identical to the single-machine solve at every world size, and
+delta-exchange traffic that keeps every rank below the ``8n(R-1)`` bytes a
+whole-array reduction would send (the bound ``repro.bench.dist_traffic``
+gates).
 """
 
 import numpy as np
 import pytest
 
-import repro
+from repro import engine
 from repro.analysis import equivalent_labelings
 from repro.bench.report import format_table
-from repro.distributed import distributed_components
+from repro.engine import DistributedBackend
 from repro.generators import uniform_random_graph
+from repro.unionfind import sequential_components
 
 from conftest import register_report
 
@@ -21,58 +25,65 @@ RANKS = [1, 2, 4, 8, 16]
 _SIZES = {"tiny": 2**10, "small": 2**13, "default": 2**15, "large": 2**16}
 
 
+def solve(graph, ranks):
+    """One delta-exchange Afforest solve: (labels, comm stats)."""
+    backend = DistributedBackend(ranks=ranks)
+    result = engine.run("afforest", graph, backend=backend)
+    return result.labels, backend.comm.stats
+
+
 @pytest.fixture(scope="module")
 def sweep(size):
     n = _SIZES[size]
     g = uniform_random_graph(n, edge_factor=16, seed=0)
-    reference = repro.connected_components(g, "sequential")
+    reference = engine.run("afforest", g).labels
     rows = []
     results = {}
     for ranks in RANKS:
-        result = distributed_components(g, ranks)
-        results[ranks] = result
+        labels, stats = solve(g, ranks)
+        results[ranks] = (labels, stats)
         rows.append(
             [
                 ranks,
-                result.merge_rounds,
-                result.comm_stats.messages,
-                result.comm_stats.bytes_sent,
-                round(result.bytes_per_vertex, 1),
-                equivalent_labelings(result.labels, reference),
+                stats.supersteps,
+                stats.messages,
+                stats.bytes_sent,
+                max(stats.sent_by_rank(ranks)),
+                8 * n * (ranks - 1),
+                bool(np.array_equal(labels, reference)),
             ]
         )
     text = format_table(
-        f"Extension E1 — distributed forest reduction (urand n={n})",
-        ["ranks", "merge_rounds", "messages", "bytes", "bytes/|V|", "exact"],
+        f"Extension E1 — distributed Afforest, delta exchange (urand n={n})",
+        [
+            "ranks",
+            "supersteps",
+            "messages",
+            "bytes",
+            "max_rank_bytes",
+            "bound_8n(R-1)",
+            "exact",
+        ],
         rows,
     )
     register_report("ext e1 distributed", text)
-    return g, results
+    return g, reference, results
 
 
 def test_ext_distributed_shapes(sweep, benchmark):
-    g, results = sweep
+    g, reference, results = sweep
     n = g.num_vertices
+    assert equivalent_labelings(reference, sequential_components(g))
 
-    # Exactness at every world size (already in the table; re-assert).
-    for ranks, result in results.items():
-        assert result.num_components == results[1].num_components
+    for ranks, (labels, stats) in results.items():
+        # Exact labels at every world size: the superstep merges reproduce
+        # the single-machine min-labels bit for bit.
+        assert np.array_equal(labels, reference), ranks
+        if ranks == 1:
+            assert stats.bytes_sent == 0
+            continue
+        # Every rank stays below the whole-array reduction's 8n(R-1) bytes.
+        per_rank = stats.sent_by_rank(ranks)
+        assert 0 < max(per_rank) < 8 * n * (ranks - 1), ranks
 
-    # Logarithmic reduction depth.
-    assert results[16].merge_rounds == 4
-    assert results[4].merge_rounds == 2
-
-    # Communication: exactly (R-1) reduction sends + (R-1) broadcast
-    # sends of 8n bytes each.
-    for ranks, result in results.items():
-        expected = 8 * n * (ranks - 1) * 2
-        assert result.comm_stats.bytes_sent == expected, ranks
-
-    # Traffic is edge-independent: denser graph, same bytes.
-    dense = uniform_random_graph(n, edge_factor=64, seed=1)
-    assert (
-        distributed_components(dense, 8).comm_stats.bytes_sent
-        == results[8].comm_stats.bytes_sent
-    )
-
-    benchmark(lambda: distributed_components(g, 8))
+    benchmark(lambda: solve(g, 8))

@@ -4,14 +4,14 @@ Demonstrates the engine's distributed substrate: edges are sharded
 across simulated ranks and every plan runs as BSP supersteps that
 exchange only changed-label deltas (index+value pairs, switching to
 bitmap or dense encodings as density grows — see docs/distributed.md).
-The backend reports merge_rounds-style superstep counts and meters every
-byte per rank pair, so the communication behaviour is measurable.
+The backend counts supersteps and meters every byte per rank pair, so
+the communication behaviour is measurable.
 
 Shows the property that makes the distributed extension attractive:
 traffic tracks the labels that *changed* (O(n)-ish per solve), not the
 edge count, and stays far below shipping whole parent arrays around.
 
-Run:  python examples/distributed_components.py
+Run:  python examples/distributed_solve.py
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def main() -> None:
     # 1. World sizes: exactness everywhere, bounded superstep counts.
     # ------------------------------------------------------------------ #
     print(
-        f"{'ranks':>6} {'merge_rounds':>13} {'traffic_MB':>11} "
+        f"{'ranks':>6} {'supersteps':>13} {'traffic_MB':>11} "
         f"{'bytes/vertex':>13} {'exact':>6}"
     )
     for ranks in (1, 2, 4, 8, 16):

@@ -1,7 +1,7 @@
 """Baseline CC algorithms the paper compares against.
 
-Every baseline is implemented once, as a backend-agnostic pipeline in
-:mod:`repro.engine.pipelines`; the entry points in this package are thin
+Every baseline is implemented once, as a backend-agnostic finish phase in
+:mod:`repro.engine.finish`; the entry points in this package are thin
 deprecated shims over :func:`repro.engine.run` kept for backward
 compatibility.
 

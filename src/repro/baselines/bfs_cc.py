@@ -7,7 +7,7 @@ Each edge is touched once — linear work — but components are processed
 number of components.
 
 The algorithm is implemented exactly once, as a backend-agnostic pipeline
-(:func:`repro.engine.pipelines.bfs_pipeline`); the entry point here is a
+(:func:`repro.engine.finish.bfs_pipeline`); the entry point here is a
 thin deprecated shim over :func:`repro.engine.run` kept for backward
 compatibility — prefer ``engine.run("bfs", graph)`` in new code.
 """

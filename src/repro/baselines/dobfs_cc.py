@@ -15,7 +15,7 @@ out-degree exceeds ``remaining_edges / alpha``; return to top-down when the
 frontier shrinks below ``n / beta`` (defaults alpha=15, beta=18).
 
 The algorithm is implemented exactly once, as a backend-agnostic pipeline
-(:func:`repro.engine.pipelines.dobfs_pipeline`); the entry point here is a
+(:func:`repro.engine.finish.dobfs_pipeline`); the entry point here is a
 thin deprecated shim over :func:`repro.engine.run` kept for backward
 compatibility — prefer ``engine.run("dobfs", graph)`` in new code.
 """
@@ -23,7 +23,7 @@ compatibility — prefer ``engine.run("dobfs", graph)`` in new code.
 from __future__ import annotations
 
 from repro.engine import run as _engine_run
-from repro.engine.pipelines import DEFAULT_ALPHA, DEFAULT_BETA
+from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.engine.result import CCResult
 from repro.graph.csr import CSRGraph
 

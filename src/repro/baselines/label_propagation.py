@@ -8,8 +8,8 @@ and only processes their edges, trading work for frontier maintenance
 (Sec. II-B's discussion of [6]).
 
 Both algorithms are implemented exactly once, as backend-agnostic
-pipelines (:func:`repro.engine.pipelines.lp_pipeline` /
-:func:`repro.engine.pipelines.lp_datadriven_pipeline`); the entry points
+finish phases (:func:`repro.engine.finish.lp_finish` /
+:func:`repro.engine.finish.lp_datadriven_finish`); the entry points
 here are thin deprecated shims over :func:`repro.engine.run` kept for
 backward compatibility — prefer ``engine.run("lp", graph)`` /
 ``engine.run("lp-datadriven", graph)`` in new code.

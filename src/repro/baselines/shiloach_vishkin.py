@@ -8,7 +8,7 @@ every edge is reprocessed in every iteration, which is exactly the
 work-inefficiency the paper targets.
 
 The hook/shortcut pipeline is implemented exactly once, in
-:func:`repro.engine.pipelines.sv_pipeline_edges`, against the
+:func:`repro.engine.finish.sv_pipeline_edges`, against the
 :class:`~repro.engine.backends.ExecutionBackend` primitives.  The entry
 points here select input layout and substrate:
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.engine import run as _engine_run
 from repro.engine.backends import VectorizedBackend
-from repro.engine.pipelines import sv_pipeline_edges
+from repro.engine.finish import sv_pipeline_edges
 from repro.engine.result import CCResult
 from repro.graph.csr import CSRGraph
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro import engine
-from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.obs import Trace
 from repro.obs.ledger import RunLedger, record_from_result, resolve_ledger
@@ -26,7 +25,7 @@ class BenchmarkRecord:
     """One (dataset, algorithm) measurement.
 
     ``extra`` holds JSON-ready instrumentation from the profiled sample
-    (counters, ``phase_seconds``, histogram summaries, worker skew);
+    (counters, ``phase_seconds``, histogram summaries);
     ``trace`` keeps the full span tree of that sample for exporters and
     is deliberately outside ``extra`` so JSON reports stay flat.
     """
@@ -40,8 +39,8 @@ class BenchmarkRecord:
     extra: dict = field(default_factory=dict)
     trace: Trace | None = None
     #: execution substrate the samples ran on ("vectorized" / "simulated"
-    #: / "process") and its worker count (None for single-substrate runs),
-    #: so scaling reports can group records without re-parsing kwargs.
+    #: / "distributed") and its worker count (None unless one was set), so
+    #: reports can group records without re-parsing kwargs.
     backend: str = "vectorized"
     workers: int | None = None
 
@@ -89,7 +88,6 @@ def run_algorithm(
     dataset: str = "graph",
     *,
     repeats: int = 16,
-    scaling_workers: Sequence[int] | None = None,
     ledger: RunLedger | str | None = None,
     **kwargs,
 ) -> BenchmarkRecord:
@@ -107,12 +105,6 @@ def run_algorithm(
     phase breakdown, counters, gauges, and histogram summaries.  The
     record's run id lands in ``extra["run_id"]`` so reports can point
     back at the ledger entry.
-
-    ``scaling_workers`` additionally measures the process backend at each
-    given worker count (e.g. ``(1, 2, 4, 8)``) and records the strong-
-    scaling curve into ``extra["worker_scaling"]`` — one median wall time
-    per worker count, keyed by the (stringified) count — so a single
-    invocation yields both the base measurement and the scaling series.
     """
     results: list[engine.CCResult] = []
 
@@ -139,22 +131,14 @@ def run_algorithm(
         extra["iterations"] = first.iterations
     if first.counters:
         # Profiled-sample counters (rounds_skipped, bytes_allocated,
-        # fused_passes, settle_passes, ...): the optimization observables
+        # fused_passes, ...): the optimization observables
         # the perf gate and the smoke report's round/allocation columns
         # are built from.
         extra["counters"] = {k: int(v) for k, v in first.counters.items()}
     if first.phase_seconds:
         extra["phase_seconds"] = dict(first.phase_seconds)
-    if first.trace is not None:
-        if first.trace.histograms:
-            extra["histograms"] = first.trace.histograms
-        skew = first.trace.worker_skew()
-        if skew:
-            extra["worker_skew"] = skew
-    if scaling_workers:
-        extra["worker_scaling"] = worker_scaling_curve(
-            graph, algorithm, scaling_workers, repeats=repeats, **kwargs
-        )
+    if first.trace is not None and first.trace.histograms:
+        extra["histograms"] = first.trace.histograms
     backend_obj = kwargs.get("backend")
     workers = getattr(backend_obj, "workers", None)
     if workers is None:
@@ -189,38 +173,3 @@ def run_algorithm(
         workers=workers,
     )
 
-
-def worker_scaling_curve(
-    graph: CSRGraph,
-    algorithm: str,
-    worker_counts: Sequence[int],
-    *,
-    repeats: int = 16,
-    **kwargs,
-) -> dict[str, float]:
-    """Median process-backend wall time per worker count.
-
-    Each count gets its own persistent :class:`~repro.engine.backends.
-    ProcessParallelBackend` (pool and shared segments reused across the
-    timed samples, torn down afterwards), so the curve measures steady-
-    state execution rather than pool start-up.  Keys are stringified
-    worker counts for JSON friendliness.
-    """
-    spec = engine.get_algorithm(algorithm)
-    if not spec.supports_backend("process"):
-        raise ConfigurationError(
-            f"algorithm {algorithm!r} does not support the process backend; "
-            f"supported: {list(spec.backends)}"
-        )
-    kwargs.pop("backend", None)
-    curve: dict[str, float] = {}
-    for workers in worker_counts:
-        with engine.ProcessParallelBackend(workers=workers) as backend:
-            # Warm the pool and shared-memory mirrors outside the timer.
-            engine.run(algorithm, graph, backend=backend, **kwargs)
-            med, _, _, _ = median_time(
-                lambda: engine.run(algorithm, graph, backend=backend, **kwargs),
-                repeats=repeats,
-            )
-        curve[str(workers)] = med
-    return curve

@@ -3,12 +3,12 @@
 A deliberately small, fast benchmark meant for continuous integration:
 it times the hooking finishes (Afforest, Shiloach–Vishkin, FastSV) and
 two frontier pipelines (data-driven label propagation, BFS-CC) on a
-power-law and a lattice graph, on the vectorized, process, and
-distributed (delta-exchange supersteps, ranks=2) backends, and validates
-every labeling against the sequential union-find oracle.  Any
-disagreement with the oracle is a hard failure (non-zero exit), so the
-job doubles as an end-to-end correctness gate for the process backend's
-shared-memory path and the distributed backend's exchange protocol.  Records carry the optimization
+power-law and a lattice graph, on the vectorized and distributed
+(delta-exchange supersteps, ranks=2) backends, and validates every
+labeling against the sequential union-find oracle.  Any disagreement
+with the oracle is a hard failure (non-zero exit), so the job doubles as
+an end-to-end correctness gate for the distributed backend's exchange
+protocol.  Records carry the optimization
 observables (iteration counts, ``rounds_skipped``, ``bytes_allocated``,
 ``fused_passes``) next to the timings.
 
@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bench.runner import run_algorithm, worker_scaling_curve
+from repro.bench.runner import run_algorithm
 from repro.engine import make_backend
 from repro.generators.lattice import grid_graph
 from repro.generators.powerlaw import barabasi_albert_graph
@@ -60,14 +60,14 @@ SMOKE_GRAPHS: tuple[tuple[str, Callable[[], CSRGraph]], ...] = (
 
 #: Hooking algorithms (including the fused FastSV hot path the perf gate
 #: tracks) plus one frontier pipeline of each flavour (label push, BFS
-#: level sweep) so the process backend's frontier task bodies are
+#: level sweep) so the distributed backend's frontier exchanges are
 #: exercised end-to-end by CI, plus the plan layer: one composed plan
 #: with no legacy alias and the ``auto`` meta-algorithm (whose selected
 #: plan lands in the record's ``plan`` field).
 SMOKE_ALGORITHMS = (
     "afforest", "sv", "fastsv", "lp-datadriven", "bfs", "kout+sv", "auto",
 )
-SMOKE_BACKENDS = ("vectorized", "process", "distributed")
+SMOKE_BACKENDS = ("vectorized", "distributed")
 
 #: world size for the distributed smoke rows (small on purpose: two
 #: ranks already exercise the full exchange protocol).
@@ -93,9 +93,7 @@ def check_against_oracle(graph: CSRGraph, labels: np.ndarray) -> bool:
 def run_smoke(
     *,
     repeats: int = 5,
-    workers: int = 2,
     ranks: int = SMOKE_RANKS,
-    scaling: bool = False,
     ledger: str | None = None,
 ) -> tuple[dict, int]:
     """Execute the smoke matrix; returns ``(report, num_failures)``.
@@ -114,7 +112,7 @@ def run_smoke(
         oracle_canon = _canonical(oracle)
         for algorithm in SMOKE_ALGORITHMS:
             for kind in SMOKE_BACKENDS:
-                backend = make_backend(kind, workers=workers, ranks=ranks)
+                backend = make_backend(kind, ranks=ranks)
                 try:
                     rec = run_algorithm(
                         graph,
@@ -165,19 +163,10 @@ def run_smoke(
                     f"rounds={rounds:<4} skipped={skipped:<3} "
                     f"alloc={alloc:<9} {status}"
                 )
-        if scaling:
-            curve = worker_scaling_curve(
-                graph, "afforest", (1, 2, 4), repeats=max(repeats, 3)
-            )
-            records.append(
-                {"dataset": dataset, "algorithm": "afforest", "worker_scaling": curve}
-            )
-            print(f"{dataset:>14} afforest   scaling    {curve}")
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": repeats,
-        "workers": workers,
         "ranks": ranks,
         "failures": failures,
         "records": records,
@@ -332,27 +321,21 @@ def gate_summary_markdown(
     return "\n".join(lines)
 
 
-def export_smoke_trace(path: str, *, format: str = "chrome", workers: int = 2) -> None:
-    """Write one profiled process-backend Afforest trace to ``path``.
+def export_smoke_trace(path: str, *, format: str = "chrome") -> None:
+    """Write one profiled vectorized Afforest trace to ``path``.
 
-    CI archives this next to the JSON report so a regression in worker
-    telemetry (missing phase spans, empty worker tracks) is visible as a
+    CI archives this next to the JSON report so a telemetry regression
+    (missing phase spans, a broken exporter) is visible as a
     broken/empty artifact rather than only through unit tests.
     """
     import repro.engine as engine
 
     dataset, build = SMOKE_GRAPHS[0]
-    graph = build()
-    with engine.ProcessParallelBackend(workers=workers) as backend:
-        result = engine.run("afforest", graph, backend=backend, profile=True)
+    result = engine.run("afforest", build(), profile=True)
     assert result.trace is not None
     write_trace(result.trace, path, format=format)
     spans = sum(1 for _ in result.trace.walk())
-    tracks = len(result.trace.tracks())
-    print(
-        f"trace written to {path} ({format}; {dataset}, {spans} spans, "
-        f"{tracks} worker tracks)"
-    )
+    print(f"trace written to {path} ({format}; {dataset}, {spans} spans)")
 
 
 def _last_labels(graph: CSRGraph, algorithm: str, backend) -> np.ndarray:
@@ -431,22 +414,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--workers", type=int, default=2, help="process-backend worker count"
-    )
-    parser.add_argument(
         "--ranks",
         type=int,
         default=SMOKE_RANKS,
         help="distributed-backend world size (default: 2)",
     )
     parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="also record a 1/2/4-worker scaling curve per graph",
-    )
-    parser.add_argument(
         "--trace-out",
-        help="also export a profiled process-backend Afforest trace here",
+        help="also export a profiled Afforest trace here",
     )
     parser.add_argument(
         "--trace-format",
@@ -467,9 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         report, failures = run_smoke(
             repeats=args.repeats,
-            workers=args.workers,
             ranks=args.ranks,
-            scaling=args.scaling,
             ledger=args.ledger,
         )
     if args.baseline:
@@ -497,9 +470,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(report, fh, indent=2)
         print(f"report written to {args.output}")
     if args.trace_out and not args.gate_report:
-        export_smoke_trace(
-            args.trace_out, format=args.trace_format, workers=args.workers
-        )
+        export_smoke_trace(args.trace_out, format=args.trace_format)
     if failures:
         print(f"error: {failures} configuration(s) disagree with the "
               "union-find oracle or the committed baseline", file=sys.stderr)

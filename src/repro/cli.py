@@ -71,7 +71,6 @@ from repro.obs import (
     load_trace,
     render_prometheus,
     render_trace,
-    skew_lines,
     write_trace,
 )
 
@@ -377,11 +376,6 @@ def _print_profile(rec) -> None:
     if counters:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
         print(f"  counters: {parts}")
-    skew = rec.extra.get("worker_skew")
-    if skew:
-        print("  worker skew (max/mean block time per phase):")
-        for line in skew_lines(skew):
-            print(f"  {line}")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -543,12 +537,11 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
             f"{args.backend!r} backend; supported: {list(spec.backends)}"
         )
     graph = _resolve_graph(args.graph, args.seed)
-    counts = {"round": 0, "block": 0}
+    rounds = 0
 
     def sink(event: HeartbeatEvent) -> None:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-        if event.kind == "block" and not args.blocks:
-            return
+        nonlocal rounds
+        rounds += 1
         print(format_event(event), flush=True)
 
     backend = make_backend(args.backend, workers=args.workers)
@@ -565,8 +558,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         backend.close()
     print(
         f"{args.algorithm}: {result.num_components} components in "
-        f"{elapsed * 1000:.1f} ms ({counts['round']} rounds, "
-        f"{counts['block']} worker blocks)"
+        f"{elapsed * 1000:.1f} ms ({rounds} rounds)"
     )
     return 0
 
@@ -689,8 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker count for the simulated/process backends "
-            "(default: one per core, capped at 8)",
+            help="worker count for the simulated backend (default: 4)",
         )
         p.add_argument(
             "--ranks",
@@ -780,8 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the simulated/process backends during "
-        "--check",
+        help="worker count for the simulated backend during --check",
     )
     p.add_argument(
         "--backend",
@@ -954,12 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the simulated/process backends",
-    )
-    q.add_argument(
-        "--blocks",
-        action="store_true",
-        help="also print per-worker block completions (process backend)",
+        help="worker count for the simulated backend",
     )
     q.set_defaults(fn=_cmd_obs_watch)
 

@@ -15,8 +15,8 @@ Pipeline:
    reachable from the non-skipped endpoint;
 5. final compress: π becomes the component labeling.
 
-The pipeline itself is implemented exactly once, in
-:func:`repro.engine.pipelines.afforest_pipeline`, against the
+The pipeline itself is implemented exactly once, as the
+canonical ``kout+settle`` plan (:mod:`repro.engine.plan`), against the
 :class:`~repro.engine.backends.ExecutionBackend` primitives;
 :func:`afforest` here is the stable vectorized entry point (wall-clock
 benchmarks).  For other substrates call the engine directly, e.g.

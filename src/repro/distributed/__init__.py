@@ -2,7 +2,7 @@
 
 The conclusions propose "generaliz[ing] the algorithm to distributed
 memory environments".  This subpackage holds the message-passing layer
-that generalisation is built on; the algorithmic half now lives in the
+that generalisation is built on; the algorithmic half lives in the
 engine as :class:`repro.engine.backends.DistributedBackend`, which runs
 every composed sampling × finish plan as BSP delta-exchange supersteps
 (see ``docs/distributed.md``):
@@ -10,35 +10,19 @@ every composed sampling × finish plan as BSP delta-exchange supersteps
 - :mod:`~repro.distributed.comm` — a BSP-style simulated communicator:
   ranks hold private state, exchange messages in supersteps, and every
   byte moved is accounted per rank pair and per superstep (the
-  distributed analogue of the shared-memory machine's operation
-  counters), with the collective shapes the backend's exchanges use
+  distributed analogue of the simulated machine's operation counters),
+  with the collective shapes the backend's exchanges use
   (``alltoallv``, ``bcast_all``, ``allreduce_any``);
-- :mod:`~repro.distributed.partition` — 1-D partitioners over ranks:
-  block/hash edge splits plus the ``block_bounds`` / ``hash_owners``
-  ownership maps shared with the backend's sharding;
-- :mod:`~repro.distributed.dist_cc` — the original standalone
-  forest-reduction algorithm, demoted to a deprecated shim over
-  ``engine.run(backend=DistributedBackend(...))``; its
-  :func:`~repro.distributed.dist_cc.merge_forest` subgraph-property
-  merge (Sec. III-B) survives as a documented primitive.
+- :mod:`~repro.distributed.partition` — the 1-D ``block_bounds`` /
+  ``hash_owners`` ownership maps behind the backend's sharding.
 """
 
 from repro.distributed.comm import CommStats, SimulatedComm
-from repro.distributed.dist_cc import DistCCResult, distributed_components
-from repro.distributed.partition import (
-    block_bounds,
-    hash_owners,
-    partition_edges_block,
-    partition_edges_hash,
-)
+from repro.distributed.partition import block_bounds, hash_owners
 
 __all__ = [
     "CommStats",
     "SimulatedComm",
-    "DistCCResult",
-    "distributed_components",
     "block_bounds",
     "hash_owners",
-    "partition_edges_block",
-    "partition_edges_hash",
 ]

@@ -1,8 +1,9 @@
-"""Edge partitioners for the distributed algorithm.
+"""1-D ownership maps for the distributed backend.
 
-Both return one ``(src, dst)`` pair of arrays per rank, together covering
-each undirected edge exactly once (the distributed algorithm needs no
-mirror edges: rank-local link is orientation-agnostic).
+:func:`block_bounds` cuts ``[0, total)`` into even contiguous blocks (the
+vertex-ownership map of the delta-exchange supersteps); :func:`hash_owners`
+gives each flat edge position a pseudo-random rank (the ``hash`` edge
+sharding mode).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.csr import CSRGraph
 
 
 def _check(num_ranks: int) -> None:
@@ -20,8 +20,8 @@ def _check(num_ranks: int) -> None:
 
 def block_bounds(total: int, num_ranks: int) -> np.ndarray:
     """Even 1-D block boundaries: ``num_ranks + 1`` cut points over
-    ``[0, total)``.  Used both for contiguous edge blocks and for the
-    vertex-ownership map of the delta-exchange supersteps."""
+    ``[0, total)`` — the vertex-ownership map of the delta-exchange
+    supersteps."""
     _check(num_ranks)
     return np.linspace(0, total, num_ranks + 1).astype(np.int64)
 
@@ -29,42 +29,9 @@ def block_bounds(total: int, num_ranks: int) -> np.ndarray:
 def hash_owners(
     total: int, num_ranks: int, *, seed: int = 0
 ) -> np.ndarray:
-    """Pseudo-random owner rank per flat position (hash of the id).
-
-    The shared owner-assignment of :func:`partition_edges_hash` and the
-    ``DistributedBackend``'s hash sharding mode — one seeded draw, so the
-    two layers agree on which rank holds which edge."""
+    """Pseudo-random owner rank per flat position (hash of the id), the
+    ``DistributedBackend``'s ``hash`` sharding mode — one seeded draw, so
+    repeated calls agree on which rank holds which edge."""
     _check(num_ranks)
     rng = np.random.default_rng(seed)
     return rng.integers(0, num_ranks, size=total)
-
-
-def partition_edges_block(
-    graph: CSRGraph, num_ranks: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Contiguous blocks of the (source-sorted) undirected edge list.
-
-    Preserves source locality per rank — the distributed analogue of
-    row-block partitioning, and like it (Fig. 6) the weaker choice for
-    early convergence; included as the baseline partitioner.
-    """
-    src, dst = graph.undirected_edge_array()
-    bounds = block_bounds(src.shape[0], num_ranks)
-    return [
-        (src[bounds[r] : bounds[r + 1]], dst[bounds[r] : bounds[r + 1]])
-        for r in range(num_ranks)
-    ]
-
-
-def partition_edges_hash(
-    graph: CSRGraph, num_ranks: int, *, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pseudo-random edge assignment (hash of the edge id).
-
-    Spreads every vertex's edges across ranks, so each rank's local forest
-    already approximates the global components — the distributed
-    counterpart of neighbour sampling's evenly-spread edge budget.
-    """
-    src, dst = graph.undirected_edge_array()
-    owner = hash_owners(src.shape[0], num_ranks, seed=seed)
-    return [(src[owner == r], dst[owner == r]) for r in range(num_ranks)]

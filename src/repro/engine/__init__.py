@@ -13,10 +13,9 @@ The engine ties four pieces together:
   (:class:`~repro.engine.backends.VectorizedBackend` for NumPy batch
   kernels, :class:`~repro.engine.backends.SimulatedBackend` for the
   simulated parallel machine,
-  :class:`~repro.engine.backends.ProcessParallelBackend` for real OS
-  processes over shared-memory π) against which the Afforest,
-  Shiloach–Vishkin, label-propagation, and BFS/DOBFS pipelines are
-  written exactly once;
+  :class:`~repro.engine.backends.DistributedBackend` for edge shards
+  across simulated ranks) against which every sampling and finish phase
+  is written exactly once;
 - uniform **instrumentation**
   (:class:`~repro.engine.instrumentation.Instrumentation`) so any
   profiled run yields a per-phase wall-time breakdown.
@@ -27,7 +26,7 @@ Usage::
 
     result = engine.run("afforest", g, neighbor_rounds=2)
     result = engine.run("sv", g, backend=engine.SimulatedBackend(machine))
-    result = engine.run("afforest", g, backend="process")   # 4-core run
+    result = engine.run("afforest", g, backend="distributed", ranks=4)
     engine.available_algorithms()   # ['afforest', 'afforest-noskip', ...]
 
 Adding an algorithm::
@@ -48,7 +47,6 @@ from repro.constants import VERTEX_DTYPE
 from repro.engine.backends import (
     DistributedBackend,
     ExecutionBackend,
-    ProcessParallelBackend,
     SimulatedBackend,
     VectorizedBackend,
     backend_kinds,
@@ -57,15 +55,6 @@ from repro.engine.backends import (
 )
 from repro.engine.instrumentation import Instrumentation
 from repro.engine.partition import EdgeBlock, partition_csr_blocks
-from repro.engine.pipelines import (
-    afforest_pipeline,
-    bfs_pipeline,
-    dobfs_pipeline,
-    lp_datadriven_pipeline,
-    lp_pipeline,
-    sv_pipeline,
-    sv_pipeline_edges,
-)
 from repro.engine.plan import (
     CANONICAL_PLANS,
     Plan,
@@ -113,7 +102,6 @@ __all__ = [
     "ExecutionBackend",
     "VectorizedBackend",
     "SimulatedBackend",
-    "ProcessParallelBackend",
     "DistributedBackend",
     "backend_kinds",
     "make_backend",
@@ -121,13 +109,6 @@ __all__ = [
     "EdgeBlock",
     "partition_csr_blocks",
     "support_matrix_markdown",
-    "afforest_pipeline",
-    "bfs_pipeline",
-    "dobfs_pipeline",
-    "lp_datadriven_pipeline",
-    "lp_pipeline",
-    "sv_pipeline",
-    "sv_pipeline_edges",
 ]
 
 
@@ -158,8 +139,7 @@ def run(
 
     ``backend`` selects the execution substrate: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, a kind
-    string (``"vectorized"`` / ``"simulated"`` / ``"process"`` /
-    ``"distributed"``, built via
+    string (``"vectorized"`` / ``"simulated"`` / ``"distributed"``, built via
     :func:`~repro.engine.backends.make_backend` with ``workers`` /
     ``ranks`` and torn down after the run), or ``None`` for a fresh
     :class:`~repro.engine.backends.VectorizedBackend`.  The algorithm must
@@ -167,12 +147,11 @@ def run(
 
     ``profile=True`` (or ``trace=True``, or passing a pre-built
     :class:`~repro.obs.Tracer`) turns on the telemetry layer: every
-    pipeline phase is recorded as an attributed span (plus per-worker
-    spans on the process backend), and the finished
+    pipeline phase is recorded as an attributed span, and the finished
     :class:`~repro.obs.Trace` lands in ``result.trace``.
     ``result.phase_seconds`` is derived from that trace and always
-    includes a whole-run ``total`` phase so per-phase overhead (worker
-    dispatch, shared-memory setup) is visible; algorithms without native
+    includes a whole-run ``total`` phase so time spent outside the
+    named phases is visible; algorithms without native
     phase instrumentation report only ``total``.  With telemetry off,
     ``result.trace`` stays ``None`` and ``phase_seconds`` stays empty.
 
@@ -186,8 +165,7 @@ def run(
     ``heartbeat`` attaches live telemetry: pass a
     :class:`~repro.obs.heartbeat.HeartbeatMonitor`, a callable sink, or
     a list to append events to, and iterative pipelines emit one
-    progress event per round (with the process backend adding per-block
-    events as workers finish).  Remaining keyword arguments override the
+    progress event per round.  Remaining keyword arguments override the
     algorithm's registered defaults and are forwarded to its pipeline.
     """
     if plan is not None:
@@ -239,8 +217,6 @@ def run(
         finally:
             # Leave shared/reused backends with a clean disabled recorder.
             backend.bind(Instrumentation(False))
-        # Shared-memory labels must outlive the backend's segments.
-        result.labels = backend.detach_labels(result.labels)
         if result.labels.dtype != VERTEX_DTYPE:
             # Backends may run on narrowed labels (label_dtype policy);
             # results always leave the engine at the canonical width, so

@@ -171,7 +171,6 @@ def _run_distributed(
     dist = DistributedBackend(ranks=num_ranks, partition=partition)
     dist.bind(backend.instr)
     result = run_plan("none+fastsv", graph, dist, **params)
-    result.labels = dist.detach_labels(result.labels)
     stats = dist.comm.stats
     result.counters.update(
         {

@@ -2,7 +2,7 @@
 
 The paper's pipelines are built from a small set of primitives — link an
 edge batch, compress the parent array, probe π for the giant component,
-hook-and-shortcut — that admit two execution substrates:
+hook-and-shortcut — that admit three execution substrates:
 
 - :class:`VectorizedBackend` — NumPy batch kernels
   (:func:`~repro.core.link.link_batch`,
@@ -12,12 +12,14 @@ hook-and-shortcut — that admit two execution substrates:
   :class:`~repro.parallel.machine.SimulatedMachine`, with a preemption
   point before every shared access; the instrumented concurrent-semantics
   implementation that produces work/span statistics and memory traces;
-- :class:`ProcessParallelBackend` — real OS processes over a parent array
-  in ``multiprocessing.shared_memory``, edges partitioned into contiguous
-  CSR edge blocks (:mod:`repro.engine.partition`); the multi-core
-  wall-clock implementation.
+- :class:`DistributedBackend` — the vectorized kernels run per rank over
+  edge shards (:mod:`repro.engine.partition`) and merged each superstep
+  by scatter-min against a snapshot, over a metered
+  :class:`~repro.distributed.comm.SimulatedComm`; deterministic by
+  construction.
 
-Each pipeline in :mod:`repro.engine.pipelines` is written *once* against
+Each sampling and finish phase (:mod:`repro.engine.sampling`,
+:mod:`repro.engine.finish`) is written *once* against
 :class:`ExecutionBackend`; choosing the substrate is a constructor
 argument, not a separate code path.  Backend methods wrap their work in
 the bound :class:`~repro.engine.instrumentation.Instrumentation` timers,
@@ -26,8 +28,6 @@ so profiled runs get a per-phase wall-time breakdown on any substrate.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from typing import Generator
 
 import numpy as np
@@ -48,16 +48,10 @@ from repro.distributed.comm import SimulatedComm
 from repro.engine import partition as _part
 from repro.engine.bufferpool import BufferPool
 from repro.engine.instrumentation import Instrumentation
-from repro.engine.partition import (
-    SharedVector,
-    partition_csr_blocks,
-    partition_ranges,
-    preferred_start_method,
-)
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.nputil import segment_ranges
-from repro.obs.metrics import POW2_BUCKETS, RATIO_BUCKETS
+from repro.obs.metrics import POW2_BUCKETS
 from repro.parallel.machine import KernelContext, SimulatedMachine
 from repro.parallel.metrics import RunStats
 
@@ -67,7 +61,6 @@ __all__ = [
     "PARTITION_MODES",
     "VectorizedBackend",
     "SimulatedBackend",
-    "ProcessParallelBackend",
     "DistributedBackend",
     "backend_kinds",
     "make_backend",
@@ -534,18 +527,6 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def propagate_settle(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        """Repair sweeps after an asynchronous/data-driven propagation.
-
-        Substrates whose min-writes are atomic need none (the default:
-        zero passes).  The process backend overrides this with full
-        synchronous sweeps until a pass reports no change, repairing
-        updates lost to non-atomic scatter-min races.
-        """
-        return 0
-
     def record_frontier(self, size: int, *, phase: str) -> None:
         """Observe an active-frontier size into the ``frontier_size``
         histogram (no-op while metrics are disabled)."""
@@ -560,17 +541,9 @@ class ExecutionBackend:
 
     # -- lifecycle ------------------------------------------------------- #
 
-    def detach_labels(self, pi: np.ndarray) -> np.ndarray:
-        """Turn a π produced by this backend into an independently owned
-        array.  In-process substrates return it unchanged; shared-memory
-        substrates copy it out so the segment can be reclaimed."""
-        return pi
-
     def close(self) -> None:
-        """Release substrate resources (worker pools, shared segments).
-
-        A no-op for in-process backends; safe to call repeatedly.
-        """
+        """Release substrate resources; a no-op for the built-in
+        backends and safe to call repeatedly."""
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -1073,623 +1046,6 @@ class SimulatedBackend(ExecutionBackend):
     def run_stats(self) -> RunStats:
         """The machine's accumulated work/span statistics."""
         return self.machine.stats
-
-
-class ProcessParallelBackend(ExecutionBackend):
-    """Real multi-core substrate: OS processes over shared-memory π.
-
-    The parent array lives in a ``multiprocessing.shared_memory`` segment;
-    the CSR arrays (and flat edge batches) are mirrored into further
-    segments once per graph; and a persistent worker pool executes each
-    pipeline phase as one task per contiguous CSR edge block
-    (:func:`~repro.engine.partition.partition_csr_blocks`).  Hooks are
-    lock-free scatter-min writes — monotone toward smaller labels, so a
-    racing write can lose a merge but never corrupt the forest — and every
-    phase ends at a global barrier (the pool ``starmap`` return).  After
-    the final link phase a *settle loop* alternates parallel compression
-    with a full-edge mismatch sweep until no edge's endpoints sit in
-    different trees, repairing any lost updates (usually zero passes).
-
-    When a run is traced, every barrier also collects *per-task worker
-    telemetry*: each block task records its start/end timestamps, pid,
-    and work counters into a shared-memory stats segment, and the parent
-    merges the rows into the trace as per-worker spans (plus a
-    ``block_imbalance`` histogram), so ``compare --profile`` and the
-    Chrome export can show worker skew.
-
-    Labels returned through :func:`repro.engine.run` are detached (copied
-    out of shared memory) automatically.  When driving pipelines directly,
-    call :meth:`close` (or use the backend as a context manager) once the
-    labels have been copied; segments whose views escaped are unlinked but
-    stay mapped until the last view dies.
-    """
-
-    kind = "process"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        start_method: str | None = None,
-        label_dtype: str = "auto",
-    ) -> None:
-        super().__init__(label_dtype=label_dtype)
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers or max(1, min(os.cpu_count() or 1, 8))
-        self._start_method = start_method or preferred_start_method()
-        self._pool = None
-        self._pi: SharedVector | None = None
-        # Cached per-graph shared mirrors; the strong graph reference keeps
-        # the id() key stable for the cache's lifetime.
-        self._graph: CSRGraph | None = None
-        self._graph_segs: tuple[SharedVector, SharedVector] | None = None
-        self._blocks: list[_part.EdgeBlock] = []
-        # Reusable flat edge buffers (SV batches, random-sampling rounds).
-        self._src_buf: SharedVector | None = None
-        self._dst_buf: SharedVector | None = None
-        # Reusable frontier buffer + uint8 frontier mask (BFS pipelines).
-        self._frontier_buf: SharedVector | None = None
-        self._mask_buf: SharedVector | None = None
-        self._src_key: np.ndarray | None = None
-        self._dst_key: np.ndarray | None = None
-        # Per-task telemetry rows (float64) + pid -> track-name mapping,
-        # only materialised while a traced run is active.
-        self._stats: SharedVector | None = None
-        self._worker_tracks: dict[int, str] = {}
-
-    # -- pool / segment management --------------------------------------- #
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            ctx = multiprocessing.get_context(self._start_method)
-            self._pool = ctx.Pool(processes=self.workers)
-        return self._pool
-
-    def _starmap(self, fn, tasks: list[tuple]) -> list:
-        return self._ensure_pool().starmap(fn, tasks)
-
-    # -- per-worker telemetry --------------------------------------------- #
-
-    def _ensure_stats(self, rows: int) -> SharedVector:
-        need = rows * _part.STATS_FIELDS
-        if self._stats is None or self._stats.length < need:
-            self._release(self._stats)
-            self._stats = SharedVector(max(need, 64), dtype=np.float64)
-        return self._stats
-
-    def _barrier(self, fn, tasks: list[tuple], phase: str) -> list:
-        """One ``starmap`` barrier, with per-task telemetry when tracing.
-
-        Untraced runs dispatch the tasks untouched (workers see
-        ``stats=None``).  Traced runs append a ``(stats spec, slot)``
-        handle to every task; workers record start/end timestamps, pid,
-        and work counters into their row of the shared stats segment, and
-        after the barrier the rows are merged into the trace as worker-
-        track spans nested under the open phase span, plus a
-        ``block_imbalance`` histogram sample (max/mean task duration).
-
-        With a live heartbeat attached the dispatch goes asynchronous:
-        workers stamp their stats rows as each block finishes, so the
-        parent polls the shared segment *during* the barrier and emits a
-        ``block`` heartbeat event per completed task while siblings are
-        still running — post-barrier merging into the trace is unchanged.
-        """
-        tracer = self.instr.tracer
-        heartbeat = self.instr.heartbeat
-        if not tracer.enabled and heartbeat is None:
-            return self._starmap(fn, tasks)
-        stats = self._ensure_stats(len(tasks))
-        stats.array[: len(tasks) * _part.STATS_FIELDS] = 0.0
-        spec = stats.spec
-        tagged = [(*t, (spec, i)) for i, t in enumerate(tasks)]
-        if heartbeat is not None:
-            out = self._stream_barrier(
-                fn, tagged, stats.array, len(tasks), phase, heartbeat
-            )
-        else:
-            out = self._starmap(fn, tagged)
-        if tracer.enabled:
-            self._merge_worker_stats(phase, stats.array, len(tasks))
-        return out
-
-    def _stream_barrier(
-        self,
-        fn,
-        tagged: list[tuple],
-        rows: np.ndarray,
-        num_tasks: int,
-        phase: str,
-        heartbeat,
-    ) -> list:
-        """Async barrier that surfaces block completions as they land.
-
-        Worker tasks stamp their stats row (``t1 > 0``) as their last
-        action, so a completed row in the shared segment is safe to read
-        before the pool's own result arrives; every task is reported
-        exactly once (stragglers in the final sweep after the join).
-        """
-        async_result = self._ensure_pool().starmap_async(fn, tagged)
-        fields = _part.STATS_FIELDS
-        reported = [False] * num_tasks
-
-        def drain() -> None:
-            for i in range(num_tasks):
-                if reported[i]:
-                    continue
-                t0, t1, _pid, items, _aux = rows[
-                    i * fields : (i + 1) * fields
-                ]
-                if t1 > 0.0:
-                    reported[i] = True
-                    heartbeat.block(
-                        phase,
-                        block=i,
-                        seconds=float(t1 - t0),
-                        items=int(items),
-                    )
-
-        while not async_result.ready():
-            drain()
-            async_result.wait(0.002)
-        out = async_result.get()
-        drain()
-        return out
-
-    def _merge_worker_stats(
-        self, phase: str, rows: np.ndarray, num_tasks: int
-    ) -> None:
-        tracer = self.instr.tracer
-        fields = _part.STATS_FIELDS
-        durations: list[float] = []
-        for i in range(num_tasks):
-            t0, t1, pid, items, aux = rows[i * fields : (i + 1) * fields]
-            if t1 <= 0.0:  # task body never ran (defensive; starmap raises)
-                continue
-            track = self._worker_tracks.setdefault(
-                int(pid), f"worker-{len(self._worker_tracks)}"
-            )
-            tracer.add_span(
-                phase,
-                float(t0),
-                float(t1),
-                track=track,
-                block=i,
-                items=int(items),
-                aux=int(aux),
-            )
-            durations.append(float(t1) - float(t0))
-        if len(durations) >= 2:
-            mean = sum(durations) / len(durations)
-            if mean > 0:
-                self.instr.metrics.histogram(
-                    "block_imbalance", RATIO_BUCKETS
-                ).observe(max(durations) / mean)
-
-    def _release(self, vec: SharedVector | None) -> None:
-        if vec is not None:
-            _part._evict_attached(vec.shm.name)
-            vec.release()
-
-    def _graph_specs(self, graph: CSRGraph):
-        """Shared mirrors of the graph's CSR arrays (+ its edge blocks)."""
-        if self._graph is not graph:
-            if self._graph_segs is not None:
-                for seg in self._graph_segs:
-                    self._release(seg)
-            ip = SharedVector(graph.indptr.shape[0])
-            ip.array[:] = graph.indptr
-            ix = SharedVector(max(graph.indices.shape[0], 1))
-            ix.array[: graph.indices.shape[0]] = graph.indices
-            self._graph = graph
-            self._graph_segs = (ip, ix)
-            self._blocks = partition_csr_blocks(graph.indptr, self.workers)
-        ip, ix = self._graph_segs  # type: ignore[misc]
-        return ip.spec, ix.spec, self._blocks
-
-    def _grow_buffer(
-        self, buf: SharedVector | None, length: int
-    ) -> SharedVector:
-        if buf is None or buf.length < length:
-            self._release(buf)
-            buf = SharedVector(max(length, 1024))
-            # Segment creation is a real allocation: report it like the
-            # BufferPool does, so ``bytes_allocated`` covers the shared
-            # edge/frontier scratch too (a warm backend reports zero).
-            self._count_alloc(buf.array.nbytes)
-        return buf
-
-    def _load_edges(self, src: np.ndarray, dst: np.ndarray):
-        """Copy a flat edge batch into the shared buffers (skipped when the
-        exact same arrays were loaded last — SV reuses one batch across all
-        its iterations)."""
-        if src is self._src_key and dst is self._dst_key:
-            return self._src_buf.spec, self._dst_buf.spec  # type: ignore[union-attr]
-        m = int(src.shape[0])
-        self._src_buf = self._grow_buffer(self._src_buf, m)
-        self._dst_buf = self._grow_buffer(self._dst_buf, m)
-        self._src_buf.array[:m] = src
-        self._dst_buf.array[:m] = dst
-        self._src_key = src
-        self._dst_key = dst
-        return self._src_buf.spec, self._dst_buf.spec
-
-    # -- primitives ------------------------------------------------------ #
-
-    def init_labels(
-        self, n: int, *, phase: str = "I", fill: int | None = None
-    ) -> np.ndarray:
-        """Shared-memory identity (or constant-``fill``) array.
-
-        The segment is created at the resolved label width — workers
-        attach through the spec's dtype string, so a narrowed π narrows
-        the whole cross-process hot path.  Segment creation is a real
-        allocation, so it lands in ``bytes_allocated``; a warm backend
-        whose previous run had the same ``n`` and width reinitialises the
-        existing segment in place instead (``engine.run`` copies labels
-        out before returning, so reuse never aliases a caller's result).
-        """
-        dtype = self._label_dtype(n)
-        if (
-            self._pi is None
-            or self._pi.length != n
-            or self._pi.array.dtype != dtype
-        ):
-            self._release(self._pi)
-            self._pi = SharedVector(n, dtype=dtype)
-            self._count_alloc(self._pi.array.nbytes)
-        pi = self._pi.array
-        if fill is not None:
-            pi[:] = fill
-        else:
-            pi[:] = np.arange(n, dtype=dtype)
-        return pi
-
-    def _pi_spec(self, pi: np.ndarray):
-        if self._pi is None or pi is not self._pi.array:
-            raise ConfigurationError(
-                "ProcessParallelBackend can only operate on the parent "
-                "array returned by its own init_labels()"
-            )
-        return self._pi.spec
-
-    def link_edges(
-        self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
-    ) -> None:
-        """Parallel link of a flat edge batch, one task per range."""
-        pi_spec = self._pi_spec(pi)
-        src_spec, dst_spec = self._load_edges(src, dst)
-        ranges = partition_ranges(int(src.shape[0]), self.workers)
-        with self.instr.timer(phase):
-            self._barrier(
-                _part._task_link_edges,
-                [
-                    (pi_spec, src_spec, dst_spec, lo, hi)
-                    for lo, hi in ranges
-                ],
-                phase,
-            )
-        return None
-
-    def link_neighbor_round(
-        self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
-    ) -> None:
-        """Parallel neighbour round, one task per CSR edge block."""
-        pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        with self.instr.timer(phase):
-            self._barrier(
-                _part._task_link_round,
-                [
-                    (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi, r)
-                    for b in blocks
-                ],
-                phase,
-            )
-        return None
-
-    def link_remaining(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        start: int,
-        largest: int | None,
-        *,
-        phase: str,
-    ) -> tuple[int, int, None]:
-        """Parallel final phase with per-block component skipping.
-
-        After the block links, a settle loop (compress barrier + full-edge
-        mismatch sweep) repairs any merges lost to scatter-min races; the
-        loop almost always exits after the first clean sweep.
-        """
-        pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        with self.instr.timer(phase):
-            shares = self._barrier(
-                _part._task_link_remaining,
-                [
-                    (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi, start, largest)
-                    for b in blocks
-                ],
-                phase,
-            )
-        final = sum(s[0] for s in shares)
-        skipped = sum(s[1] for s in shares)
-        settle = 0
-        cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-        settle_phase = f"{phase}-settle"
-        with self.instr.timer(settle_phase):
-            while True:
-                self._compress_barrier(pi, phase=settle_phase)
-                fixed = self._barrier(
-                    _part._task_check_fix,
-                    [
-                        (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi)
-                        for b in blocks
-                    ],
-                    settle_phase,
-                )
-                if not any(fixed):
-                    break
-                settle += 1
-                if settle > cap:
-                    raise ConvergenceError(
-                        f"settle loop exceeded {cap} passes — corrupted pi?"
-                    )
-        self.instr.count("settle_passes", settle)
-        return final, skipped, None
-
-    def _compress_barrier(self, pi: np.ndarray, *, phase: str = "C") -> None:
-        """One parallel compress pass over π (no timer: callers wrap it)."""
-        pi_spec = self._pi_spec(pi)
-        ranges = partition_ranges(int(pi.shape[0]), self.workers)
-        self._barrier(
-            _part._task_compress,
-            [(pi_spec, lo, hi) for lo, hi in ranges],
-            phase,
-        )
-
-    def compress(self, pi: np.ndarray, *, phase: str) -> None:
-        """Global compress barrier: per-block pointer jumping to roots."""
-        with self.instr.timer(phase):
-            self._compress_barrier(pi, phase=phase)
-        return None
-
-    def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
-        """Parallel single-step shortcut over per-block π ranges."""
-        pi_spec = self._pi_spec(pi)
-        ranges = partition_ranges(int(pi.shape[0]), self.workers)
-        with self.instr.timer(phase):
-            self._barrier(
-                _part._task_shortcut,
-                [(pi_spec, lo, hi) for lo, hi in ranges],
-                phase,
-            )
-
-    def find_largest(
-        self,
-        pi: np.ndarray,
-        sample_size: int,
-        rng: np.random.Generator,
-        *,
-        phase: str,
-    ) -> int:
-        """Direct π probes (parent-side: the sample is tiny)."""
-        with self.instr.timer(phase):
-            return approximate_largest_label(pi, sample_size, rng=rng)
-
-    def hook_pass(
-        self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
-    ) -> bool:
-        """One parallel min-hook pass; True if any block hooked.
-
-        A lost scatter-min race implies at least one block reported a
-        change, so the pipeline's "full pass with no change" convergence
-        test stays sound across processes.
-        """
-        pi_spec = self._pi_spec(pi)
-        src_spec, dst_spec = self._load_edges(src, dst)
-        ranges = partition_ranges(int(src.shape[0]), self.workers)
-        with self.instr.timer(phase):
-            changed = self._barrier(
-                _part._task_hook,
-                [
-                    (pi_spec, src_spec, dst_spec, lo, hi)
-                    for lo, hi in ranges
-                ],
-                phase,
-            )
-        return any(changed)
-
-    def _propagate_barrier(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        """One parallel min-label sweep (no timer: callers wrap it)."""
-        pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        changed = self._barrier(
-            _part._task_propagate,
-            [
-                (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi)
-                for b in blocks
-            ],
-            phase,
-        )
-        return int(sum(changed))
-
-    def propagate_pass(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        """One parallel scatter-min sweep, one task per CSR edge block.
-
-        Cross-block min-writes can race, but a lost write implies the
-        loser's block reported a change, so a sweep returning zero
-        performed no writes — the pipeline's convergence test is sound.
-        """
-        with self.instr.timer(phase):
-            return self._propagate_barrier(pi, graph, phase=phase)
-
-    def frontier_expand(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        frontier: np.ndarray,
-        *,
-        phase: str,
-    ) -> np.ndarray:
-        """Parallel push from a shared frontier buffer, sliced into
-        degree-weighted contiguous ranges so skewed frontiers do not pile
-        their edge work onto one worker."""
-        pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, _blocks = self._graph_specs(graph)
-        k = int(frontier.shape[0])
-        if k == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        self._frontier_buf = self._grow_buffer(self._frontier_buf, k)
-        self._frontier_buf.array[:k] = frontier
-        # Per-round degree scratch through the pool: ``indptr[1:]`` is a
-        # view, so the two pooled takes plus the in-place subtract demand
-        # no fresh memory once the buffers are warm.
-        indptr = graph.indptr
-        deg = self.pool.take(indptr[1:], frontier, "frontier-deg")
-        lo = self.pool.take(indptr, frontier, "frontier-lo")
-        np.subtract(deg, lo, out=deg)
-        ranges = _part.partition_weighted_ranges(deg, self.workers)
-        f_spec = self._frontier_buf.spec
-        with self.instr.timer(phase):
-            parts = self._barrier(
-                _part._task_frontier_expand,
-                [
-                    (pi_spec, ip_spec, ix_spec, f_spec, lo, hi)
-                    for lo, hi in ranges
-                ],
-                phase,
-            )
-        parts = [p for p in parts if p.shape[0]]
-        if not parts:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        return np.unique(np.concatenate(parts)).astype(VERTEX_DTYPE)
-
-    def bottom_up_pass(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        in_frontier: np.ndarray,
-        label: int,
-        sentinel: int,
-        *,
-        phase: str,
-    ) -> tuple[np.ndarray, int, int]:
-        """Parallel pull step, one task per CSR edge block.
-
-        Each block vertex writes only its own π slot, so the step is
-        race-free; block order keeps the concatenated next frontier
-        ascending without a sort.
-        """
-        pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        n = int(pi.shape[0])
-        if self._mask_buf is None or self._mask_buf.length < n:
-            self._release(self._mask_buf)
-            self._mask_buf = SharedVector(max(n, 1024), dtype=np.uint8)
-            self._count_alloc(self._mask_buf.array.nbytes)
-        self._mask_buf.array[:n] = in_frontier
-        m_spec = self._mask_buf.spec
-        with self.instr.timer(phase):
-            parts = self._barrier(
-                _part._task_bottom_up,
-                [
-                    (
-                        pi_spec,
-                        ip_spec,
-                        ix_spec,
-                        m_spec,
-                        b.v_lo,
-                        b.v_hi,
-                        int(label),
-                        int(sentinel),
-                    )
-                    for b in blocks
-                ],
-                phase,
-            )
-        founds = [p[0] for p in parts if p[0].shape[0]]
-        next_frontier = (
-            np.concatenate(founds)
-            if founds
-            else np.empty(0, dtype=VERTEX_DTYPE)
-        )
-        modeled = sum(p[1] for p in parts)
-        gathered = sum(p[2] for p in parts)
-        return next_frontier, int(modeled), int(gathered)
-
-    def propagate_settle(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        """Full synchronous sweeps until a pass reports no change.
-
-        The data-driven frontier push can permanently lose a min-write to
-        a scatter-min race across blocks; a sweep returning zero changes
-        performed no writes, certifying the fixpoint.
-        """
-        settle = 0
-        cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-        with self.instr.timer(phase):
-            while self._propagate_barrier(pi, graph, phase=phase):
-                settle += 1
-                if settle > cap:
-                    raise ConvergenceError(
-                        f"settle loop exceeded {cap} passes — corrupted pi?"
-                    )
-        self.instr.count("settle_passes", settle)
-        return settle
-
-    # -- lifecycle ------------------------------------------------------- #
-
-    def detach_labels(self, pi: np.ndarray) -> np.ndarray:
-        """Copy labels out of shared memory into an ordinary array."""
-        if self._pi is not None and pi is self._pi.array:
-            return np.array(pi, dtype=VERTEX_DTYPE, copy=True)
-        return pi
-
-    def close(self) -> None:
-        """Terminate the worker pool and release every shared segment."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        for vec in (
-            self._pi,
-            self._src_buf,
-            self._dst_buf,
-            self._frontier_buf,
-            self._mask_buf,
-            self._stats,
-        ):
-            self._release(vec)
-        self._pi = self._src_buf = self._dst_buf = self._stats = None
-        self._frontier_buf = self._mask_buf = None
-        self._src_key = self._dst_key = None
-        self._worker_tracks = {}
-        if self._graph_segs is not None:
-            for seg in self._graph_segs:
-                self._release(seg)
-        self._graph = None
-        self._graph_segs = None
-        self._blocks = []
-
-    def __enter__(self) -> "ProcessParallelBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 #: CSR sharding modes of the distributed backend (1-D edge partitioning).
@@ -2370,7 +1726,7 @@ class DistributedBackend(VectorizedBackend):
 
 #: canonical backend kinds, as accepted by :func:`make_backend`, the CLI's
 #: ``--backend`` flag, and algorithm registry metadata.
-BACKEND_KINDS = ("vectorized", "simulated", "process", "distributed")
+BACKEND_KINDS = ("vectorized", "simulated", "distributed")
 
 
 def backend_kinds() -> tuple[str, ...]:
@@ -2387,9 +1743,9 @@ def make_backend(
 ) -> ExecutionBackend:
     """Construct a backend from its registry kind.
 
-    ``workers`` selects the worker count for the parallel substrates
-    (simulated machine workers / OS processes); ``ranks`` the world size
-    of the distributed substrate; the vectorized backend ignores both.
+    ``workers`` selects the simulated machine's worker count and
+    ``ranks`` the world size of the distributed substrate; the vectorized
+    backend ignores both.
     ``label_dtype`` selects the parent-array width policy (see
     :func:`resolve_label_dtype`).
     """
@@ -2399,8 +1755,6 @@ def make_backend(
         return SimulatedBackend(
             SimulatedMachine(workers or 4), label_dtype=label_dtype
         )
-    if kind == "process":
-        return ProcessParallelBackend(workers=workers, label_dtype=label_dtype)
     if kind == "distributed":
         return DistributedBackend(ranks=ranks or 4, label_dtype=label_dtype)
     raise ConfigurationError(

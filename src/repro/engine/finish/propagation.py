@@ -56,10 +56,8 @@ def lp_datadriven_finish(ctx: PlanContext) -> None:
 
     Each round pushes labels from the frontier of vertices whose label
     changed last round, so total work shrinks from ``O(D·|E|)`` toward
-    the sum of active-edge counts.  Once the frontier drains, a settle
-    phase (``P*``) lets the substrate certify/repair the fixpoint — zero
-    passes everywhere except the process backend, whose non-atomic
-    cross-block min-writes can lose an update.
+    the sum of active-edge counts.  Every substrate applies a round's
+    min-writes without losing one, so a drained frontier is the fixpoint.
     """
     backend, pi, graph, result = ctx.backend, ctx.pi, ctx.graph, ctx.result
     n = graph.num_vertices
@@ -85,7 +83,6 @@ def lp_datadriven_finish(ctx: PlanContext) -> None:
         result.edges_processed += total
         frontier = backend.frontier_expand(pi, graph, frontier, phase=phase)
         backend.instr.beat(phase, frontier=int(frontier.shape[0]))
-    backend.propagate_settle(pi, graph, phase=phase_label("P", final=True))
     result.iterations = iterations
 
 

@@ -7,7 +7,7 @@ delegates to a :class:`~repro.obs.trace.Tracer` and
 ``count`` bumps a counter, and the historical ``seconds`` / ``counters``
 views are derived from the trace, so existing backends and callers keep
 working unchanged while every profiled run produces a full span tree.
-Backends that need richer telemetry (worker spans, histograms) reach the
+Backends that need richer telemetry (histograms, gauges) reach the
 substrate directly through ``instr.tracer`` / ``instr.metrics``.
 
 Live telemetry rides the same shim: when ``engine.run`` attaches a

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: substrates every plan runs on (each phase speaks backend primitives).
-PLAN_BACKENDS = ("vectorized", "simulated", "process", "distributed")
+PLAN_BACKENDS = ("vectorized", "simulated", "distributed")
 
 #: plan-level parameters routed to the executor rather than a phase.
 PLAN_PARAMS = ("seed", "skip_largest", "sample_size")

@@ -171,7 +171,7 @@ def support_matrix_markdown() -> str:
     appended in registration order.
     """
     _ensure_builtins()
-    # Local import: backends.py is heavy (numpy, multiprocessing) and the
+    # Local import: backends.py is heavy (numpy, the simulated machine) and the
     # registry must stay importable without it at module scope.
     from repro.engine.backends import BACKEND_KINDS
     from repro.engine.plan import PLAN_BACKENDS, available_plans

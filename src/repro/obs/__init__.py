@@ -47,14 +47,13 @@ from repro.obs.ledger import (
 )
 from repro.obs.metrics import (
     POW2_BUCKETS,
-    RATIO_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
 from repro.obs.promexport import prometheus_lines, render_prometheus
-from repro.obs.render import render_trace, skew_lines
+from repro.obs.render import render_trace
 from repro.obs.trace import PhaseLabel, Span, Trace, Tracer, phase_label
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "PhaseLabel",
     "POW2_BUCKETS",
-    "RATIO_BUCKETS",
     "RunDiff",
     "RunLedger",
     "RunRecord",
@@ -85,7 +83,6 @@ __all__ = [
     "render_prometheus",
     "render_trace",
     "resolve_ledger",
-    "skew_lines",
     "trace_events",
     "write_chrome",
     "write_jsonl",

@@ -10,8 +10,7 @@ Two on-disk formats, both round-trippable back into a
 - **Chrome** (:func:`write_chrome`): the ``trace_event`` *JSON array
   format* of complete (``"ph": "X"``) events, loadable directly in
   Perfetto / ``chrome://tracing``.  The coordinating thread renders as
-  tid 0 and every worker track as its own named thread row, so process-
-  backend runs show per-worker skew visually.
+  tid 0 and every span track as its own named thread row.
 
 :func:`load_trace` sniffs the format (a leading ``[`` means Chrome) and
 rebuilds the span tree — for Chrome input, nesting is reconstructed from

@@ -5,10 +5,7 @@ making progress?" *during* one.  Pipelines call
 ``instr.beat(phase, changed=..., frontier=...)`` once per round; the
 :class:`HeartbeatMonitor` timestamps the round, estimates time to
 completion from the round trend, and hands a :class:`HeartbeatEvent`
-to a pluggable sink (any callable, or a list to append to).  The
-process backend additionally emits ``kind="block"`` events as worker
-block timings become visible in the shared stats segment — while the
-barrier is still in flight.
+to a pluggable sink (any callable, or a list to append to).
 
 Guarantees the serving layer can build on: ``round`` increases
 monotonically across a monitor's lifetime (even when a composed plan
@@ -38,11 +35,9 @@ _TREND_WINDOW = 8
 class HeartbeatEvent:
     """One progress observation.
 
-    ``kind`` is ``"round"`` for pipeline rounds and ``"block"`` for a
-    worker block completing inside a process-backend barrier.  ``round``
-    is the monitor's monotone round count (block events carry the round
-    they happened in); ``eta_seconds`` is ``inf`` until the trend has
-    two rounds to extrapolate from.
+    ``kind`` is ``"round"`` for pipeline rounds.  ``round`` is the
+    monitor's monotone round count; ``eta_seconds`` is ``inf`` until the
+    trend has two rounds to extrapolate from.
     """
 
     kind: str
@@ -121,33 +116,6 @@ class HeartbeatMonitor:
         self._sink(event)
         return event
 
-    def block(
-        self,
-        phase: str = "",
-        *,
-        block: int,
-        seconds: float,
-        items: int | None = None,
-        **extra: Any,
-    ) -> HeartbeatEvent:
-        """Emit a worker-block completion observed inside a barrier."""
-        now = self._clock()
-        payload = {"block": int(block), "seconds": float(seconds)}
-        if items is not None:
-            payload["items"] = int(items)
-        payload.update(extra)
-        event = HeartbeatEvent(
-            kind="block",
-            round=self._round,
-            phase=str(phase),
-            elapsed_seconds=now - self._t0,
-            round_seconds=0.0,
-            eta_seconds=math.inf,
-            extra=payload,
-        )
-        self._sink(event)
-        return event
-
     def _eta(self, signal: float | None) -> float:
         """Seconds to completion extrapolated from the round trend.
 
@@ -175,14 +143,6 @@ class HeartbeatMonitor:
 
 def format_event(event: HeartbeatEvent) -> str:
     """One human line per event, for ``repro obs watch``."""
-    if event.kind == "block":
-        items = event.extra.get("items")
-        tail = f"  items={items}" if items is not None else ""
-        return (
-            f"    block {event.extra.get('block', '?')}"
-            f"  {event.phase or '-'}"
-            f"  {event.extra.get('seconds', 0.0) * 1000:8.2f} ms{tail}"
-        )
     signal = ""
     if event.changed is not None:
         signal = f"  changed={event.changed}"

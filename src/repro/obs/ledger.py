@@ -265,7 +265,7 @@ class RunLedger:
     """Append-only JSONL store of :class:`RunRecord` entries.
 
     Appends are single ``write()`` calls of one line, so concurrent
-    writers (the process backend's parent, parallel bench shards) can
+    writers (parallel bench shards, serving sessions) can
     share a ledger without a lock on POSIX filesystems.  Reads tolerate
     malformed lines — a torn write costs one record, not the ledger.
     """

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` is created per engine run (inside the
 :class:`~repro.obs.trace.Tracer`) and snapshotted into the finished
 :class:`~repro.obs.trace.Trace`.  Instruments are created on first use —
-``registry.counter("settle_passes").inc()`` — and every accessor returns
+``registry.counter("rounds_skipped").inc()`` — and every accessor returns
 a shared no-op instrument while the registry is disabled, so unprofiled
 runs pay a single attribute check per recording site.
 
@@ -11,7 +11,7 @@ Histograms use *fixed* bucket boundaries chosen at creation (no dynamic
 rebinning): cheap ``searchsorted`` inserts, stable summaries, and bucket
 counts that can be merged across runs.  :data:`POW2_BUCKETS` suits
 non-negative magnitudes spanning orders of magnitude (hook distances,
-edge-block sizes); :data:`RATIO_BUCKETS` suits imbalance ratios >= 1.
+frontier sizes, superstep bytes).
 """
 
 from __future__ import annotations
@@ -26,16 +26,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "POW2_BUCKETS",
-    "RATIO_BUCKETS",
 ]
 
 #: power-of-two upper bounds: 1, 2, 4, ..., 2**30.
 POW2_BUCKETS: tuple[float, ...] = tuple(float(2**k) for k in range(31))
-
-#: max/mean imbalance ratio bounds (1.0 = perfectly balanced).
-RATIO_BUCKETS: tuple[float, ...] = (
-    1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0,
-)
 
 
 class Counter:

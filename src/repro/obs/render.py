@@ -1,11 +1,9 @@
-"""ASCII trace rendering: timeline, phase table, per-worker tracks.
+"""ASCII trace rendering: timeline, phase table, per-track rows.
 
 The terminal twin of the Chrome exporter, following the
 :mod:`repro.bench.ascii` conventions (block characters, sparklines, no
 plotting stack).  :func:`render_trace` produces the full report printed
-by ``python -m repro trace``; :func:`skew_lines` formats the per-worker
-imbalance summary that ``compare --profile`` appends for process-backend
-runs.
+by ``python -m repro trace``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from typing import Any
 
 from repro.obs.trace import Trace
 
-__all__ = ["render_trace", "skew_lines", "timeline_bar"]
+__all__ = ["render_trace", "timeline_bar"]
 
 _BAR = "█"
 _PAD = "·"
@@ -46,33 +44,12 @@ def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1000:.3f}"
 
 
-def skew_lines(skew: dict[str, dict[str, float]]) -> list[str]:
-    """Human-readable per-phase worker-skew lines (max/mean block time).
-
-    ``skew`` is the :meth:`~repro.obs.trace.Trace.worker_skew` mapping
-    (or its JSON round-trip); phases appear in recording order.  Missing
-    statistics render as zeros instead of raising, so the renderer keeps
-    working on skew maps written by other tool versions.
-    """
-    lines = []
-    for label, stats in skew.items():
-        if not isinstance(stats, dict):
-            continue
-        lines.append(
-            f"{label:<10} {float(stats.get('skew', 1.0)):5.2f}x  "
-            f"(max {_fmt_ms(float(stats.get('max_s', 0.0)))} ms, "
-            f"mean {_fmt_ms(float(stats.get('mean_s', 0.0)))} ms, "
-            f"{int(stats.get('tasks', 0))} tasks)"
-        )
-    return lines
-
-
 def render_trace(trace: Trace, *, width: int = 48) -> str:
     """Multi-section ASCII report of a trace.
 
     Sections: a provenance header; the span tree with durations and a
-    shared-timeline strip per span; per-worker track rows (process-backend
-    runs); the worker-skew table; counters and histogram summaries.
+    shared-timeline strip per span; one busy-bar row per span track;
+    counters and histogram summaries.
     """
     origin = trace.t0
     total = max(trace.t1 - origin, 0.0)
@@ -115,7 +92,7 @@ def render_trace(trace: Trace, *, width: int = 48) -> str:
         for span in trace.worker_spans():
             by_track[span.track].append(span)  # type: ignore[index]
         lines.append("")
-        lines.append("worker tracks:")
+        lines.append("tracks:")
         for track in tracks:
             spans = by_track[track]
             busy = sum(s.duration for s in spans)
@@ -127,11 +104,6 @@ def render_trace(trace: Trace, *, width: int = 48) -> str:
                 f"  {track:<12} {bar}  {len(spans)} tasks, "
                 f"busy {_fmt_ms(busy)} ms ({share:.0%})"
             )
-        skew = trace.worker_skew()
-        if skew:
-            lines.append("")
-            lines.append("worker skew (max/mean block time per phase):")
-            lines.extend("  " + line for line in skew_lines(skew))
 
     if trace.counters:
         lines.append("")

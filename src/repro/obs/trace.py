@@ -3,8 +3,7 @@
 A :class:`Tracer` records a tree of :class:`Span` objects — nested,
 attributed, timestamped intervals — for one engine run.  Backends open a
 span per pipeline phase (through the
-:class:`~repro.engine.instrumentation.Instrumentation` shim), the process
-backend attaches *worker* spans measured inside OS worker processes, and
+:class:`~repro.engine.instrumentation.Instrumentation` shim), and
 :meth:`Tracer.finish` freezes everything into an immutable :class:`Trace`
 that exporters (:mod:`repro.obs.export`) and the ASCII renderer
 (:mod:`repro.obs.render`) consume.
@@ -17,9 +16,9 @@ instead of encoding the round in the label — while everything keyed by
 the flat label (``CCResult.phase_seconds``, existing tests, the
 ``compare --profile`` table) keeps seeing the familiar strings.
 
-Timestamps are ``time.perf_counter()`` values.  On every supported
-platform that clock is system-wide, so spans recorded inside worker
-processes are directly comparable with the parent's.
+Timestamps are ``time.perf_counter()`` values, so intervals measured
+elsewhere and attached with :meth:`Tracer.add_span` line up with the
+spans the tracer opens itself.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ class Span:
     ``label`` is the flat display string (``"H2"``); ``name`` is the
     structured base (``"H"``) with the remainder in ``attrs``
     (``{"round": 2}``).  ``track`` is ``None`` for spans measured on the
-    coordinating thread and a worker identifier (``"worker-0"``) for
-    spans measured inside worker processes — per-track spans render as
+    coordinating thread and a track name (``"worker-0"``) for spans
+    measured elsewhere — per-track spans render as
     separate rows in the Chrome/Perfetto export and are excluded from
     ``phase_seconds`` so they never double-count their parent phase.
     """
@@ -214,28 +213,6 @@ class Trace:
                 seen.append(span.track)  # type: ignore[arg-type]
         return seen
 
-    def worker_skew(self) -> dict[str, dict[str, float]]:
-        """Per-phase worker imbalance: max/mean task duration and count.
-
-        Groups worker-track spans by label and reports, per phase,
-        ``{"max_s", "mean_s", "skew", "tasks"}`` where ``skew`` is the
-        max/mean ratio — 1.0 means perfectly balanced blocks.
-        """
-        groups: dict[str, list[float]] = {}
-        for span in self.worker_spans():
-            groups.setdefault(span.label, []).append(span.duration)
-        skew: dict[str, dict[str, float]] = {}
-        for label, durations in groups.items():
-            mean = sum(durations) / len(durations)
-            peak = max(durations)
-            skew[label] = {
-                "max_s": peak,
-                "mean_s": mean,
-                "skew": peak / mean if mean > 0 else 1.0,
-                "tasks": float(len(durations)),
-            }
-        return skew
-
     # -- serialisation ---------------------------------------------------- #
 
     def to_dict(self) -> dict[str, Any]:
@@ -308,8 +285,8 @@ class Tracer:
     """Records spans for one run; cheap no-op when disabled.
 
     ``span`` opens a nested span around a block of work; ``add_span``
-    attaches an already-measured interval (a worker task timed inside
-    another process) under the currently open span.  ``finish`` closes
+    attaches an already-measured interval (e.g. a served request batch)
+    under the currently open span.  ``finish`` closes
     any dangling spans and returns the immutable :class:`Trace`.
     """
 

@@ -1,46 +1,18 @@
-"""Tests for the worker-scaling curve and the CI smoke benchmark."""
+"""Tests for the CI smoke benchmark and profiled benchmark records."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.bench.runner import run_algorithm, worker_scaling_curve
+from repro.bench.runner import run_algorithm
 from repro.bench.smoke import check_against_oracle, main as smoke_main, run_smoke
-from repro.errors import ConfigurationError
 from repro.generators.powerlaw import barabasi_albert_graph
 
 
 @pytest.fixture(scope="module")
 def small_graph():
     return barabasi_albert_graph(400, edges_per_vertex=3, seed=6)
-
-
-class TestWorkerScaling:
-    def test_curve_has_one_entry_per_worker_count(self, small_graph):
-        curve = worker_scaling_curve(small_graph, "afforest", (1, 2), repeats=2)
-        assert sorted(curve) == ["1", "2"]
-        assert all(t > 0 for t in curve.values())
-
-    def test_run_algorithm_records_curve_in_extra(self, small_graph):
-        rec = run_algorithm(
-            small_graph, "afforest", "ba", repeats=2, scaling_workers=(1, 2)
-        )
-        assert rec.extra["worker_scaling"].keys() == {"1", "2"}
-        # The record itself still carries the base (vectorized) timing.
-        assert rec.median_seconds > 0
-
-    def test_no_scaling_key_without_request(self, small_graph):
-        rec = run_algorithm(small_graph, "afforest", "ba", repeats=2)
-        assert "worker_scaling" not in rec.extra
-
-    def test_unsupported_algorithm_raises(self, small_graph):
-        with pytest.raises(ConfigurationError, match="process backend"):
-            worker_scaling_curve(small_graph, "sequential", (1,), repeats=2)
-
-    def test_curve_is_json_serializable(self, small_graph):
-        curve = worker_scaling_curve(small_graph, "sv", (1,), repeats=2)
-        assert json.loads(json.dumps(curve)) == curve
 
 
 class TestSmoke:
@@ -60,7 +32,7 @@ class TestSmoke:
             assert not check_against_oracle(small_graph, labels)
 
     def test_run_smoke_passes_and_reports(self):
-        report, failures = run_smoke(repeats=1, workers=2)
+        report, failures = run_smoke(repeats=1)
         assert failures == 0
         assert report["failures"] == 0
         combos = {
@@ -128,32 +100,18 @@ class TestSmoke:
         from repro.bench.smoke import export_smoke_trace
 
         path = tmp_path / "smoke-trace.json"
-        export_smoke_trace(str(path), workers=2)
+        export_smoke_trace(str(path))
         events = json.loads(path.read_text())
         assert isinstance(events, list)
         names = {e["name"] for e in events if e.get("ph") == "X"}
-        assert "total" in names
-        assert any(e.get("tid", 0) != 0 for e in events if e.get("ph") == "X")
+        assert {"total", "L0", "H", "C*"} <= names
 
 
 class TestRecordTelemetry:
     def test_profiled_sample_attaches_trace_and_extras(self, small_graph):
-        from repro.engine import ProcessParallelBackend
-
-        with ProcessParallelBackend(workers=2) as backend:
-            rec = run_algorithm(
-                small_graph, "afforest", "ba", repeats=2, backend=backend
-            )
+        rec = run_algorithm(small_graph, "lp-datadriven", "ba", repeats=2)
         assert rec.trace is not None
         assert rec.extra["phase_seconds"].keys() == rec.trace.phase_seconds().keys()
-        assert "worker_skew" in rec.extra
-        assert all(s["skew"] >= 1.0 for s in rec.extra["worker_skew"].values())
-        assert "histograms" in rec.extra
-        assert "block_imbalance" in rec.extra["histograms"]
+        assert "frontier_size" in rec.extra["histograms"]
         # Everything in extra (not the trace) must stay JSON-serializable.
         assert json.loads(json.dumps(rec.extra))
-
-    def test_vectorized_record_has_no_worker_skew(self, small_graph):
-        rec = run_algorithm(small_graph, "afforest", "ba", repeats=2)
-        assert rec.trace is not None
-        assert "worker_skew" not in rec.extra

@@ -1,153 +1,111 @@
-"""Tests for distributed connected components."""
+"""Tests for distributed connected components through ``engine.run``."""
 
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.analysis import equivalent_labelings, is_valid_labeling
-from repro.constants import VERTEX_DTYPE
-from repro.distributed import (
-    SimulatedComm,
-    distributed_components,
-    partition_edges_block,
-    partition_edges_hash,
-)
-from repro.distributed.dist_cc import merge_forest
+from repro.distributed import SimulatedComm, block_bounds, hash_owners
+from repro.engine import DistributedBackend
 from repro.errors import ConfigurationError
 from repro.generators import kronecker_graph, uniform_random_graph
-from repro.unionfind import ParentArray, sequential_components
+from repro.unionfind import sequential_components
+
+
+def solve(graph, ranks, **kwargs):
+    """One ``none+fastsv`` solve on ``ranks`` ranks: (result, backend)."""
+    backend = DistributedBackend(ranks=ranks, **kwargs)
+    return engine.run(graph, plan="none+fastsv", backend=backend), backend
 
 
 class TestPartitioners:
-    @pytest.mark.parametrize("partitioner", [partition_edges_block, partition_edges_hash])
-    def test_covers_each_edge_once(self, partitioner, mixed_graph):
-        parts = partitioner(mixed_graph, 3)
-        total = sum(src.shape[0] for src, _ in parts)
-        assert total == mixed_graph.num_edges
-        assert len(parts) == 3
+    @pytest.mark.parametrize("partition", ["block", "hash"])
+    def test_covers_each_edge_once(self, partition, mixed_graph):
+        backend = DistributedBackend(ranks=3, partition=partition)
+        sizes = backend.shard_sizes(mixed_graph)
+        assert len(sizes) == 3
+        assert sum(sizes) == mixed_graph.num_directed_edges
 
-    def test_block_is_contiguous(self, two_cliques):
-        parts = partition_edges_block(two_cliques, 2)
-        src0, _ = parts[0]
-        src1, _ = parts[1]
-        assert src0.shape[0] + src1.shape[0] == two_cliques.num_edges
+    def test_block_is_contiguous(self):
+        bounds = block_bounds(10, 3)
+        assert bounds[0] == 0 and bounds[-1] == 10
+        assert np.all(np.diff(bounds) >= 0)
 
-    def test_hash_deterministic(self, two_cliques):
-        a = partition_edges_hash(two_cliques, 4, seed=1)
-        b = partition_edges_hash(two_cliques, 4, seed=1)
-        for (s1, d1), (s2, d2) in zip(a, b):
-            assert np.array_equal(s1, s2) and np.array_equal(d1, d2)
+    def test_hash_deterministic(self):
+        a = hash_owners(50, 4, seed=1)
+        assert np.array_equal(a, hash_owners(50, 4, seed=1))
+        assert a.min() >= 0 and a.max() < 4
 
-    def test_rejects_zero_ranks(self, two_cliques):
+    def test_rejects_zero_ranks(self):
         with pytest.raises(ConfigurationError):
-            partition_edges_block(two_cliques, 0)
-
-
-class TestMergeForest:
-    def test_merges_connectivity(self):
-        # Forest A: {0,1} linked; forest B: {1,2} linked.
-        a = np.array([0, 0, 2, 3], dtype=VERTEX_DTYPE)
-        b = np.array([0, 1, 1, 3], dtype=VERTEX_DTYPE)
-        merge_forest(a, b)
-        labels = ParentArray(a).labels()
-        assert labels[0] == labels[1] == labels[2]
-        assert labels[3] != labels[0]
-
-    def test_merge_is_commutative_on_partition(self):
-        rng = np.random.default_rng(0)
-        n = 20
-        a = np.array([int(rng.integers(0, v + 1)) for v in range(n)], dtype=VERTEX_DTYPE)
-        b = np.array([int(rng.integers(0, v + 1)) for v in range(n)], dtype=VERTEX_DTYPE)
-        x, y = a.copy(), b.copy()
-        merge_forest(x, b)
-        merge_forest(y, a)
-        assert np.array_equal(ParentArray(x).labels(), ParentArray(y).labels())
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            merge_forest(np.zeros(3, dtype=VERTEX_DTYPE), np.zeros(4, dtype=VERTEX_DTYPE))
+            block_bounds(10, 0)
 
 
 class TestDistributedCC:
     @pytest.mark.parametrize("ranks", [1, 2, 3, 4, 7, 8])
     def test_exact_on_mixed(self, ranks, mixed_graph):
-        with pytest.deprecated_call():
-            result = distributed_components(mixed_graph, ranks)
+        result, _ = solve(mixed_graph, ranks)
         assert equivalent_labelings(
             result.labels, sequential_components(mixed_graph)
         )
 
-    @pytest.mark.parametrize("partitioner", [partition_edges_block, partition_edges_hash])
-    def test_exact_both_partitioners(self, partitioner):
+    @pytest.mark.parametrize("partition", ["block", "hash"])
+    def test_exact_both_partitioners(self, partition):
         g = kronecker_graph(9, edge_factor=8, seed=0)
-        with pytest.deprecated_call():
-            result = distributed_components(g, 4, partitioner=partitioner)
+        result, _ = solve(g, 4, partition=partition)
         assert is_valid_labeling(g, result.labels)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_graphs(self, random_graph_factory, seed):
         g = random_graph_factory(40, 80, seed)
-        with pytest.deprecated_call():
-            result = distributed_components(g, 5)
+        result, _ = solve(g, 5)
         assert is_valid_labeling(g, result.labels)
 
     def test_empty_graph(self, empty_graph):
-        with pytest.deprecated_call():
-            result = distributed_components(empty_graph, 2)
+        result, _ = solve(empty_graph, 2)
         assert result.labels.shape == (0,)
 
     def test_single_rank_is_communication_free(self, two_cliques):
-        with pytest.deprecated_call():
-            result = distributed_components(two_cliques, 1)
-        assert result.comm_stats.messages == 0
-        assert result.merge_rounds == 0
+        _, backend = solve(two_cliques, 1)
+        assert backend.comm.stats.messages == 0
+        assert backend.comm.stats.supersteps == 0
 
-    def test_supersteps_reported_as_merge_rounds(self, two_cliques):
-        with pytest.deprecated_call():
-            result = distributed_components(two_cliques, 4)
-        assert result.merge_rounds >= 1
-        assert result.merge_rounds == result.comm_stats.supersteps
+    def test_supersteps_reach_run_counters(self, two_cliques):
+        backend = DistributedBackend(ranks=4)
+        result = engine.run(
+            two_cliques, plan="none+fastsv", backend=backend, profile=True
+        )
+        assert backend.comm.stats.supersteps >= 1
+        assert result.counters["comm_supersteps"] == backend.comm.stats.supersteps
 
     def test_traffic_below_forest_reduction_baseline(self):
-        """Delta exchange beats shipping whole parent arrays: under the
-        old scheme every rank put a full ``8n``-byte array on the wire
-        per peer (``8n(R - 1)`` worst-case per rank)."""
+        """Delta exchange beats shipping whole parent arrays: a whole-array
+        reduction puts ``8n`` bytes on the wire per peer (``8n(R - 1)``
+        per rank)."""
         g = uniform_random_graph(256, edge_factor=4, seed=1)
-        with pytest.deprecated_call():
-            result = distributed_components(g, 4)
-        n = g.num_vertices
-        per_rank = result.comm_stats.sent_by_rank(4)
-        assert 0 < max(per_rank) < 8 * n * 3
+        _, backend = solve(g, 4)
+        per_rank = backend.comm.stats.sent_by_rank(4)
+        assert 0 < max(per_rank) < 8 * g.num_vertices * 3
 
     def test_external_comm_accumulates(self):
         g = uniform_random_graph(128, edge_factor=4, seed=2)
         comm = SimulatedComm(2)
-        with pytest.deprecated_call():
-            distributed_components(g, 2, comm=comm)
+        solve(g, 2, comm=comm)
         first = comm.stats.bytes_sent
-        with pytest.deprecated_call():
-            distributed_components(g, 2, comm=comm)
+        solve(g, 2, comm=comm)
         assert comm.stats.bytes_sent == 2 * first
 
-    def test_rank_mismatch_rejected(self, two_cliques):
+    def test_rank_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="ranks"):
-            distributed_components(two_cliques, 3, comm=SimulatedComm(2))
+            DistributedBackend(ranks=3, comm=SimulatedComm(2))
 
     def test_local_edges_recorded(self):
         g = uniform_random_graph(200, edge_factor=4, seed=3)
-        with pytest.deprecated_call():
-            result = distributed_components(g, 4)
-        assert sum(result.local_edges_per_rank) == g.num_edges
+        _, backend = solve(g, 4)
+        assert sum(backend.shard_sizes(g)) == g.num_directed_edges
 
     def test_bit_identical_to_engine_backend(self, mixed_graph):
-        """The shim is a strict re-skin of the engine path."""
-        from repro import engine
-        from repro.engine.backends import DistributedBackend
-
-        with pytest.deprecated_call():
-            shim = distributed_components(mixed_graph, 4)
-        direct = engine.run(
-            mixed_graph,
-            plan="none+fastsv",
-            backend=DistributedBackend(ranks=4, partition="hash"),
-        )
-        assert np.array_equal(shim.labels, direct.labels)
+        """Superstep merges reproduce the single-machine labels exactly."""
+        dist, _ = solve(mixed_graph, 4, partition="hash")
+        vec = engine.run(mixed_graph, plan="none+fastsv")
+        assert np.array_equal(dist.labels, vec.labels)

@@ -114,15 +114,15 @@ class TestOptimizationCounters:
         second = engine.run("dobfs", g, backend=backend, profile=True)
         assert second.counters.get("bytes_allocated", 0) == 0
 
-    def test_warm_process_backend_allocates_nothing(self):
-        # Covers the shared-memory substrate too: π segments and shared
-        # edge/frontier scratch must all be reused on a same-shape rerun.
-        from repro.engine import ProcessParallelBackend
+    def test_warm_distributed_backend_allocates_nothing(self):
+        # Covers the sharded substrate too: its per-rank scratch must be
+        # reused on a same-shape rerun.
+        from repro.engine import DistributedBackend
 
         g = uniform_random_graph(400, edge_factor=4, seed=5)
-        with ProcessParallelBackend(workers=2) as backend:
-            first = engine.run("fastsv", g, backend=backend, profile=True)
-            second = engine.run("fastsv", g, backend=backend, profile=True)
+        backend = DistributedBackend(ranks=2)
+        first = engine.run("fastsv", g, backend=backend, profile=True)
+        second = engine.run("fastsv", g, backend=backend, profile=True)
         assert first.counters.get("bytes_allocated", 0) > 0
         assert second.counters.get("bytes_allocated", 0) == 0
 

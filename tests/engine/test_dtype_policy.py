@@ -51,11 +51,14 @@ class TestResolveLabelDtype:
             make_backend("vectorized", label_dtype="int32")
 
 
-def _run_both(kind: str, workers: int | None, algorithm: str, graph):
-    """(auto labels, wide labels) for one backend/algorithm combination."""
+def _run_both(kind: str, size: int | None, algorithm: str, graph):
+    """(auto labels, wide labels) for one backend/algorithm combination;
+    ``size`` is the simulated worker count or the distributed rank count."""
     out = []
     for policy in ("auto", "wide"):
-        backend = make_backend(kind, workers=workers, label_dtype=policy)
+        backend = make_backend(
+            kind, workers=size, ranks=size, label_dtype=policy
+        )
         try:
             out.append(engine.run(algorithm, graph, backend=backend).labels)
         finally:
@@ -75,12 +78,12 @@ class TestBitIdentity:
         assert wide.dtype == np.dtype(VERTEX_DTYPE)
         assert np.array_equal(auto, wide)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_backend(self, workers):
-        # The narrowed dtype travels to the workers through the shared-
-        # memory vector spec; every worker count must agree bit for bit.
+    @pytest.mark.parametrize("ranks", [1, 2, 4])
+    def test_distributed_backend(self, ranks):
+        # The narrowed dtype also sets the exchange's wire item size;
+        # every rank count must agree bit for bit.
         g = uniform_random_graph(200, edge_factor=4, seed=3)
-        auto, wide = _run_both("process", workers, "afforest", g)
+        auto, wide = _run_both("distributed", ranks, "afforest", g)
         assert np.array_equal(auto, wide)
 
     def test_engine_always_returns_wide_labels(self, mixed_graph):

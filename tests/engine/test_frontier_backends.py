@@ -3,9 +3,9 @@
 PR 5's acceptance bar: lp, lp-datadriven, bfs and dobfs are written once
 against the frontier/label primitive family and must produce the same
 labeling on every backend.  All four converge to the component-minimum
-labeling (min-label scatter / min-seed BFS), so — like the tree-hooking
-suite in ``test_process_backend.py`` — the assertion is bit-identical
-labels, not just partition equivalence.
+labeling (min-label scatter / min-seed BFS), so — like the plan suite in
+``test_plans.py`` — the assertion is bit-identical labels, not just
+partition equivalence.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro import engine
 from repro.analysis import equivalent_labelings
 from repro.bench.runner import run_algorithm
 from repro.engine import (
-    ProcessParallelBackend,
+    DistributedBackend,
     SimulatedBackend,
     support_matrix_markdown,
 )
@@ -41,11 +41,9 @@ def _family_graphs() -> list[tuple[str, CSRGraph]]:
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4])
-def process_backend(request):
-    """One persistent pool per worker count, shared across this module."""
-    backend = ProcessParallelBackend(workers=request.param)
-    yield backend
-    backend.close()
+def distributed_backend(request):
+    """One backend per rank count, shared across this module."""
+    return DistributedBackend(ranks=request.param)
 
 
 class TestFrontierBackendEquivalence:
@@ -53,14 +51,14 @@ class TestFrontierBackendEquivalence:
         "family,graph", _family_graphs(), ids=lambda v: v if isinstance(v, str) else ""
     )
     @pytest.mark.parametrize("algorithm", FRONTIER_ALGORITHMS)
-    def test_process_matches_vectorized(
-        self, algorithm, family, graph, process_backend
+    def test_distributed_matches_vectorized(
+        self, algorithm, family, graph, distributed_backend
     ):
         vec = engine.run(algorithm, graph)
-        proc = engine.run(algorithm, graph, backend=process_backend)
+        dist = engine.run(algorithm, graph, backend=distributed_backend)
         # Min-label convention: same labels, not just the same partition.
-        assert np.array_equal(vec.labels, proc.labels)
-        assert vec.num_components == proc.num_components
+        assert np.array_equal(vec.labels, dist.labels)
+        assert vec.num_components == dist.num_components
 
     @pytest.mark.parametrize(
         "family,graph", _family_graphs(), ids=lambda v: v if isinstance(v, str) else ""
@@ -77,11 +75,11 @@ class TestFrontierBackendEquivalence:
 
     @pytest.mark.parametrize("algorithm", FRONTIER_ALGORITHMS)
     def test_matches_union_find_oracle(
-        self, algorithm, process_backend, random_graph_factory
+        self, algorithm, distributed_backend, random_graph_factory
     ):
         g = random_graph_factory(120, 300, seed=8)
         ref = sequential_components(g)
-        result = engine.run(algorithm, g, backend=process_backend)
+        result = engine.run(algorithm, g, backend=distributed_backend)
         assert equivalent_labelings(result.labels, ref)
 
     @pytest.mark.parametrize("algorithm", ("bfs", "dobfs"))
@@ -113,37 +111,35 @@ class TestFrontierBackendEquivalence:
         assert 1 <= sim.iterations <= vec.iterations
 
     def test_repeated_frontier_runs_on_one_pool(self):
-        """Pipeline switching reuses pool, frontier and mask segments."""
+        """Pipeline switching reuses one backend's buffer pool and shards."""
         g = barabasi_albert_graph(300, edges_per_vertex=3, seed=13)
         oracle = sequential_components(g)
-        with ProcessParallelBackend(workers=2) as backend:
-            for trial in range(8):
-                algorithm = FRONTIER_ALGORITHMS[trial % len(FRONTIER_ALGORITHMS)]
-                result = engine.run(algorithm, g, backend=backend)
-                assert equivalent_labelings(result.labels, oracle), (
-                    f"trial {trial} ({algorithm}) diverged from the oracle"
-                )
+        backend = DistributedBackend(ranks=2)
+        for trial in range(8):
+            algorithm = FRONTIER_ALGORITHMS[trial % len(FRONTIER_ALGORITHMS)]
+            result = engine.run(algorithm, g, backend=backend)
+            assert equivalent_labelings(result.labels, oracle), (
+                f"trial {trial} ({algorithm}) diverged from the oracle"
+            )
 
 
 class TestFrontierProfiling:
-    def test_lp_datadriven_process_profile_has_frontier_phases(self):
+    def test_lp_datadriven_distributed_profile_has_frontier_phases(self):
         g = grid_graph(14, 14)
-        with ProcessParallelBackend(workers=2) as backend:
-            result = engine.run(
-                "lp-datadriven", g, backend=backend, profile=True
-            )
+        result = engine.run(
+            "lp-datadriven", g, backend=DistributedBackend(ranks=2), profile=True
+        )
         assert "P1" in result.phase_seconds
-        assert "P*" in result.phase_seconds  # settle sweep
         assert "total" in result.phase_seconds
 
-    def test_bfs_trace_has_frontier_attrs_and_worker_tracks(self):
+    def test_bfs_trace_has_frontier_attrs(self):
         g = barabasi_albert_graph(300, edges_per_vertex=3, seed=2)
-        with ProcessParallelBackend(workers=2) as backend:
-            result = engine.run("bfs", g, backend=backend, profile=True)
+        result = engine.run(
+            "bfs", g, backend=DistributedBackend(ranks=2), profile=True
+        )
         assert result.trace is not None
         t_spans = [s for s, _depth in result.trace.walk() if s.name == "T"]
         assert t_spans and all("frontier" in s.attrs for s in t_spans)
-        assert result.trace.tracks()  # per-worker rows for the exporters
 
     def test_dobfs_emits_bottom_up_phases_on_giant(self):
         # A dense giant component triggers the bottom-up switch.
@@ -157,7 +153,7 @@ class TestSupportMatrix:
     def test_frontier_algorithms_support_all_backends(self):
         for name in FRONTIER_ALGORITHMS:
             spec = engine.get_algorithm(name)
-            for kind in ("vectorized", "simulated", "process"):
+            for kind in ("vectorized", "simulated", "distributed"):
                 assert spec.supports_backend(kind), (name, kind)
 
     def test_docs_matrix_in_sync_with_registry(self):
@@ -172,11 +168,10 @@ class TestSupportMatrix:
 
 class TestBenchmarkRecordProvenance:
     def test_record_carries_backend_and_workers(self, mixed_graph):
-        with ProcessParallelBackend(workers=2) as backend:
-            rec = run_algorithm(
-                mixed_graph, "lp", "mixed", repeats=2, backend=backend
-            )
-        assert rec.backend == "process"
+        rec = run_algorithm(
+            mixed_graph, "lp", "mixed", repeats=2, backend="simulated", workers=2
+        )
+        assert rec.backend == "simulated"
         assert rec.workers == 2
 
     def test_record_defaults_to_vectorized(self, mixed_graph):

@@ -4,8 +4,7 @@ The unit behaviour of :mod:`repro.obs.ledger` and
 :mod:`repro.obs.heartbeat` lives in ``tests/obs/``; these tests check
 what the *engine* does with them — ``record=`` appends a durable run
 record and stamps ``result.run_id``, ``heartbeat=`` streams one round
-event per pipeline round (and per-worker block events on the process
-backend), and the combined machinery stays within the 3% overhead
+event per pipeline round, and the combined machinery stays within the 3% overhead
 budget the issue demands.
 """
 
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import ProcessParallelBackend
 from repro.generators.lattice import grid_graph
 from repro.generators.powerlaw import barabasi_albert_graph
 from repro.obs import HeartbeatMonitor, RunLedger
@@ -123,38 +121,12 @@ class TestEngineHeartbeat:
         beating = engine.run("fastsv", mixed_graph, heartbeat=[])
         assert np.array_equal(plain.labels, beating.labels)
 
-    def test_process_backend_streams_block_events(self):
-        g = barabasi_albert_graph(3000, edges_per_vertex=4, seed=11)
-        events = []
-        with ProcessParallelBackend(workers=2) as backend:
-            engine.run("afforest", g, backend=backend, heartbeat=events)
-        blocks = [e for e in events if e.kind == "block"]
-        assert blocks, "process barriers should stream block events"
-        for event in blocks:
-            assert "block" in event.extra
-            assert event.extra["seconds"] >= 0
-        # Block events interleave with (not replace) the round stream.
-        assert any(e.kind == "round" for e in events)
-
-
 class TestSatelliteCounters:
     def test_probe_seconds_on_profiled_auto_run(self):
         g = barabasi_albert_graph(2000, edges_per_vertex=3, seed=5)
         result = engine.run("auto", g, profile=True)
         assert result.trace.gauges["probe_seconds"] > 0
         assert result.counters["probe_seconds_us"] >= 0
-
-    def test_process_frontier_scratch_is_accounted(self):
-        # Satellite: the process backend's per-round frontier scratch
-        # goes through pooled shared segments, so a profiled frontier
-        # run reports its allocations.
-        g = grid_graph(30, 30)
-        with ProcessParallelBackend(workers=2) as backend:
-            result = engine.run(
-                "lp-datadriven", g, backend=backend, profile=True
-            )
-        assert result.counters.get("bytes_allocated", 0) > 0
-
 
 class TestOverheadBudget:
     def test_ledger_and_heartbeat_within_three_percent(self, tmp_path):

@@ -1,13 +1,9 @@
-"""Tests for CSR edge-block partitioning and shared-memory vectors."""
+"""Tests for CSR edge-block partitioning."""
 
 import numpy as np
 import pytest
 
-from repro.engine.partition import (
-    SharedVector,
-    partition_csr_blocks,
-    partition_ranges,
-)
+from repro.engine.partition import partition_csr_blocks, partition_ranges
 from repro.errors import ConfigurationError
 from repro.generators.powerlaw import barabasi_albert_graph
 
@@ -72,33 +68,3 @@ class TestPartitionRanges:
     def test_zero_total(self):
         assert all(lo == hi for lo, hi in partition_ranges(0, 4))
 
-
-class TestSharedVector:
-    def test_roundtrip_and_release(self):
-        vec = SharedVector(16)
-        vec.array[:] = np.arange(16)
-        name, length, dtype = vec.spec
-        assert length == 16
-        assert np.dtype(dtype) == np.int64
-        # Another view attached by name sees the same storage.
-        from multiprocessing import shared_memory
-
-        peer = shared_memory.SharedMemory(name=name)
-        view = np.ndarray(16, dtype=np.int64, buffer=peer.buf)
-        assert view[7] == 7
-        view[7] = 70
-        assert vec.array[7] == 70
-        del view
-        peer.close()
-        vec.release()
-        assert vec.array is None
-
-    def test_zero_length_vector(self):
-        vec = SharedVector(0)
-        assert vec.array.shape == (0,)
-        vec.release()
-
-    def test_release_is_idempotent(self):
-        vec = SharedVector(4)
-        vec.release()
-        vec.release()

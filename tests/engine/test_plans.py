@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import Plan, PlanRegistry, ProcessParallelBackend, SimulatedBackend
+from repro.engine import DistributedBackend, Plan, PlanRegistry, SimulatedBackend
 from repro.engine.auto import (
     DIAMETER_THRESHOLD,
     FALLBACK_PLAN,
@@ -65,11 +65,9 @@ def _component_minima(graph: CSRGraph) -> np.ndarray:
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4])
-def process_backend(request):
-    """One persistent pool per worker count, shared across this module."""
-    backend = ProcessParallelBackend(workers=request.param)
-    yield backend
-    backend.close()
+def distributed_backend(request):
+    """One backend per rank count, shared across this module."""
+    return DistributedBackend(ranks=request.param)
 
 
 class TestPlanRegistry:
@@ -150,9 +148,9 @@ class TestPlanEquivalence:
         assert np.array_equal(result.labels, _component_minima(graph))
 
     @pytest.mark.parametrize("plan", engine.available_plans())
-    def test_process_matches_component_minima(self, plan, process_backend):
+    def test_dist_matches_component_minima(self, plan, distributed_backend):
         graph = component_fraction_graph(200, 0.3, seed=5)
-        result = engine.run(graph, plan=plan, backend=process_backend)
+        result = engine.run(graph, plan=plan, backend=distributed_backend)
         assert np.array_equal(result.labels, _component_minima(graph))
 
     @pytest.mark.parametrize(

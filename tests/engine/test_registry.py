@@ -61,7 +61,6 @@ class TestMetadata:
             assert spec.backends == (
                 "vectorized",
                 "simulated",
-                "process",
                 "distributed",
             )
 
@@ -97,7 +96,6 @@ class TestLookup:
         assert spec.backends == (
             "vectorized",
             "simulated",
-            "process",
             "distributed",
         )
         assert spec.instrumented
@@ -105,6 +103,26 @@ class TestLookup:
     def test_unknown_plan_phase_raises(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             engine.get_algorithm("magic+sv")
+
+    @pytest.mark.parametrize("entry", ["make_backend", "engine.run", "cli"])
+    def test_process_backend_kind_rejected(self, entry, mixed_graph, capsys):
+        kinds = ("vectorized", "simulated", "distributed")
+        if entry == "cli":
+            from repro.cli import main
+
+            with pytest.raises(SystemExit) as exit_info:
+                main(["solve", "dataset:road:tiny", "--backend", "process"])
+            assert exit_info.value.code != 0
+            err = capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigurationError) as exc_info:
+                if entry == "make_backend":
+                    engine.make_backend("process")
+                else:
+                    engine.run("afforest", mixed_graph, backend="process")
+            err = str(exc_info.value)
+        assert "process" in err
+        assert all(kind in err for kind in kinds)
 
 
 class TestCustomRegistration:

@@ -2,8 +2,7 @@
 
 The unit behaviour of the tracer/metrics/exporters lives in
 ``tests/obs/``; these tests check what the *engine* records — span trees
-from actual pipeline runs, per-worker track rows from the process
-backend, round attributes on iterative phases, and the guarantee that an
+from actual pipeline runs, round attributes on iterative phases, and the guarantee that an
 untraced run carries no telemetry residue and computes the same labeling.
 """
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import ProcessParallelBackend
+from repro.engine import DistributedBackend
 from repro.generators.powerlaw import barabasi_albert_graph
 from repro.obs import load_trace, render_trace, write_trace
 
@@ -92,43 +91,22 @@ class TestUntracedRun:
             ), f"{algorithm} on {name}: tracing changed the labeling"
 
 
-class TestWorkerTelemetry:
-    def test_worker_tracks_and_skew(self):
-        g = barabasi_albert_graph(3000, edges_per_vertex=4, seed=11)
-        with ProcessParallelBackend(workers=2) as backend:
-            result = engine.run("afforest", g, backend=backend, profile=True)
-        trace = result.trace
-        tracks = trace.tracks()
-        assert 1 <= len(tracks) <= 2
-        assert all(t.startswith("worker-") for t in tracks)
-        # Every worker span carries its block id and nests under a phase.
-        for span in trace.worker_spans():
-            assert "block" in span.attrs
-        skew = trace.worker_skew()
-        assert skew, "process-backend trace should report per-phase skew"
-        for stats in skew.values():
-            assert stats["skew"] >= 1.0
-            assert stats["max_s"] >= stats["mean_s"]
-        # Worker time never double-counts into the flat phase view.
-        assert result.phase_seconds == trace.phase_seconds()
-
-    def test_untraced_process_run_records_nothing(self, mixed_graph):
-        with ProcessParallelBackend(workers=2) as backend:
-            result = engine.run("afforest", mixed_graph, backend=backend)
+class TestDistributedTelemetry:
+    def test_untraced_distributed_run_records_nothing(self, mixed_graph):
+        backend = DistributedBackend(ranks=2)
+        result = engine.run("afforest", mixed_graph, backend=backend)
         assert result.trace is None
         assert result.phase_seconds == {}
 
 
 class TestChromeExportAcceptance:
-    """The issue's acceptance criterion, as a test: a profiled afforest on
-    the process backend exports a valid trace_event array with at least
-    one span per pipeline phase and per-worker track rows, and the file
-    round-trips through the ``repro trace`` renderer."""
+    """A profiled afforest exports a valid trace_event array with at
+    least one span per pipeline phase, and the file round-trips through
+    the ``repro trace`` renderer."""
 
     def test_export_round_trip(self, tmp_path):
         g = barabasi_albert_graph(3000, edges_per_vertex=4, seed=11)
-        with ProcessParallelBackend(workers=2) as backend:
-            result = engine.run("afforest", g, backend=backend, profile=True)
+        result = engine.run("afforest", g, profile=True)
         path = tmp_path / "trace.json"
         write_trace(result.trace, path, format="chrome")
 
@@ -138,10 +116,7 @@ class TestChromeExportAcceptance:
         labels = {e["name"] for e in complete if e.get("tid") == 0}
         for phase in ("total", "L0", "C0", "F", "H", "C*"):
             assert phase in labels, f"missing phase span {phase}"
-        worker_rows = {e["tid"] for e in complete if e.get("tid", 0) != 0}
-        assert worker_rows, "no per-worker track rows in the export"
 
         loaded = load_trace(path)
         text = render_trace(loaded)
         assert "afforest" in text
-        assert "worker-0" in text

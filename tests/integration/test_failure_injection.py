@@ -109,26 +109,20 @@ class TestConfigurationRejection:
         with pytest.raises(ConfigurationError):
             m.parallel_for(4, lambda ctx, item: iter(()))
 
-    def test_distributed_knobs(self, mixed_graph):
-        from repro.distributed import SimulatedComm, distributed_components
+    def test_distributed_knobs(self):
+        from repro.distributed import SimulatedComm
+        from repro.engine import DistributedBackend
 
         with pytest.raises(ConfigurationError):
-            distributed_components(mixed_graph, 0)
+            DistributedBackend(ranks=0)
         with pytest.raises(ConfigurationError):
-            distributed_components(
-                mixed_graph, 4, comm=SimulatedComm(2)
-            )
+            DistributedBackend(ranks=4, comm=SimulatedComm(2))
 
-    def test_bad_partitioner_detected(self, mixed_graph):
-        from repro.distributed import distributed_components
+    def test_bad_partitioner_detected(self):
+        from repro.engine import DistributedBackend
 
-        def broken_partitioner(graph, ranks):
-            return [graph.undirected_edge_array()]  # wrong count
-
-        with pytest.raises(ConfigurationError, match="partitioner"):
-            distributed_components(
-                mixed_graph, 3, partitioner=broken_partitioner
-            )
+        with pytest.raises(ConfigurationError, match="partition"):
+            DistributedBackend(ranks=3, partition="psychic")
 
 
 class TestRecoveryAfterFailure:

@@ -26,9 +26,9 @@ def sample_trace() -> Trace:
     root.children = [h1, s1]
     return Trace(
         [root],
-        counters={"settle_passes": 2},
-        histograms={"block_imbalance": {"count": 1, "sum": 1.5, "buckets": {"2": 1}}},
-        meta={"algorithm": "sv", "backend": "process", "workers": 2},
+        counters={"rounds_skipped": 2},
+        histograms={"frontier_size": {"count": 1, "sum": 1.5, "buckets": {"2": 1}}},
+        meta={"algorithm": "sv", "backend": "simulated", "workers": 2},
     )
 
 

@@ -108,25 +108,6 @@ class TestEta:
         assert events[1].eta_seconds != 2.0
 
 
-class TestBlocks:
-    def test_block_events_carry_payload(self):
-        events = []
-        monitor = HeartbeatMonitor(events, clock=FakeClock())
-        monitor.beat("H1", changed=5)
-        monitor.block("H1", block=2, seconds=0.003, items=400)
-        event = events[-1]
-        assert event.kind == "block"
-        assert event.round == 1  # the round it happened in
-        assert event.extra == {"block": 2, "seconds": 0.003, "items": 400}
-        assert math.isinf(event.eta_seconds)
-
-    def test_block_without_items(self):
-        events = []
-        monitor = HeartbeatMonitor(events, clock=FakeClock())
-        monitor.block("H1", block=0, seconds=0.001)
-        assert "items" not in events[0].extra
-
-
 class TestFormatEvent:
     def test_round_line(self):
         events = []
@@ -146,10 +127,3 @@ class TestFormatEvent:
         assert "eta " in format_event(events[1])
         assert "--" not in format_event(events[1])
 
-    def test_block_line(self):
-        events = []
-        monitor = HeartbeatMonitor(events, clock=FakeClock())
-        monitor.block("H1", block=3, seconds=0.002, items=64)
-        line = format_event(events[0])
-        assert "block 3" in line
-        assert "items=64" in line

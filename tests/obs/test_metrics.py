@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import (
     POW2_BUCKETS,
-    RATIO_BUCKETS,
     Histogram,
     MetricsRegistry,
 )
@@ -60,8 +59,9 @@ class TestHistogram:
         assert s["mean"] == pytest.approx(106.0 / 5)
 
     def test_observe_matches_observe_many(self):
-        a = Histogram("a", RATIO_BUCKETS)
-        b = Histogram("b", RATIO_BUCKETS)
+        bounds = (1.0, 1.25, 2.0, 10.0)
+        a = Histogram("a", bounds)
+        b = Histogram("b", bounds)
         values = [1.0, 1.2, 2.5, 11.0]
         for v in values:
             a.observe(v)

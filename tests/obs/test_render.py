@@ -1,6 +1,6 @@
 """Tests for the ASCII trace renderer."""
 
-from repro.obs import Span, Trace, render_trace, skew_lines
+from repro.obs import Span, Trace, render_trace
 from repro.obs.render import timeline_bar
 
 from .test_export import sample_trace
@@ -19,32 +19,17 @@ class TestTimelineBar:
         assert timeline_bar([], 0.0, 0.0, 4) == "····"
 
 
-class TestSkewLines:
-    def test_format(self):
-        lines = skew_lines(
-            {"H1": {"max_s": 0.003, "mean_s": 0.002, "skew": 1.5, "tasks": 2.0}}
-        )
-        (line,) = lines
-        assert line.startswith("H1")
-        assert "1.50x" in line
-        assert "2 tasks" in line
-
-    def test_empty(self):
-        assert skew_lines({}) == []
-
-
 class TestRenderTrace:
     def test_sections(self):
         text = render_trace(sample_trace())
-        assert text.startswith("trace: sv [process, 2]")
+        assert text.startswith("trace: sv [simulated, 2]")
         # Every main-track span appears in the table; worker rows appear
         # as tracks, not as tree rows.
         for label in ("total", "H1", "S1"):
             assert label in text
         assert "worker-0" in text and "worker-1" in text
-        assert "worker skew" in text
-        assert "settle_passes=2" in text
-        assert "block_imbalance" in text
+        assert "rounds_skipped=2" in text
+        assert "frontier_size" in text
 
     def test_respects_width(self):
         narrow = render_trace(sample_trace(), width=10)
@@ -63,16 +48,7 @@ class TestRenderTrace:
 
 class TestGracefulDegradation:
     """Satellite: the renderer survives traces written by other tool
-    versions — missing skew statistics, open spans, unknown attrs."""
-
-    def test_skew_lines_tolerate_missing_stats(self):
-        lines = skew_lines({"H1": {"skew": 2.0}, "H2": {}})
-        assert len(lines) == 2
-        assert "2.00x" in lines[0]
-        assert "0 tasks" in lines[1]
-
-    def test_skew_lines_skip_non_dict_stats(self):
-        assert skew_lines({"H1": "corrupt"}) == []
+    versions — open spans, unknown attrs."""
 
     def test_open_span_renders_with_marker(self):
         root = Span("total", 0.0, 1.0)

@@ -122,17 +122,3 @@ def test_formats_agree_on_phase_seconds(tmp_path, seed):
     for label in a:
         assert a[label] == pytest.approx(b[label], abs=1e-6)
 
-
-def test_worker_skew_survives_chrome(tmp_path):
-    trace = _random_trace(3)
-    path = tmp_path / "t.json"
-    write_trace(trace, path, format="chrome")
-    back = load_trace(path)
-    want = trace.worker_skew()
-    got = back.worker_skew()
-    assert set(got) == set(want)
-    for label in want:
-        assert got[label]["tasks"] == want[label]["tasks"]
-        assert got[label]["skew"] == pytest.approx(
-            want[label]["skew"], rel=1e-3
-        )

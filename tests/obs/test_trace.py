@@ -151,15 +151,6 @@ class TestTraceViews:
         assert len(trace.worker_spans()) == 2
         assert trace.tracks() == ["worker-0", "worker-1"]
 
-    def test_worker_skew(self):
-        skew = self._trace().worker_skew()
-        assert set(skew) == {"H1"}
-        entry = skew["H1"]
-        assert entry["max_s"] == 3.0
-        assert entry["mean_s"] == 2.0
-        assert entry["skew"] == 1.5
-        assert entry["tasks"] == 2
-
     def test_bounds(self):
         trace = self._trace()
         assert trace.t0 == 0.0
@@ -177,5 +168,4 @@ class TestTraceViews:
     def test_empty_trace(self):
         trace = Trace([])
         assert trace.phase_seconds() == {}
-        assert trace.worker_skew() == {}
         assert trace.t0 == 0.0 and trace.t1 == 0.0

@@ -1,19 +1,13 @@
-"""Property-based tests of the distributed forest reduction."""
+"""Property-based tests of the distributed backend."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import engine
 from repro.analysis import equivalent_labelings
-from repro.distributed import distributed_components
-from repro.distributed.dist_cc import merge_forest
-from repro.distributed.partition import (
-    partition_edges_block,
-    partition_edges_hash,
-)
-from repro.constants import VERTEX_DTYPE
+from repro.engine import DistributedBackend
 from repro.graph import from_edge_list
-from repro.unionfind import ParentArray, sequential_components
+from repro.unionfind import sequential_components
 
 
 @st.composite
@@ -28,52 +22,11 @@ def graphs(draw, max_n=25, max_edges=50):
     return from_edge_list(edges, num_vertices=n)
 
 
-@st.composite
-def downward_forests(draw, max_n=20):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pi = [draw(st.integers(0, v)) for v in range(n)]
-    return np.asarray(pi, dtype=VERTEX_DTYPE)
-
-
-@given(graphs(), st.integers(1, 9), st.booleans(), st.integers(0, 99))
+@given(graphs(), st.integers(1, 9), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_any_world_size_and_partitioner_exact(g, ranks, use_hash, seed):
-    partitioner = (
-        (lambda gr, r: partition_edges_hash(gr, r, seed=seed))
-        if use_hash
-        else partition_edges_block
+def test_any_world_size_and_partitioner_exact(g, ranks, use_hash):
+    backend = DistributedBackend(
+        ranks=ranks, partition="hash" if use_hash else "block"
     )
-    result = distributed_components(g, ranks, partitioner=partitioner)
+    result = engine.run(g, plan="none+fastsv", backend=backend)
     assert equivalent_labelings(result.labels, sequential_components(g))
-
-
-@given(downward_forests(), downward_forests())
-@settings(max_examples=100, deadline=None)
-def test_merge_forest_is_connectivity_union(a, b):
-    """Merging forests = union of their connectivity relations."""
-    n = min(a.shape[0], b.shape[0])
-    a, b = a[:n].copy(), b[:n].copy()
-    # Clip pointers to the common range (still downward-pointing).
-    a = np.minimum(a, np.arange(n))
-    b = np.minimum(b, np.arange(n))
-    merged = a.copy()
-    merge_forest(merged, b)
-
-    # Reference: union-find over the tree edges of both forests.
-    from repro.unionfind import SequentialUnionFind
-
-    uf = SequentialUnionFind(n)
-    for v in range(n):
-        uf.union(v, int(a[v]))
-        uf.union(v, int(b[v]))
-    assert equivalent_labelings(ParentArray(merged).labels(), uf.labels())
-
-
-@given(downward_forests())
-@settings(max_examples=60, deadline=None)
-def test_merge_with_self_is_identity_partition(pi):
-    merged = pi.copy()
-    merge_forest(merged, pi)
-    assert equivalent_labelings(
-        ParentArray(merged).labels(), ParentArray(pi).labels()
-    )

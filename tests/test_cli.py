@@ -72,12 +72,12 @@ class TestSolve:
         assert main(["solve", graph_file, "--algorithm", "magic"]) == 1
         assert "unknown algorithm" in capsys.readouterr().err
 
-    def test_process_backend(self, graph_file, capsys):
+    def test_distributed_backend(self, graph_file, capsys):
         assert main(
-            ["solve", graph_file, "--backend", "process", "--workers", "2"]
+            ["solve", graph_file, "--backend", "distributed", "--ranks", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "afforest [process]: 2 components" in out
+        assert "afforest [distributed]: 2 components" in out
 
     def test_simulated_backend(self, graph_file, capsys):
         assert main(["solve", graph_file, "--backend", "simulated"]) == 0
@@ -86,18 +86,18 @@ class TestSolve:
     def test_backend_unsupported_by_algorithm(self, graph_file, capsys):
         assert main(
             ["solve", graph_file, "--algorithm", "sequential",
-             "--backend", "process"]
+             "--backend", "simulated"]
         ) == 1
         err = capsys.readouterr().err
         assert "does not support" in err
         assert "vectorized" in err  # message names the supported backends
 
-    def test_frontier_algorithm_on_process_backend(self, graph_file, capsys):
+    def test_frontier_algorithm_on_distributed_backend(self, graph_file, capsys):
         assert main(
             ["solve", graph_file, "--algorithm", "lp",
-             "--backend", "process", "--workers", "2"]
+             "--backend", "distributed", "--ranks", "2"]
         ) == 0
-        assert "lp [process]: 2 components" in capsys.readouterr().out
+        assert "lp [distributed]: 2 components" in capsys.readouterr().out
 
     def test_plan_option(self, graph_file, capsys):
         assert main(["solve", graph_file, "--plan", "kout+sv"]) == 0
@@ -162,18 +162,18 @@ class TestCompare:
         assert "kout+sv" in out
         assert "none+fastsv" in out
 
-    def test_process_backend_skips_unsupported(self, graph_file, capsys):
+    def test_simulated_backend_skips_unsupported(self, graph_file, capsys):
         assert main(
             [
                 "compare", graph_file,
                 "--algorithms", "afforest,sequential",
-                "--backend", "process", "--workers", "2",
+                "--backend", "simulated", "--workers", "2",
                 "--repeats", "2",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert (
-            "note: sequential does not support the process backend; skipped"
+            "note: sequential does not support the simulated backend; skipped"
             in out
         )
         assert "afforest" in out
@@ -183,27 +183,10 @@ class TestCompare:
             [
                 "compare", graph_file,
                 "--algorithms", "sequential,distributed",
-                "--backend", "process",
+                "--backend", "simulated",
             ]
         ) == 1
         assert "no requested algorithm" in capsys.readouterr().err
-
-    def test_profile_on_process_backend_prints_worker_skew(
-        self, graph_file, capsys
-    ):
-        assert main(
-            [
-                "compare", graph_file,
-                "--algorithms", "afforest",
-                "--backend", "process", "--workers", "2",
-                "--repeats", "2", "--profile",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "phase breakdown" in out
-        assert "worker skew (max/mean block time per phase)" in out
-        # At least one per-phase skew line with the max/mean ratio.
-        assert "x  (max" in out
 
     def test_trace_out_per_algorithm_files(self, graph_file, tmp_path, capsys):
         base = tmp_path / "cmp.json"
@@ -271,16 +254,15 @@ class TestTraceExport:
         main(
             [
                 "solve", graph_file,
-                "--backend", "process", "--workers", "2",
+                "--backend", "simulated", "--workers", "2",
                 "--trace-out", str(path),
             ]
         )
         capsys.readouterr()
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("trace: afforest [process")
+        assert out.startswith("trace: afforest [simulated")
         assert "timeline" in out
-        assert "worker-0" in out
 
     def test_trace_subcommand_missing_file(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope.json")]) == 1
