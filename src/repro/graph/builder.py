@@ -2,8 +2,10 @@
 
 The builders perform the normalisation pipeline the GAP suite applies when
 loading graphs: symmetrize, optionally drop duplicates and self loops, then
-a counting-sort CSR assembly.  Neighbour lists are sorted by default, which
-both matches GAP's loader and makes ``has_edge`` logarithmic.
+assemble the CSR arrays.  Neighbour lists are sorted by default, which both
+matches GAP's loader and makes ``has_edge`` logarithmic; that default path
+sorts the edge keys ``src * n + dst`` once, because the sorted keys already
+are CSR order.
 
 A note relevant to the paper: Afforest's neighbour sampling uses "the first
 appearing neighbors of each vertex" (Sec. VI-A), i.e. the neighbour order in
@@ -14,6 +16,7 @@ therefore support ``sort_neighbors=False`` to preserve insertion order, and
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +25,70 @@ from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
 from repro.graph.coo import EdgeList
 from repro.graph.csr import CSRGraph
+
+
+#: Largest vertex count whose edge keys ``src * n + dst`` fit in int64.
+_MAX_KEYED_VERTICES = math.isqrt(int(np.iinfo(np.int64).max))
+
+
+def edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Encode edges as int64 keys ``src * n + dst``.
+
+    Keys order edges by source, then destination: ascending keys are CSR
+    order.
+    """
+    if n > _MAX_KEYED_VERTICES:
+        raise GraphFormatError(
+            f"{n} vertices exceed the int64 edge-key range "
+            f"(at most {_MAX_KEYED_VERTICES})"
+        )
+    return src * np.int64(n) + dst
+
+
+def csr_from_sorted_keys(
+    keys: np.ndarray, n: int, *, dedup: bool = True
+) -> CSRGraph:
+    """Assemble a CSR graph from ascending :func:`edge_keys`.
+
+    Sorted keys already are CSR order (rows by source, ascending
+    neighbours), so assembly is a decode plus an optional drop of adjacent
+    duplicates.  ``keys`` is consumed: without ``dedup`` its buffer becomes
+    the graph's ``indices``.
+    """
+    if dedup and keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    rows = keys // max(n, 1)
+    indptr = _indptr(rows, n)
+    rows *= n
+    keys -= rows  # in place: the columns
+    return CSRGraph(indptr, keys, validate=False)
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _sorted_keys(
+    edges: EdgeList, symmetrize: bool, drop_self_loops: bool
+) -> np.ndarray:
+    """The sorted :func:`edge_keys` of the normalised records: one sort
+    yields the sorted rows, and dedup then only compares neighbours.
+
+    A function of its own so that the self-loop-free copy of the records
+    is freed before the CSR assembly allocates.
+    """
+    el = edges.without_self_loops() if drop_self_loops else edges
+    n = el.num_vertices
+    keys = edge_keys(el.src, el.dst, n)
+    if symmetrize:
+        mirror = el.src != el.dst  # self loops stay single
+        keys = np.concatenate(
+            [keys, edge_keys(el.dst[mirror], el.src[mirror], n)]
+        )
+    keys.sort()
+    return keys
 
 
 def build_csr(
@@ -48,31 +115,23 @@ def build_csr(
     sort_neighbors:
         Sort each neighbour list ascending.  Disable to preserve the input
         edge order within each list (relevant for neighbour sampling).
+        The sorted path encodes edges as :func:`edge_keys`, so it takes at
+        most 3,037,000,499 vertices and raises
+        :class:`~repro.errors.GraphFormatError` beyond.
     """
-    el = edges
-    if drop_self_loops:
-        el = el.without_self_loops()
+    if sort_neighbors:
+        keys = _sorted_keys(edges, symmetrize, drop_self_loops)
+        return csr_from_sorted_keys(keys, edges.num_vertices, dedup=dedup)
+
+    el = edges.without_self_loops() if drop_self_loops else edges
+    n = el.num_vertices
     if symmetrize:
         el = el.symmetrized()
     if dedup:
         el = el.deduplicated()
-
-    n = el.num_vertices
-    counts = np.bincount(el.src, minlength=n).astype(VERTEX_DTYPE)
-    indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-
-    if sort_neighbors:
-        # Lexicographic sort by (src, dst) produces CSR with sorted rows in
-        # one shot; counting assembly is not needed.
-        order = np.lexsort((el.dst, el.src))
-        indices = el.dst[order]
-    else:
-        # Stable counting placement preserves per-row record order.
-        order = np.argsort(el.src, kind="stable")
-        indices = el.dst[order]
-
-    return CSRGraph(indptr, indices, validate=False)
+    # Stable counting placement preserves per-row record order.
+    order = np.argsort(el.src, kind="stable")
+    return CSRGraph(_indptr(el.src, n), el.dst[order], validate=False)
 
 
 def from_edge_array(

@@ -4,7 +4,8 @@ Three interchange formats cover the ecosystems the paper's datasets come
 from:
 
 - **edge-list text** (``.el`` — the GAP loader's plain format): one
-  ``u v`` pair per line, ``#`` comments allowed;
+  ``u v`` pair per line, ``#`` comments allowed; a file is parsed by one
+  vectorized block parser on both the whole-file and the chunked path;
 - **METIS** (``.graph``): header ``n m`` then one line of (1-based)
   neighbours per vertex;
 - **npz binary**: the CSR arrays verbatim, the fastest round-trip.
@@ -13,8 +14,8 @@ The edge-list and npz paths additionally support **chunked / out-of-core
 loading** for datasets too large to stage as a whole COO edge list
 (2^24-vertex synthetics and beyond): ``read_edge_list(path,
 chunk_edges=...)`` streams fixed-size edge blocks through the two-pass
-:func:`build_csr_streaming` assembly (degree count, then direct CSR
-placement — the peak footprint is the CSR itself plus one block), and
+:func:`build_csr_streaming` assembly (degree count, then one sort of the
+edge keys — the peak footprint is the key array plus one block), and
 ``save_npz(graph, path, chunk_edges=...)`` splits ``indices`` into
 bounded archive members that :func:`load_npz` streams back into a
 preallocated array one member at a time.
@@ -31,7 +32,11 @@ import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import (
+    csr_from_sorted_keys,
+    edge_keys,
+    from_edge_array,
+)
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -52,9 +57,46 @@ __all__ = [
 # edge-list text
 # --------------------------------------------------------------------- #
 
+#: Characters (bytes, in ASCII text) read per parse block; a block holds
+#: whole lines, so a longer line grows its block.  Parse working memory is a
+#: small multiple of one block.
+_BLOCK_BYTES = 1 << 22
+
+#: Longest token the vectorized parser decodes: every 18-digit decimal fits
+#: int64.  Longer tokens (leading zeros, overflow) take the reference path.
+_MAX_DIGITS = 18
+
+_NL, _SPACE, _HASH, _ZERO = b"\n #0"
+_INT64 = np.iinfo(np.int64)
+
+
+def _byte_classes() -> bytes:
+    r"""``bytes.translate`` table onto the vectorized parser's alphabet:
+    digits and ``\n`` map to themselves, the rest of the whitespace that
+    ``str.split`` sees in ASCII to a space, both comment markers to ``#``
+    and every other byte to ``x``."""
+    table = bytearray(b"x" * 256)
+    for c in range(128):
+        if chr(c).isspace():
+            table[c] = _SPACE
+    for c in b"0123456789\n":
+        table[c] = c
+    table[ord("%")] = table[_HASH] = _HASH
+    return bytes(table)
+
+
+_BYTE_CLASS = _byte_classes()
+#: Trailing separators, so that digit reads past a block's last token stay
+#: in bounds.
+_PAD = b" " * (_MAX_DIGITS + 1)
+
 
 def _parse_edge_line(line: str, lineno: int) -> tuple[int, int] | None:
-    """One edge-list line -> ``(u, v)``, or ``None`` for comments/blanks."""
+    """One edge-list line -> ``(u, v)``, or ``None`` for comments/blanks.
+
+    The reference grammar: the vectorized block parser agrees with it on
+    every block it decodes and hands every other block to it.
+    """
     line = line.strip()
     if not line or line[0] in "#%":
         return None
@@ -64,58 +106,194 @@ def _parse_edge_line(line: str, lineno: int) -> tuple[int, int] | None:
             f"edge list line {lineno}: expected at least two columns"
         )
     try:
-        return int(parts[0]), int(parts[1])
+        u, v = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise GraphFormatError(
             f"edge list line {lineno}: non-integer endpoint"
         ) from exc
+    if not (_INT64.min <= u <= _INT64.max and _INT64.min <= v <= _INT64.max):
+        raise GraphFormatError(
+            f"edge list line {lineno}: vertex id does not fit int64"
+        )
+    return u, v
+
+
+def _parse_lines(
+    lines: Iterable[str], lineno: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Reference parse of ``lines``, numbered from ``lineno``, as one block.
+
+    At a malformed line it yields the edges before that line and then
+    raises, as a line-by-line reader would: a chunked reader hands those
+    edges on before the error.
+    """
+    src_l: list[int] = []
+    dst_l: list[int] = []
+    error = None
+    try:
+        for i, line in enumerate(lines, lineno):
+            parsed = _parse_edge_line(line, i)
+            if parsed is not None:
+                src_l.append(parsed[0])
+                dst_l.append(parsed[1])
+    except GraphFormatError as exc:
+        error = exc
+    yield (
+        np.asarray(src_l, dtype=VERTEX_DTYPE),
+        np.asarray(dst_l, dtype=VERTEX_DTYPE),
+    )
+    if error is not None:
+        raise error
+
+
+def _decimals(t: np.ndarray, start: np.ndarray) -> np.ndarray | None:
+    """Values of the tokens starting at ``start`` in the class array ``t``,
+    or ``None`` unless each token is 1 to ``_MAX_DIGITS`` ASCII digits."""
+    value = np.zeros(start.shape[0], dtype=np.int64)
+    live = np.ones(start.shape[0], dtype=bool)
+    for k in range(_MAX_DIGITS + 1):
+        c = t[start + k]
+        live &= c > _SPACE
+        if not live.any():
+            return value
+        digit = (c - _ZERO) * live
+        if k == _MAX_DIGITS or (digit > 9).any():
+            break
+        value *= np.where(live, 10, 1)
+        value += digit
+    return None
+
+
+def _parse_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""Vectorized parse of whole lines, each ending in ``\n``.
+
+    Decodes blank lines, ``#``/``%`` comments and lines whose first two
+    whitespace-separated columns are ASCII decimals of at most
+    ``_MAX_DIGITS`` digits (later columns are ignored).  Returns ``None``
+    for a block with any other line; the reference grammar then decides.
+    """
+    if not block.isascii():
+        return None
+    data = (block.encode() + _PAD).translate(_BYTE_CLASS)
+    t = np.frombuffer(data, dtype=np.uint8)
+    tok = t > _SPACE
+    # Events in file order: token starts and line ends.
+    event = t == _NL
+    event[0] |= tok[0]
+    event[1:] |= tok[1:] > tok[:-1]
+    at = np.flatnonzero(event)
+    kind = t[at]
+    ends = np.flatnonzero(kind == _NL)
+    first = np.concatenate(([0], ends[:-1] + 1))  # each line's first event
+    lead = kind[first]
+    first = first[(lead != _NL) & (lead != _HASH)]  # data lines
+    if (kind[first + 1] == _NL).any():  # a data line with one column
+        return None
+    src = _decimals(t, at[first])
+    dst = _decimals(t, at[first + 1])
+    if src is None or dst is None:
+        return None
+    return src, dst
+
+
+def _line_blocks(fh: TextIO) -> Iterator[str]:
+    r"""A text file as blocks of about ``_BLOCK_BYTES`` characters of whole
+    lines, each ending in ``\n``."""
+    tail = ""
+    while chunk := fh.read(_BLOCK_BYTES):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        if cut:
+            yield text[:cut]
+    if tail:  # an unterminated last line
+        yield tail + "\n"
+
+
+def _path_edges(
+    path: str | os.PathLike,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    r"""Parse an edge-list file block by block into ``(src, dst)`` arrays.
+
+    Text mode's universal newlines end a line at ``\r\n`` and a lone
+    ``\r`` too, and hand the blocks over with ``\n`` alone.
+    """
+    lineno = 1
+    with open(path, encoding="utf-8") as fh:
+        for block in _line_blocks(fh):
+            parsed = _parse_block(block)
+            if parsed is None:
+                yield from _parse_lines(block[:-1].split("\n"), lineno)
+            else:
+                yield parsed
+            lineno += block.count("\n")
+
+
+def _text_edges(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Parse an open text handle with the reference grammar, in blocks of
+    the lines iterating it yields."""
+    lineno = 1
+    while lines := fh.readlines(_BLOCK_BYTES):
+        yield from _parse_lines(lines, lineno)
+        lineno += len(lines)
+
+
+def _edge_blocks(
+    source: str | os.PathLike | TextIO,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Parsed ``(src, dst)`` arrays, block by block, of a path or an open
+    text handle."""
+    if isinstance(source, (str, os.PathLike)):
+        return _path_edges(source)
+    return _text_edges(source)
+
+
+def _concatenated(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """All parsed blocks as one ``(src, dst)`` pair; the per-block arrays
+    are freed on return, before the CSR build allocates."""
+    src_parts = [np.empty(0, dtype=VERTEX_DTYPE)]
+    dst_parts = [np.empty(0, dtype=VERTEX_DTYPE)]
+    for src, dst in blocks:
+        src_parts.append(src)
+        dst_parts.append(dst)
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
+def _chunked(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], chunk_edges: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Regroup parsed blocks into chunks of exactly ``chunk_edges`` edges;
+    only the last chunk may be shorter."""
+    if chunk_edges < 1:
+        raise GraphFormatError(
+            f"chunk_edges must be >= 1, got {chunk_edges}"
+        )
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    have = 0
+    for block in blocks:
+        parts.append(block)
+        have += block[0].shape[0]
+        if have < chunk_edges:
+            continue
+        src, dst = (np.concatenate(col) for col in zip(*parts))
+        full = have - have % chunk_edges
+        for lo in range(0, full, chunk_edges):
+            yield src[lo : lo + chunk_edges], dst[lo : lo + chunk_edges]
+        parts, have = [(src[full:], dst[full:])], have - full
+    if have:
+        src, dst = (np.concatenate(col) for col in zip(*parts))
+        yield src, dst
 
 
 def iter_edge_list_chunks(
     fh: TextIO, chunk_edges: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream an open edge-list file as ``(src, dst)`` array blocks of at
-    most ``chunk_edges`` edges, with the same comment/column semantics as
-    :func:`read_edge_list`."""
-    if chunk_edges < 1:
-        raise GraphFormatError(
-            f"chunk_edges must be >= 1, got {chunk_edges}"
-        )
-    src_l: list[int] = []
-    dst_l: list[int] = []
-    for lineno, line in enumerate(fh, 1):
-        parsed = _parse_edge_line(line, lineno)
-        if parsed is None:
-            continue
-        src_l.append(parsed[0])
-        dst_l.append(parsed[1])
-        if len(src_l) >= chunk_edges:
-            yield (
-                np.asarray(src_l, dtype=VERTEX_DTYPE),
-                np.asarray(dst_l, dtype=VERTEX_DTYPE),
-            )
-            src_l, dst_l = [], []
-    if src_l:
-        yield (
-            np.asarray(src_l, dtype=VERTEX_DTYPE),
-            np.asarray(dst_l, dtype=VERTEX_DTYPE),
-        )
-
-
-def _place_chunk(
-    buf: np.ndarray, cursor: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> None:
-    """Scatter one direction of an edge block into the CSR slab: every
-    ``v`` lands in row ``u``'s next free slots (duplicate rows within the
-    block get consecutive positions)."""
-    if u.shape[0] == 0:
-        return
-    order = np.argsort(u, kind="stable")
-    us = u[order]
-    uniq, first, cnt = np.unique(us, return_index=True, return_counts=True)
-    within = np.arange(us.shape[0], dtype=np.int64) - np.repeat(first, cnt)
-    buf[cursor[us] + within] = v[order]
-    cursor[uniq] += cnt
+    """Stream an open edge-list file as ``(src, dst)`` array blocks of
+    ``chunk_edges`` edges (the last may be shorter), with the same grammar
+    and errors as :func:`read_edge_list`."""
+    return _chunked(_text_edges(fh), chunk_edges)
 
 
 def build_csr_streaming(
@@ -127,12 +305,15 @@ def build_csr_streaming(
     ``chunk_factory`` is called twice and must each time yield the same
     sequence of ``(src, dst)`` edge blocks (re-reading a file, re-seeding
     a generator).  Pass one counts degrees (and discovers ``num_vertices``
-    when not given); pass two scatters both edge directions straight into
-    the CSR slab.  A final in-place per-row sort + dedup reproduces
+    when not given); pass two writes the edge keys of both directions into
+    one preallocated array, which a single sort turns into CSR order (see
+    :func:`~repro.graph.builder.csr_from_sorted_keys`).  The result is
     :func:`~repro.graph.builder.build_csr`'s default normalisation
-    (symmetrize, drop self loops, dedup, sorted neighbours) bit-exactly —
-    but the whole COO edge list is never materialised: peak memory is the
-    raw CSR slab plus one block.
+    (symmetrize, drop self loops, dedup, sorted neighbours) bit-exactly,
+    but the COO edge list is never materialised: peak memory is the key
+    array (one int64 per directed edge) plus one block.  The int64 keys
+    limit the graph to 3,037,000,499 vertices; beyond that it raises
+    :class:`~repro.errors.GraphFormatError`.
     """
     # Pass 1: degree counts (both directions, self loops dropped).
     counts = np.zeros(
@@ -162,37 +343,35 @@ def build_csr_streaming(
         counts += np.bincount(src, minlength=counts.shape[0])
         counts += np.bincount(dst, minlength=counts.shape[0])
     n = counts.shape[0]
-    raw_indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(counts, out=raw_indptr[1:])
-    m_raw = int(raw_indptr[-1])
+    m_raw = int(counts.sum())
+    unstable = GraphFormatError(
+        "chunk_factory yielded different edges across passes"
+    )
 
-    # Pass 2: direct placement of both directions into the slab.
-    buf = np.empty(m_raw, dtype=VERTEX_DTYPE)
-    cursor = raw_indptr[:-1].astype(np.int64)
+    # Pass 2: the keys of both directions, in stream order.
+    keys = np.empty(m_raw, dtype=np.int64)
+    filled = 0
     for src, dst in chunk_factory():
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        _place_chunk(buf, cursor, src, dst)
-        _place_chunk(buf, cursor, dst, src)
-    if not np.array_equal(cursor, raw_indptr[1:]):
-        raise GraphFormatError(
-            "chunk_factory yielded different edges across passes"
-        )
-    if m_raw == 0:
-        return CSRGraph(raw_indptr, buf, validate=False)
-
-    # Compaction: sort each row, drop duplicate neighbours.
-    rowid = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), counts)
-    order = np.lexsort((buf, rowid))
-    buf = buf[order]
-    rowid = rowid[order]
-    keep_mask = np.ones(m_raw, dtype=bool)
-    keep_mask[1:] = (buf[1:] != buf[:-1]) | (rowid[1:] != rowid[:-1])
-    indices = buf[keep_mask]
-    final_counts = np.bincount(rowid[keep_mask], minlength=n)
-    indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(final_counts, out=indptr[1:])
-    return CSRGraph(indptr, indices, validate=False)
+        k = src.shape[0]
+        if k == 0:
+            continue
+        if filled + 2 * k > m_raw or not (
+            0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
+        ):
+            raise unstable
+        keys[filled : filled + k] = edge_keys(src, dst, n)
+        keys[filled + k : filled + 2 * k] = edge_keys(dst, src, n)
+        filled += 2 * k
+    keys.sort()
+    # Cross-pass check: each row received exactly the entries pass 1
+    # counted for it.
+    if filled != m_raw or not np.array_equal(
+        np.bincount(keys // max(n, 1), minlength=n), counts
+    ):
+        raise unstable
+    return csr_from_sorted_keys(keys, n)
 
 
 def read_edge_list(
@@ -201,13 +380,30 @@ def read_edge_list(
     chunk_edges: int | None = None,
     **build_kwargs,
 ) -> CSRGraph:
-    """Read a whitespace-separated edge-list file into a CSR graph.
+    r"""Read a whitespace-separated edge-list file into a CSR graph.
 
-    Lines starting with ``#`` or ``%`` are comments; blank lines are
-    skipped.  Extra columns beyond the first two (e.g. weights) are ignored.
+    Grammar, line by line: a blank line, or one whose first non-blank
+    character is ``#`` or ``%``, is skipped; any other line must hold at
+    least two whitespace-separated columns, the two endpoints, which are
+    read with Python's ``int()`` and must fit int64.  Later columns (e.g.
+    weights) are ignored.  A violation raises
+    :class:`~repro.errors.GraphFormatError` naming the 1-based line.  A
+    path is opened as UTF-8 text with universal newlines (``\r\n`` and a
+    lone ``\r`` end a line); an open text handle is read as the lines
+    iterating it yields.
+
+    A path is parsed, on both the whole-file and the chunked path, in
+    blocks of whole lines of about 4 MiB: a vectorized NumPy pass decodes
+    the common grammar (ASCII decimals of at most 18 digits), and a block
+    it cannot decode (non-ASCII text, ``+5``, ``1_0``, overlong or
+    malformed tokens) is re-parsed line by line with the reference
+    grammar, which also raises the exact error.  An open handle takes the
+    reference grammar throughout, in blocks of the same size.  Parse
+    working memory is a small multiple of one block, never an array per
+    byte of the whole file, plus the parsed edge arrays.
 
     ``chunk_edges`` switches to the out-of-core path: the file is parsed
-    twice in blocks of that many edges through
+    twice, in chunks of that many edges (the last may be shorter), through
     :func:`build_csr_streaming`, producing a bit-identical graph without
     ever staging the whole edge list in memory.  The chunked path applies
     the default normalisation only, so it accepts no ``build_kwargs``.
@@ -218,35 +414,14 @@ def read_edge_list(
                 "chunked edge-list loading supports only the default "
                 f"normalisation; got {sorted(build_kwargs)}"
             )
-        if isinstance(path, (str, os.PathLike)):
-            def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-                with open(path, "r", encoding="utf-8") as fh:
-                    yield from iter_edge_list_chunks(fh, chunk_edges)
-        else:
-            def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+
+        def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            if not isinstance(path, (str, os.PathLike)):
                 path.seek(0)
-                yield from iter_edge_list_chunks(path, chunk_edges)
+            return _chunked(_edge_blocks(path), chunk_edges)
+
         return build_csr_streaming(chunks)
-    close = False
-    if isinstance(path, (str, os.PathLike)):
-        fh: TextIO = open(path, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = path
-    try:
-        src_l: list[int] = []
-        dst_l: list[int] = []
-        for lineno, line in enumerate(fh, 1):
-            parsed = _parse_edge_line(line, lineno)
-            if parsed is None:
-                continue
-            src_l.append(parsed[0])
-            dst_l.append(parsed[1])
-    finally:
-        if close:
-            fh.close()
-    src = np.asarray(src_l, dtype=VERTEX_DTYPE)
-    dst = np.asarray(dst_l, dtype=VERTEX_DTYPE)
+    src, dst = _concatenated(_edge_blocks(path))
     return from_edge_array(src, dst, **build_kwargs)
 
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.builder import build_csr, from_edge_array, from_edge_list
+from repro.graph.builder import (
+    _MAX_KEYED_VERTICES,
+    build_csr,
+    edge_keys,
+    from_edge_array,
+    from_edge_list,
+)
 from repro.graph.coo import EdgeList
 from repro.graph.validate import (
     check_no_duplicates,
@@ -102,3 +108,13 @@ def test_multigraph_input_normalises():
     g = from_edge_list(pairs)
     assert g.num_edges == 1
     assert g.num_self_loops == 0
+
+
+def test_edge_keys_vertex_limit():
+    # The largest keyed vertex count still encodes its last edge exactly;
+    # one more vertex would wrap int64 and raises instead.
+    top = np.array([_MAX_KEYED_VERTICES - 1])
+    key = edge_keys(top, top, _MAX_KEYED_VERTICES)
+    assert int(key[0]) == _MAX_KEYED_VERTICES**2 - 1
+    with pytest.raises(GraphFormatError, match="int64 edge-key range"):
+        edge_keys(top, top, _MAX_KEYED_VERTICES + 1)

@@ -135,6 +135,12 @@ class TestChunkedEdgeList:
             list(iter_edge_list_chunks(io.StringIO("a b\n"), 4))
         with pytest.raises(GraphFormatError, match="two columns"):
             list(iter_edge_list_chunks(io.StringIO("0\n"), 4))
+        too_big = io.StringIO("0 99999999999999999999")
+        with pytest.raises(GraphFormatError, match="line 1: .* fit int64"):
+            list(iter_edge_list_chunks(too_big, 4))
+        too_small = io.StringIO("0 1\n-9223372036854775809 0\n")
+        with pytest.raises(GraphFormatError, match="line 2: .* fit int64"):
+            read_edge_list(too_small, chunk_edges=1)
 
     def test_rejects_build_kwargs(self):
         with pytest.raises(GraphFormatError, match="default"):

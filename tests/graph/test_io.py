@@ -55,6 +55,19 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError, match="non-integer"):
             read_edge_list(io.StringIO("a b\n"))
 
+    @pytest.mark.parametrize(
+        "bad", ["99999999999999999999", "-9223372036854775809"]
+    )
+    def test_rejects_id_beyond_int64(self, tmp_path, bad):
+        text = f"0 1\n0 {bad}\n"
+        path = tmp_path / "big.el"
+        path.write_text(text)
+        for source in (io.StringIO(text), path):
+            with pytest.raises(
+                GraphFormatError, match="line 2: vertex id does not fit int64"
+            ):
+                read_edge_list(source)
+
 
 class TestMetisFormat:
     def test_roundtrip(self, tmp_path, sample):

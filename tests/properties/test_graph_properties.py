@@ -1,5 +1,7 @@
 """Property-based tests of the graph substrate itself."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.graph import from_edge_list
 from repro.graph.builder import build_csr
 from repro.graph.coo import EdgeList
+from repro.graph.csr import CSRGraph
 from repro.graph.validate import validate_graph
 from repro.nputil import segment_ranges
 
@@ -21,6 +24,54 @@ def edge_data(draw, max_n=40, max_edges=80):
         )
     )
     return n, edges
+
+
+BUILD_FLAGS = ("symmetrize", "dedup", "drop_self_loops", "sort_neighbors")
+
+
+@st.composite
+def edge_records(draw):
+    """Edge records with self loops and duplicates (ids come from a few
+    vertices), possibly none, over a vertex count that may add isolated
+    vertices above the largest id."""
+    n = draw(st.integers(0, 12))
+    ids = st.integers(0, max(n - 1, 0))
+    m = draw(st.integers(0, 30)) if n else 0
+    src = draw(st.lists(ids, min_size=m, max_size=m))
+    dst = draw(st.lists(ids, min_size=m, max_size=m))
+    tail = draw(st.integers(0, 3))
+    return EdgeList(
+        n + tail, np.asarray(src, np.int64), np.asarray(dst, np.int64)
+    )
+
+
+def three_sort_build_csr(
+    el, *, symmetrize, dedup, drop_self_loops, sort_neighbors
+):
+    """The assembly ``build_csr`` replaced: dedup by ``np.unique`` plus a
+    sort of the first occurrences, then a ``lexsort`` (or a stable sort by
+    row when neighbours keep input order)."""
+    n, src, dst = el.num_vertices, el.src, el.dst
+    if drop_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    if symmetrize:
+        mirror = src != dst  # self loops stay single
+        src, dst = (
+            np.concatenate([src, dst[mirror]]),
+            np.concatenate([dst, src[mirror]]),
+        )
+    if dedup and src.size:
+        _, first = np.unique(src * (n or 1) + dst, return_index=True)
+        first.sort()
+        src, dst = src[first], dst[first]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    if sort_neighbors:
+        order = np.lexsort((dst, src))
+    else:
+        order = np.argsort(src, kind="stable")
+    return indptr, dst[order]
 
 
 class TestBuilderProperties:
@@ -64,6 +115,18 @@ class TestBuilderProperties:
             list(zip(src.tolist(), dst.tolist())), num_vertices=n
         )
         assert rebuilt == g
+
+    @given(edge_records())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_three_sort_reference(self, el):
+        for flags in itertools.product((False, True), repeat=4):
+            kwargs = dict(zip(BUILD_FLAGS, flags))
+            g = build_csr(el, **kwargs)
+            indptr, indices = three_sort_build_csr(el, **kwargs)
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert np.array_equal(g.indptr, indptr), kwargs
+            assert np.array_equal(g.indices, indices), kwargs
+            CSRGraph(g.indptr, g.indices)  # validates the CSR invariants
 
 
 class TestEdgeListProperties:
