@@ -61,11 +61,10 @@ SMOKE_GRAPHS: tuple[tuple[str, Callable[[], CSRGraph]], ...] = (
 #: Hooking algorithms (including the fused FastSV hot path the perf gate
 #: tracks) plus one frontier pipeline of each flavour (label push, BFS
 #: level sweep) so the distributed backend's frontier exchanges are
-#: exercised end-to-end by CI, plus the plan layer: one composed plan
-#: with no legacy alias and the ``auto`` meta-algorithm (whose selected
-#: plan lands in the record's ``plan`` field).
+#: exercised end-to-end by CI, plus one composed plan with no legacy
+#: alias.
 SMOKE_ALGORITHMS = (
-    "afforest", "sv", "fastsv", "lp-datadriven", "bfs", "kout+sv", "auto",
+    "afforest", "sv", "fastsv", "lp-datadriven", "bfs", "kout+sv",
 )
 SMOKE_BACKENDS = ("vectorized", "distributed")
 
@@ -184,10 +183,9 @@ def compare_against_baseline(
 
     Returns ``(failures, notes)``.  Failures always include *semantic*
     regressions — a (dataset, algorithm, backend) combination that
-    vanished, a component-count change, or ``auto`` selecting a different
-    plan than the one on record (probes are deterministic, so a drift
-    means the decision rule changed without the baseline being
-    regenerated).
+    vanished, a component-count change, or a name resolving to a
+    different plan than the one on record (a canonical alias was
+    re-pointed without the baseline being regenerated).
 
     With ``fail_threshold`` set (e.g. ``1.25``), timing becomes a hard
     gate too: a record whose median exceeds ``fail_threshold`` times its
@@ -382,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         help="compare against this committed report (e.g. BENCH_smoke.json): "
-        "component counts and auto's plan choice always gate; timings "
+        "component counts and plan provenance always gate; timings "
         "gate too when --fail-threshold is set",
     )
     parser.add_argument(

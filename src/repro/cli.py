@@ -18,7 +18,7 @@ Commands
               ``diff`` attributes a slowdown between two runs, reports,
               or ledgers, and ``watch`` streams live per-round progress
 
-Algorithm arguments accept registered names (``afforest``, ``auto``, …)
+Algorithm arguments accept registered names (``afforest``, ``sv``, …)
 and composed plan names (``<sampling>+<finish>``, e.g. ``kout+sv``);
 ``solve --plan`` makes the composition explicit.
 
@@ -47,7 +47,6 @@ import numpy as np
 import repro
 from repro.constants import LABEL_DTYPE_POLICIES
 from repro.engine import (
-    CANONICAL_PLANS,
     available_algorithms,
     backend_kinds,
     get_algorithm,
@@ -150,11 +149,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         backend.close()
     labels = result.labels
     tag = "" if args.backend == "vectorized" else f" [{args.backend}]"
-    # Plan provenance: shown only when the name does not already determine
-    # the composition — i.e. `auto`, whose choice is made at runtime.
-    implied = CANONICAL_PLANS.get(args.algorithm, args.algorithm)
-    if result.plan and result.plan != implied:
-        tag += f" (plan {result.plan})"
     print(
         f"{args.algorithm}{tag}: {result.num_components} components in "
         f"{elapsed * 1000:.1f} ms "

@@ -57,7 +57,6 @@ from repro.parallel.metrics import RunStats
 
 __all__ = [
     "ExecutionBackend",
-    "HOOKING_MODES",
     "PARTITION_MODES",
     "VectorizedBackend",
     "SimulatedBackend",
@@ -66,11 +65,6 @@ __all__ = [
     "make_backend",
     "resolve_label_dtype",
 ]
-
-#: hooking variants accepted by :meth:`ExecutionBackend.fused_hook_jump`
-#: (and the ``fastsv`` finish's ``hooking=`` plan parameter).
-HOOKING_MODES = ("plain", "stochastic", "aggressive")
-
 
 def resolve_label_dtype(n: int, policy: str = "auto") -> np.dtype:
     """The parent-array dtype for an ``n``-vertex run under ``policy``.
@@ -454,12 +448,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def fused_hook_jump(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        *,
-        hooking: str = "plain",
-        phase: str,
+        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
     ) -> int:
         """One fused FastSV round: min-label hook sweep + pointer jump.
 
@@ -471,17 +460,9 @@ class ExecutionBackend:
         minimum vertex id — so π is already flat and ``π ← π[π]`` would be
         the identity.  Each fused round bumps ``fused_passes``.
 
-        ``hooking`` selects the FastSV hooking variant: ``plain`` is the
-        classic source→destination min-sweep; ``stochastic`` additionally
-        hooks each edge's *parent-of-destination* to the source's
-        grandparent label; ``aggressive`` hooks the destination itself to
-        the grandparent label.  All variants write only monotone minima of
-        component-internal labels, so they converge to the same component
-        minima as ``plain``.  The base implementation composes the two
-        timed primitives and runs the ``plain`` sweep regardless of the
-        requested variant (the extra hooks are a vectorized-substrate
-        acceleration, not a semantic change); the vectorized backend
-        overrides this with a single-kernel fused implementation.
+        The base implementation composes the two timed primitives; the
+        vectorized and distributed backends override it with one timed
+        span per round.
         """
         changed = self.propagate_pass(pi, graph, phase=phase)
         if changed:
@@ -724,62 +705,23 @@ class VectorizedBackend(ExecutionBackend):
         return changed
 
     def fused_hook_jump(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        *,
-        hooking: str = "plain",
-        phase: str,
+        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
     ) -> int:
         """Single-kernel fused FastSV round (see the base-class contract).
 
-        One timed span covers the hook sweep, the optional
-        stochastic/aggressive grandparent hooks, and the pointer jump; the
+        One timed span covers the hook sweep and the pointer jump; the
         jump is skipped (``rounds_skipped``) when nothing changed, and
         every edge- or vertex-sized intermediate lives in the buffer pool.
-
-        The extra variants gather each source's *grandparent* label
-        ``π[π[src]]`` after the plain sweep and scatter-min it into the
-        destination's parent (``stochastic``) or the destination itself
-        (``aggressive``).  Both targets only ever receive smaller labels
-        from their own component (``π[π[u]] ≤ π[u] ≤ u`` and labels are
-        component-internal), so the converged fixpoint — every component
-        flat at its minimum id — is unchanged; the variants only shorten
-        the path there on high-diameter graphs.
         """
         src, dst = self._edges(graph)
-        pool = self.pool
         with self.instr.timer(phase):
             changed = self._min_sweep(pi, src, dst)
-            if changed and hooking != "plain":
-                # Grandparent candidates, read *after* the plain sweep so
-                # freshly lowered parents propagate within the round.
-                parent = pool.take(pi, src, "fuse-parent")
-                grand = pool.take(pi, parent, "fuse-grand")
-                if hooking == "aggressive":
-                    changed += self._scatter_min(pi, dst, grand)
-                else:  # stochastic: hook the destination's parent
-                    target = pool.take(pi, dst, "fuse-target")
-                    changed += self._scatter_min(pi, target, grand)
             if changed:
                 self._pointer_jump(pi)
             else:
                 self.instr.count("rounds_skipped")
             self.instr.count("fused_passes")
             return changed
-
-    def _scatter_min(
-        self, pi: np.ndarray, target: np.ndarray, cand: np.ndarray
-    ) -> int:
-        """Masked ``pi[target] min= cand`` via pooled buffers; win count."""
-        pool = self.pool
-        cur = pool.take(pi, target, "fuse-cur")
-        won = pool.get("fuse-won", int(target.shape[0]), np.bool_)
-        np.less(cand, cur, out=won)
-        wins = int(np.count_nonzero(won))
-        if wins:
-            np.minimum.at(pi, target[won], cand[won])
-        return wins
 
     def frontier_expand(
         self,
@@ -1596,31 +1538,12 @@ class DistributedBackend(VectorizedBackend):
             return self._sweep_exchange(pi, shards)
 
     def fused_hook_jump(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        *,
-        hooking: str = "plain",
-        phase: str,
+        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
     ) -> int:
         self._sync_driver(pi)
         shards = self._graph_shards(graph)
         with self.instr.timer(phase):
             changed = self._sweep_exchange(pi, shards)
-            if changed and hooking != "plain":
-                # Grandparent hooks read the *merged* post-sweep replica,
-                # matching the vectorized fused kernel's gather order.
-                deltas = []
-                for src_r, dst_r in shards:
-                    grand = pi[pi[src_r]]
-                    if hooking == "aggressive":
-                        target = dst_r
-                    else:  # stochastic: hook the destination's parent
-                        target = pi[dst_r]
-                    won = grand < pi[target]
-                    changed += int(np.count_nonzero(won))
-                    deltas.append((target[won], grand[won]))
-                self._exchange(pi, deltas)
             if changed:
                 self._pointer_jump(pi)
                 assert self._shadow is not None

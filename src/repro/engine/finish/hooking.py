@@ -2,10 +2,10 @@
 
 Both iterate a hook/propagate pass with a shortcut until a full pass
 changes nothing.  SV hooks parent pointers edge-by-edge (GAP's
-formulation, Fig. 1); FastSV replaces the per-edge root check with an
-aggressive scatter-min label sweep plus a single pointer-jump per
-iteration (the stochastic hooking + shortcutting of Zhang et al.'s
-FastSV), which converges in far fewer rounds on high-diameter graphs.
+formulation, Fig. 1); FastSV replaces the per-edge root check with a
+scatter-min label sweep plus a single pointer-jump per iteration (after
+Zhang et al.'s FastSV), which converges in far fewer rounds than label
+propagation on high-diameter graphs.
 
 As finish phases both start from whatever partial forest the sampling
 phase built; when the plan's skip glue identified a giant component, SV
@@ -23,7 +23,7 @@ from repro.constants import (
     ITERATION_CAP_SLACK,
     VERTEX_DTYPE,
 )
-from repro.engine.backends import HOOKING_MODES, ExecutionBackend
+from repro.engine.backends import ExecutionBackend
 from repro.engine.phase import FinishSpec, PlanContext
 from repro.engine.result import CCResult
 from repro.errors import ConfigurationError, ConvergenceError
@@ -124,14 +124,7 @@ def sv_finish(
     )
 
 
-def _validate_fastsv(*, hooking: str = "plain") -> None:
-    if hooking not in HOOKING_MODES:
-        raise ConfigurationError(
-            f"hooking must be one of {list(HOOKING_MODES)}, got {hooking!r}"
-        )
-
-
-def fastsv_finish(ctx: PlanContext, *, hooking: str = "plain") -> None:
+def fastsv_finish(ctx: PlanContext) -> None:
     """FastSV-style finish: fused scatter-min sweep + pointer jump per
     iteration (phase ``HS<i>``), until a sweep changes nothing.
 
@@ -143,15 +136,7 @@ def fastsv_finish(ctx: PlanContext, *, hooking: str = "plain") -> None:
     high-diameter graphs.  The backend skips the jump on the final
     no-change round (π is provably flat then — see the primitive's
     contract), which the ``rounds_skipped`` counter makes visible.
-
-    ``hooking`` selects the hooking variant (``plain`` / ``stochastic`` /
-    ``aggressive``): the extra variants additionally scatter grandparent
-    labels, cutting rounds on high-diameter graphs at the cost of more
-    work per round.  All writes are monotone min-writes over
-    component-internal ids, so every variant converges to the component
-    minima, bit-compatible with every other finish.
     """
-    _validate_fastsv(hooking=hooking)
     backend, pi, graph, result = ctx.backend, ctx.pi, ctx.graph, ctx.result
     m = graph.num_directed_edges
     if m == 0:
@@ -163,8 +148,7 @@ def fastsv_finish(ctx: PlanContext, *, hooking: str = "plain") -> None:
         if iterations > cap:
             raise ConvergenceError(f"FastSV exceeded {cap} iterations")
         changed = backend.fused_hook_jump(
-            pi, graph, hooking=hooking,
-            phase=phase_label("HS", round=iterations),
+            pi, graph, phase=phase_label("HS", round=iterations)
         )
         result.edges_processed += m
         backend.instr.beat(
@@ -230,7 +214,5 @@ FASTSV = FinishSpec(
     name="fastsv",
     fn=fastsv_finish,
     description="FastSV-style scatter-min hooking with per-iteration "
-    "pointer jumping (fused rounds; hooking=plain/stochastic/aggressive)",
-    params=("hooking",),
-    validate=_validate_fastsv,
+    "pointer jumping (fused rounds)",
 )

@@ -6,7 +6,7 @@ identification (paper Sec. IV-E) as optional glue in between.  Both phase
 families are expressed against the same
 :class:`~repro.engine.backends.ExecutionBackend` primitives the monolithic
 pipelines used, so every composition runs unchanged on the vectorized,
-simulated, and process substrates.
+simulated, and distributed substrates.
 
 This module defines what a phase *is*:
 

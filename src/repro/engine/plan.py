@@ -15,8 +15,8 @@ paper's single sampling+finish point.  A plan run is:
 4. the finish phase drives π to the exact component labeling, skipping
    the identified component's edges where supported.
 
-Plan names are ``"<sampling>+<finish>"`` (``kout+settle``, ``ldd+sv``,
-``none+lp``); the six classical registry algorithms are canonical plans
+Plan names are ``"<sampling>+<finish>"`` (``kout+settle``, ``kout+sv``,
+``none+lp``); the eight classical registry algorithms are canonical plans
 (:data:`CANONICAL_PLANS`) whose composed execution is bit-identical to
 the pre-refactor monoliths.  Whole-graph finishes (BFS/DOBFS) own their
 initialisation and only compose with ``none``.
@@ -93,13 +93,6 @@ class Plan:
             f"{self.sampling.name} sampling + {self.finish.name} finish "
             f"({self.finish.description})"
         )
-
-    def accepted_params(self) -> tuple[str, ...]:
-        """Every keyword argument this plan routes somewhere."""
-        keys = list(self.sampling.params) + list(self.finish.params)
-        if not self.finish.whole_graph:
-            keys += list(PLAN_PARAMS)
-        return tuple(dict.fromkeys(keys))
 
 
 class PlanRegistry:
@@ -224,7 +217,7 @@ def run_plan(
 ) -> CCResult:
     """Execute ``plan`` on ``graph`` over ``backend``; exact labeling.
 
-    Plan-level parameters: ``seed`` (RNG for random sampling phases and
+    Plan-level parameters: ``seed`` (RNG for random neighbour sampling and
     the skip glue's π probes), ``skip_largest`` (defaulting to True
     exactly when the plan samples *and* its finish can skip — the
     classical finish-only plans stay skip-free like their monolithic

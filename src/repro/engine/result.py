@@ -56,7 +56,7 @@ class CCResult:
     #: registry name of the algorithm that produced this result.
     algorithm: str = ""
     #: composed plan name ("<sampling>+<finish>") when the run went
-    #: through the plan layer — for ``auto``, the plan it selected.
+    #: through the plan layer.
     plan: str = ""
     #: ``kind`` of the execution backend ("vectorized" / "simulated").
     backend: str = ""

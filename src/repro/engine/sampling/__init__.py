@@ -1,14 +1,12 @@
 """The sampling phase family.
 
 A sampling phase cheaply links *some* of the graph's edges into the
-parent/label array π — neighbour rounds, bounded traversals, cluster
-growing, or strategy batches — so the finish phase starts from a partial
-forest instead of singletons.  With a giant component, the plan executor
-can then identify its label probabilistically
-(:func:`repro.core.sampling.most_frequent_element` through
-``backend.find_largest``) and let skip-capable finishes avoid its edges
-entirely — the paper's central optimisation, generalised over every
-sampling × finish pair.
+parent/label array π — Afforest's neighbour rounds — so the finish phase
+starts from a partial forest instead of singletons.  With a giant
+component, the plan executor can then identify its label
+probabilistically (:func:`repro.core.sampling.most_frequent_element`
+through ``backend.find_largest``) and let skip-capable finishes avoid its
+edges entirely — the paper's central optimisation.
 
 ``SAMPLINGS`` is the registry the plan layer composes from; ``none`` is
 the identity phase (finish-only plans, the classical monoliths).
@@ -18,25 +16,12 @@ from __future__ import annotations
 
 from repro.engine.phase import PlanContext, SamplingSpec
 from repro.engine.sampling.kout import KOUT, kout_sampling
-from repro.engine.sampling.subgraph import SUBGRAPH, subgraph_sampling
-from repro.engine.sampling.traversal import (
-    BFS_SAMPLING,
-    LDD,
-    bfs_sampling,
-    ldd_sampling,
-)
 
 __all__ = [
     "SAMPLINGS",
     "NONE",
     "KOUT",
-    "BFS_SAMPLING",
-    "LDD",
-    "SUBGRAPH",
     "kout_sampling",
-    "bfs_sampling",
-    "ldd_sampling",
-    "subgraph_sampling",
 ]
 
 
@@ -51,7 +36,4 @@ NONE = SamplingSpec(
 )
 
 #: name -> spec of every registered sampling phase.
-SAMPLINGS: dict[str, SamplingSpec] = {
-    spec.name: spec
-    for spec in (NONE, KOUT, BFS_SAMPLING, LDD, SUBGRAPH)
-}
+SAMPLINGS: dict[str, SamplingSpec] = {spec.name: spec for spec in (NONE, KOUT)}

@@ -195,14 +195,12 @@ def _as_run(source: Any, label: str | None = None) -> dict[str, Any]:
     )
 
 
-#: counters that restate wall time or identity; excluded from attribution
-#: because the phase table already tells that story.  The communication
-#: totals scale with the distributed world size rather than with the
-#: regression being attributed, so a ranks=2 vs ranks=4 diff would drown
-#: the clause in traffic deltas.
+#: counters excluded from attribution: the communication totals scale
+#: with the distributed world size rather than with the regression being
+#: attributed, so a ranks=2 vs ranks=4 diff would drown the clause in
+#: traffic deltas.
 _NOISE_COUNTERS = frozenset(
     {
-        "probe_seconds_us",
         "comm_bytes_sent",
         "comm_messages",
         "comm_supersteps",

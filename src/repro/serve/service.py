@@ -131,8 +131,8 @@ class ConnectivityService:
         The base graph, solved once at construction.
     algorithm:
         Registered algorithm or composed plan name for the initial
-        solve (anything :func:`repro.engine.run` accepts, including
-        ``auto``).
+        solve (anything :func:`repro.engine.run` accepts, e.g.
+        ``kout+sv``).
     backend, workers:
         Execution substrate for the initial solve (kind string or a
         ready :class:`~repro.engine.ExecutionBackend`); the serving

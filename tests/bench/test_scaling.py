@@ -40,8 +40,7 @@ class TestSmoke:
             for r in report["records"]
             if "backend" in r
         }
-        # Full matrix: graphs x algorithms x backends (7 algorithms since
-        # the fused fastsv hot path joined the smoke set).
+        # Full matrix: graphs x algorithms x backends.
         from repro.bench.smoke import (
             SMOKE_ALGORITHMS,
             SMOKE_BACKENDS,
@@ -51,16 +50,16 @@ class TestSmoke:
         assert len(combos) == (
             len(SMOKE_GRAPHS) * len(SMOKE_ALGORITHMS) * len(SMOKE_BACKENDS)
         )
-        assert len(SMOKE_ALGORITHMS) == 7
+        assert len(SMOKE_ALGORITHMS) == 6
         assert all(r.get("matches_oracle", True) for r in report["records"])
-        # Plan provenance: auto's record names the plan the probes chose.
+        # Plan provenance: each record names the composition that ran.
         plans = {
             (r["dataset"], r["algorithm"]): r["plan"]
             for r in report["records"]
             if "plan" in r
         }
-        assert plans[("powerlaw-5k", "auto")] == "kout+settle"
-        assert plans[("lattice-70x70", "auto")] == "none+fastsv"
+        assert plans[("powerlaw-5k", "afforest")] == "kout+settle"
+        assert plans[("lattice-70x70", "fastsv")] == "none+fastsv"
         assert plans[("powerlaw-5k", "kout+sv")] == "kout+sv"
 
     def test_baseline_compare_flags_semantic_drift(self):
@@ -68,7 +67,7 @@ class TestSmoke:
 
         record = {
             "dataset": "g",
-            "algorithm": "auto",
+            "algorithm": "afforest",
             "backend": "vectorized",
             "median_seconds": 1.0,
             "num_components": 3,

@@ -87,8 +87,8 @@ class TestCompareAgainstBaseline:
         assert any("num_components" in f for f in failures)
 
     def test_plan_drift_always_fails(self):
-        base = _report(_record(algorithm="auto", plan="kout+lp-async"))
-        now = _report(_record(algorithm="auto", plan="none+fastsv"))
+        base = _report(_record(algorithm="afforest", plan="kout+settle"))
+        now = _report(_record(algorithm="afforest", plan="none+fastsv"))
         failures, _ = compare_against_baseline(now, base)
         assert any("plan" in f for f in failures)
 

@@ -70,7 +70,7 @@ class TestBackendValidation:
     def test_error_names_supported_backends(self, mixed_graph):
         backend = SimulatedBackend(SimulatedMachine(2))
         with pytest.raises(ConfigurationError, match="vectorized"):
-            engine.run("distributed", mixed_graph, backend=backend)
+            engine.run("sequential", mixed_graph, backend=backend)
 
 
 class TestProvenance:

@@ -121,12 +121,6 @@ class TestEngineHeartbeat:
         beating = engine.run("fastsv", mixed_graph, heartbeat=[])
         assert np.array_equal(plain.labels, beating.labels)
 
-class TestSatelliteCounters:
-    def test_probe_seconds_on_profiled_auto_run(self):
-        g = barabasi_albert_graph(2000, edges_per_vertex=3, seed=5)
-        result = engine.run("auto", g, profile=True)
-        assert result.trace.gauges["probe_seconds"] > 0
-        assert result.counters["probe_seconds_us"] >= 0
 
 class TestOverheadBudget:
     def test_ledger_and_heartbeat_within_three_percent(self, tmp_path):

@@ -1,11 +1,9 @@
-"""The sampling × finish plan space: composition, equivalence, selection.
+"""The sampling × finish plan space: composition and equivalence.
 
-PR 6's acceptance bar: every composed ``<sampling>+<finish>`` plan must
-produce the exact component-minimum labeling on every backend (the same
-bit-identical contract the monolithic pipelines carried), the canonical
-algorithm names must keep routing to their historical compositions, and
-the ``auto`` meta-algorithm must pick different plans for diameter-bound
-versus skew-bound graphs and record the decision in the trace.
+Every composed ``<sampling>+<finish>`` plan must produce the exact
+component-minimum labeling on every backend (the same bit-identical
+contract the monolithic pipelines carried), and the canonical algorithm
+names must keep routing to their historical compositions.
 """
 
 import numpy as np
@@ -13,12 +11,6 @@ import pytest
 
 from repro import engine
 from repro.engine import DistributedBackend, Plan, PlanRegistry, SimulatedBackend
-from repro.engine.auto import (
-    DIAMETER_THRESHOLD,
-    FALLBACK_PLAN,
-    SKEW_THRESHOLD,
-    select_plan,
-)
 from repro.engine.finish import FINISHES
 from repro.engine.sampling import SAMPLINGS
 from repro.errors import ConfigurationError
@@ -76,6 +68,8 @@ class TestPlanRegistry:
         composable = [f for f in FINISHES.values() if not f.whole_graph]
         whole = [f for f in FINISHES.values() if f.whole_graph]
         assert len(names) == len(SAMPLINGS) * len(composable) + len(whole)
+        assert sorted(SAMPLINGS) == ["kout", "none"]
+        assert len(names) == 12
         assert names == sorted(names)
 
     def test_plan_names_round_trip(self):
@@ -191,74 +185,20 @@ class TestPlanEquivalence:
 
 class TestRunSugar:
     def test_plan_keyword_positional_graph(self, mixed_graph):
-        result = engine.run(mixed_graph, plan="ldd+fastsv")
-        assert result.algorithm == "ldd+fastsv"
-        assert result.plan == "ldd+fastsv"
+        result = engine.run(mixed_graph, plan="kout+lp")
+        assert result.algorithm == "kout+lp"
+        assert result.plan == "kout+lp"
 
     def test_plan_object_accepted(self, mixed_graph):
-        plan = engine.get_plan("bfs+lp")
+        plan = engine.get_plan("kout+lp")
         result = engine.run(graph=mixed_graph, plan=plan)
-        assert result.plan == "bfs+lp"
+        assert result.plan == "kout+lp"
 
     def test_plan_name_as_algorithm_name(self, mixed_graph):
-        result = engine.run("subgraph+settle", mixed_graph)
-        assert result.plan == "subgraph+settle"
+        result = engine.run("kout+sv", mixed_graph)
+        assert result.plan == "kout+sv"
 
     def test_name_and_plan_together_rejected(self, mixed_graph):
         with pytest.raises(ConfigurationError, match="not both"):
             engine.run("sv", mixed_graph, plan="kout+sv")
 
-
-class TestAutoSelection:
-    def test_lattice_picks_diameter_plan(self):
-        plan, probes = select_plan(grid_graph(16, 16))
-        assert plan == "none+fastsv"
-        assert probes["diameter"] > DIAMETER_THRESHOLD
-
-    def test_powerlaw_picks_sampling_plan(self):
-        plan, probes = select_plan(
-            barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
-        )
-        assert plan == "kout+settle"
-        assert probes["skew"] >= SKEW_THRESHOLD
-
-    def test_trivial_graph_falls_back(self, empty_graph, isolated_vertices):
-        for g in (empty_graph, isolated_vertices):
-            plan, probes = select_plan(g)
-            assert plan == FALLBACK_PLAN
-            assert probes == {"trivial": True}
-
-    def test_auto_runs_differ_by_topology(self):
-        lattice = engine.run("auto", grid_graph(16, 16))
-        powerlaw = engine.run(
-            "auto", barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
-        )
-        assert lattice.plan != powerlaw.plan
-        assert lattice.algorithm == powerlaw.algorithm == "auto"
-        for result, graph in (
-            (lattice, grid_graph(16, 16)),
-            (powerlaw, barabasi_albert_graph(400, edges_per_vertex=4, seed=3)),
-        ):
-            assert np.array_equal(result.labels, _component_minima(graph))
-
-    def test_auto_records_decision_in_trace(self):
-        result = engine.run("auto", grid_graph(16, 16), profile=True)
-        assert result.trace is not None
-        spans = {span.name: span for span, _ in result.trace.walk()}
-        assert spans["auto"].attrs["plan"] == result.plan == "none+fastsv"
-        assert spans["auto"].attrs["diameter"] > DIAMETER_THRESHOLD
-        probe_kinds = {
-            span.attrs["probe"]
-            for span, _ in result.trace.walk()
-            if span.name == "probe"
-        }
-        assert probe_kinds == {"degree", "diameter"}
-        assert result.counters["probe_diameter"] > DIAMETER_THRESHOLD
-
-    def test_auto_forwards_only_accepted_params(self):
-        # kout+settle accepts seed; none+fastsv does not — auto must not
-        # explode when the probe picks a plan that ignores a parameter.
-        graph = grid_graph(16, 16)
-        result = engine.run("auto", graph, seed=42)
-        assert result.plan == "none+fastsv"
-        assert np.array_equal(result.labels, _component_minima(graph))

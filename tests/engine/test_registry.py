@@ -11,9 +11,7 @@ from repro.errors import ConfigurationError
 EXPECTED_BUILTINS = [
     "afforest",
     "afforest-noskip",
-    "auto",
     "bfs",
-    "distributed",
     "dobfs",
     "fastsv",
     "lp",
@@ -65,10 +63,9 @@ class TestMetadata:
             )
 
     def test_reference_algorithms_are_vectorized_only(self):
-        for name in ("sequential", "distributed"):
-            spec = engine.get_algorithm(name)
-            assert spec.backends == ("vectorized",)
-            assert not spec.supports_backend("simulated")
+        spec = engine.get_algorithm("sequential")
+        assert spec.backends == ("vectorized",)
+        assert not spec.supports_backend("simulated")
 
     def test_pipelines_marked_instrumented(self):
         assert engine.get_algorithm("afforest").instrumented
@@ -103,6 +100,29 @@ class TestLookup:
     def test_unknown_plan_phase_raises(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             engine.get_algorithm("magic+sv")
+
+    @pytest.mark.parametrize("entry", ["engine.run", "cli"])
+    @pytest.mark.parametrize(
+        "name", ["auto", "distributed", "ldd+fastsv", "bfs+settle", "subgraph+sv"]
+    )
+    def test_removed_names_rejected(self, name, entry, mixed_graph, capsys):
+        """Deleted algorithms and sampling phases fail loudly, listing
+        what does resolve, rather than silently running something else."""
+        if entry == "cli":
+            from repro.cli import main
+
+            assert main(["solve", "dataset:road:tiny", "-a", name]) == 1
+            err = capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigurationError) as exc_info:
+                engine.run(name, mixed_graph)
+            err = str(exc_info.value)
+        assert "unknown" in err
+        assert "available" in err
+        if "+" in name:
+            assert "'kout', 'none'" in err
+        else:
+            assert "'afforest'" in err
 
     @pytest.mark.parametrize("entry", ["make_backend", "engine.run", "cli"])
     def test_process_backend_kind_rejected(self, entry, mixed_graph, capsys):

@@ -88,8 +88,8 @@ class TestDiffRuns:
         assert [c.name for c in diff.counters] == ["moved"]
 
     def test_noise_counters_are_excluded(self):
-        a = _run(0.1, {}, {"probe_seconds_us": 10})
-        b = _run(0.1, {}, {"probe_seconds_us": 900})
+        a = _run(0.1, {}, {"comm_bytes_sent": 10})
+        b = _run(0.1, {}, {"comm_bytes_sent": 900})
         assert diff_runs(a, b).counters == []
 
     def test_comm_counters_are_noise(self):

@@ -45,7 +45,7 @@ def min_vertex_labels(g):
     return out
 
 
-TREE_HOOKING = ["afforest", "afforest-noskip", "sv", "distributed"]
+TREE_HOOKING = ["afforest", "afforest-noskip", "sv"]
 
 
 @given(graphs())
@@ -55,6 +55,10 @@ def test_tree_hooking_labels_are_component_minima(g):
     for algorithm in TREE_HOOKING:
         labels = repro.connected_components(g, algorithm)
         assert np.array_equal(labels, expected), algorithm
+    labels = repro.connected_components(
+        g, "fastsv", backend="distributed", ranks=4
+    )
+    assert np.array_equal(labels, expected), "fastsv [distributed]"
 
 
 @given(graphs(), st.integers(0, 4), st.integers(0, 99))

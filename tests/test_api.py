@@ -15,7 +15,6 @@ ALGORITHMS = [
     "lp-datadriven",
     "bfs",
     "dobfs",
-    "distributed",
     "sequential",
 ]
 
@@ -24,6 +23,14 @@ ALGORITHMS = [
 def test_all_algorithms_on_mixed(algorithm, mixed_graph):
     ref = repro.sequential_components(mixed_graph)
     labels = repro.connected_components(mixed_graph, algorithm)
+    assert equivalent_labelings(labels, ref)
+
+
+def test_fastsv_on_distributed_backend(mixed_graph):
+    ref = repro.sequential_components(mixed_graph)
+    labels = repro.connected_components(
+        mixed_graph, "fastsv", backend="distributed", ranks=4
+    )
     assert equivalent_labelings(labels, ref)
 
 

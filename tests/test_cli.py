@@ -104,20 +104,14 @@ class TestSolve:
         assert "kout+sv: 2 components" in capsys.readouterr().out
 
     def test_plan_name_via_algorithm_flag(self, graph_file, capsys):
-        assert main(["solve", graph_file, "-a", "ldd+fastsv"]) == 0
-        assert "ldd+fastsv: 2 components" in capsys.readouterr().out
+        assert main(["solve", graph_file, "-a", "kout+lp"]) == 0
+        assert "kout+lp: 2 components" in capsys.readouterr().out
 
     def test_plan_and_algorithm_conflict(self, graph_file, capsys):
         assert main(
             ["solve", graph_file, "-a", "sv", "--plan", "kout+sv"]
         ) == 1
         assert "not both" in capsys.readouterr().err
-
-    def test_auto_reports_selected_plan(self, graph_file, capsys):
-        assert main(["solve", graph_file, "-a", "auto"]) == 0
-        out = capsys.readouterr().out
-        assert "auto (plan " in out
-        assert "2 components" in out
 
     def test_unknown_plan(self, graph_file, capsys):
         assert main(["solve", graph_file, "--plan", "magic+sv"]) == 1
@@ -182,7 +176,7 @@ class TestCompare:
         assert main(
             [
                 "compare", graph_file,
-                "--algorithms", "sequential,distributed",
+                "--algorithms", "sequential",
                 "--backend", "simulated",
             ]
         ) == 1
