@@ -11,9 +11,11 @@ overhead; both must be exactly equivalent.
 import numpy as np
 import pytest
 
-from repro.baselines import shiloach_vishkin, shiloach_vishkin_edgelist
+from repro import engine
 from repro.bench.report import format_table
 from repro.bench.runner import median_time
+from repro.engine import VectorizedBackend
+from repro.engine.finish import sv_pipeline_edges
 from repro.generators.datasets import GPU_SUITE
 
 from conftest import bench_size, register_report
@@ -31,13 +33,15 @@ def table(size):
     data = {}
     for name, g in gpu_suite.items():
         src, dst = g.edge_array()
-        csr_med, _, _, _ = median_time(lambda: shiloach_vishkin(g), repeats=9)
+        csr_med, _, _, _ = median_time(lambda: engine.run("sv", g), repeats=9)
         el_med, _, _, _ = median_time(
-            lambda: shiloach_vishkin_edgelist(src, dst, g.num_vertices),
+            lambda: sv_pipeline_edges(
+                VectorizedBackend(), g.num_vertices, src, dst
+            ),
             repeats=9,
         )
-        a = shiloach_vishkin(g)
-        b = shiloach_vishkin_edgelist(src, dst, g.num_vertices)
+        a = engine.run("sv", g)
+        b = sv_pipeline_edges(VectorizedBackend(), g.num_vertices, src, dst)
         data[name] = (a, b, csr_med, el_med)
         rows.append(
             [
@@ -70,5 +74,5 @@ def test_ablation_layout(table, suite, benchmark):
     g = suite["kron"]
     src, dst = g.edge_array()
     benchmark(
-        lambda: shiloach_vishkin_edgelist(src, dst, g.num_vertices)
+        lambda: sv_pipeline_edges(VectorizedBackend(), g.num_vertices, src, dst)
     )

@@ -8,9 +8,9 @@ reducing the final phase much.
 
 import pytest
 
+from repro import engine
 from repro.bench.report import format_series
 from repro.bench.runner import median_time
-from repro.core import afforest
 
 from conftest import register_report
 
@@ -25,10 +25,10 @@ def sweep(suite):
         touched = []
         runtime = []
         for r in ROUNDS:
-            res = afforest(g, neighbor_rounds=r)
+            res = engine.run("afforest", g, neighbor_rounds=r)
             touched.append(res.edges_touched)
             med, _, _, _ = median_time(
-                lambda: afforest(g, neighbor_rounds=r), repeats=5
+                lambda: engine.run("afforest", g, neighbor_rounds=r), repeats=5
             )
             runtime.append(round(med * 1000, 3))
         out[dataset] = {"edges_touched": touched, "runtime_ms": runtime}
@@ -57,4 +57,4 @@ def test_ablation_rounds_shape(sweep, suite, benchmark):
         assert touched[2] <= 4 * min(touched), dataset
         assert series["runtime_ms"][2] < series["runtime_ms"][0], dataset
 
-    benchmark(lambda: afforest(suite["web"], neighbor_rounds=2))
+    benchmark(lambda: engine.run("afforest", suite["web"], neighbor_rounds=2))

@@ -10,9 +10,9 @@ untrackable slots force the final phase to reprocess every edge.
 
 import pytest
 
+from repro import engine
 from repro.bench.report import format_table
 from repro.bench.runner import median_time
-from repro.core import afforest
 
 from conftest import register_report
 
@@ -25,13 +25,13 @@ def table(suite):
     data = {}
     for name in DATASETS:
         g = suite[name]
-        first = afforest(g, sampling="first")
-        rand = afforest(g, sampling="random")
+        first = engine.run("afforest", g, sampling="first")
+        rand = engine.run("afforest", g, sampling="random")
         t_first, _, _, _ = median_time(
-            lambda: afforest(g, sampling="first"), repeats=5
+            lambda: engine.run("afforest", g, sampling="first"), repeats=5
         )
         t_rand, _, _, _ = median_time(
-            lambda: afforest(g, sampling="random"), repeats=5
+            lambda: engine.run("afforest", g, sampling="random"), repeats=5
         )
         data[name] = (first, rand)
         rows.append(
@@ -62,7 +62,9 @@ def test_ablation_sampling_mode(table, suite, benchmark):
         assert first.edges_touched <= rand.edges_touched, name
         # Random sampling still benefits from skipping (coverage is
         # comparable), so it beats the no-sampling baseline.
-        noskip = afforest(suite[name], neighbor_rounds=0, skip_largest=False)
+        noskip = engine.run(
+            "afforest", suite[name], neighbor_rounds=0, skip_largest=False
+        )
         assert rand.edges_touched <= noskip.edges_touched * 1.05, name
 
-    benchmark(lambda: afforest(suite["web"], sampling="random"))
+    benchmark(lambda: engine.run("afforest", suite["web"], sampling="random"))

@@ -9,9 +9,9 @@ the giant component, and a wrong guess costs only work, never correctness.
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.analysis.verify import is_valid_labeling
 from repro.bench.report import format_table
-from repro.core import afforest
 from repro.core.sampling import exact_largest_label
 from repro.core.compress import compress_all
 from repro.core.link import link_batch
@@ -27,8 +27,8 @@ def table(suite):
     rows = []
     data = {}
     for name, g in suite.items():
-        res = afforest(g, skip_largest=True)
-        noskip = afforest(g, skip_largest=False)
+        res = engine.run("afforest", g, skip_largest=True)
+        noskip = engine.run("afforest", g, skip_largest=False)
         frac = res.edges_skipped / max(g.num_directed_edges, 1)
         data[name] = (res, noskip, frac)
         rows.append(
@@ -71,7 +71,7 @@ def test_ablation_skip_payoff(table, suite, benchmark):
         res, _, _ = table[name]
         assert is_valid_labeling(g, res.labels), name
 
-    benchmark(lambda: afforest(suite["urand"], skip_largest=True))
+    benchmark(lambda: engine.run("afforest", suite["urand"], skip_largest=True))
 
 
 def test_ablation_probe_budget(suite, benchmark):
@@ -105,7 +105,7 @@ def test_ablation_probe_budget(suite, benchmark):
 
     # Tiny budgets may misidentify, but results stay exact.
     for seed in range(5):
-        res = afforest(g, sample_size=1, seed=seed)
+        res = engine.run("afforest", g, sample_size=1, seed=seed)
         assert is_valid_labeling(g, res.labels)
 
     benchmark(lambda: most_frequent_element(pi, 1024))

@@ -14,11 +14,9 @@ import time
 
 import pytest
 
-import repro
-from repro.baselines import dobfs_cc, label_propagation, shiloach_vishkin
+from repro import engine
 from repro.bench.report import format_series
 from repro.bench.runner import median_time
-from repro.core import afforest
 from repro.generators import kronecker_graph
 
 from conftest import bench_size, register_report
@@ -36,19 +34,19 @@ def sweep(size):
         g = kronecker_graph(scale, edge_factor=d / 2.0, seed=1)
 
         runners = {
-            "sv": lambda: shiloach_vishkin(g),
-            "lp": lambda: label_propagation(g),
-            "dobfs": lambda: dobfs_cc(g),
-            "afforest": lambda: afforest(g),
+            "sv": lambda: engine.run("sv", g),
+            "lp": lambda: engine.run("lp", g),
+            "dobfs": lambda: engine.run("dobfs", g),
+            "afforest": lambda: engine.run("afforest", g),
         }
         for name, fn in runners.items():
             med, _, _, _ = median_time(fn, repeats=5)
             times[name].append(round(med * 1000, 3))
 
-        work["sv"].append(shiloach_vishkin(g).edges_processed)
-        work["lp"].append(label_propagation(g).edges_processed)
-        work["dobfs"].append(dobfs_cc(g).edges_processed)
-        r = afforest(g)
+        work["sv"].append(engine.run("sv", g).edges_processed)
+        work["lp"].append(engine.run("lp", g).edges_processed)
+        work["dobfs"].append(engine.run("dobfs", g).edges_processed)
+        r = engine.run("afforest", g)
         work["afforest"].append(r.edges_touched)
 
     text = format_series(
@@ -92,4 +90,4 @@ def test_fig6c_shapes(sweep, size, benchmark):
     assert times["afforest"][-1] < times["lp"][-1]
 
     g = kronecker_graph(_SCALES[size], edge_factor=16, seed=1)
-    benchmark(lambda: afforest(g))
+    benchmark(lambda: engine.run("afforest", g))

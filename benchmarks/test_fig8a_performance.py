@@ -58,8 +58,7 @@ def records(suite):
 
 
 def test_fig8a_afforest_beats_sv_everywhere(records, benchmark, suite, size):
-    from repro.baselines import shiloach_vishkin
-    from repro.core import afforest
+    from repro import engine
 
     gate = _MIN_SPEEDUP[size]
     for name, recs in records.items():
@@ -75,8 +74,8 @@ def test_fig8a_afforest_beats_sv_everywhere(records, benchmark, suite, size):
     # The architecture-independent form of the claim: Afforest examines
     # strictly fewer edge slots than SV on every dataset (deterministic).
     for name, graph in suite.items():
-        af_work = afforest(graph).edges_touched
-        sv_work = shiloach_vishkin(graph).edges_processed
+        af_work = engine.run("afforest", graph).edges_touched
+        sv_work = engine.run("sv", graph).edges_processed
         assert af_work < sv_work, (name, af_work, sv_work)
 
     benchmark(

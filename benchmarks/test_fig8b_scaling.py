@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.baselines import dobfs_cc
 from repro.bench.report import format_series
 from repro.engine import SimulatedBackend
 from repro.generators import web_graph
@@ -65,7 +64,7 @@ def scaling(size):
     )
     simulate("sv", lambda m: sv_simulated(g, m))
 
-    profile = dobfs_cc(g).step_edges
+    profile = engine.run("dobfs", g).step_edges
     times["dobfs"] = [
         MODEL.projected_time(profile, p) for p in WORKER_COUNTS
     ]

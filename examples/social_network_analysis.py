@@ -19,8 +19,7 @@ import time
 
 import numpy as np
 
-import repro
-from repro.baselines import dobfs_cc, label_propagation, shiloach_vishkin
+from repro import engine
 from repro.generators import chung_lu_graph
 from repro.graph.properties import component_census, degree_statistics
 
@@ -57,11 +56,13 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("\nalgorithm comparison:")
     runs = {
-        "afforest": lambda: repro.afforest(graph),
-        "afforest-noskip": lambda: repro.afforest(graph, skip_largest=False),
-        "sv": lambda: shiloach_vishkin(graph),
-        "lp": lambda: label_propagation(graph),
-        "dobfs": lambda: dobfs_cc(graph),
+        "afforest": lambda: engine.run("afforest", graph),
+        "afforest-noskip": lambda: engine.run(
+            "afforest", graph, skip_largest=False
+        ),
+        "sv": lambda: engine.run("sv", graph),
+        "lp": lambda: engine.run("lp", graph),
+        "dobfs": lambda: engine.run("dobfs", graph),
     }
     timings = {}
     for name, fn in runs.items():
@@ -78,7 +79,7 @@ def main() -> None:
     # Why: the skip heuristic removes the giant component's edges from
     # the final phase entirely.
     # ------------------------------------------------------------------ #
-    result = repro.afforest(graph)
+    result = engine.run("afforest", graph)
     print(
         f"\nwork profile: sampled {result.edges_sampled} slots "
         f"({result.neighbor_rounds} rounds), final {result.edges_final}, "

@@ -7,14 +7,16 @@ Parallel Graph Connectivity Computation via Subgraph Sampling* (IPDPS
 BFS-CC), the graph substrate, synthetic dataset proxies, a simulated
 parallel machine for work/span and memory-trace analysis, and the full
 benchmark harness for every table and figure of the paper's evaluation.
+Every algorithm runs through one entry point, :func:`repro.engine.run`.
 
 Quickstart::
 
     import repro
+    from repro import engine
 
     g = repro.generators.kronecker_graph(scale=14)
-    labels = repro.connected_components(g)            # Afforest
-    result = repro.afforest(g, neighbor_rounds=2)     # detailed result
+    labels = repro.connected_components(g)                  # Afforest
+    result = engine.run("afforest", g, neighbor_rounds=2)   # detailed result
     print(result.num_components, result.skip_fraction)
 """
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from repro import (
     analysis,
-    baselines,
     core,
     distributed,
     engine,
@@ -32,14 +33,6 @@ from repro import (
     graph,
     parallel,
 )
-from repro.baselines import (
-    bfs_cc,
-    dobfs_cc,
-    label_propagation,
-    label_propagation_datadriven,
-    shiloach_vishkin,
-)
-from repro.core import AfforestResult, afforest
 from repro.engine import CCResult
 from repro.errors import (
     ConfigurationError,
@@ -60,22 +53,14 @@ __all__ = [
     "from_edge_list",
     "ParentArray",
     "CCResult",
-    "AfforestResult",
-    "afforest",
     "connected_components",
     "sequential_components",
-    "bfs_cc",
-    "dobfs_cc",
-    "label_propagation",
-    "label_propagation_datadriven",
-    "shiloach_vishkin",
     "ReproError",
     "GraphFormatError",
     "InvariantViolationError",
     "ConfigurationError",
     "ConvergenceError",
     "analysis",
-    "baselines",
     "core",
     "distributed",
     "engine",

@@ -2,7 +2,6 @@
 (Linkage/Coverage), Table II work statistics, and Fig. 7 memory-access
 reductions."""
 
-from repro.analysis.efficiency import WorkRecord, work_efficiency_report, work_ratio
 from repro.analysis.convergence import (
     ConvergenceCurve,
     convergence_curve,
@@ -19,9 +18,6 @@ from repro.analysis.verify import (
 from repro.analysis.workstats import WorkStats, afforest_workstats, sv_workstats
 
 __all__ = [
-    "WorkRecord",
-    "work_efficiency_report",
-    "work_ratio",
     "ConvergenceCurve",
     "convergence_curve",
     "coverage",

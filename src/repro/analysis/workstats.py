@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.shiloach_vishkin import shiloach_vishkin
+from repro import engine
 from repro.constants import DEFAULT_NEIGHBOR_ROUNDS, VERTEX_DTYPE
 from repro.core.compress import compress_all
 from repro.core.link import LinkCounters, link
@@ -42,7 +42,7 @@ class WorkStats:
 
 def sv_workstats(graph: CSRGraph) -> WorkStats:
     """SV's Table II numbers: outer iterations and max tree depth."""
-    result = shiloach_vishkin(graph, track_depth=True)
+    result = engine.run("sv", graph, track_depth=True)
     return WorkStats(
         algorithm="sv",
         iterations=float(result.iterations),

@@ -8,8 +8,8 @@ free.  :class:`IncrementalConnectivity` packages it with amortised path
 compression and component bookkeeping.
 
 Deletions are not supported (the tree-hooking family is inherently
-incremental-only); rebuild via :func:`repro.core.afforest.afforest` when
-edges disappear.
+incremental-only); re-solve with ``engine.run("afforest", g)`` when edges
+disappear.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.constants import VERTEX_DTYPE
 from repro.core.compress import compress_all
 from repro.core.link import link, link_batch
 from repro.errors import ConfigurationError
-from repro.graph.csr import CSRGraph
 from repro.unionfind.parent import ParentArray
 
 
@@ -37,12 +36,10 @@ class IncrementalConnectivity:
         interleaved ``compress`` phases).  ``0`` disables periodic
         compression entirely; correctness is then carried by the *lazy*
         query paths instead: :meth:`find` path-compresses exactly the
-        chain it walks (and nothing else), the batch queries
-        (:meth:`same_component_batch`, :meth:`roots_of`) chase parent
-        pointers without mutating π at all, and :meth:`labels` /
-        :meth:`component_sizes` still perform a full compression as a
-        side effect.  Deep trees therefore cost O(depth) per query
-        until something compresses them, but every answer stays exact.
+        chain it walks (and nothing else), and :meth:`labels` still
+        performs a full compression as a side effect.  Deep trees
+        therefore cost O(depth) per query until something compresses
+        them, but every answer stays exact.
     """
 
     def __init__(self, num_vertices: int, *, compress_every: int = 4096) -> None:
@@ -63,14 +60,6 @@ class IncrementalConnectivity:
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_graph(cls, graph: CSRGraph, **kwargs) -> "IncrementalConnectivity":
-        """Start from an existing graph's connectivity (bulk-loaded)."""
-        inc = cls(graph.num_vertices, **kwargs)
-        src, dst = graph.undirected_edge_array()
-        inc.add_edges(src, dst)
-        return inc
 
     @classmethod
     def from_labels(
@@ -166,57 +155,6 @@ class IncrementalConnectivity:
         """True if ``u`` and ``v`` are currently in the same component."""
         return self.find(u) == self.find(v)
 
-    def roots_of(self, vs: np.ndarray) -> np.ndarray:
-        """Component representatives of a vertex batch, vectorized.
-
-        Chases parent pointers for the whole batch at once (one gather
-        per surviving tree level), so the cost is O(batch · depth)
-        vectorized work rather than a Python loop over :meth:`find`
-        calls.  π is *not* mutated — the lazy self-compression stays on
-        the scalar :meth:`find` path — which keeps batch reads safe to
-        run against a structure another code path is inserting into.
-        """
-        vs = np.ascontiguousarray(vs, dtype=VERTEX_DTYPE)
-        self._check_batch(vs)
-        pi = self._pi
-        roots = pi[vs]
-        while True:
-            parents = pi[roots]
-            if np.array_equal(parents, roots):
-                return roots
-            roots = parents
-
-    def same_component_batch(
-        self, us: np.ndarray, vs: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized ``connected``: one boolean per ``(us[i], vs[i])``."""
-        us = np.ascontiguousarray(us, dtype=VERTEX_DTYPE)
-        vs = np.ascontiguousarray(vs, dtype=VERTEX_DTYPE)
-        if us.shape != vs.shape:
-            raise ConfigurationError("us/vs must have equal length")
-        # One fused root chase over both endpoint batches: the per-level
-        # gather cost is paid once instead of twice.
-        roots = self.roots_of(np.concatenate([us, vs]))
-        return roots[: us.shape[0]] == roots[us.shape[0] :]
-
-    def component_sizes(self, vs: np.ndarray) -> np.ndarray:
-        """Current component size for each vertex in ``vs``.
-
-        Needs a full census, so this compresses π as a side effect
-        (like :meth:`labels`) and counts every component once; the
-        per-vertex lookup afterwards is a single gather.
-        """
-        vs = np.ascontiguousarray(vs, dtype=VERTEX_DTYPE)
-        self._check_batch(vs)
-        labels = self.labels()
-        counts = np.bincount(labels, minlength=self.num_vertices)
-        return counts[labels[vs]]
-
-    def component_of(self, v: int) -> np.ndarray:
-        """All vertices currently in ``v``'s component (O(n) scan)."""
-        labels = self.labels()
-        return np.nonzero(labels == labels[v])[0]
-
     def labels(self) -> np.ndarray:
         """A full component labeling (compresses as a side effect)."""
         compress_all(self._pi)
@@ -230,13 +168,4 @@ class IncrementalConnectivity:
         if not 0 <= v < self.num_vertices:
             raise ConfigurationError(
                 f"vertex {v} out of range for {self.num_vertices}-vertex universe"
-            )
-
-    def _check_batch(self, vs: np.ndarray) -> None:
-        if vs.size and (
-            int(vs.min()) < 0 or int(vs.max()) >= self.num_vertices
-        ):
-            raise ConfigurationError(
-                f"vertex batch out of range for {self.num_vertices}-vertex"
-                " universe"
             )

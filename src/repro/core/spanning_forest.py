@@ -40,60 +40,6 @@ def spanning_forest(graph: CSRGraph) -> EdgeList:
     )
 
 
-def spanning_forest_batch(graph: CSRGraph) -> EdgeList:
-    """Spanning forest extracted by the *tracked* batch link.
-
-    Runs the same vectorized rounds as
-    :func:`~repro.core.link.link_batch` over every undirected edge, but
-    attributes each successful hook to the edge that performed it.  An
-    edge is credited at most once (it leaves the loop after its hook), and
-    every tree merge is credited to exactly one edge, so the credited set
-    is a spanning forest of size ``|V| - C`` — the parallel realisation of
-    the duality in Sec. IV-A.
-    """
-    import numpy as np
-
-    src, dst = graph.undirected_edge_array()
-    n = graph.num_vertices
-    pi = np.arange(n, dtype=VERTEX_DTYPE)
-    m = src.shape[0]
-    credited = np.zeros(m, dtype=bool)
-    if m == 0:
-        return EdgeList(n, src, dst)
-
-    edge_ids = np.arange(m, dtype=VERTEX_DTYPE)
-    a = pi[src]
-    b = pi[dst]
-    while True:
-        active = a != b
-        if not active.any():
-            break
-        a = a[active]
-        b = b[active]
-        edge_ids = edge_ids[active]
-        h = np.maximum(a, b)
-        l = np.minimum(a, b)
-        root = pi[h] == h
-        if root.any():
-            cand_h = h[root]
-            cand_l = l[root]
-            cand_e = edge_ids[root]
-            # Group competing hooks by target root; the smallest l wins
-            # (scatter-min semantics), and the first edge carrying that
-            # (h, l) pair gets the merge credit.
-            order = np.lexsort((cand_l, cand_h))
-            gh = cand_h[order]
-            gl = cand_l[order]
-            ge = cand_e[order]
-            first = np.ones(gh.shape[0], dtype=bool)
-            first[1:] = gh[1:] != gh[:-1]
-            np.minimum.at(pi, gh[first], gl[first])
-            credited[ge[first]] = True
-        a = pi[pi[h]]
-        b = pi[l]
-    return EdgeList(n, src[credited], dst[credited])
-
-
 def spanning_forest_size(graph: CSRGraph) -> int:
     """``|V| - C`` without materialising the forest."""
     uf = SequentialUnionFind(graph.num_vertices)

@@ -1,13 +1,12 @@
 """Simulated message-passing communicator (BSP supersteps).
 
 Mirrors the slice of MPI the distributed substrate needs — point-to-point
-array sends within a superstep, a broadcast, and the collective shapes
-the delta-exchange supersteps are built from (``alltoallv``,
-``bcast_all``, ``allreduce_any``) — while accounting every transferred
-byte per rank pair and per superstep.  Ranks are simulated as explicit
-state owned by a driver; the communicator is the *only* channel through
-which data may cross ranks, so message accounting is complete by
-construction.
+array sends within a superstep and the collective shapes the
+delta-exchange supersteps are built from (``alltoallv``, ``bcast_all``,
+``allreduce_any``) — while accounting every transferred byte per rank
+pair and per superstep.  Ranks are simulated as explicit state owned by
+a driver; the communicator is the *only* channel through which data may
+cross ranks, so message accounting is complete by construction.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ class SimulatedComm:
     """A ``num_ranks``-way communicator with superstep semantics.
 
     Within a superstep, ranks enqueue sends; :meth:`step` delivers all
-    pending messages at once (BSP barrier).  Receives drain the inbox in
-    arrival order.
+    pending messages at once (BSP barrier), and :meth:`drain` empties a
+    rank's inbox in arrival order.
     """
 
     def __init__(self, num_ranks: int) -> None:
@@ -102,45 +101,11 @@ class SimulatedComm:
             self._inbox[dst].append((src, payload))
         self._outbox = []
 
-    def recv(self, rank: int, src: int | None = None) -> np.ndarray:
-        """Pop the next delivered message for ``rank`` (optionally from a
-        specific source).  Raises if none is available."""
-        self._check_rank(rank)
-        inbox = self._inbox[rank]
-        for i, (s, payload) in enumerate(inbox):
-            if src is None or s == src:
-                inbox.pop(i)
-                return payload
-        raise ConfigurationError(
-            f"rank {rank} has no pending message"
-            + (f" from {src}" if src is not None else "")
-        )
-
-    def pending(self, rank: int) -> int:
-        """Number of delivered-but-unread messages for ``rank``."""
-        self._check_rank(rank)
-        return len(self._inbox[rank])
-
     def drain(self, rank: int) -> list[tuple[int, np.ndarray]]:
         """Pop every delivered message for ``rank`` as ``(src, payload)``."""
         self._check_rank(rank)
         out = self._inbox[rank]
         self._inbox[rank] = []
-        return out
-
-    def broadcast(self, root: int, array: np.ndarray) -> list[np.ndarray]:
-        """Deliver ``array`` from ``root`` to every rank immediately
-        (counted as ``num_ranks - 1`` messages); returns per-rank copies."""
-        self._check_rank(root)
-        out = []
-        for dst in range(self.num_ranks):
-            if dst == root:
-                out.append(array)
-                continue
-            payload = np.ascontiguousarray(array).copy()
-            self.stats.record(root, dst, payload.nbytes)
-            out.append(payload)
-        self.stats.flush_step()
         return out
 
     # -- collectives (one barrier each) ---------------------------------- #

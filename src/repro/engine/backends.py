@@ -414,7 +414,8 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
-        """A single ``pi <- pi[pi]`` shortcut step (no fixpoint loop)."""
+        """A single ``pi <- pi[pi]`` shortcut step (no fixpoint loop): the
+        pointer-jump half of the base :meth:`fused_hook_jump`."""
         raise NotImplementedError
 
     def find_largest(
@@ -622,11 +623,6 @@ class VectorizedBackend(ExecutionBackend):
                     raise ConvergenceError(
                         f"compress_all exceeded {cap} passes — cycle in pi?"
                     )
-
-    def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
-        """The original SV single shortcut: ``pi <- pi[pi]`` once."""
-        with self.instr.timer(phase):
-            self._pointer_jump(pi)
 
     def find_largest(
         self,
@@ -1467,12 +1463,6 @@ class DistributedBackend(VectorizedBackend):
         assert self._shadow is not None
         np.copyto(self._shadow, pi)
         return passes
-
-    def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
-        self._sync_driver(pi)
-        super().shortcut_step(pi, phase=phase)
-        assert self._shadow is not None
-        np.copyto(self._shadow, pi)
 
     def find_largest(
         self,

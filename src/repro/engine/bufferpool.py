@@ -1,7 +1,7 @@
 """Reusable scratch buffers for the hot-path kernels.
 
-The vectorized finish loops (``propagate_pass`` / ``shortcut_step`` /
-``hook_pass`` and the fused FastSV round) gather edge-sized candidate
+The vectorized finish loops (``propagate_pass`` / ``hook_pass`` and
+the fused FastSV round) gather edge-sized candidate
 arrays and vertex-sized jump scratch every round; on a profile those
 allocations dominate the non-compute time of small- and medium-graph
 runs.  A :class:`BufferPool` keeps one named buffer per kernel slot and

@@ -26,20 +26,11 @@ from repro.constants import (
 from repro.engine.backends import ExecutionBackend
 from repro.engine.phase import FinishSpec, PlanContext
 from repro.engine.result import CCResult
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.obs import phase_label
 from repro.unionfind.parent import ParentArray
 
 __all__ = ["SV", "FASTSV", "sv_finish", "fastsv_finish", "sv_pipeline_edges"]
-
-
-def _validate_sv(
-    *, track_depth: bool = False, shortcut: str = "full"
-) -> None:
-    if shortcut not in ("full", "single"):
-        raise ConfigurationError(
-            f"shortcut must be 'full' or 'single', got {shortcut!r}"
-        )
 
 
 def _hook_loop(
@@ -50,7 +41,6 @@ def _hook_loop(
     result: CCResult,
     *,
     track_depth: bool,
-    shortcut: str,
 ) -> None:
     """The SV iteration shared by the finish phase and the edge-list API."""
     cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
@@ -67,38 +57,25 @@ def _hook_loop(
             d = ParentArray(pi).max_depth()
             result.depth_per_iteration.append(d)
             result.max_tree_depth = max(result.max_tree_depth, d)
-        shortcut_phase = phase_label("S", round=iterations)
-        if shortcut == "full":
-            if changed or iterations == 1:
-                backend.compress(pi, phase=shortcut_phase)
-            else:
-                # A hook pass reporting no change performed no writes on
-                # any substrate, and the previous iteration ended with a
-                # full compress — π is still flat, so the trailing
-                # compress would be the identity.  (The first iteration
-                # must still compress: sampling phases can hand the loop
-                # deep trees that no hook ever touches.)
-                backend.instr.count("rounds_skipped")
+        if changed or iterations == 1:
+            backend.compress(pi, phase=phase_label("S", round=iterations))
         else:
-            # The original formulation's single shortcut step per
-            # iteration: pi <- pi[pi] once.  Trees shrink gradually and
-            # convergence takes more iterations than GAP's full compress.
-            backend.shortcut_step(pi, phase=shortcut_phase)
+            # A hook pass reporting no change performed no writes on any
+            # substrate, and the previous iteration ended with a full
+            # compress — π is still flat, so the trailing compress would
+            # be the identity.  (The first iteration must still compress:
+            # sampling phases can hand the loop deep trees that no hook
+            # ever touches.)
+            backend.instr.count("rounds_skipped")
         backend.instr.beat(
             phase_label("H", round=iterations), changed=int(changed)
         )
         if not changed:
-            # With single-step shortcutting the trees may still be deep;
-            # converged means no more hooks, so finish compressing now.
-            if shortcut == "single":
-                backend.compress(pi, phase=phase_label("S", final=True))
             break
     result.iterations = iterations
 
 
-def sv_finish(
-    ctx: PlanContext, *, track_depth: bool = False, shortcut: str = "full"
-) -> None:
+def sv_finish(ctx: PlanContext, *, track_depth: bool = False) -> None:
     """Shiloach–Vishkin hook/shortcut loop over the full edge array.
 
     With ``ctx.largest`` set, edges whose endpoints *both* already carry
@@ -106,22 +83,13 @@ def sv_finish(
     (equal roots), so the labeling is unchanged while the per-iteration
     edge scan shrinks by the giant component's internal edges.
     """
-    _validate_sv(track_depth=track_depth, shortcut=shortcut)
     src, dst = ctx.graph.edge_array()
     if ctx.largest is not None and src.shape[0]:
         internal = (ctx.pi[src] == ctx.largest) & (ctx.pi[dst] == ctx.largest)
         ctx.result.edges_skipped = int(np.count_nonzero(internal))
         keep = ~internal
         src, dst = src[keep], dst[keep]
-    _hook_loop(
-        ctx.backend,
-        ctx.pi,
-        src,
-        dst,
-        ctx.result,
-        track_depth=track_depth,
-        shortcut=shortcut,
-    )
+    _hook_loop(ctx.backend, ctx.pi, src, dst, ctx.result, track_depth=track_depth)
 
 
 def fastsv_finish(ctx: PlanContext) -> None:
@@ -166,19 +134,15 @@ def sv_pipeline_edges(
     dst: np.ndarray,
     *,
     track_depth: bool = False,
-    shortcut: str = "full",
 ) -> CCResult:
     """Shiloach–Vishkin over a flat directed edge list, any backend.
 
-    The standalone edge-list entry point (used by the baselines layer and
-    edge-stream callers); graph-based runs go through the ``sv`` plan.
-    ``track_depth`` records the maximum tree depth before each shortcut —
-    the Table II statistic — at the cost of an O(n) scan per iteration.
-    ``shortcut`` selects full compression per iteration (GAP's
-    formulation, the default) or the original algorithm's single
-    ``pi <- pi[pi]`` step.
+    The standalone edge-list entry point (the layout ablation's flat-COO
+    variant, the GPU data layout); graph-based runs go through the ``sv``
+    plan.  ``track_depth`` records the maximum tree depth before each
+    shortcut — the Table II statistic — at the cost of an O(n) scan per
+    iteration.
     """
-    _validate_sv(track_depth=track_depth, shortcut=shortcut)
     n = num_vertices
     if n == 0:
         result = CCResult(labels=np.arange(0, dtype=VERTEX_DTYPE))
@@ -189,10 +153,7 @@ def sv_pipeline_edges(
 
     pi = backend.init_labels(n, phase="I")
     result = CCResult(labels=pi)
-    _hook_loop(
-        backend, pi, src, dst, result,
-        track_depth=track_depth, shortcut=shortcut,
-    )
+    _hook_loop(backend, pi, src, dst, result, track_depth=track_depth)
     if result.labels.dtype != VERTEX_DTYPE:
         # Narrowed working labels never escape the engine layer.
         result.labels = result.labels.astype(VERTEX_DTYPE)
@@ -205,9 +166,8 @@ SV = FinishSpec(
     fn=sv_finish,
     description="Shiloach-Vishkin tree hooking (GAP formulation): "
     "hook + shortcut over every edge per iteration",
-    params=("track_depth", "shortcut"),
+    params=("track_depth",),
     supports_skip=True,
-    validate=_validate_sv,
 )
 
 FASTSV = FinishSpec(

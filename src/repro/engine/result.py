@@ -4,14 +4,8 @@ Every algorithm dispatched through :mod:`repro.engine` returns a
 :class:`CCResult`: the exact component labeling plus the union of all
 instrumentation the individual algorithms collect — edge counters,
 per-phase wall times, iteration statistics, and provenance (which
-algorithm ran, with which parameters, on which backend).
-
-Historically each algorithm had its own result dataclass
-(``AfforestResult``, ``SVResult``, ``LPResult``, ``BFSCCResult``,
-``DOBFSResult``); those names survive as thin aliases of
-:class:`CCResult`, so existing code keeps working while new code can
-treat every run uniformly.  Fields an algorithm does not populate keep
-their zero defaults.
+algorithm ran, with which parameters, on which backend).  Fields an
+algorithm does not populate keep their zero defaults.
 """
 
 from __future__ import annotations

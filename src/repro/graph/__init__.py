@@ -3,13 +3,6 @@
 from repro.graph.coo import EdgeList
 from repro.graph.csr import CSRGraph
 from repro.graph.builder import GraphBuilder, from_edge_array, from_edge_list
-from repro.graph.subgraph import (
-    component_subgraph,
-    filter_edges,
-    induced_subgraph,
-    largest_component_subgraph,
-    split_components,
-)
 
 __all__ = [
     "CSRGraph",
@@ -17,9 +10,4 @@ __all__ = [
     "GraphBuilder",
     "from_edge_array",
     "from_edge_list",
-    "component_subgraph",
-    "filter_edges",
-    "induced_subgraph",
-    "largest_component_subgraph",
-    "split_components",
 ]

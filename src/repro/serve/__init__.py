@@ -2,7 +2,7 @@
 
 The batch engine answers "what are the components of this graph?" once;
 this package answers "are these two vertices connected *right now*?"
-millions of times, while the graph keeps growing.  Three pieces:
+millions of times, while the graph keeps growing.  Two pieces:
 
 - :class:`ConnectivityService` (:mod:`repro.serve.service`) — solves a
   graph once via :func:`repro.engine.run`, keeps a fully compressed
@@ -10,9 +10,6 @@ millions of times, while the graph keeps growing.  Three pieces:
   edge-insertion streams through incremental link/compress, and
   publishes immutable epoch :class:`Snapshot` views so readers never
   observe torn labels;
-- :class:`ServiceCache` (:mod:`repro.serve.cache`) — an LRU cache of
-  solved states keyed by graph content fingerprint, so a multi-graph
-  front-end pays each batch solve once;
 - :class:`ConnectivityServer` (:mod:`repro.serve.server`) — the request
   layer: a worker loop that coalesces queued queries into single
   vectorized gathers, bounds the queue for backpressure
@@ -28,7 +25,6 @@ from-scratch batch re-solve).  See ``docs/serving.md``.
 
 from __future__ import annotations
 
-from repro.serve.cache import ServiceCache
 from repro.serve.server import (
     BackpressureError,
     ConnectivityServer,
@@ -41,6 +37,5 @@ __all__ = [
     "ConnectivityServer",
     "ConnectivityService",
     "ServerClosedError",
-    "ServiceCache",
     "Snapshot",
 ]

@@ -5,8 +5,9 @@ import pytest
 
 from repro import engine
 from repro.analysis.verify import equivalent_labelings, is_valid_labeling
-from repro.baselines import shiloach_vishkin, shiloach_vishkin_edgelist
-from repro.engine import SimulatedBackend
+from repro.engine import SimulatedBackend, VectorizedBackend
+from repro.engine.finish import sv_pipeline_edges
+from repro.errors import ConfigurationError
 from repro.generators import kronecker_graph, uniform_random_graph
 from repro.parallel import SimulatedMachine
 from repro.unionfind import sequential_components
@@ -14,39 +15,39 @@ from repro.unionfind import sequential_components
 
 class TestVectorizedSV:
     def test_fixture_graphs(self, mixed_graph):
-        r = shiloach_vishkin(mixed_graph)
+        r = engine.run("sv", mixed_graph)
         assert equivalent_labelings(
             r.labels, sequential_components(mixed_graph)
         )
 
     def test_empty(self, empty_graph):
-        r = shiloach_vishkin(empty_graph)
+        r = engine.run("sv", empty_graph)
         assert r.iterations == 0
 
     def test_isolated(self, isolated_vertices):
-        r = shiloach_vishkin(isolated_vertices)
+        r = engine.run("sv", isolated_vertices)
         assert r.num_components == 5
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_graphs(self, random_graph_factory, seed):
         g = random_graph_factory(60, 100, seed)
-        r = shiloach_vishkin(g)
+        r = engine.run("sv", g)
         assert is_valid_labeling(g, r.labels)
 
     def test_reprocesses_all_edges_each_iteration(self):
         g = uniform_random_graph(200, edge_factor=4, seed=0)
-        r = shiloach_vishkin(g)
+        r = engine.run("sv", g)
         assert r.edges_processed == r.iterations * g.num_directed_edges
         assert r.iterations >= 2  # at least one working + one check pass
 
     def test_path_converges_quickly(self, path_graph):
         # Hook + full shortcut converges in O(log n) iterations.
-        r = shiloach_vishkin(path_graph)
+        r = engine.run("sv", path_graph)
         assert r.iterations <= 5
 
     def test_depth_tracking(self):
         g = kronecker_graph(8, edge_factor=8, seed=1)
-        r = shiloach_vishkin(g, track_depth=True)
+        r = engine.run("sv", g, track_depth=True)
         assert r.max_tree_depth >= 1
         assert len(r.depth_per_iteration) == r.iterations
 
@@ -55,15 +56,14 @@ class TestEdgeListSV:
     def test_matches_csr_variant(self):
         g = uniform_random_graph(300, edge_factor=4, seed=2)
         src, dst = g.edge_array()
-        a = shiloach_vishkin(g)
-        b = shiloach_vishkin_edgelist(src, dst, g.num_vertices)
+        a = engine.run("sv", g)
+        b = sv_pipeline_edges(VectorizedBackend(), g.num_vertices, src, dst)
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations == b.iterations
 
     def test_empty(self):
-        r = shiloach_vishkin_edgelist(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-        )
+        empty = np.empty(0, dtype=np.int64)
+        r = sv_pipeline_edges(VectorizedBackend(), 0, empty, empty)
         assert r.num_components == 0
 
 
@@ -110,25 +110,19 @@ class TestSimulatedSV:
         engine.run("afforest", g, backend=SimulatedBackend(m_af))
         assert m_sv.stats.total_work > m_af.stats.total_work
 
+        # The same hierarchy in processed edges on a giant-component
+        # urand: Afforest touches the least, SV and LP pay |E| per
+        # iteration, BFS pays |E| once.
+        g = uniform_random_graph(1000, edge_factor=8, seed=0)
+        af = engine.run("afforest", g).edges_touched
+        assert engine.run("sv", g).edges_processed > 2 * af
+        assert engine.run("lp", g).edges_processed > 2 * af
+        assert engine.run("bfs", g).edges_processed > af
+
 
 class TestShortcutVariants:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_single_shortcut_exact(self, random_graph_factory, seed):
-        g = random_graph_factory(50, 90, seed)
-        full = shiloach_vishkin(g)
-        single = shiloach_vishkin(g, shortcut="single")
-        assert equivalent_labelings(full.labels, single.labels)
-
-    def test_single_never_fewer_iterations(self):
-        g = uniform_random_graph(400, edge_factor=6, seed=5)
-        full = shiloach_vishkin(g)
-        single = shiloach_vishkin(g, shortcut="single")
-        assert single.iterations >= full.iterations
-
     def test_unknown_shortcut_rejected(self, mixed_graph):
-        import pytest as _pytest
-
-        from repro.errors import ConfigurationError
-
-        with _pytest.raises(ConfigurationError):
-            shiloach_vishkin(mixed_graph, shortcut="double")
+        # The shortcut is always a full compress (GAP's formulation), so
+        # the plan takes no ``shortcut`` parameter at all.
+        with pytest.raises(ConfigurationError, match="accepted"):
+            engine.run("sv", mixed_graph, shortcut="double")

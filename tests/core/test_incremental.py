@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import equivalent_labelings
 from repro.core.incremental import IncrementalConnectivity
 from repro.errors import ConfigurationError
 from repro.generators import uniform_random_graph
-from repro.unionfind import SequentialUnionFind, sequential_components
+from repro.unionfind import SequentialUnionFind
 
 
 class TestBasics:
@@ -61,11 +60,6 @@ class TestBasics:
         assert labels[3] == labels[4]
         assert labels[2] != labels[0]
 
-    def test_component_of(self):
-        inc = IncrementalConnectivity(5)
-        inc.add_edge(1, 3)
-        assert inc.component_of(1).tolist() == [1, 3]
-
     def test_bounds_checked(self):
         inc = IncrementalConnectivity(3)
         with pytest.raises(ConfigurationError):
@@ -86,11 +80,6 @@ class TestBulk:
         merged = inc.add_edges(np.array([0, 2, 0]), np.array([1, 3, 1]))
         assert merged == 2
         assert inc.num_components == 4
-
-    def test_from_graph(self):
-        g = uniform_random_graph(300, edge_factor=4, seed=0)
-        inc = IncrementalConnectivity.from_graph(g)
-        assert equivalent_labelings(inc.labels(), sequential_components(g))
 
     def test_mixed_bulk_and_single(self):
         inc = IncrementalConnectivity(10)
@@ -129,85 +118,6 @@ class TestCompression:
         assert inc.num_components == 1
 
 
-class TestBatchQueries:
-    def _chain(self, n=40, compress_every=0):
-        inc = IncrementalConnectivity(n, compress_every=compress_every)
-        for i in range(n - 1):
-            # Insert high-to-low so the forest grows deep chains when
-            # periodic compression is off.
-            inc.add_edge(n - 1 - i, n - 2 - i)
-        return inc
-
-    def test_roots_of_matches_scalar_find(self):
-        inc = IncrementalConnectivity(20, compress_every=0)
-        inc.add_edges(
-            np.array([0, 2, 4, 0, 10]), np.array([1, 3, 5, 2, 11])
-        )
-        vs = np.arange(20)
-        roots = inc.roots_of(vs)
-        assert roots.tolist() == [inc.find(int(v)) for v in vs]
-
-    def test_roots_of_does_not_mutate_pi(self):
-        inc = self._chain()
-        before = inc._pi.copy()
-        inc.roots_of(np.arange(inc.num_vertices))
-        assert np.array_equal(inc._pi, before)
-
-    def test_same_component_batch(self):
-        inc = IncrementalConnectivity(10)
-        inc.add_edges(np.array([0, 1, 5]), np.array([1, 2, 6]))
-        us = np.array([0, 0, 5, 3])
-        vs = np.array([2, 5, 6, 3])
-        assert inc.same_component_batch(us, vs).tolist() == [
-            True, False, True, True,
-        ]
-
-    @pytest.mark.parametrize("compress_every", [0, 1, 4096])
-    def test_batch_matches_scalar_on_random_stream(self, compress_every):
-        rng = np.random.default_rng(11)
-        n = 60
-        inc = IncrementalConnectivity(n, compress_every=compress_every)
-        inc.add_edges(rng.integers(0, n, 80), rng.integers(0, n, 80))
-        us = rng.integers(0, n, 200)
-        vs = rng.integers(0, n, 200)
-        batch = inc.same_component_batch(us, vs)
-        scalar = [inc.connected(int(u), int(v)) for u, v in zip(us, vs)]
-        assert batch.tolist() == scalar
-
-    def test_component_sizes(self):
-        inc = IncrementalConnectivity(8)
-        inc.add_edges(np.array([0, 1, 4]), np.array([1, 2, 5]))
-        sizes = inc.component_sizes(np.array([0, 2, 4, 7]))
-        assert sizes.tolist() == [3, 3, 2, 1]
-
-    def test_component_sizes_compresses(self):
-        inc = self._chain()
-        inc.component_sizes(np.array([0]))
-        # The census path full-compresses as a documented side effect.
-        assert np.array_equal(inc._pi, np.zeros_like(inc._pi))
-
-    def test_batch_rejects_out_of_range(self):
-        inc = IncrementalConnectivity(4)
-        with pytest.raises(ConfigurationError):
-            inc.roots_of(np.array([0, 4]))
-        with pytest.raises(ConfigurationError):
-            inc.same_component_batch(np.array([-1]), np.array([0]))
-        with pytest.raises(ConfigurationError):
-            inc.component_sizes(np.array([17]))
-
-    def test_batch_rejects_mismatched_lengths(self):
-        inc = IncrementalConnectivity(4)
-        with pytest.raises(ConfigurationError):
-            inc.same_component_batch(np.array([0]), np.array([1, 2]))
-
-    def test_empty_batches(self):
-        inc = IncrementalConnectivity(4)
-        empty = np.empty(0, dtype=np.int64)
-        assert inc.roots_of(empty).shape == (0,)
-        assert inc.same_component_batch(empty, empty).shape == (0,)
-        assert inc.component_sizes(empty).shape == (0,)
-
-
 class TestLazySelfCompression:
     """The documented ``compress_every=0`` query paths stay exact."""
 
@@ -216,13 +126,7 @@ class TestLazySelfCompression:
         inc = IncrementalConnectivity(n, compress_every=0)
         for i in range(n - 1, 0, -1):
             inc.add_edge(i, i - 1)
-        # Batch reads answer exactly without touching π...
-        before = inc._pi.copy()
-        assert inc.same_component_batch(
-            np.array([0, n - 1]), np.array([n - 1, 0])
-        ).all()
-        assert np.array_equal(inc._pi, before)
-        # ...scalar find compresses exactly the walked chain...
+        # Scalar find compresses exactly the walked chain...
         root = inc.find(n - 1)
         assert root == 0
         assert inc._pi[n - 1] == 0

@@ -49,48 +49,3 @@ class TestSpanningForest:
             orig = sequential_components(g)
             reduced = sequential_components(build_csr(sf))
             assert equivalent_labelings(orig, reduced)
-
-
-class TestBatchSpanningForest:
-    def test_size_matches_sequential(self, mixed_graph):
-        from repro.core.spanning_forest import spanning_forest_batch
-
-        sf = spanning_forest_batch(mixed_graph)
-        assert sf.num_edges == spanning_forest_size(mixed_graph)
-
-    def test_preserves_connectivity(self, random_graph_factory):
-        from repro.core.spanning_forest import spanning_forest_batch
-
-        for seed in range(8):
-            g = random_graph_factory(50, 120, seed)
-            sf = spanning_forest_batch(g)
-            assert sf.num_edges == spanning_forest_size(g)
-            orig = sequential_components(g)
-            reduced = sequential_components(build_csr(sf))
-            assert equivalent_labelings(orig, reduced)
-
-    def test_credited_edges_are_graph_edges(self, two_cliques):
-        from repro.core.spanning_forest import spanning_forest_batch
-
-        sf = spanning_forest_batch(two_cliques)
-        for u, v in sf.as_pairs():
-            assert two_cliques.has_edge(u, v)
-
-    def test_empty_and_isolated(self, empty_graph, isolated_vertices):
-        from repro.core.spanning_forest import spanning_forest_batch
-
-        assert spanning_forest_batch(empty_graph).num_edges == 0
-        assert spanning_forest_batch(isolated_vertices).num_edges == 0
-
-    def test_generator_families(self):
-        from repro.core.spanning_forest import spanning_forest_batch
-        from repro.generators import kronecker_graph, uniform_random_graph
-        from repro.graph.properties import component_census
-
-        for g in (
-            uniform_random_graph(400, edge_factor=4, seed=0),
-            kronecker_graph(9, edge_factor=8, seed=1),
-        ):
-            sf = spanning_forest_batch(g)
-            census = component_census(g)
-            assert sf.num_edges == g.num_vertices - census.num_components

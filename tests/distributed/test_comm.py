@@ -11,11 +11,13 @@ class TestPointToPoint:
     def test_send_then_step_then_recv(self):
         comm = SimulatedComm(3)
         comm.send(0, 2, np.arange(4))
-        assert comm.pending(2) == 0  # not delivered before the barrier
+        comm.send(1, 2, np.array([20]))
+        assert comm.drain(2) == []  # not delivered before the barrier
         comm.step()
-        assert comm.pending(2) == 1
-        msg = comm.recv(2)
-        assert msg.tolist() == [0, 1, 2, 3]
+        (src0, msg0), (src1, msg1) = comm.drain(2)
+        assert (src0, msg0.tolist()) == (0, [0, 1, 2, 3])
+        assert (src1, msg1.tolist()) == (1, [20])
+        assert comm.drain(2) == []  # drained exactly once
 
     def test_messages_are_copies(self):
         comm = SimulatedComm(2)
@@ -23,27 +25,15 @@ class TestPointToPoint:
         comm.send(0, 1, data)
         data[0] = 99
         comm.step()
-        assert comm.recv(1)[0] == 0
-
-    def test_recv_by_source(self):
-        comm = SimulatedComm(3)
-        comm.send(0, 2, np.array([10]))
-        comm.send(1, 2, np.array([20]))
-        comm.step()
-        assert comm.recv(2, src=1)[0] == 20
-        assert comm.recv(2, src=0)[0] == 10
-
-    def test_recv_empty_raises(self):
-        comm = SimulatedComm(2)
-        with pytest.raises(ConfigurationError, match="no pending"):
-            comm.recv(1)
+        [(_, msg)] = comm.drain(1)
+        assert msg[0] == 0
 
     def test_rank_bounds_checked(self):
         comm = SimulatedComm(2)
         with pytest.raises(ConfigurationError):
             comm.send(0, 5, np.array([1]))
         with pytest.raises(ConfigurationError):
-            comm.recv(-1)
+            comm.drain(-1)
 
     def test_rejects_empty_world(self):
         with pytest.raises(ConfigurationError):
@@ -59,17 +49,3 @@ class TestAccounting:
         assert comm.stats.bytes_sent == 80
         assert comm.stats.by_pair[(0, 1)] == 80
         assert comm.stats.supersteps == 1
-
-    def test_broadcast_counts(self):
-        comm = SimulatedComm(4)
-        out = comm.broadcast(0, np.zeros(5, dtype=np.int64))
-        assert len(out) == 4
-        assert comm.stats.messages == 3
-        assert comm.stats.bytes_sent == 3 * 40
-
-    def test_broadcast_root_shares_no_copy_cost(self):
-        comm = SimulatedComm(1)
-        arr = np.arange(3)
-        out = comm.broadcast(0, arr)
-        assert out[0] is arr
-        assert comm.stats.messages == 0

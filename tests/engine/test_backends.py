@@ -5,7 +5,6 @@ import pytest
 
 from repro import engine
 from repro.analysis import equivalent_labelings
-from repro.core import afforest
 from repro.engine import SimulatedBackend, VectorizedBackend
 from repro.errors import ConfigurationError
 from repro.parallel.machine import SimulatedMachine
@@ -184,7 +183,7 @@ class TestSimulatedPhaseStructure:
         assert a.edges_sampled == b.edges_sampled
 
     def test_vectorized_entry_point_still_returns_counters(self, mixed_graph):
-        result = afforest(mixed_graph, profile=True)
+        result = engine.run("afforest", mixed_graph, profile=True)
         assert result.edges_touched + result.edges_skipped == \
             mixed_graph.num_directed_edges
         assert result.phase_seconds

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import engine
 from repro.constants import VERTEX_DTYPE
 from repro.core.compress import compress, compress_all
 from repro.core.link import link, link_batch
@@ -92,11 +93,11 @@ class TestConfigurationRejection:
 
     def test_afforest_knobs(self, mixed_graph):
         with pytest.raises(ConfigurationError):
-            repro.afforest(mixed_graph, neighbor_rounds=-2)
+            engine.run("afforest", mixed_graph, neighbor_rounds=-2)
         with pytest.raises(ConfigurationError):
-            repro.afforest(mixed_graph, sample_size=0)
+            engine.run("afforest", mixed_graph, sample_size=0)
         with pytest.raises(ConfigurationError):
-            repro.afforest(mixed_graph, sampling="psychic")
+            engine.run("afforest", mixed_graph, sampling="psychic")
 
     def test_machine_knobs(self):
         from repro.parallel import SimulatedMachine

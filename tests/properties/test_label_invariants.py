@@ -65,8 +65,8 @@ def test_tree_hooking_labels_are_component_minima(g):
 @settings(max_examples=50, deadline=None)
 def test_afforest_configurations_bit_identical(g, rounds, seed):
     expected = min_vertex_labels(g)
-    r = repro.afforest(
-        g, neighbor_rounds=rounds, seed=seed, sample_size=8
+    r = repro.engine.run(
+        "afforest", g, neighbor_rounds=rounds, seed=seed, sample_size=8
     )
     assert np.array_equal(r.labels, expected)
 

@@ -1,5 +1,7 @@
 """Tests for the top-level public API."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,33 @@ def test_all_exports_resolve():
 def test_quickstart_docstring_flow():
     g = repro.generators.kronecker_graph(scale=8)
     labels = repro.connected_components(g)
-    result = repro.afforest(g, neighbor_rounds=2)
+    result = repro.engine.run("afforest", g, neighbor_rounds=2)
     assert labels.shape[0] == g.num_vertices
     assert result.num_components >= 1
+
+
+def test_removed_surface_rejected(mixed_graph):
+    """``engine.run`` is the one way in: the per-algorithm shims, the
+    modules nothing reached, and SV's ``shortcut`` knob are gone."""
+    for module in (
+        "repro.baselines",
+        "repro.core.afforest",
+        "repro.serve.cache",
+        "repro.parallel.atomics",
+        "repro.graph.subgraph",
+        "repro.analysis.efficiency",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    removed = {
+        "afforest",
+        "AfforestResult",
+        "bfs_cc",
+        "dobfs_cc",
+        "label_propagation",
+        "label_propagation_datadriven",
+        "shiloach_vishkin",
+    }
+    assert removed.isdisjoint(repro.__all__)
+    with pytest.raises(ConfigurationError, match="accepted: .*track_depth"):
+        repro.engine.run("sv", mixed_graph, shortcut="single")
