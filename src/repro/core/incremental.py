@@ -7,6 +7,17 @@ streaming-graph workload that motivates much of the CC literature — for
 free.  :class:`IncrementalConnectivity` packages it with amortised path
 compression and component bookkeeping.
 
+Every update costs O(batch · depth), never O(n).  A bulk insertion
+counts its merges from the batch's own endpoints: the distinct roots
+they reach before :func:`~repro.core.link.link_batch`, minus the
+distinct roots those roots reach after it.  The count is exact because
+``link_batch`` writes only roots reached from an endpoint's chain, each
+under a vertex of a different endpoint-holding tree (Invariant 1 puts
+that vertex's root below the hooked one), so no other tree changes.
+``link_batch`` itself returns its round count, which the engine reports
+as ``link_rounds``; counting distinct hooked roots inside it would put a
+per-round dedup on the solver's hot path, so it stays as it is.
+
 Deletions are not supported (the tree-hooking family is inherently
 incremental-only); re-solve with ``engine.run("afforest", g)`` when edges
 disappear.
@@ -95,7 +106,14 @@ class IncrementalConnectivity:
         return merged
 
     def add_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
-        """Bulk insertion; returns the number of components merged."""
+        """Bulk insertion; returns the number of components merged.
+
+        Work is O(batch · depth): the merges are the distinct roots of
+        the 2·batch endpoints before :func:`link_batch` minus the
+        distinct roots those roots climb to after it.  Only trees that
+        hold an endpoint can change, so no census of all n vertices is
+        needed.
+        """
         src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
         dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
         if src.shape != dst.shape:
@@ -105,13 +123,14 @@ class IncrementalConnectivity:
             or max(src.max(), dst.max()) >= self.num_vertices
         ):
             raise ConfigurationError("edge endpoint out of range")
-        before = self._count_components_exact()
+        roots = np.unique(_roots(self._pi, np.concatenate([src, dst])))
         link_batch(self._pi, src, dst)
+        # An endpoint's chain is untouched below its old root, so its new
+        # root is that old root's new root.
+        merged = roots.size - np.unique(_roots(self._pi, roots)).size
+        self._num_components -= merged
         self._edges_inserted += int(src.shape[0])
         self._maybe_compress(int(src.shape[0]))
-        after = self._count_components_exact()
-        merged = before - after
-        self._num_components = after
         return merged
 
     def _maybe_compress(self, inserted: int) -> None:
@@ -161,11 +180,18 @@ class IncrementalConnectivity:
         self._since_compress = 0
         return self._pi.copy()
 
-    def _count_components_exact(self) -> int:
-        return ParentArray(self._pi).num_trees()
-
     def _check(self, v: int) -> None:
         if not 0 <= v < self.num_vertices:
             raise ConfigurationError(
                 f"vertex {v} out of range for {self.num_vertices}-vertex universe"
             )
+
+
+def _roots(pi: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The root of each of ``vertices``, climbing all chains in lockstep."""
+    r = pi[vertices]
+    while True:
+        up = pi[r]
+        if np.array_equal(up, r):
+            return r
+        r = up

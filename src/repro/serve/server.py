@@ -17,9 +17,18 @@ graceful: :meth:`stop` rejects new submissions, lets the loop drain
 everything already accepted, then joins the thread — no accepted
 request is ever dropped.
 
+A malformed request fails alone.  ``submit_*`` rejects a payload that
+is not 1-D, or whose two arrays differ in length, with
+:class:`~repro.errors.ConfigurationError` before it is queued (shape
+checks only, nothing that reads the data); when a coalesced run's
+vectorized call still raises (say, on an out-of-range vertex), the run
+is answered one request at a time so only the bad request's future
+carries the error.
+
 Telemetry rides on the service's shared
-:class:`~repro.obs.metrics.MetricsRegistry` (latency and batch-size
-histograms, queue-depth gauge, request/batch/coalesce counters), each
+:class:`~repro.obs.metrics.MetricsRegistry` (latency, queue-wait,
+service-time and batch-size histograms, queue-depth gauge,
+request/batch/coalesce counters), each
 drained batch is recorded as an attributed span in an optional
 :class:`~repro.obs.Tracer`, and :meth:`session_record` renders the
 whole session as a durable ``kind="serve"``
@@ -32,13 +41,13 @@ import queue
 import threading
 import time
 import uuid
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.ledger import RunLedger, RunRecord, env_snapshot, resolve_ledger
 from repro.obs.trace import Tracer
 from repro.serve.service import ConnectivityService
@@ -70,6 +79,25 @@ class _Request:
 
 
 _SHUTDOWN = _Request(kind="__shutdown__")
+
+
+def _resolve(future: Future, value: Any) -> None:
+    """Set ``future``'s result unless its client cancelled it first."""
+    try:
+        future.set_result(value)
+    except InvalidStateError:
+        pass
+
+
+def _vectors(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A request payload: 1-D arrays of one length (shape checks only)."""
+    payload = tuple(np.asarray(a) for a in arrays)
+    if any(a.ndim != 1 or a.shape != payload[0].shape for a in payload):
+        raise ConfigurationError(
+            "request arrays must be 1-D and of equal length, got shapes "
+            + ", ".join(str(a.shape) for a in payload)
+        )
+    return payload
 
 
 class ConnectivityServer:
@@ -104,8 +132,6 @@ class ConnectivityServer:
         record: bool | str | RunLedger | None = None,
         max_trace_spans: int = 4096,
     ) -> None:
-        from repro.errors import ConfigurationError
-
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
@@ -190,17 +216,17 @@ class ConnectivityServer:
         self, us: np.ndarray, vs: np.ndarray, *, block: bool = True
     ) -> Future:
         """Queue a same-component pair batch; resolves to a bool array."""
-        return self._submit("same", (np.asarray(us), np.asarray(vs)), block)
+        return self._submit("same", _vectors(us, vs), block)
 
     def submit_sizes(self, vs: np.ndarray, *, block: bool = True) -> Future:
         """Queue a component-size batch; resolves to an int array."""
-        return self._submit("sizes", (np.asarray(vs),), block)
+        return self._submit("sizes", _vectors(vs), block)
 
     def submit_update(
         self, src: np.ndarray, dst: np.ndarray, *, block: bool = True
     ) -> Future:
         """Queue an edge-insertion batch; resolves to the current epoch."""
-        return self._submit("update", (np.asarray(src), np.asarray(dst)), block)
+        return self._submit("update", _vectors(src, dst), block)
 
     def submit_refresh(self, *, block: bool = True) -> Future:
         """Queue an explicit epoch publish; resolves to the new epoch."""
@@ -281,7 +307,7 @@ class ConnectivityServer:
                 )
 
     def _run_batch(self, batch: list[_Request]) -> None:
-        t0 = time.perf_counter()
+        t0 = time.perf_counter()  # the batch has just been dequeued
         self.metrics.counter("serve_batches").inc()
         self.metrics.histogram("serve_batch_size").observe(len(batch))
         # Contiguous same-kind query runs collapse into one vectorized
@@ -312,51 +338,55 @@ class ConnectivityServer:
         elif self.tracer.enabled:
             self.metrics.counter("serve_trace_spans_dropped").inc()
         done = time.perf_counter()
-        latency_us = self.metrics.histogram(
-            "serve_latency_us", _LATENCY_BUCKETS
+        submitted = np.fromiter((r.t_submit for r in batch), float, len(batch))
+        metrics = self.metrics
+        metrics.histogram("serve_latency_us", _LATENCY_BUCKETS).observe_many(
+            (done - submitted) * 1e6
         )
-        latency_us.observe_many(
-            [(done - r.t_submit) * 1e6 for r in batch]
+        metrics.histogram("serve_queue_wait_us", _LATENCY_BUCKETS).observe_many(
+            (t0 - submitted) * 1e6
+        )
+        metrics.histogram("serve_service_us", _LATENCY_BUCKETS).observe(
+            (done - t0) * 1e6
         )
 
     def _execute_run(self, run: list[_Request]) -> None:
         kind = run[0].kind
         try:
             if kind == "same":
-                if len(run) > 1:
-                    self.metrics.counter("serve_coalesced").inc(len(run))
                 us = np.concatenate([r.payload[0] for r in run])
                 vs = np.concatenate([r.payload[1] for r in run])
-                answers = self.service.same_component_batch(us, vs)
-                offset = 0
-                for r in run:
-                    width = int(np.asarray(r.payload[0]).shape[0])
-                    r.future.set_result(answers[offset : offset + width])
-                    offset += width
+                result = self.service.same_component_batch(us, vs)
             elif kind == "sizes":
-                if len(run) > 1:
-                    self.metrics.counter("serve_coalesced").inc(len(run))
                 vs = np.concatenate([r.payload[0] for r in run])
-                sizes = self.service.component_sizes(vs)
-                offset = 0
-                for r in run:
-                    width = int(np.asarray(r.payload[0]).shape[0])
-                    r.future.set_result(sizes[offset : offset + width])
-                    offset += width
+                result = self.service.component_sizes(vs)
             elif kind == "update":
-                (req,) = run
-                epoch = self.service.add_edges(req.payload[0], req.payload[1])
-                req.future.set_result(epoch)
+                result = self.service.add_edges(*run[0].payload)
             elif kind == "refresh":
-                (req,) = run
-                req.future.set_result(self.service.refresh())
+                result = self.service.refresh()
             else:  # pragma: no cover - submission layer owns the kinds
                 raise ReproError(f"unknown request kind {kind!r}")
         except Exception as exc:
-            self.metrics.counter("serve_errors").inc(len(run))
-            for r in run:
-                if not r.future.done():
-                    r.future.set_exception(exc)
+            if len(run) > 1:
+                # One bad request must not fail its neighbours: answer
+                # the run one request at a time.
+                for r in run:
+                    self._execute_run([r])
+                return
+            self.metrics.counter("serve_errors").inc()
+            if not run[0].future.done():
+                run[0].future.set_exception(exc)
+            return
+        if kind not in _QUERY_KINDS:  # updates and refreshes run singly
+            _resolve(run[0].future, result)
+            return
+        if len(run) > 1:
+            self.metrics.counter("serve_coalesced").inc(len(run))
+        offset = 0
+        for r in run:
+            width = r.payload[0].shape[0]
+            _resolve(r.future, result[offset : offset + width])
+            offset += width
 
     # ------------------------------------------------------------------ #
     # session accounting

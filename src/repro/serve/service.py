@@ -34,6 +34,7 @@ checks.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -273,6 +274,10 @@ class ConnectivityService:
         become *visible to readers* when the next epoch publishes —
         after ``recompress_every`` absorbed edges, or at an explicit
         :meth:`refresh`.  Returns the current epoch number.
+
+        Absorbing a burst costs O(batch · depth); the O(n) work (full
+        compression and the size census) happens only at an epoch
+        publish.
         """
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
@@ -371,11 +376,15 @@ class ConnectivityService:
         )
 
     def _publish_locked(self) -> None:
+        t0 = time.perf_counter()
         snapshot = self._build_snapshot(self._snapshot.epoch + 1)
         # The swap is a single reference assignment: readers hold either
         # the old complete snapshot or the new one, never a mixture.
         self._snapshot = snapshot
         self._since_epoch = 0
+        self.metrics.histogram("serve_publish_us").observe(
+            (time.perf_counter() - t0) * 1e6
+        )
         self.metrics.counter("serve_epochs").inc()
         self._stamp_gauges()
         if self.on_epoch is not None:

@@ -1,13 +1,17 @@
 """Tests for incremental connectivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine as engine
 from repro.core.incremental import IncrementalConnectivity
 from repro.errors import ConfigurationError
 from repro.generators import uniform_random_graph
+from repro.graph.builder import from_edge_array
 from repro.unionfind import SequentialUnionFind
 
 
@@ -102,6 +106,25 @@ class TestBulk:
             inc.add_edges(np.array([0]), np.array([9]))
 
 
+class TestWriteCost:
+    """A bulk insertion allocates O(batch), never O(n)."""
+
+    def test_add_edges_allocates_o_batch(self):
+        n = 1 << 20
+        inc = IncrementalConnectivity(n, compress_every=0)
+        rng = np.random.default_rng(0)
+        inc.add_edges(rng.integers(0, n, 32), rng.integers(0, n, 32))
+        src, dst = rng.integers(0, n, 32), rng.integers(0, n, 32)
+        tracemalloc.start()
+        try:
+            inc.add_edges(src, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One n-length temporary would be 8 MiB.
+        assert peak < 64 * 1024
+
+
 class TestCompression:
     def test_periodic_compression_bounds_depth(self):
         inc = IncrementalConnectivity(100, compress_every=10)
@@ -194,3 +217,61 @@ class TestAgainstOracle:
         for u in range(n):
             for v in range(u + 1, n):
                 assert inc.connected(u, v) == uf.connected(u, v)
+
+
+@st.composite
+def _bulk_stream(draw):
+    """``(n, base edges, insert batches)`` for the bulk oracle test.
+
+    Every non-empty batch repeats its first edge and adds a self-loop,
+    and a fan-in from one hub makes several edges race to hook the same
+    root in one ``link_batch`` round.
+    """
+    n = draw(st.integers(2, 24))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex)
+    base = draw(st.lists(edge, max_size=20))
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = draw(st.lists(edge, max_size=10))
+        hub = draw(vertex)
+        batch += [(hub, leaf) for leaf in draw(st.lists(vertex, max_size=5))]
+        if batch:
+            batch += [batch[0], (batch[0][1], batch[0][1])]
+        batches.append(batch)
+    return n, base, batches
+
+
+def _arrays(edges):
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+class TestBulkAgainstOracle:
+    @given(
+        _bulk_stream(),
+        st.sampled_from([0, 1, 7]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_merges_match_union_find(self, stream, compress_every, solved):
+        n, base, batches = stream
+        uf = SequentialUnionFind(n)
+        if solved:
+            # Start from the labels of a solved graph, as the service does.
+            for u, v in base:
+                uf.union(u, v)
+            graph = from_edge_array(*_arrays(base), num_vertices=n)
+            inc = IncrementalConnectivity.from_labels(
+                engine.run("afforest", graph).labels,
+                compress_every=compress_every,
+            )
+        else:
+            inc = IncrementalConnectivity(n, compress_every=compress_every)
+        assert inc.num_components == uf.num_sets
+        for batch in batches:
+            expected = sum(uf.union(u, v) for u, v in batch)
+            assert inc.add_edges(*_arrays(batch)) == expected
+            assert inc.num_components == uf.num_sets
+        for u in range(n):
+            assert inc.connected(u, 0) == uf.connected(u, 0)

@@ -14,6 +14,7 @@ from repro.serve import (
     ConnectivityService,
     ServerClosedError,
 )
+from repro.serve.server import _Request
 
 
 @pytest.fixture
@@ -93,6 +94,75 @@ class TestRequestPath:
             assert b.result(5).tolist() == [True]
 
 
+def _request(kind, *arrays):
+    return _Request(
+        kind=kind,
+        payload=tuple(np.asarray(a) for a in arrays),
+        t_submit=time.perf_counter(),
+    )
+
+
+class TestMalformedRequests:
+    """A malformed request fails alone, never its coalesced neighbours."""
+
+    @pytest.mark.parametrize(
+        "us, vs",
+        [([0, 1], [1, 2, 3]), ([0, 1, 2], [1, 2]), ([[0, 1]], [[1, 2]])],
+        ids=["short-us", "short-vs", "2-D"],
+    )
+    def test_submit_rejects_bad_shapes(self, service, us, vs):
+        with ConnectivityServer(service) as server:
+            with pytest.raises(ConfigurationError):
+                server.submit_same(np.array(us), np.array(vs))
+            with pytest.raises(ConfigurationError):
+                server.submit_update(np.array(us), np.array(vs))
+            with pytest.raises(ConfigurationError):
+                server.submit_sizes(np.array([us]))
+            assert server.same_component(0, 1)
+        assert service.metrics.counters_snapshot()["serve_requests"] == 1
+
+    def _run(self, service, *requests):
+        ConnectivityServer(service)._run_batch(list(requests))
+        return service.metrics.counters_snapshot().get("serve_errors", 0)
+
+    def test_length_mismatch_fails_alone(self, service):
+        bad = _request("same", [0, 1], [1, 2, 3])
+        good = _request("same", [0, 4, 0], [1, 5, 7])
+        assert self._run(service, bad, good) == 1
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert good.future.result(0).tolist() == [True, True, False]
+
+    def test_out_of_range_fails_alone(self, service):
+        good = _request("same", [2], [3])
+        bad = _request("same", [0], [99])
+        tail = _request("same", [0, 6], [4, 7])
+        assert self._run(service, good, bad, tail) == 1
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert good.future.result(0).tolist() == [True]
+        assert tail.future.result(0).tolist() == [False, True]
+
+    def test_size_query_out_of_range_fails_alone(self, service):
+        bad = _request("sizes", [99])
+        good = _request("sizes", [0, 5])
+        assert self._run(service, bad, good) == 1
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert good.future.result(0).tolist() == [4, 4]
+
+    def test_two_dimensional_payload_spares_neighbours(self, service):
+        flat = _request("same", [0, 4], [3, 3])
+        grid = _request("same", [[0, 1]], [[1, 2]])
+        self._run(service, flat, grid)
+        assert flat.future.result(0).tolist() == [True, False]
+        assert grid.future.done()
+
+    def test_cancelled_request_spares_neighbours(self, service):
+        gone = _request("same", [0], [1])
+        assert gone.future.cancel()
+        kept = _request("same", [0], [4])
+        assert self._run(service, gone, kept) == 0
+        assert kept.future.result(0).tolist() == [False]
+
+
 class TestFlowControl:
     def test_backpressure_nonblocking(self, service):
         _stall(service, 0.3)
@@ -154,9 +224,20 @@ class TestTelemetry:
         with ConnectivityServer(service) as server:
             for _ in range(5):
                 server.same_component(0, 1)
+            for u, v in ((0, 4), (1, 5)):
+                server.submit_update(np.array([u]), np.array([v]))
+                server.submit_refresh().result(5)
         summaries = service.metrics.histogram_summaries()
-        assert summaries["serve_latency_us"]["count"] == 5
+        counters = service.metrics.counters_snapshot()
+        assert summaries["serve_latency_us"]["count"] == 9
         assert summaries["serve_batch_size"]["count"] >= 1
+        # Queue wait per request, service time per batch, one per publish.
+        assert summaries["serve_queue_wait_us"]["count"] == 9
+        assert (
+            summaries["serve_service_us"]["count"] == counters["serve_batches"]
+        )
+        assert summaries["serve_publish_us"]["count"] == 2
+        assert counters["serve_epochs"] == 2
 
     def test_trace_spans_per_batch(self, service):
         server = ConnectivityServer(service, trace=True).start()

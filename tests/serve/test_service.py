@@ -1,10 +1,13 @@
 """Tests for the connectivity service: epochs, snapshots, the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.generators import uniform_random_graph
+from repro.graph.builder import from_edge_array
 from repro.serve import ConnectivityService, Snapshot
 from repro.unionfind import sequential_components
 
@@ -153,6 +156,27 @@ class TestOracleBitIdentity:
         for applied, labels in captured:
             assert np.array_equal(labels, svc.batch_resolve(applied))
 
+    def test_published_count_matches_census(self):
+        # Many small components, and bursts with duplicates and self-loops,
+        # so most bursts merge several components.
+        graph = uniform_random_graph(300, num_edges=120, seed=5)
+        snapshots: list[Snapshot] = []
+        svc = ConnectivityService(
+            graph, recompress_every=40, on_epoch=snapshots.append
+        )
+        snapshots.append(svc.snapshot)
+        rng = np.random.default_rng(6)
+        for _ in range(12):
+            src, dst = _stream(300, 16, seed=int(rng.integers(1 << 30)))
+            svc.add_edges(
+                np.concatenate([src, src[:3], dst[:2]]),
+                np.concatenate([dst, dst[:3], dst[:2]]),
+            )
+        svc.refresh()
+        assert len(snapshots) >= 5
+        for snap in snapshots:
+            assert snap.num_components == np.count_nonzero(snap.sizes)
+
     def test_inserted_edges_in_order(self, service):
         service.add_edges(np.array([0, 1]), np.array([4, 5]))
         service.add_edge(2, 6)
@@ -167,6 +191,27 @@ class TestOracleBitIdentity:
         assert np.array_equal(base, service.snapshot.labels)  # epoch 0
         full = service.batch_resolve()
         assert (full == full[0]).sum() == 8  # cliques joined
+
+
+class TestWriteCost:
+    def test_add_edges_below_publish_threshold_allocates_o_batch(self):
+        n = 1 << 20
+        rng = np.random.default_rng(1)
+        graph = from_edge_array(
+            rng.integers(0, n, 1 << 16), rng.integers(0, n, 1 << 16),
+            num_vertices=n,
+        )
+        svc = ConnectivityService(graph, recompress_every=1 << 20)
+        svc.add_edges(rng.integers(0, n, 32), rng.integers(0, n, 32))
+        src, dst = rng.integers(0, n, 32), rng.integers(0, n, 32)
+        tracemalloc.start()
+        try:
+            svc.add_edges(src, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert svc.epoch == 0  # nothing published: the write alone
+        assert peak < 64 * 1024
 
 
 class TestTelemetry:
