@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.nputil import sorted_unique
 from repro.parallel.memtrace import TraceArrays
 
 
@@ -78,7 +79,7 @@ def _sequentiality(
         return 1.0
     ok = 0
     pairs = 0
-    for w in np.unique(workers):
+    for w in sorted_unique(workers):
         a = addresses[workers == w]
         if a.shape[0] < 2:
             continue

@@ -18,6 +18,7 @@ from repro.constants import VERTEX_DTYPE
 from repro.errors import InvariantViolationError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import scipy_components
+from repro.nputil import sorted_unique
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
@@ -73,5 +74,5 @@ def is_valid_labeling(graph: CSRGraph, labels: np.ndarray) -> bool:
     src, dst = graph.sources(), graph.indices
     if not np.array_equal(labels[src], labels[dst]):
         return False
-    true_count = int(np.unique(scipy_components(graph)).shape[0])
-    return int(np.unique(labels).shape[0]) == true_count
+    true_count = int(sorted_unique(scipy_components(graph)).shape[0])
+    return int(sorted_unique(labels).shape[0]) == true_count

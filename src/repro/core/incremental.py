@@ -31,6 +31,7 @@ from repro.constants import VERTEX_DTYPE
 from repro.core.compress import compress_all
 from repro.core.link import link, link_batch
 from repro.errors import ConfigurationError
+from repro.nputil import sorted_unique
 from repro.unionfind.parent import ParentArray
 
 
@@ -123,11 +124,11 @@ class IncrementalConnectivity:
             or max(src.max(), dst.max()) >= self.num_vertices
         ):
             raise ConfigurationError("edge endpoint out of range")
-        roots = np.unique(_roots(self._pi, np.concatenate([src, dst])))
+        roots = sorted_unique(_roots(self._pi, np.concatenate([src, dst])))
         link_batch(self._pi, src, dst)
         # An endpoint's chain is untouched below its old root, so its new
         # root is that old root's new root.
-        merged = roots.size - np.unique(_roots(self._pi, roots)).size
+        merged = roots.size - sorted_unique(_roots(self._pi, roots)).size
         self._num_components -= merged
         self._edges_inserted += int(src.shape[0])
         self._maybe_compress(int(src.shape[0]))

@@ -50,7 +50,7 @@ from repro.engine.bufferpool import BufferPool
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.csr import CSRGraph
-from repro.nputil import segment_ranges
+from repro.nputil import segment_ranges, sorted_unique
 from repro.obs.metrics import POW2_BUCKETS
 from repro.parallel.machine import KernelContext, SimulatedMachine
 from repro.parallel.metrics import RunStats
@@ -116,6 +116,17 @@ def remaining_edges(
     src = np.repeat(verts, counts)
     offsets = np.repeat(indptr[verts] + start, counts) + segment_ranges(counts)
     return src, indices[offsets]
+
+
+def frontier_edges(
+    pi: np.ndarray, graph: CSRGraph, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge slot of the frontier, flattened: ``(offsets, dst,
+    cand)`` — CSR positions, neighbours, and the label each slot pushes."""
+    starts = graph.indptr[frontier]
+    counts = graph.indptr[frontier + 1] - starts
+    offsets = np.repeat(starts, counts) + segment_ranges(counts)
+    return offsets, graph.indices[offsets], np.repeat(pi[frontier], counts)
 
 
 # --------------------------------------------------------------------- #
@@ -729,23 +740,12 @@ class VectorizedBackend(ExecutionBackend):
     ) -> np.ndarray:
         """Gather the frontier's neighbour slots and scatter-min onto them."""
         with self.instr.timer(phase):
-            empty = np.empty(0, dtype=VERTEX_DTYPE)
-            if frontier.shape[0] == 0:
-                return empty
-            indptr, indices = graph.indptr, graph.indices
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                return empty
-            offsets = np.repeat(starts, counts) + segment_ranges(counts)
-            dst = indices[offsets]
-            cand = np.repeat(pi[frontier], counts)
+            _, dst, cand = frontier_edges(pi, graph, frontier)
             won = cand < pi[dst]
             if not won.any():
-                return empty
+                return np.empty(0, dtype=VERTEX_DTYPE)
             np.minimum.at(pi, dst[won], cand[won])
-            return np.unique(dst[won]).astype(VERTEX_DTYPE)
+            return sorted_unique(dst[won]).astype(VERTEX_DTYPE, copy=False)
 
     def bottom_up_pass(
         self,
@@ -990,17 +990,6 @@ class SimulatedBackend(ExecutionBackend):
 PARTITION_MODES = ("block", "hash")
 
 
-def _dedup_min(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate delta indices, keeping the minimum value — what
-    a rank does before putting its candidate list on the wire."""
-    uniq, inv = np.unique(idx, return_inverse=True)
-    if uniq.shape[0] == idx.shape[0]:
-        return idx, val
-    out = np.full(uniq.shape[0], np.iinfo(val.dtype).max, dtype=val.dtype)
-    np.minimum.at(out, inv, val)
-    return uniq, out
-
-
 class DistributedBackend(VectorizedBackend):
     """BSP delta-exchange substrate: ``ranks`` simulated machines, each
     holding a shard of the edges and a full replica of π.
@@ -1239,72 +1228,81 @@ class DistributedBackend(VectorizedBackend):
           collapse before the broadcast fan-out.
 
         Sparse sweeps favour all-gather; contended early rounds with heavy
-        cross-rank duplication favour owner routing.
+        cross-rank duplication favour owner routing.  Every index array
+        arrives sorted, so its share of an owner block is one slice.  All
+        payloads are built (``X-encode``) before any is sent (``X-send``).
         """
         n = int(pi.shape[0])
         item = pi.dtype.itemsize
         bounds = self._vertex_bounds(n)
+        span = np.diff(bounds).tolist()
+
+        def by_owner(idx: np.ndarray) -> list[tuple[int, slice]]:
+            cuts = np.searchsorted(idx, bounds)
+            return [
+                (d, slice(cuts[d], cuts[d + 1]))
+                for d in np.flatnonzero(np.diff(cuts)).tolist()
+            ]
+
         owner_parts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        owner_cost = 0
         if not already_applied:
             for r, idx, val in live:
-                owner = np.searchsorted(bounds, idx, side="right") - 1
-                for dest in np.unique(owner):
-                    if dest == r:
-                        continue
-                    sel = owner == dest
-                    owner_parts[(r, int(dest))] = (idx[sel], val[sel])
-                    owner_cost += self._enc_cost(
-                        int(np.count_nonzero(sel)),
-                        int(bounds[dest + 1] - bounds[dest]),
-                        item,
-                    )
-        pub: dict[int, np.ndarray] = {}
-        if changed.shape[0]:
-            owner_c = np.searchsorted(bounds, changed, side="right") - 1
-            for root in range(self.ranks):
-                sel = changed[owner_c == root]
-                if sel.shape[0]:
-                    pub[root] = sel
-                    owner_cost += (self.ranks - 1) * self._enc_cost(
-                        int(sel.shape[0]),
-                        int(bounds[root + 1] - bounds[root]),
-                        item,
-                    )
-        gather_cost = sum(
-            (self.ranks - 1) * self._enc_cost(int(idx.shape[0]), n, item)
-            for _, idx, _ in live
+                for dest, cut in by_owner(idx):
+                    if dest != r:
+                        owner_parts[(r, dest)] = (idx[cut], val[cut])
+        pub = {root: changed[cut] for root, cut in by_owner(changed)}
+        owner_cost = sum(
+            self._enc_cost(idx.shape[0], span[dest], item)
+            for (_, dest), (idx, _) in owner_parts.items()
+        ) + (self.ranks - 1) * sum(
+            self._enc_cost(sel.shape[0], span[root], item)
+            for root, sel in pub.items()
         )
-        if gather_cost <= owner_cost:
-            self.comm.bcast_all(
-                {
-                    r: self._encode(pi, idx, val, 0, n)
-                    for r, idx, val in live
+        gather_cost = (self.ranks - 1) * sum(
+            self._enc_cost(idx.shape[0], n, item) for _, idx, _ in live
+        )
+        with self.instr.timer("X-encode"):
+            routed: dict[tuple[int, int], np.ndarray] = {}
+            if gather_cost <= owner_cost:
+                published = {
+                    r: self._encode(pi, idx, val, 0, n) for r, idx, val in live
                 }
-            )
-            return
-        if owner_parts:
-            self.comm.alltoallv(
-                {
+            else:
+                routed = {
                     (r, dest): self._encode(
                         pi, idx, val, int(bounds[dest]), int(bounds[dest + 1])
                     )
                     for (r, dest), (idx, val) in owner_parts.items()
                 }
-            )
-        if pub:
-            self.comm.bcast_all(
-                {
+                published = {
                     root: self._encode(
-                        pi,
-                        sel,
-                        pi[sel],
-                        int(bounds[root]),
-                        int(bounds[root + 1]),
+                        pi, sel, pi[sel], int(bounds[root]), int(bounds[root + 1])
                     )
                     for root, sel in pub.items()
                 }
-            )
+        with self.instr.timer("X-send"):
+            if routed:
+                self.comm.alltoallv(routed)
+            if published:
+                self.comm.bcast_all(published)
+
+    def _dedup_min(
+        self, idx: np.ndarray, val: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One rank's candidates as sorted distinct indices with the minimum
+        value of each — what the rank puts on the wire.
+
+        Scatter-mins into the pooled length-``n`` ``dedup`` buffer filled
+        with the dtype maximum, which no delta carries (every delta strictly
+        lowers a slot of π), and reads the distinct indices back in order
+        with one scan: O(k + n), no sort.
+        """
+        top = np.iinfo(val.dtype).max
+        buf = self.pool.get("dedup", n, val.dtype)
+        buf.fill(top)
+        np.minimum.at(buf, idx, val)
+        uniq = np.flatnonzero(buf != top)
+        return uniq, buf[uniq]
 
     def _exchange(
         self,
@@ -1314,18 +1312,23 @@ class DistributedBackend(VectorizedBackend):
         already_applied: bool = False,
     ) -> np.ndarray:
         """One delta exchange: merge per-rank ``(index, value)`` candidate
-        minima into every replica of π; returns the changed slot indices.
+        minima into every replica of π; returns the sorted changed slot
+        indices.
 
         Candidates are deduplicated per rank (minimum per index) and merged
         by scatter-min — order-independent, so every replica lands on the
-        same values the single-machine kernel produces.  The wire protocol
-        is delegated to :meth:`_ship_deltas`; an exchange with no
-        candidates anywhere is skipped entirely, so a converged sweep
-        costs zero bytes and zero barriers.
+        same values the single-machine kernel produces.  The changed slots
+        are read off the diff against the last-barrier shadow, which π
+        equals on entry (every primitive syncs it first, every exchange
+        refreshes it).  The wire protocol is delegated to
+        :meth:`_ship_deltas`; an exchange with no candidates anywhere is
+        skipped entirely, so a converged sweep costs zero bytes and zero
+        barriers.
 
         ``already_applied`` marks deltas whose writes already landed in π
         by rank-disjoint local kernels (the bottom-up pull): owner routing
-        is free because every entry is produced on its owner rank.
+        is free because every entry is produced on its owner rank (so the
+        rank-ordered indices are already sorted).
         """
         live = [
             (r, idx, val)
@@ -1334,27 +1337,25 @@ class DistributedBackend(VectorizedBackend):
         ]
         if not live:
             return np.empty(0, dtype=np.int64)
+        assert self._shadow is not None
         if already_applied:
             changed = np.concatenate([idx for _, idx, _ in live])
         else:
-            live = [
-                (r, *_dedup_min(idx, val)) for r, idx, val in live
-            ]
-            all_idx = np.concatenate([idx for _, idx, _ in live])
-            all_val = np.concatenate([val for _, _, val in live])
-            touched = np.unique(all_idx)
-            before = pi[touched]
-            np.minimum.at(pi, all_idx, all_val)
-            changed = touched[pi[touched] < before]
+            with self.instr.timer("X-merge"):
+                n = int(pi.shape[0])
+                live = [
+                    (r, *self._dedup_min(idx, val, n)) for r, idx, val in live
+                ]
+                for _, idx, val in live:
+                    np.minimum.at(pi, idx, val)
+                changed = np.flatnonzero(pi != self._shadow)
         if self.ranks > 1:
             with self.instr.timer("X"):
                 self._ship_deltas(
                     pi, live, changed, already_applied=already_applied
                 )
             self._flush_comm()
-        if changed.shape[0]:
-            assert self._shadow is not None
-            self._shadow[changed] = pi[changed]
+        self._shadow[changed] = pi[changed]
         return changed
 
     # -- link primitives ------------------------------------------------- #
@@ -1450,7 +1451,9 @@ class DistributedBackend(VectorizedBackend):
     ) -> np.ndarray:
         # The identity (or constant) seed is generated locally on every
         # rank — no traffic; the shadow records the common starting state.
+        # ``replica_bytes`` is the O(n·R) memory of the R replicas of π.
         pi = super().init_labels(n, phase=phase, fill=fill)
+        self.instr.count("replica_bytes", self.ranks * pi.nbytes)
         self._shadow = pi.copy()
         self._vertex_bounds(n)
         return pi
@@ -1557,33 +1560,18 @@ class DistributedBackend(VectorizedBackend):
         # the frontier itself never crosses the wire — only label deltas.
         self._sync_driver(pi)
         with self.instr.timer(phase):
-            empty = np.empty(0, dtype=VERTEX_DTYPE)
-            if frontier.shape[0] == 0:
-                return empty
-            indptr, indices = graph.indptr, graph.indices
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                return empty
-            offsets = np.repeat(starts, counts) + segment_ranges(counts)
-            dst = indices[offsets]
-            cand = np.repeat(pi[frontier], counts)
+            offsets, dst, cand = frontier_edges(pi, graph, frontier)
             owner = self._edge_owner(graph)[offsets]
             deltas = []
-            wins = []
             for r in range(self.ranks):
                 sel = owner == r
                 dst_r = dst[sel]
                 cand_r = cand[sel]
                 won = cand_r < pi[dst_r]
                 deltas.append((dst_r[won], cand_r[won]))
-                if won.any():
-                    wins.append(dst_r[won])
-            if not wins:
-                return empty
-            self._exchange(pi, deltas)
-            return np.unique(np.concatenate(wins)).astype(VERTEX_DTYPE)
+            # The slots the exchange lowered are exactly the winning
+            # destinations, already sorted and distinct.
+            return self._exchange(pi, deltas).astype(VERTEX_DTYPE, copy=False)
 
     def bottom_up_pass(
         self,

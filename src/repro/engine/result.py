@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.nputil import sorted_unique
 from repro.obs.trace import Trace
 from repro.parallel.metrics import RunStats
 
@@ -99,13 +100,13 @@ class CCResult:
         # Representative labelings (label[v] is a component root, so
         # label[label] == label) admit a sort-free count: the distinct
         # labels are exactly the fixed points.  Every finish in this
-        # repo produces such a labeling, so the np.unique fallback only
+        # repo produces such a labeling, so the sorting fallback only
         # runs for exotic hand-built results.
         if int(labels.min()) >= 0 and int(labels.max()) < n:
             if np.array_equal(labels[labels], labels):
                 idx = np.arange(n, dtype=labels.dtype)
                 return int(np.count_nonzero(labels == idx))
-        return int(np.unique(labels).shape[0])
+        return int(sorted_unique(labels).shape[0])
 
     @property
     def edges_touched(self) -> int:

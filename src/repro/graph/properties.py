@@ -17,7 +17,7 @@ import scipy.sparse.csgraph as csgraph
 
 from repro.constants import NO_VERTEX, VERTEX_DTYPE
 from repro.graph.csr import CSRGraph
-from repro.nputil import segment_ranges
+from repro.nputil import segment_ranges, sorted_unique
 
 __all__ = [
     "DegreeStatistics",
@@ -144,7 +144,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
         fresh = nbrs[levels[nbrs] == int(NO_VERTEX)]
         if fresh.size == 0:
             break
-        fresh = np.unique(fresh)
+        fresh = sorted_unique(fresh)
         levels[fresh] = level
         frontier = fresh
     return levels

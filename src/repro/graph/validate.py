@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.nputil import sorted_unique
 
 __all__ = [
     "check_symmetric",
@@ -54,7 +55,7 @@ def check_symmetric(graph: CSRGraph) -> None:
 def check_no_duplicates(graph: CSRGraph) -> None:
     """Raise if any neighbour list contains a repeated vertex."""
     keys = _edge_keys(graph)
-    uniq = np.unique(keys)
+    uniq = sorted_unique(keys)
     if uniq.shape[0] != keys.shape[0]:
         raise GraphFormatError(
             f"graph contains {keys.shape[0] - uniq.shape[0]} duplicate edge entries"

@@ -3,7 +3,8 @@
 These implement the flat "expand CSR slices without a Python loop" patterns
 used across the library: frontier expansion in BFS, remaining-neighbour
 flattening in Afforest's final phase, and frontier edge gathering in
-data-driven label propagation.
+data-driven label propagation; plus the sort-based distinct-value pass
+that stands in for a flag-less ``np.unique``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 
-__all__ = ["segment_ranges", "expand_slices"]
+__all__ = ["segment_ranges", "expand_slices", "sorted_unique"]
 
 
 def segment_ranges(counts: np.ndarray) -> np.ndarray:
@@ -49,3 +50,21 @@ def expand_slices(
     )
     offset = np.repeat(starts, counts) + segment_ranges(counts)
     return owner, offset
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values`` (flattened).
+
+    Equal to a flag-less ``np.unique``, computed by one sort and a mask
+    that keeps each entry differing from its predecessor.  NumPy >= 2.3
+    answers a flag-less ``np.unique`` from a hash table and then sorts
+    the result, several times slower than this on the integer arrays the
+    library deduplicates; every earlier NumPy took this sort path itself.
+    """
+    out = np.sort(np.asarray(values), axis=None)
+    if out.shape[0] < 2:
+        return out
+    keep = np.empty(out.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]

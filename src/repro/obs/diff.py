@@ -195,15 +195,16 @@ def _as_run(source: Any, label: str | None = None) -> dict[str, Any]:
     )
 
 
-#: counters excluded from attribution: the communication totals scale
-#: with the distributed world size rather than with the regression being
-#: attributed, so a ranks=2 vs ranks=4 diff would drown the clause in
-#: traffic deltas.
+#: counters excluded from attribution: the communication totals and the
+#: replica memory scale with the distributed world size rather than with
+#: the regression being attributed, so a ranks=2 vs ranks=4 diff would
+#: drown the clause in traffic deltas.
 _NOISE_COUNTERS = frozenset(
     {
         "comm_bytes_sent",
         "comm_messages",
         "comm_supersteps",
+        "replica_bytes",
     }
 )
 

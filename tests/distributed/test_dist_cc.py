@@ -7,6 +7,7 @@ from repro import engine
 from repro.analysis import equivalent_labelings, is_valid_labeling
 from repro.distributed import SimulatedComm, block_bounds, hash_owners
 from repro.engine import DistributedBackend
+from repro.engine.bufferpool import BufferPool
 from repro.errors import ConfigurationError
 from repro.generators import kronecker_graph, uniform_random_graph
 from repro.unionfind import sequential_components
@@ -109,3 +110,111 @@ class TestDistributedCC:
         dist, _ = solve(mixed_graph, 4, partition="hash")
         vec = engine.run(mixed_graph, plan="none+fastsv")
         assert np.array_equal(dist.labels, vec.labels)
+
+
+#: ``(comm_bytes_sent, comm_messages, comm_supersteps)`` of one solve of
+#: ``kronecker_graph(9, edge_factor=8, seed=0)`` per (algorithm, ranks,
+#: partition).  The merge bookkeeping may change how candidates are
+#: deduplicated and routed, never what crosses the wire.
+PINNED_TRAFFIC = {
+    ("afforest", 2, "block"): (2076, 20, 16),
+    ("afforest", 2, "hash"): (2192, 18, 15),
+    ("afforest", 4, "block"): (6084, 75, 18),
+    ("afforest", 4, "hash"): (7280, 76, 17),
+    ("afforest", 16, "block"): (28892, 690, 18),
+    ("afforest", 16, "hash"): (30980, 873, 18),
+    ("fastsv", 2, "block"): (6024, 6, 3),
+    ("fastsv", 2, "hash"): (6300, 6, 3),
+    ("fastsv", 4, "block"): (18404, 66, 6),
+    ("fastsv", 4, "hash"): (19052, 72, 6),
+    ("fastsv", 16, "block"): (75208, 1308, 6),
+    ("fastsv", 16, "hash"): (76356, 1425, 6),
+}
+
+
+class TestExchangeTraffic:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return kronecker_graph(9, edge_factor=8, seed=0)
+
+    @pytest.mark.parametrize(
+        "algorithm,ranks,partition",
+        sorted(PINNED_TRAFFIC),
+        ids=[f"{a}-R{r}-{p}" for a, r, p in sorted(PINNED_TRAFFIC)],
+    )
+    def test_traffic_pinned(self, graph, algorithm, ranks, partition):
+        backend = DistributedBackend(ranks=ranks, partition=partition)
+        result = engine.run(algorithm, graph, backend=backend, profile=True)
+        counters = result.counters
+        assert (
+            counters["comm_bytes_sent"],
+            counters["comm_messages"],
+            counters["comm_supersteps"],
+        ) == PINNED_TRAFFIC[(algorithm, ranks, partition)]
+        assert np.array_equal(result.labels, engine.run(algorithm, graph).labels)
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_replica_bytes(self, graph, ranks):
+        result = engine.run(
+            "afforest", graph, backend=DistributedBackend(ranks=ranks), profile=True
+        )
+        n = graph.num_vertices
+        assert result.counters["replica_bytes"] == ranks * n * 4  # int32 labels
+
+    def test_exchange_spans(self, graph):
+        result = engine.run(
+            "afforest", graph, backend=DistributedBackend(ranks=2), profile=True
+        )
+        spans = [s for s, _ in result.trace.walk()]
+        exchanges = [s for s in spans if s.name == "X"]
+        assert exchanges and all(
+            [c.name for c in s.children] == ["X-encode", "X-send"]
+            for s in exchanges
+        )
+        # The merge is compute: it sits beside the exchange span, not in it.
+        merge_parents = [
+            s.name for s in spans for c in s.children if c.name == "X-merge"
+        ]
+        assert merge_parents and "X" not in merge_parents
+
+
+class TestDedupMin:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_sorted_distinct_minima(self, dtype):
+        backend = DistributedBackend(ranks=2)
+        idx = np.array([9, 3, 9, 0, 3, 9, 17], dtype=np.int64)
+        val = np.array([5, 2, 1, 0, 2, 4, 8], dtype=dtype)
+        uniq, mins = backend._dedup_min(idx, val, 64)
+        assert uniq.tolist() == [0, 3, 9, 17]
+        assert mins.tolist() == [0, 2, 1, 8]
+        assert mins.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_reference_on_random_input(self, dtype):
+        backend = DistributedBackend(ranks=2)
+        rng = np.random.default_rng(3)
+        for k in (1, 5, 40, 500):
+            n = 256
+            idx = rng.integers(0, n, size=k)
+            val = rng.integers(0, n, size=k).astype(dtype)
+            uniq, mins = backend._dedup_min(idx, val, n)
+            expected = {}
+            for i, v in zip(idx.tolist(), val.tolist()):
+                expected[i] = min(v, expected.get(i, v))
+            assert uniq.tolist() == sorted(expected)
+            assert mins.tolist() == [expected[i] for i in sorted(expected)]
+
+    def test_pooled_buffer_reused(self):
+        backend = DistributedBackend(ranks=2)
+        allocated = []
+        backend.pool = BufferPool(allocated.append)
+        first = backend._dedup_min(
+            np.array([4, 1, 4]), np.array([3, 0, 2], dtype=np.int32), 64
+        )
+        second = backend._dedup_min(
+            np.array([2, 2]), np.array([7, 6], dtype=np.int32), 64
+        )
+        assert [a.tolist() for a in first] == [[1, 4], [0, 2]]
+        # Nothing of the first call's minima leaks into the second.
+        assert [a.tolist() for a in second] == [[2], [6]]
+        assert allocated == [64 * 4]

@@ -1,11 +1,13 @@
 """Property-based tests of the distributed backend."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import engine
 from repro.analysis import equivalent_labelings
 from repro.engine import DistributedBackend
+from repro.engine.plan import available_plans
 from repro.graph import from_edge_list
 from repro.unionfind import sequential_components
 
@@ -30,3 +32,89 @@ def test_any_world_size_and_partitioner_exact(g, ranks, use_hash):
     )
     result = engine.run(g, plan="none+fastsv", backend=backend)
     assert equivalent_labelings(result.labels, sequential_components(g))
+
+
+#: every primitive the distributed backend runs as supersteps or replica work.
+PRIMITIVES = (
+    "link_edges",
+    "link_neighbor_round",
+    "link_remaining",
+    "compress",
+    "find_largest",
+    "hook_pass",
+    "propagate_pass",
+    "fused_hook_jump",
+    "frontier_expand",
+    "bottom_up_pass",
+)
+
+
+class ShadowCheckedBackend(DistributedBackend):
+    """Asserts after every primitive that the last-barrier shadow equals π
+    — the invariant the exchange's shadow diff relies on."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.checked: list[str] = []
+
+    def init_labels(self, n, **kwargs):
+        pi = super().init_labels(n, **kwargs)
+        assert np.array_equal(self._shadow, pi)
+        return pi
+
+
+def _checked(name):
+    def primitive(self, pi, *args, **kwargs):
+        out = getattr(DistributedBackend, name)(self, pi, *args, **kwargs)
+        assert np.array_equal(self._shadow, pi), f"shadow != pi after {name}"
+        self.checked.append(name)
+        return out
+
+    return primitive
+
+
+for _name in PRIMITIVES:
+    setattr(ShadowCheckedBackend, _name, _checked(_name))
+
+
+def _run_checked(g, plan, random_sampling=False, **kwargs):
+    backend = ShadowCheckedBackend(**kwargs)
+    random_sampling = random_sampling and plan.startswith("kout")
+    params = {"sampling": "random"} if random_sampling else {}
+    result = engine.run(g, plan=plan, backend=backend, **params)
+    assert equivalent_labelings(result.labels, sequential_components(g))
+    return backend
+
+
+@given(
+    graphs(),
+    st.integers(1, 9),
+    st.booleans(),
+    st.sampled_from(available_plans()),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_shadow_equals_pi_after_every_primitive(
+    g, ranks, use_hash, plan, random_sampling
+):
+    _run_checked(
+        g,
+        plan,
+        random_sampling,
+        ranks=ranks,
+        partition="hash" if use_hash else "block",
+    )
+
+
+def test_shadow_check_reaches_every_primitive():
+    """The plans between them run every checked primitive, so the
+    property above is not vacuous."""
+    g = from_edge_list(
+        [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (8, 9)],
+        num_vertices=12,
+    )
+    seen = set()
+    for plan in available_plans():
+        for random_sampling in (False, True):
+            seen.update(_run_checked(g, plan, random_sampling, ranks=3).checked)
+    assert seen == set(PRIMITIVES)

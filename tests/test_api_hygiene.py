@@ -63,3 +63,37 @@ def test_version_matches_pyproject():
     ).read_text()
     declared = re.search(r'version = "([^"]+)"', pyproject).group(1)
     assert repro.__version__ == declared
+
+
+#: ``np.unique`` flags that select NumPy's sort-based path.
+_UNIQUE_SORT_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def test_no_flagless_np_unique():
+    """A flag-less ``np.unique`` takes NumPy's hash-table path on NumPy
+    >= 2.3, many times slower than one sort on the integer arrays this
+    package deduplicates; ``repro.nputil.sorted_unique`` is the sort-based
+    equivalent.  Calls passing a ``return_*`` flag already sort, so they
+    may stay."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+            ):
+                continue
+            if not _UNIQUE_SORT_FLAGS & {kw.arg for kw in node.keywords}:
+                offenders.append((str(path.relative_to(root)), node.lineno))
+    assert not offenders, (
+        "flag-less np.unique (use repro.nputil.sorted_unique): "
+        + ", ".join(f"{f}:{line}" for f, line in sorted(offenders))
+    )

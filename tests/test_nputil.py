@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nputil import expand_slices, segment_ranges
+from repro.nputil import expand_slices, segment_ranges, sorted_unique
 
 
 class TestSegmentRanges:
@@ -52,3 +52,34 @@ class TestExpandSlices:
         )
         assert owner.size == 0
         assert offset.size == 0
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3, 3, 3], [5, 1, 4, 1, 5, 9, 2, 6, 5, 3]],
+        ids=["empty", "one", "all-equal", "mixed"],
+    )
+    def test_equals_np_unique(self, values, dtype):
+        arr = np.array(values, dtype=dtype)
+        out = sorted_unique(arr)
+        expected = np.unique(arr)
+        assert out.dtype == expected.dtype == dtype
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_random_matches_np_unique(self, dtype):
+        rng = np.random.default_rng(7)
+        for size in (2, 10, 1000):
+            arr = rng.integers(-50, 50, size=size).astype(dtype)
+            assert np.array_equal(sorted_unique(arr), np.unique(arr))
+
+    def test_flattens_like_np_unique(self):
+        arr = np.array([[3, 1], [1, 2]])
+        assert sorted_unique(arr).tolist() == np.unique(arr).tolist() == [1, 2, 3]
+
+    def test_input_untouched(self):
+        arr = np.array([3, 1, 3])
+        sorted_unique(arr)
+        assert arr.tolist() == [3, 1, 3]
