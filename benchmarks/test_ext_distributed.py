@@ -5,8 +5,8 @@ distributed memory; this bench runs Afforest (``kout+settle``) on the
 engine's :class:`~repro.engine.backends.DistributedBackend` — labels
 bit-identical to the single-machine solve at every world size, and
 delta-exchange traffic that keeps every rank below the ``8n(R-1)`` bytes a
-whole-array reduction would send (the bound ``repro.bench.dist_traffic``
-gates).
+whole-array reduction would send (the bound the tier-1 traffic pins in
+``tests/distributed/test_dist_cc.py`` also assert).
 """
 
 import numpy as np

@@ -17,7 +17,6 @@ import numpy as np
 from repro import engine
 from repro.graph.csr import CSRGraph
 from repro.obs import Trace
-from repro.obs.ledger import RunLedger, record_from_result, resolve_ledger
 
 
 @dataclass
@@ -88,7 +87,6 @@ def run_algorithm(
     dataset: str = "graph",
     *,
     repeats: int = 16,
-    ledger: RunLedger | str | None = None,
     **kwargs,
 ) -> BenchmarkRecord:
     """Benchmark one algorithm on one graph with the paper's protocol.
@@ -98,13 +96,6 @@ def run_algorithm(
     ``BenchmarkRecord.extra`` (component count, edge-work counters, and
     ``phase_seconds`` — the per-phase wall-time breakdown printed by
     ``python -m repro compare --profile``).
-
-    With ``ledger`` set (a :class:`~repro.obs.ledger.RunLedger` or a
-    path), one ``kind="bench"`` run record is appended per call: the
-    median wall time over all samples next to the profiled sample's
-    phase breakdown, counters, gauges, and histogram summaries.  The
-    record's run id lands in ``extra["run_id"]`` so reports can point
-    back at the ledger entry.
     """
     results: list[engine.CCResult] = []
 
@@ -129,10 +120,6 @@ def run_algorithm(
     if first.iterations:
         extra["iterations"] = first.iterations
     if first.counters:
-        # Profiled-sample counters (rounds_skipped, bytes_allocated,
-        # fused_passes, ...): the optimization observables
-        # the perf gate and the smoke report's round/allocation columns
-        # are built from.
         extra["counters"] = {k: int(v) for k, v in first.counters.items()}
     if first.phase_seconds:
         extra["phase_seconds"] = dict(first.phase_seconds)
@@ -142,23 +129,6 @@ def run_algorithm(
     workers = getattr(backend_obj, "workers", None)
     if workers is None:
         workers = kwargs.get("workers")
-    book = resolve_ledger(ledger) if ledger is not None else None
-    if book is not None:
-        run_record = record_from_result(
-            first,
-            graph=graph,
-            kind="bench",
-            seconds=med,
-            meta={
-                "dataset": dataset,
-                "samples": len(samples),
-                "repeats": repeats,
-            },
-        )
-        if run_record.workers is None:
-            run_record.workers = workers
-        book.append(run_record)
-        extra["run_id"] = run_record.run_id
     return BenchmarkRecord(
         dataset=dataset,
         algorithm=algorithm,

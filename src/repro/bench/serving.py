@@ -1,50 +1,34 @@
-"""Serving benchmark: ``python -m repro.bench.serving``.
+"""Serving sessions for ``repro serve``.
 
-Where :mod:`repro.bench.smoke` measures one-shot batch solves, this
-benchmark measures the *serving layer* (:mod:`repro.serve`): it stands
-up a :class:`~repro.serve.ConnectivityService` +
-:class:`~repro.serve.ConnectivityServer` per graph, drives a seeded
+:func:`drive_session` stands up a :class:`~repro.serve.ConnectivityService`
++ :class:`~repro.serve.ConnectivityServer` on one graph, drives a seeded
 mixed stream of pair queries, size queries, and edge-insertion bursts
-through the request queue, and reports **throughput** (requests/s) and
-**client-observed latency** (p50/p95/p99, measured from submission to
-future completion, so queueing and coalescing are included).
+(:func:`build_workload`) through the request queue, and reports
+**throughput** (requests/s) and **client-observed latency**
+(p50/p95/p99, measured from submission to future completion, so
+queueing and coalescing are included).
 
-Correctness is gated by the epoch oracle: every published epoch's label
-array must be **bit-identical** to a from-scratch batch re-solve of the
-base graph plus the stream prefix absorbed at that epoch
-(``ConnectivityService.batch_resolve``).  Any mismatch is a hard
-failure (non-zero exit), so the CI ``serve-smoke`` job doubles as an
-end-to-end consistency gate for the incremental link/compress path.
+Correctness is checked by the epoch oracle (:func:`verify_epochs`):
+every published epoch's label array must be **bit-identical** to a
+from-scratch batch re-solve of the base graph plus the stream prefix
+absorbed at that epoch (``ConnectivityService.batch_resolve``);
+``repro serve`` exits 1 on any mismatch.
 
-The JSON report mirrors the smoke report's shape — a ``records`` list
-keyed by (dataset, algorithm, backend) with ``median_seconds`` and the
-session counters — so two serving reports diff cleanly through
-``repro obs diff``.  ``--ledger`` additionally appends one
-``kind="serve"`` :class:`~repro.obs.ledger.RunRecord` per session.
+A session record carries ``median_seconds`` and the session counters
+keyed by (dataset, algorithm, backend), so two ``repro serve --output``
+reports diff through ``repro obs diff``.  With ``ledger`` set, one
+``kind="serve"`` :class:`~repro.obs.ledger.RunRecord` is appended per
+session.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
 import time
-from typing import Callable
 
 import numpy as np
 
-from repro.generators.lattice import grid_graph
-from repro.generators.powerlaw import barabasi_albert_graph
 from repro.graph.csr import CSRGraph
 from repro.serve import ConnectivityServer, ConnectivityService
-
-#: (dataset name, builder) pairs — one skewed, one uniform degree
-#: regime, sized for a sub-minute CI job.
-SERVING_GRAPHS: tuple[tuple[str, Callable[[], CSRGraph]], ...] = (
-    ("powerlaw-3k", lambda: barabasi_albert_graph(3000, edges_per_vertex=4, seed=11)),
-    ("lattice-50x50", lambda: grid_graph(50, 50)),
-)
 
 
 def _skewed_vertices(
@@ -225,166 +209,3 @@ def drive_session(
         record["matches_oracle"] = ok
         record["oracle_epochs"] = checked
     return record, service
-
-
-def run_serving(
-    *,
-    requests: int = 400,
-    query_frac: float = 0.8,
-    size_frac: float = 0.1,
-    pair_batch: int = 32,
-    update_edges: int = 32,
-    recompress_every: int = 1024,
-    max_batch: int = 128,
-    seed: int = 17,
-    oracle: bool = True,
-    algorithm: str = "afforest",
-    backend: str | None = None,
-    workers: int | None = None,
-    ledger: str | None = None,
-) -> tuple[dict, int]:
-    """Execute the serving matrix; returns ``(report, num_failures)``."""
-    records: list[dict] = []
-    failures = 0
-    for dataset, build in SERVING_GRAPHS:
-        record, _service = drive_session(
-            build(),
-            dataset,
-            algorithm=algorithm,
-            backend=backend,
-            workers=workers,
-            requests=requests,
-            query_frac=query_frac,
-            size_frac=size_frac,
-            pair_batch=pair_batch,
-            update_edges=update_edges,
-            recompress_every=recompress_every,
-            max_batch=max_batch,
-            seed=seed,
-            oracle=oracle,
-            ledger=ledger,
-        )
-        if oracle and not record["matches_oracle"]:
-            failures += 1
-        status = (
-            "ok"
-            if record.get("matches_oracle", True)
-            else "ORACLE MISMATCH"
-        )
-        print(
-            f"{dataset:>14} {record['algorithm']:<10} "
-            f"{record['backend']:<10} "
-            f"{record['throughput_rps']:>9.0f} req/s  "
-            f"p50={record['p50_ms']:.3f}ms "
-            f"p95={record['p95_ms']:.3f}ms "
-            f"p99={record['p99_ms']:.3f}ms  "
-            f"epochs={record['epochs']} {status}"
-        )
-        records.append(record)
-    report = {
-        "kind": "serving",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "requests": requests,
-        "query_frac": query_frac,
-        "size_frac": size_frac,
-        "pair_batch": pair_batch,
-        "update_edges": update_edges,
-        "recompress_every": recompress_every,
-        "max_batch": max_batch,
-        "seed": seed,
-        "failures": failures,
-        "records": records,
-    }
-    return report, failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; non-zero when any epoch disagrees with the
-    batch re-solve oracle."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.serving",
-        description="serving-layer throughput/latency benchmark with an "
-        "epoch bit-identity oracle gate",
-    )
-    parser.add_argument("--output", help="write the JSON report to this path")
-    parser.add_argument(
-        "--requests", type=int, default=400,
-        help="requests per serving session (default 400)",
-    )
-    parser.add_argument(
-        "--query-frac", type=float, default=0.8,
-        help="fraction of requests that are pair-query batches",
-    )
-    parser.add_argument(
-        "--size-frac", type=float, default=0.1,
-        help="fraction of requests that are size-query batches "
-        "(the remainder are update bursts)",
-    )
-    parser.add_argument(
-        "--pair-batch", type=int, default=32,
-        help="vertex pairs per query request",
-    )
-    parser.add_argument(
-        "--update-edges", type=int, default=32,
-        help="edges per insertion burst",
-    )
-    parser.add_argument(
-        "--recompress-every", type=int, default=1024,
-        help="stream edges between re-compression epochs",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=128,
-        help="requests coalesced per worker-loop wakeup",
-    )
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument(
-        "--algorithm", default="afforest",
-        help="algorithm/plan for the initial solve and the oracle",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        help="backend kind for the initial solve (default: engine default)",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
-        "--no-oracle", action="store_true",
-        help="skip the per-epoch batch re-solve verification",
-    )
-    parser.add_argument(
-        "--ledger", metavar="PATH",
-        help='append one kind="serve" run record per session to this '
-        "JSONL ledger (repro obs diff reads it)",
-    )
-    args = parser.parse_args(argv)
-    report, failures = run_serving(
-        requests=args.requests,
-        query_frac=args.query_frac,
-        size_frac=args.size_frac,
-        pair_batch=args.pair_batch,
-        update_edges=args.update_edges,
-        recompress_every=args.recompress_every,
-        max_batch=args.max_batch,
-        seed=args.seed,
-        oracle=not args.no_oracle,
-        algorithm=args.algorithm,
-        backend=args.backend,
-        workers=args.workers,
-        ledger=args.ledger,
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"report written to {args.output}")
-    if failures:
-        print(
-            f"error: {failures} serving session(s) published an epoch "
-            "that disagrees with the batch re-solve oracle",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

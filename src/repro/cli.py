@@ -448,8 +448,8 @@ def _obs_source(
 
     An existing file is sniffed by shape: a JSONL whose first record has
     a ``run_id`` is a run ledger (one entry per combination, latest
-    wins); a JSON object with a ``records`` key is a smoke/benchmark
-    report; anything else is a trace file.  A non-file argument is a
+    wins); a JSON object with a ``records`` key is a report (``repro
+    serve --output``); anything else is a trace file.  A non-file argument is a
     run reference (``latest``, ``-N``, or a run-id prefix) resolved
     against ``--ledger``.  Returns ``("matrix", {key: run})`` or
     ``("run", source)``.
@@ -905,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "run_a",
-        help="baseline: a run reference, a trace file, a smoke/benchmark "
-        "report (JSON with 'records'), or a ledger (JSONL)",
+        help="baseline: a run reference, a trace file, a report "
+        "(JSON with 'records'), or a ledger (JSONL)",
     )
     q.add_argument("run_b", help="candidate: same forms as the baseline")
     add_ledger_arg(q)

@@ -2,7 +2,7 @@
 
 Counters and spans evaporate when the process exits; the ledger is the
 piece that makes them durable.  Every recorded ``engine.run`` or
-benchmark invocation appends one self-contained :class:`RunRecord` — a
+serving session appends one self-contained :class:`RunRecord` — a
 JSON line carrying plan provenance, the backend and worker count, a
 graph fingerprint, per-phase wall seconds from the trace, every
 counter/gauge/histogram snapshot, the label dtype the run actually
@@ -16,7 +16,7 @@ Records are self-contained on purpose: two entries can be diffed
 the graph or the code that produced them.
 
 The module is dependency-light by design (stdlib + the trace types):
-it imports nothing from :mod:`repro.engine` or :mod:`repro.bench`, so
+it imports nothing from :mod:`repro.engine` or :mod:`repro.serve`, so
 both layers can write to it without cycles.  Results and graphs are
 duck-typed for the same reason.
 """
@@ -116,10 +116,10 @@ def _new_run_id(timestamp: float) -> str:
 class RunRecord:
     """One ledger entry: everything a later diff needs, self-contained.
 
-    ``kind`` distinguishes the writer (``"engine.run"`` vs ``"bench"``);
+    ``kind`` distinguishes the writer (``"engine.run"`` vs ``"serve"``);
     ``seconds`` is the run's wall time as measured by the writer (for
-    bench records, the median over samples); ``meta`` is free-form
-    writer context (dataset name, sample count, plan params).
+    serve records, the whole session); ``meta`` is free-form writer
+    context (dataset name, plan params).
     """
 
     run_id: str = ""
@@ -222,7 +222,7 @@ def record_from_result(
     ``result`` is duck-typed against :class:`~repro.engine.result.CCResult`
     (``algorithm``/``plan``/``backend``/``counters``/``phase_seconds``/
     ``trace``/``num_components``); anything missing stays at its default,
-    so bench callers can pass lighter objects.
+    so callers can pass lighter objects.
     """
     trace = getattr(result, "trace", None)
     gauges: dict[str, float] = {}
@@ -265,7 +265,7 @@ class RunLedger:
     """Append-only JSONL store of :class:`RunRecord` entries.
 
     Appends are single ``write()`` calls of one line, so concurrent
-    writers (parallel bench shards, serving sessions) can
+    writers (parallel runs, serving sessions) can
     share a ledger without a lock on POSIX filesystems.  Reads tolerate
     malformed lines — a torn write costs one record, not the ledger.
     """

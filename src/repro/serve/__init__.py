@@ -17,10 +17,10 @@ millions of times, while the graph keeps growing.  Two pieces:
   telemetry (per-batch spans, latency histograms, Prometheus text,
   durable ``kind="serve"`` ledger records).
 
-Driven by ``repro serve`` on the CLI and measured by
-:mod:`repro.bench.serving` (throughput + p50/p95/p99 latency, with an
-oracle gate asserting every published epoch is bit-identical to a
-from-scratch batch re-solve).  See ``docs/serving.md``.
+Driven by ``repro serve`` on the CLI (throughput + p50/p95/p99 latency,
+with an oracle asserting every published epoch is bit-identical to a
+from-scratch batch re-solve) and measured at scale by the ``serve-mixed``
+workload of ``bench/e2e.py``.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations

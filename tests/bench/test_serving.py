@@ -1,4 +1,4 @@
-"""Tests for the serving benchmark and its oracle gate."""
+"""Tests for ``repro serve`` sessions and their epoch oracle."""
 
 import json
 
@@ -12,14 +12,6 @@ from repro.generators import uniform_random_graph
 @pytest.fixture
 def small_graph():
     return uniform_random_graph(300, num_edges=400, seed=8)
-
-
-@pytest.fixture
-def tiny_matrix(monkeypatch, small_graph):
-    """Shrink the benchmark matrix to one small graph for fast tests."""
-    monkeypatch.setattr(
-        serving, "SERVING_GRAPHS", (("tiny", lambda: small_graph),)
-    )
 
 
 class TestWorkload:
@@ -87,40 +79,49 @@ class TestDriveSession:
 
 
 class TestRunServing:
-    def test_report_shape(self, tiny_matrix, capsys):
-        report, failures = serving.run_serving(requests=40, seed=5)
-        assert failures == 0
+    """Whole ``repro serve`` runs."""
+
+    def test_report_shape(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        out = tmp_path / "serving.json"
+        argv = ["serve", "dataset:urand:tiny", "--requests", "40"]
+        assert cli_main(argv + ["--output", str(out)]) == 0
+        report = json.loads(out.read_text())
         assert report["kind"] == "serving"
-        assert len(report["records"]) == 1
+        assert [r["dataset"] for r in report["records"]] == ["dataset:urand:tiny"]
         assert "req/s" in capsys.readouterr().out
 
-    def test_main_writes_report(self, tiny_matrix, tmp_path, capsys):
+    def test_main_writes_report(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
         out = tmp_path / "serving.json"
-        code = serving.main(
-            ["--requests", "40", "--seed", "5", "--output", str(out)]
-        )
-        assert code == 0
+        argv = ["--seed", "5", "serve", "dataset:urand:tiny", "--requests", "40"]
+        assert cli_main(argv + ["--output", str(out)]) == 0
+        assert f"report written to {out}" in capsys.readouterr().out
         report = json.loads(out.read_text())
         assert report["failures"] == 0
         assert report["records"][0]["matches_oracle"] is True
 
-    def test_main_fails_on_oracle_mismatch(
-        self, tiny_matrix, monkeypatch, capsys
-    ):
+    def test_main_fails_on_oracle_mismatch(self, monkeypatch, capsys):
+        from repro.cli import main as cli_main
+
         monkeypatch.setattr(
             serving, "verify_epochs", lambda service, epochs: (False, 1)
         )
-        assert serving.main(["--requests", "20", "--seed", "5"]) == 1
+        assert cli_main(["serve", "dataset:urand:tiny", "--requests", "20"]) == 1
         assert "oracle" in capsys.readouterr().err
 
-    def test_reports_diff_through_obs(self, tiny_matrix, tmp_path, capsys):
-        """Two serving reports flow through ``repro obs diff`` (matrix mode)."""
+    def test_reports_diff_through_obs(self, tmp_path, capsys):
+        """Two ``repro serve --output`` reports flow through ``repro obs
+        diff`` (matrix mode)."""
         from repro.cli import main as cli_main
 
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        serving.main(["--requests", "40", "--seed", "5", "--output", str(a)])
-        serving.main(["--requests", "40", "--seed", "6", "--output", str(b)])
+        for path in (a, b):
+            argv = ["serve", "dataset:urand:tiny", "--requests", "40"]
+            assert cli_main(argv + ["--output", str(path)]) == 0
         capsys.readouterr()
         assert cli_main(["obs", "diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
-        assert "tiny/afforest" in out
+        assert "dataset:urand:tiny/afforest" in out

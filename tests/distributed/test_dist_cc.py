@@ -9,7 +9,11 @@ from repro.distributed import SimulatedComm, block_bounds, hash_owners
 from repro.engine import DistributedBackend
 from repro.engine.bufferpool import BufferPool
 from repro.errors import ConfigurationError
-from repro.generators import kronecker_graph, uniform_random_graph
+from repro.generators import (
+    barabasi_albert_graph,
+    kronecker_graph,
+    uniform_random_graph,
+)
 from repro.unionfind import sequential_components
 
 
@@ -176,6 +180,46 @@ class TestExchangeTraffic:
             s.name for s in spans for c in s.children if c.name == "X-merge"
         ]
         assert merge_parents and "X" not in merge_parents
+
+
+#: ``(bytes_sent, messages, supersteps, bytes_per_rank)`` of one
+#: ``none+fastsv`` solve of ``barabasi_albert_graph(5000,
+#: edges_per_vertex=4, seed=7)`` under the block partition, per rank
+#: count: the traffic-vs-ranks curve.  Skewed degrees make the early dense
+#: rounds a worst case for delta shipping.  The simulated communicator is
+#: deterministic, so any movement is protocol drift.
+PINNED_CURVE = {
+    2: (58291, 4, 2, [34913, 23378]),
+    4: (165609, 45, 4, [45829, 45301, 40008, 34471]),
+    8: (
+        341356,
+        208,
+        4,
+        [43783, 46955, 46919, 44484, 43025, 40490, 38763, 36937],
+    ),
+}
+
+
+class TestTrafficCurve:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return barabasi_albert_graph(5000, edges_per_vertex=4, seed=7)
+
+    @pytest.mark.parametrize("ranks", sorted(PINNED_CURVE))
+    def test_curve_pinned(self, graph, ranks):
+        result, backend = solve(graph, ranks, partition="block")
+        stats = backend.comm.stats
+        per_rank = list(stats.sent_by_rank(ranks))
+        assert (
+            stats.bytes_sent,
+            stats.messages,
+            stats.supersteps,
+            per_rank,
+        ) == PINNED_CURVE[ranks]
+        # A whole-array reduction ships 8n bytes to each of R - 1 peers.
+        assert max(per_rank) < 8 * graph.num_vertices * (ranks - 1)
+        vec = engine.run(graph, plan="none+fastsv")
+        assert np.array_equal(result.labels, vec.labels)
 
 
 class TestDedupMin:

@@ -2,7 +2,7 @@
 
 Covers the :class:`~repro.engine.bufferpool.BufferPool` contract (named
 reuse, growth, dtype change, allocation accounting) and the end-to-end
-counters the perf gate reads from smoke reports: ``bytes_allocated``
+counters a profiled run reports: ``bytes_allocated``
 (scratch demanded by the round structure; zero on a warm pool),
 ``fused_passes`` (FastSV fused hook+jump rounds), and ``rounds_skipped``
 (change-detection eliding the final no-op jump/compress).

@@ -164,20 +164,3 @@ class TestOverheadBudget:
             f"observability overhead {extra * 1e3:.3f} ms is "
             f"{ratio:.1%} of a {base * 1e3:.1f} ms run (budget 3%)"
         )
-
-
-class TestBenchRunnerLedger:
-    def test_run_algorithm_records_bench_run(self, tmp_path):
-        from repro.bench.runner import run_algorithm
-
-        g = grid_graph(20, 20)
-        path = tmp_path / "bench.jsonl"
-        record = run_algorithm(
-            g, "fastsv", dataset="grid-20", repeats=2, ledger=str(path)
-        )
-        entries = RunLedger(path).records()
-        assert len(entries) == 1
-        rec = entries[0]
-        assert rec.kind == "bench"
-        assert rec.meta["dataset"] == "grid-20"
-        assert record.extra["run_id"] == rec.run_id
