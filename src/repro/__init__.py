@@ -78,11 +78,12 @@ def connected_components(
     """Component labels of ``graph`` using the named algorithm.
 
     Every algorithm returns an equivalent labeling (same partition of the
-    vertex set); label *values* differ by algorithm.  Names are resolved
-    through the engine's algorithm registry —
-    ``repro.engine.available_algorithms()`` lists them, and unknown names
-    raise :class:`~repro.errors.ConfigurationError`.  Keyword arguments
-    override the algorithm's registered defaults; for the full result
+    vertex set); label *values* differ by algorithm.  Names are the
+    classical ones (``repro.engine.available_algorithms()`` lists them)
+    or composed ``<sampling>+<finish>`` plans, resolved by
+    :func:`repro.engine.plan.get_plan`; unknown names raise
+    :class:`~repro.errors.ConfigurationError`.  Keyword arguments
+    override the parameters a classical name fixes; for the full result
     record (counters, phase times, provenance) call
     :func:`repro.engine.run` directly.
     """

@@ -91,7 +91,7 @@ def run_algorithm(
 ) -> BenchmarkRecord:
     """Benchmark one algorithm on one graph with the paper's protocol.
 
-    Dispatches through the engine registry; the first sample runs with
+    Dispatches through :func:`repro.engine.run`; the first sample runs with
     phase instrumentation enabled and its result populates
     ``BenchmarkRecord.extra`` (component count, edge-work counters, and
     ``phase_seconds`` — the per-phase wall-time breakdown printed by

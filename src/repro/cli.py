@@ -18,9 +18,9 @@ Commands
               ``diff`` attributes a slowdown between two runs, reports,
               or ledgers, and ``watch`` streams live per-round progress
 
-Algorithm arguments accept registered names (``afforest``, ``sv``, …)
-and composed plan names (``<sampling>+<finish>``, e.g. ``kout+sv``);
-``solve --plan`` makes the composition explicit.
+Algorithm arguments accept the classical names (``afforest``, ``sv``, …),
+composed plan names (``<sampling>+<finish>``, e.g. ``kout+sv``) and
+``sequential``; :func:`repro.engine.plan.get_plan` resolves them.
 
 ``solve`` and ``compare`` accept ``--trace-out PATH`` (with
 ``--trace-format {jsonl,chrome}``) to export the telemetry trace of the
@@ -49,8 +49,8 @@ from repro.constants import LABEL_DTYPE_POLICIES
 from repro.engine import (
     available_algorithms,
     backend_kinds,
-    get_algorithm,
     make_backend,
+    supports_backend,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.generators.datasets import DATASETS, SIZE_TIERS, load_dataset
@@ -114,24 +114,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.plan:
-        if args.algorithm is not None:
-            raise ConfigurationError(
-                "pass either --algorithm or --plan, not both"
-            )
-        args.algorithm = args.plan
-    elif args.algorithm is None:
-        args.algorithm = "afforest"
-    # Validate the name and the algorithm×backend combination against the
-    # registry up front — a typo or unsupported substrate should fail
-    # before the (possibly expensive) graph load, not deep in dispatch.
-    spec = get_algorithm(args.algorithm)
-    if not spec.supports_backend(args.backend):
+def _check_algorithm(name: str, kind: str) -> None:
+    """Fail on an unknown name or an unsupported algorithm×backend pair
+    before the (possibly expensive) graph load, not deep in dispatch."""
+    if not supports_backend(name, kind):
         raise ConfigurationError(
-            f"algorithm {args.algorithm!r} does not support the "
-            f"{args.backend!r} backend; supported: {list(spec.backends)}"
+            f"algorithm {name!r} does not support the {kind!r} backend; "
+            "supported: ['vectorized']"
         )
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    _check_algorithm(args.algorithm, args.backend)
     graph = _resolve_graph(args.graph, args.seed)
     backend = make_backend(
         args.backend, workers=args.workers,
@@ -164,19 +158,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_plans(args: argparse.Namespace) -> int:
-    from repro.engine import PlanRegistry, describe_plans
+    from repro.engine import describe_plans
+    from repro.engine.finish import FINISHES
+    from repro.engine.sampling import SAMPLINGS
 
     if args.check:
         return _check_plans(args)
-    registry = PlanRegistry()
-    samplings = registry.samplings
-    finishes = registry.finishes
     print("sampling phases:")
-    for name in sorted(samplings):
-        print(f"  {name:<10} {samplings[name].description}")
+    for name in sorted(SAMPLINGS):
+        print(f"  {name:<10} {SAMPLINGS[name].description}")
     print("\nfinish phases:")
-    for name in sorted(finishes):
-        spec = finishes[name]
+    for name in sorted(FINISHES):
+        spec = FINISHES[name]
         notes = []
         if spec.supports_skip:
             notes.append("skip-capable")
@@ -188,12 +181,12 @@ def _cmd_plans(args: argparse.Namespace) -> int:
     print(f"\ncomposed plans ({len(plans)}):")
     for name, _ in plans:
         print(f"  {name}")
-    print("\nrun one with: repro solve <graph> --plan <sampling>+<finish>")
+    print("\nrun one with: repro solve <graph> -a <sampling>+<finish>")
     return 0
 
 
 def _check_plans(args: argparse.Namespace) -> int:
-    """Validate that every registered plan runs on every declared backend.
+    """Validate that every composed plan runs on every backend.
 
     Runs each composition on a small multi-component graph per backend
     kind and compares the labels against the scipy oracle's
@@ -201,7 +194,6 @@ def _check_plans(args: argparse.Namespace) -> int:
     gate behind ``repro plans --check``).
     """
     from repro.engine import available_plans
-    from repro.engine.plan import PLAN_BACKENDS
     from repro.generators.components import component_fraction_graph
     from repro.graph.properties import scipy_components
 
@@ -212,7 +204,7 @@ def _check_plans(args: argparse.Namespace) -> int:
     np.minimum.at(mins, comp, np.arange(n, dtype=np.int64))
     expected = mins[comp]
 
-    kinds = PLAN_BACKENDS
+    kinds = backend_kinds()
     if getattr(args, "backend", None):
         kinds = tuple(k for k in kinds if k == args.backend)
 
@@ -266,15 +258,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             else [p.strip() for p in args.plans.split(",")]
         )
         algorithms.extend(p for p in extra if p not in algorithms)
-    # Validate every name against the registry up front — a typo should
-    # fail before the (possibly expensive) graph load and timing runs.
-    specs = {algo: get_algorithm(algo) for algo in algorithms}
-    # Algorithms that cannot run on the requested substrate are skipped
-    # with a notice rather than aborting the whole comparison.
+    # Every name is validated up front — a typo fails before the
+    # (possibly expensive) graph load and timing runs — and algorithms
+    # that cannot run on the requested substrate are skipped with a
+    # notice rather than aborting the whole comparison.
     unsupported = [
-        algo
-        for algo, spec in specs.items()
-        if not spec.supports_backend(args.backend)
+        algo for algo in algorithms if not supports_backend(algo, args.backend)
     ]
     for algo in unsupported:
         print(f"note: {algo} does not support the {args.backend} backend; skipped")
@@ -524,12 +513,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_watch(args: argparse.Namespace) -> int:
-    spec = get_algorithm(args.algorithm)
-    if not spec.supports_backend(args.backend):
-        raise ConfigurationError(
-            f"algorithm {args.algorithm!r} does not support the "
-            f"{args.backend!r} backend; supported: {list(spec.backends)}"
-        )
+    _check_algorithm(args.algorithm, args.backend)
     graph = _resolve_graph(args.graph, args.seed)
     rounds = 0
 
@@ -660,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_info)
 
-    # Enumerated from the registry so `--help` always lists exactly the
-    # algorithms that will resolve (including any registered extensions).
+    # Enumerated from the name table so `--help` always lists exactly
+    # the algorithms that will resolve.
     algo_names = ", ".join(available_algorithms())
 
     def add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -708,16 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-a",
         "--algorithm",
-        default=None,
-        help=f"registered algorithm or plan name (default: afforest; "
+        default="afforest",
+        help=f"algorithm or plan name (default: afforest; "
         f"one of: {algo_names}; or '<sampling>+<finish>')",
-    )
-    p.add_argument(
-        "--plan",
-        default=None,
-        metavar="SAMPLING+FINISH",
-        help="composed plan to run (e.g. kout+sv); alternative to "
-        "--algorithm",
     )
     p.add_argument("--output", help="write labels to an .npz file")
     add_backend_args(p)
@@ -738,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PLAN[,PLAN...]",
         help="also compare composed plans: a comma-separated list, or no "
-        "value for every registered plan",
+        "value for every composed plan",
     )
     p.add_argument("--repeats", type=int, default=7)
     p.add_argument(
@@ -926,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-a",
         "--algorithm",
         default="afforest",
-        help=f"registered algorithm or plan name (one of: {algo_names})",
+        help=f"algorithm or plan name (one of: {algo_names})",
     )
     q.add_argument(
         "--backend",

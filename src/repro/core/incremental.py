@@ -31,7 +31,7 @@ from repro.constants import VERTEX_DTYPE
 from repro.core.compress import compress_all
 from repro.core.link import link, link_batch
 from repro.errors import ConfigurationError
-from repro.nputil import sorted_unique
+from repro.nputil import sorted_unique, vertex_ids
 from repro.unionfind.parent import ParentArray
 
 
@@ -115,8 +115,8 @@ class IncrementalConnectivity:
         hold an endpoint can change, so no census of all n vertices is
         needed.
         """
-        src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
-        dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
+        src = vertex_ids(src)
+        dst = vertex_ids(dst)
         if src.shape != dst.shape:
             raise ConfigurationError("src/dst must have equal length")
         if src.size and (

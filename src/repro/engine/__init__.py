@@ -2,11 +2,12 @@
 
 The engine ties four pieces together:
 
-- the **algorithm registry** (:mod:`~repro.engine.registry`) — every CC
-  algorithm is registered once with metadata (description, default
-  parameters, supported backends) and resolved by name here, by
-  ``repro.connected_components``, by the CLI, and by the benchmark
-  harness;
+- the **name table** (:mod:`~repro.engine.plan`) — every algorithm is a
+  plan, one sampling phase plus one finish phase; the classical names
+  (``afforest``, ``sv``, ...) map to their plans and fixed parameters in
+  :data:`~repro.engine.plan.CANONICAL_PLANS`, any
+  ``<sampling>+<finish>`` name composes directly, and ``sequential``,
+  the union-find reference, is the one name outside the table;
 - the unified **result record** (:class:`~repro.engine.result.CCResult`)
   that every algorithm returns;
 - pluggable **execution backends**
@@ -25,23 +26,20 @@ Usage::
     from repro import engine
 
     result = engine.run("afforest", g, neighbor_rounds=2)
+    result = engine.run("kout+sv", g)
     result = engine.run("sv", g, backend=engine.SimulatedBackend(machine))
     result = engine.run("afforest", g, backend="distributed", ranks=4)
     engine.available_algorithms()   # ['afforest', 'afforest-noskip', ...]
-
-Adding an algorithm::
-
-    from repro.engine import CCResult, register
-
-    @register("mycc", description="my algorithm")
-    def _run_mycc(graph, backend, **params):
-        return CCResult(labels=my_labels(graph, **params))
+    engine.available_plans()        # ['kout+fastsv', 'kout+lp', ...]
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.engine.backends import (
@@ -57,21 +55,13 @@ from repro.engine.instrumentation import Instrumentation
 from repro.engine.partition import EdgeBlock, partition_csr_blocks
 from repro.engine.plan import (
     CANONICAL_PLANS,
+    SEQUENTIAL,
     Plan,
-    PlanRegistry,
+    available_algorithms,
     available_plans,
     describe_plans,
     get_plan,
     run_plan,
-)
-from repro.engine.registry import (
-    AlgorithmSpec,
-    available_algorithms,
-    describe_algorithms,
-    get_algorithm,
-    register,
-    support_matrix_markdown,
-    supported_backends,
 )
 from repro.engine.result import CCResult
 from repro.errors import ConfigurationError
@@ -79,22 +69,18 @@ from repro.graph.csr import CSRGraph
 from repro.obs import Trace, Tracer
 from repro.obs.heartbeat import HeartbeatEvent, HeartbeatMonitor
 from repro.obs.ledger import RunLedger, record_from_result, resolve_ledger
+from repro.unionfind.sequential import sequential_components
 
 __all__ = [
     "run",
-    "register",
-    "get_algorithm",
+    "supports_backend",
     "available_algorithms",
-    "describe_algorithms",
-    "supported_backends",
     "Plan",
-    "PlanRegistry",
     "CANONICAL_PLANS",
     "available_plans",
     "describe_plans",
     "get_plan",
     "run_plan",
-    "AlgorithmSpec",
     "CCResult",
     "Instrumentation",
     "Trace",
@@ -108,15 +94,33 @@ __all__ = [
     "resolve_label_dtype",
     "EdgeBlock",
     "partition_csr_blocks",
-    "support_matrix_markdown",
 ]
 
 
+def supports_backend(name: str, kind: str) -> bool:
+    """True when algorithm or plan ``name`` runs on a backend of ``kind``.
+
+    Every plan and classical name runs on all three backends;
+    ``sequential`` runs on vectorized only.  Raises
+    :class:`~repro.errors.ConfigurationError` for an unknown name.
+    """
+    if name == SEQUENTIAL:
+        return kind == "vectorized"
+    get_plan(name)
+    return True
+
+
+def _run_sequential(
+    graph: CSRGraph, backend: ExecutionBackend, **params
+) -> CCResult:
+    """The sequential union-find reference (exact, single-threaded)."""
+    return CCResult(labels=np.asarray(sequential_components(graph, **params)))
+
+
 def run(
-    name: str | CSRGraph | None = None,
-    graph: CSRGraph | None = None,
+    name: str,
+    graph: CSRGraph,
     *,
-    plan: str | Plan | None = None,
     backend: ExecutionBackend | str | None = None,
     workers: int | None = None,
     ranks: int | None = None,
@@ -129,21 +133,20 @@ def run(
     | None = None,
     **params,
 ) -> CCResult:
-    """Run registered algorithm ``name`` on ``graph`` and return its result.
+    """Run algorithm or plan ``name`` on ``graph`` and return its result.
 
-    ``name`` accepts registered algorithms and composed plan names
-    (``"kout+sv"``); ``plan=`` is explicit sugar for the latter —
-    ``engine.run(g, plan="kout+sv")`` and
-    ``engine.run(plan=engine.get_plan("kout+sv"), graph=g)`` both
-    dispatch the composition through the same path.
+    ``name`` is a classical name (``"afforest"``), a composed plan name
+    (``"kout+sv"``) or ``"sequential"``; :func:`~repro.engine.plan.get_plan`
+    resolves the first two and :func:`~repro.engine.plan.run_plan` runs
+    them.
 
     ``backend`` selects the execution substrate: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, a kind
     string (``"vectorized"`` / ``"simulated"`` / ``"distributed"``, built via
     :func:`~repro.engine.backends.make_backend` with ``workers`` /
     ``ranks`` and torn down after the run), or ``None`` for a fresh
-    :class:`~repro.engine.backends.VectorizedBackend`.  The algorithm must
-    list the backend's kind in its registry metadata.
+    :class:`~repro.engine.backends.VectorizedBackend`.  Every plan runs on
+    every backend; ``sequential`` runs on vectorized only.
 
     ``profile=True`` (or ``trace=True``, or passing a pre-built
     :class:`~repro.obs.Tracer`) turns on the telemetry layer: every
@@ -166,35 +169,25 @@ def run(
     :class:`~repro.obs.heartbeat.HeartbeatMonitor`, a callable sink, or
     a list to append events to, and iterative pipelines emit one
     progress event per round.  Remaining keyword arguments override the
-    algorithm's registered defaults and are forwarded to its pipeline.
+    parameters a classical name fixes and are forwarded to its pipeline.
     """
-    if plan is not None:
-        plan_name = plan.name if isinstance(plan, Plan) else str(plan)
-        if graph is None and isinstance(name, CSRGraph):
-            name, graph = plan_name, name
-        elif name is None:
-            name = plan_name
-        else:
-            raise ConfigurationError(
-                "pass either an algorithm name or plan=, not both"
-            )
-    if not isinstance(name, str) or graph is None:
-        raise ConfigurationError(
-            "run() needs an algorithm/plan name and a graph"
-        )
-    spec = get_algorithm(name)
+    plan = None if name == SEQUENTIAL else get_plan(name)
     owned = False
     if backend is None:
         backend = VectorizedBackend()
     elif isinstance(backend, str):
         backend = make_backend(backend, workers=workers, ranks=ranks)
         owned = True
-    if not spec.supports_backend(backend.kind):
-        raise ConfigurationError(
-            f"algorithm {name!r} does not support the {backend.kind!r} "
-            f"backend; supported: {list(spec.backends)}"
-        )
-    merged = {**spec.defaults, **params}
+    solve: Callable[..., CCResult]
+    if plan is None:
+        if backend.kind != "vectorized":
+            raise ConfigurationError(
+                f"algorithm {name!r} does not support the {backend.kind!r} "
+                "backend; supported: ['vectorized']"
+            )
+        solve, merged = _run_sequential, dict(params)
+    else:
+        solve, merged = partial(run_plan, plan), {**plan.params, **params}
     tracer = trace if isinstance(trace, Tracer) else Tracer(
         bool(profile) or bool(trace)
     )
@@ -211,9 +204,9 @@ def run(
         try:
             if tracer.enabled:
                 with tracer.span("total"):
-                    result = spec.fn(graph, backend, **merged)
+                    result = solve(graph, backend, **merged)
             else:
-                result = spec.fn(graph, backend, **merged)
+                result = solve(graph, backend, **merged)
         finally:
             # Leave shared/reused backends with a clean disabled recorder.
             backend.bind(Instrumentation(False))

@@ -14,6 +14,7 @@ from repro.constants import VERTEX_DTYPE
 from repro.engine.backends import ExecutionBackend
 from repro.engine.phase import FinishSpec
 from repro.engine.result import CCResult
+from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.obs import phase_label
 
@@ -29,6 +30,16 @@ __all__ = [
 #: GAP's direction-switch parameters (DOBFS).
 DEFAULT_ALPHA = 15.0
 DEFAULT_BETA = 18.0
+
+
+def _validate(
+    *, alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA
+) -> None:
+    # Both divide the switch thresholds; `not > 0` also rejects NaN.
+    if not alpha > 0:
+        raise ConfigurationError(f"alpha must be > 0, got {alpha}")
+    if not beta > 0:
+        raise ConfigurationError(f"beta must be > 0, got {beta}")
 
 
 def bfs_pipeline(graph: CSRGraph, backend: ExecutionBackend) -> CCResult:
@@ -223,4 +234,5 @@ DOBFS_FINISH = FinishSpec(
     "bottom-up switching",
     params=("alpha", "beta"),
     whole_graph=True,
+    validate=_validate,
 )

@@ -1,10 +1,10 @@
 """Plans: composed sampling × finish connectivity pipelines.
 
 A :class:`Plan` pairs one sampling phase (:mod:`repro.engine.sampling`)
-with one finish phase (:mod:`repro.engine.finish`); the
-:class:`PlanRegistry` enumerates every valid pair, and :func:`run_plan`
-executes one — the ConnectIt-style compositional space generalising the
-paper's single sampling+finish point.  A plan run is:
+with one finish phase (:mod:`repro.engine.finish`); :func:`get_plan`
+resolves a name to one and :func:`run_plan` executes it — the
+ConnectIt-style compositional space generalising the paper's single
+sampling+finish point.  A plan run is:
 
 1. ``init_labels`` (phase ``I``): π self-pointing;
 2. the sampling phase links a cheap subset of edges into π;
@@ -16,10 +16,12 @@ paper's single sampling+finish point.  A plan run is:
    the identified component's edges where supported.
 
 Plan names are ``"<sampling>+<finish>"`` (``kout+settle``, ``kout+sv``,
-``none+lp``); the eight classical registry algorithms are canonical plans
-(:data:`CANONICAL_PLANS`) whose composed execution is bit-identical to
-the pre-refactor monoliths.  Whole-graph finishes (BFS/DOBFS) own their
-initialisation and only compose with ``none``.
+``none+lp``).  :data:`CANONICAL_PLANS` is the one table of the eight
+classical names (``afforest``, ``sv``, ...): each maps to its
+composition plus the parameters the name fixes.  ``sequential``, the
+union-find reference, is the one algorithm name outside it.
+Whole-graph finishes (BFS/DOBFS) own their initialisation and only
+compose with ``none``.
 
 Every phase speaks the :class:`~repro.engine.backends.ExecutionBackend`
 primitive vocabulary, so every plan runs on all three substrates.
@@ -27,7 +29,7 @@ primitive vocabulary, so every plan runs on all three substrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from repro.constants import (
     VERTEX_DTYPE,
 )
 from repro.engine.backends import ExecutionBackend
-from repro.engine.finish import FINISHES
+from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA, FINISHES
 from repro.engine.phase import FinishSpec, PlanContext, SamplingSpec
 from repro.engine.result import CCResult
 from repro.engine.sampling import SAMPLINGS
@@ -46,42 +48,44 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "Plan",
-    "PlanRegistry",
     "CANONICAL_PLANS",
-    "PLAN_BACKENDS",
+    "SEQUENTIAL",
+    "available_algorithms",
     "available_plans",
     "describe_plans",
     "get_plan",
     "run_plan",
-    "plan_algorithm_spec",
 ]
-
-#: substrates every plan runs on (each phase speaks backend primitives).
-PLAN_BACKENDS = ("vectorized", "simulated", "distributed")
 
 #: plan-level parameters routed to the executor rather than a phase.
 PLAN_PARAMS = ("seed", "skip_largest", "sample_size")
 
-#: legacy registry name -> composed plan name (identical semantics; the
-#: ``afforest-noskip`` alias differs only in its registered defaults).
-CANONICAL_PLANS = {
-    "afforest": "kout+settle",
-    "afforest-noskip": "kout+settle",
-    "sv": "none+sv",
-    "fastsv": "none+fastsv",
-    "lp": "none+lp",
-    "lp-datadriven": "none+lp-datadriven",
-    "bfs": "none+bfs",
-    "dobfs": "none+dobfs",
+#: classical algorithm name -> (composed plan name, the parameters the
+#: name fixes).  Caller keyword arguments override the fixed ones.
+CANONICAL_PLANS: dict[str, tuple[str, dict]] = {
+    "afforest": ("kout+settle", {}),
+    "afforest-noskip": ("kout+settle", {"skip_largest": False}),
+    "sv": ("none+sv", {}),
+    "fastsv": ("none+fastsv", {}),
+    "lp": ("none+lp", {}),
+    "lp-datadriven": ("none+lp-datadriven", {}),
+    "bfs": ("none+bfs", {}),
+    "dobfs": ("none+dobfs", {"alpha": DEFAULT_ALPHA, "beta": DEFAULT_BETA}),
 }
+
+#: the sequential union-find reference: the one algorithm name that is
+#: not a plan, run by ``engine.run`` on the vectorized backend only.
+SEQUENTIAL = "sequential"
 
 
 @dataclass(frozen=True)
 class Plan:
-    """One composed pipeline: a sampling phase and a finish phase."""
+    """One composed pipeline: a sampling phase and a finish phase, plus
+    the parameters a classical name fixes (empty for a composed name)."""
 
     sampling: SamplingSpec
     finish: FinishSpec
+    params: dict = field(default_factory=dict, hash=False)
 
     @property
     def name(self) -> str:
@@ -95,95 +99,66 @@ class Plan:
         )
 
 
-class PlanRegistry:
-    """Enumerates and resolves every valid sampling × finish pair.
-
-    Whole-graph finishes only pair with the ``none`` sampling phase;
-    every other finish pairs with every sampling phase.
-    """
-
-    def __init__(
-        self,
-        samplings: dict[str, SamplingSpec] | None = None,
-        finishes: dict[str, FinishSpec] | None = None,
-    ) -> None:
-        self._samplings = dict(samplings if samplings is not None else SAMPLINGS)
-        self._finishes = dict(finishes if finishes is not None else FINISHES)
-
-    @property
-    def samplings(self) -> dict[str, SamplingSpec]:
-        return dict(self._samplings)
-
-    @property
-    def finishes(self) -> dict[str, FinishSpec]:
-        return dict(self._finishes)
-
-    def compose(self, sampling: str, finish: str) -> Plan:
-        """The plan pairing ``sampling`` with ``finish`` (validated)."""
-        s_spec = self._samplings.get(sampling)
-        if s_spec is None:
-            raise ConfigurationError(
-                f"unknown sampling phase {sampling!r}; "
-                f"available: {sorted(self._samplings)}"
-            )
-        f_spec = self._finishes.get(finish)
-        if f_spec is None:
-            raise ConfigurationError(
-                f"unknown finish phase {finish!r}; "
-                f"available: {sorted(self._finishes)}"
-            )
-        if f_spec.whole_graph and s_spec.name != "none":
-            raise ConfigurationError(
-                f"finish {finish!r} is a whole-graph pipeline and only "
-                f"composes with the 'none' sampling phase, not {sampling!r}"
-            )
-        return Plan(sampling=s_spec, finish=f_spec)
-
-    def get(self, name: str) -> Plan:
-        """Resolve ``"<sampling>+<finish>"`` (or a canonical alias)."""
-        alias = CANONICAL_PLANS.get(name)
-        if alias is not None:
-            name = alias
-        parts = name.split("+")
-        if len(parts) != 2:
-            raise ConfigurationError(
-                f"invalid plan name {name!r}; expected "
-                "'<sampling>+<finish>', e.g. 'kout+sv'"
-            )
-        return self.compose(parts[0], parts[1])
-
-    def plans(self) -> list[Plan]:
-        """Every valid composition, sorted by name."""
-        out = []
-        for s_name, s_spec in self._samplings.items():
-            for f_name, f_spec in self._finishes.items():
-                if f_spec.whole_graph and s_name != "none":
-                    continue
-                out.append(Plan(sampling=s_spec, finish=f_spec))
-        return sorted(out, key=lambda p: p.name)
-
-    def names(self) -> list[str]:
-        """Sorted names of every valid composition."""
-        return [p.name for p in self.plans()]
-
-
-#: the process-wide default registry (all built-in phases).
-_DEFAULT_REGISTRY = PlanRegistry()
-
-
 def get_plan(name: str) -> Plan:
-    """Resolve a plan name against the default registry."""
-    return _DEFAULT_REGISTRY.get(name)
+    """Resolve a classical name or a ``"<sampling>+<finish>"`` name.
+
+    Classical names come from :data:`CANONICAL_PLANS`; composed names
+    straight from the sampling and finish families.  Whole-graph
+    finishes compose with the ``none`` sampling phase only.
+    """
+    composed, params = CANONICAL_PLANS.get(name, (name, {}))
+    parts = composed.split("+")
+    if len(parts) != 2:
+        raise ConfigurationError(
+            f"unknown algorithm {name!r}; available: "
+            f"{available_algorithms()} plus composed plans "
+            "('<sampling>+<finish>', see available_plans())"
+        )
+    sampling, finish = parts
+    s_spec = SAMPLINGS.get(sampling)
+    if s_spec is None:
+        raise ConfigurationError(
+            f"unknown sampling phase {sampling!r}; "
+            f"available: {sorted(SAMPLINGS)}"
+        )
+    f_spec = FINISHES.get(finish)
+    if f_spec is None:
+        raise ConfigurationError(
+            f"unknown finish phase {finish!r}; "
+            f"available: {sorted(FINISHES)}"
+        )
+    if f_spec.whole_graph and sampling != "none":
+        raise ConfigurationError(
+            f"finish {finish!r} is a whole-graph pipeline and only "
+            f"composes with the 'none' sampling phase, not {sampling!r}"
+        )
+    return Plan(sampling=s_spec, finish=f_spec, params=dict(params))
+
+
+def available_algorithms() -> list[str]:
+    """Sorted algorithm names: the classical plans and ``sequential``."""
+    return sorted([*CANONICAL_PLANS, SEQUENTIAL])
+
+
+def _compositions() -> list[Plan]:
+    """Every valid sampling × finish pair, sorted by name."""
+    plans = [
+        Plan(sampling=s_spec, finish=f_spec)
+        for s_spec in SAMPLINGS.values()
+        for f_spec in FINISHES.values()
+        if s_spec.name == "none" or not f_spec.whole_graph
+    ]
+    return sorted(plans, key=lambda p: p.name)
 
 
 def available_plans() -> list[str]:
     """Sorted names of every valid composed plan."""
-    return _DEFAULT_REGISTRY.names()
+    return [p.name for p in _compositions()]
 
 
 def describe_plans() -> list[tuple[str, str]]:
     """``(name, description)`` pairs for every valid composed plan."""
-    return [(p.name, p.description) for p in _DEFAULT_REGISTRY.plans()]
+    return [(p.name, p.description) for p in _compositions()]
 
 
 def _split_params(plan: Plan, params: dict) -> tuple[dict, dict, dict]:
@@ -213,6 +188,7 @@ def run_plan(
     plan: Plan | str,
     graph: CSRGraph,
     backend: ExecutionBackend,
+    /,
     **params,
 ) -> CCResult:
     """Execute ``plan`` on ``graph`` over ``backend``; exact labeling.
@@ -222,11 +198,12 @@ def run_plan(
     exactly when the plan samples *and* its finish can skip — the
     classical finish-only plans stay skip-free like their monolithic
     ancestors), ``sample_size`` (number of π probes).  Remaining keywords
-    are routed to the phase that declares them; unknown keys raise.
+    are routed to the phase that declares them; unknown keys raise.  A
+    classical plan's fixed parameters apply unless overridden.
     """
     if isinstance(plan, str):
         plan = get_plan(plan)
-    s_params, f_params, top = _split_params(plan, params)
+    s_params, f_params, top = _split_params(plan, {**plan.params, **params})
     if plan.sampling.validate is not None:
         plan.sampling.validate(**s_params)
     if plan.finish.validate is not None:
@@ -270,23 +247,3 @@ def run_plan(
     result.run_stats = backend.run_stats()
     return result
 
-
-def plan_algorithm_spec(name: str):
-    """An :class:`~repro.engine.registry.AlgorithmSpec` for a composed
-    plan name, letting ``engine.run("kout+sv", g)`` and every other
-    registry consumer resolve plans exactly like registered algorithms.
-    """
-    from repro.engine.registry import AlgorithmSpec
-
-    plan = get_plan(name)
-
-    def _run(graph: CSRGraph, backend: ExecutionBackend, **params) -> CCResult:
-        return run_plan(plan, graph, backend, **params)
-
-    return AlgorithmSpec(
-        name=plan.name,
-        fn=_run,
-        description=plan.description,
-        backends=PLAN_BACKENDS,
-        instrumented=True,
-    )

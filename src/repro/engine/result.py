@@ -48,14 +48,14 @@ class CCResult:
     """
 
     labels: np.ndarray
-    #: registry name of the algorithm that produced this result.
+    #: algorithm or plan name the run was asked for.
     algorithm: str = ""
     #: composed plan name ("<sampling>+<finish>") when the run went
     #: through the plan layer.
     plan: str = ""
     #: ``kind`` of the execution backend ("vectorized" / "simulated").
     backend: str = ""
-    #: resolved parameters the run used (registry defaults + overrides).
+    #: resolved parameters the run used (fixed parameters + overrides).
     params: dict = field(default_factory=dict)
 
     # -- Afforest counters ------------------------------------------------ #

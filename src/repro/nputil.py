@@ -4,7 +4,8 @@ These implement the flat "expand CSR slices without a Python loop" patterns
 used across the library: frontier expansion in BFS, remaining-neighbour
 flattening in Afforest's final phase, and frontier edge gathering in
 data-driven label propagation; plus the sort-based distinct-value pass
-that stands in for a flag-less ``np.unique``.
+that stands in for a flag-less ``np.unique``, and the vertex-id check
+the serving entry points run before their ``int64`` cast.
 """
 
 from __future__ import annotations
@@ -12,8 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import VERTEX_DTYPE
+from repro.errors import ConfigurationError
 
-__all__ = ["segment_ranges", "expand_slices", "sorted_unique"]
+__all__ = ["segment_ranges", "expand_slices", "sorted_unique", "vertex_ids"]
+
+
+def vertex_ids(values) -> np.ndarray:
+    """``values`` as a contiguous ``VERTEX_DTYPE`` array of vertex ids.
+
+    A non-empty array that is not of integer dtype raises
+    :class:`~repro.errors.ConfigurationError` instead of having its ids
+    truncated by the cast; an empty batch passes whatever its dtype
+    (``np.asarray([])`` is float64).  O(1) beyond the cast itself.
+    """
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigurationError(
+            f"non-integer vertex ids (dtype {arr.dtype})"
+        )
+    return np.ascontiguousarray(arr, dtype=VERTEX_DTYPE)
 
 
 def segment_ranges(counts: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ from repro.engine import ExecutionBackend
 from repro.errors import ConfigurationError
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
+from repro.nputil import vertex_ids
 from repro.obs.ledger import fingerprint_graph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promexport import render_prometheus
@@ -107,7 +108,7 @@ class Snapshot:
             )
 
     def _check_batch(self, vs: np.ndarray) -> np.ndarray:
-        arr = np.ascontiguousarray(vs, dtype=np.int64)
+        arr = vertex_ids(vs)
         if arr.size and (
             int(arr.min()) < 0 or int(arr.max()) >= self.num_vertices
         ):
@@ -131,9 +132,8 @@ class ConnectivityService:
     graph:
         The base graph, solved once at construction.
     algorithm:
-        Registered algorithm or composed plan name for the initial
-        solve (anything :func:`repro.engine.run` accepts, e.g.
-        ``kout+sv``).
+        Algorithm or composed plan name for the initial solve
+        (anything :func:`repro.engine.run` accepts, e.g. ``kout+sv``).
     backend, workers:
         Execution substrate for the initial solve (kind string or a
         ready :class:`~repro.engine.ExecutionBackend`); the serving
@@ -262,9 +262,7 @@ class ConnectivityService:
 
     def add_edge(self, u: int, v: int) -> int:
         """Insert one stream edge; returns the epoch it will publish in."""
-        return self.add_edges(
-            np.asarray([u], dtype=np.int64), np.asarray([v], dtype=np.int64)
-        )
+        return self.add_edges(np.asarray([u]), np.asarray([v]))
 
     def add_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
         """Absorb a batch of stream edges through link/compress.
@@ -279,8 +277,8 @@ class ConnectivityService:
         compression and the size census) happens only at an epoch
         publish.
         """
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        src = vertex_ids(src)
+        dst = vertex_ids(dst)
         with self._lock:
             self._inc.add_edges(src, dst)
             self._inserted_src.append(src)

@@ -105,6 +105,19 @@ class TestBulk:
         with pytest.raises(ConfigurationError):
             inc.add_edges(np.array([0]), np.array([9]))
 
+    def test_rejects_non_integer_ids(self):
+        # A cast would truncate 1.7 -> 1 and 2.2 -> 2 and merge them.
+        inc = IncrementalConnectivity(4)
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            inc.add_edges([1.7], [2.2])
+        assert not inc.connected(1, 2)
+        assert inc.num_components == 4
+
+    def test_empty_batch_of_any_dtype_accepted(self):
+        inc = IncrementalConnectivity(4)
+        assert inc.add_edges(np.asarray([]), np.asarray([])) == 0
+        assert inc.num_components == 4
+
 
 class TestWriteCost:
     """A bulk insertion allocates O(batch), never O(n)."""

@@ -20,7 +20,7 @@ from repro.unionfind import sequential_components
 def solve(graph, ranks, **kwargs):
     """One ``none+fastsv`` solve on ``ranks`` ranks: (result, backend)."""
     backend = DistributedBackend(ranks=ranks, **kwargs)
-    return engine.run(graph, plan="none+fastsv", backend=backend), backend
+    return engine.run("none+fastsv", graph, backend=backend), backend
 
 
 class TestPartitioners:
@@ -78,7 +78,7 @@ class TestDistributedCC:
     def test_supersteps_reach_run_counters(self, two_cliques):
         backend = DistributedBackend(ranks=4)
         result = engine.run(
-            two_cliques, plan="none+fastsv", backend=backend, profile=True
+            "none+fastsv", two_cliques, backend=backend, profile=True
         )
         assert backend.comm.stats.supersteps >= 1
         assert result.counters["comm_supersteps"] == backend.comm.stats.supersteps
@@ -112,7 +112,7 @@ class TestDistributedCC:
     def test_bit_identical_to_engine_backend(self, mixed_graph):
         """Superstep merges reproduce the single-machine labels exactly."""
         dist, _ = solve(mixed_graph, 4, partition="hash")
-        vec = engine.run(mixed_graph, plan="none+fastsv")
+        vec = engine.run("none+fastsv", mixed_graph)
         assert np.array_equal(dist.labels, vec.labels)
 
 
@@ -218,7 +218,7 @@ class TestTrafficCurve:
         ) == PINNED_CURVE[ranks]
         # A whole-array reduction ships 8n bytes to each of R - 1 peers.
         assert max(per_rank) < 8 * graph.num_vertices * (ranks - 1)
-        vec = engine.run(graph, plan="none+fastsv")
+        vec = engine.run("none+fastsv", graph)
         assert np.array_equal(result.labels, vec.labels)
 
 

@@ -14,11 +14,8 @@ import pytest
 from repro import engine
 from repro.analysis import equivalent_labelings
 from repro.bench.runner import run_algorithm
-from repro.engine import (
-    DistributedBackend,
-    SimulatedBackend,
-    support_matrix_markdown,
-)
+from repro.engine import DistributedBackend, SimulatedBackend
+from repro.errors import ConfigurationError
 from repro.generators.components import component_fraction_graph
 from repro.generators.lattice import grid_graph
 from repro.generators.powerlaw import barabasi_albert_graph
@@ -148,22 +145,26 @@ class TestFrontierProfiling:
         assert result.bottom_up_steps > 0
         assert any(p.startswith("B") for p in result.phase_seconds)
 
+    @pytest.mark.parametrize("name", ["dobfs", "none+dobfs"])
+    @pytest.mark.parametrize(
+        "params",
+        [{"alpha": 0}, {"beta": 0}, {"alpha": -1.0}, {"beta": float("nan")}],
+        ids=["alpha=0", "beta=0", "alpha<0", "beta=nan"],
+    )
+    def test_dobfs_rejects_non_positive_switch_params(self, name, params):
+        # Both divide DOBFS's switch thresholds; before validation a zero
+        # surfaced as a bare ZeroDivisionError mid-traversal.
+        g = barabasi_albert_graph(300, edges_per_vertex=3, seed=1)
+        key = next(iter(params))
+        with pytest.raises(ConfigurationError, match=f"{key} must be > 0"):
+            engine.run(name, g, **params)
+
 
 class TestSupportMatrix:
     def test_frontier_algorithms_support_all_backends(self):
         for name in FRONTIER_ALGORITHMS:
-            spec = engine.get_algorithm(name)
             for kind in ("vectorized", "simulated", "distributed"):
-                assert spec.supports_backend(kind), (name, kind)
-
-    def test_docs_matrix_in_sync_with_registry(self):
-        import pathlib
-
-        doc = pathlib.Path(__file__).resolve().parents[2] / "docs/algorithms.md"
-        text = doc.read_text(encoding="utf-8")
-        begin, end = "<!-- support-matrix:begin -->", "<!-- support-matrix:end -->"
-        block = text.split(begin)[1].split(end)[0].strip()
-        assert block == support_matrix_markdown().strip()
+                assert engine.supports_backend(name, kind), (name, kind)
 
 
 class TestBenchmarkRecordProvenance:

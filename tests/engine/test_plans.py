@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import DistributedBackend, Plan, PlanRegistry, SimulatedBackend
+from repro.engine import DistributedBackend, Plan, SimulatedBackend
 from repro.engine.finish import FINISHES
 from repro.engine.sampling import SAMPLINGS
 from repro.errors import ConfigurationError
@@ -22,7 +22,7 @@ from repro.graph.csr import CSRGraph
 from repro.parallel.machine import SimulatedMachine
 from repro.unionfind import sequential_components
 
-#: legacy registry name -> the composition it must keep resolving to.
+#: classical name -> the composition it must keep resolving to.
 CANONICAL = {
     "afforest": "kout+settle",
     "afforest-noskip": "kout+settle",
@@ -62,7 +62,7 @@ def distributed_backend(request):
     return DistributedBackend(ranks=request.param)
 
 
-class TestPlanRegistry:
+class TestPlanTable:
     def test_full_matrix_size(self):
         names = engine.available_plans()
         composable = [f for f in FINISHES.values() if not f.whole_graph]
@@ -80,8 +80,9 @@ class TestPlanRegistry:
             assert plan.description.strip()
 
     def test_canonical_aliases_resolve(self):
+        assert sorted(engine.CANONICAL_PLANS) == sorted(CANONICAL)
         for alias, composed in CANONICAL.items():
-            assert engine.CANONICAL_PLANS[alias] == composed
+            assert engine.CANONICAL_PLANS[alias][0] == composed
             assert engine.get_plan(alias).name == composed
 
     def test_unknown_sampling_rejected(self):
@@ -98,14 +99,13 @@ class TestPlanRegistry:
                 engine.get_plan(bad)
 
     def test_whole_graph_finishes_compose_only_with_none(self):
-        registry = PlanRegistry()
         for finish in ("bfs", "dobfs"):
             assert f"none+{finish}" in engine.available_plans()
             for sampling in SAMPLINGS:
                 if sampling == "none":
                     continue
                 with pytest.raises(ConfigurationError, match="whole-graph"):
-                    registry.compose(sampling, finish)
+                    engine.get_plan(f"{sampling}+{finish}")
 
     def test_unknown_parameter_rejected(self, mixed_graph):
         with pytest.raises(ConfigurationError, match="bogus"):
@@ -129,7 +129,7 @@ class TestPlanEquivalence:
     )
     @pytest.mark.parametrize("plan", engine.available_plans())
     def test_vectorized_matches_component_minima(self, plan, family, graph):
-        result = engine.run(graph, plan=plan)
+        result = engine.run(plan, graph)
         assert np.array_equal(result.labels, _component_minima(graph))
         assert result.plan == plan
 
@@ -137,14 +137,14 @@ class TestPlanEquivalence:
     def test_simulated_matches_component_minima(self, plan):
         graph = component_fraction_graph(200, 0.3, seed=5)
         result = engine.run(
-            graph, plan=plan, backend=SimulatedBackend(SimulatedMachine(3, seed=7))
+            plan, graph, backend=SimulatedBackend(SimulatedMachine(3, seed=7))
         )
         assert np.array_equal(result.labels, _component_minima(graph))
 
     @pytest.mark.parametrize("plan", engine.available_plans())
     def test_dist_matches_component_minima(self, plan, distributed_backend):
         graph = component_fraction_graph(200, 0.3, seed=5)
-        result = engine.run(graph, plan=plan, backend=distributed_backend)
+        result = engine.run(plan, graph, backend=distributed_backend)
         assert np.array_equal(result.labels, _component_minima(graph))
 
     @pytest.mark.parametrize(
@@ -156,9 +156,7 @@ class TestPlanEquivalence:
     ):
         legacy = engine.run(alias, graph)
         composed = engine.run(
-            graph,
-            plan=CANONICAL[alias],
-            **engine.get_algorithm(alias).defaults,
+            CANONICAL[alias], graph, **engine.get_plan(alias).params
         )
         assert np.array_equal(legacy.labels, composed.labels)
         assert np.array_equal(legacy.labels, _component_minima(graph))
@@ -166,17 +164,17 @@ class TestPlanEquivalence:
 
     def test_skip_glue_records_largest_and_skips(self):
         graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
-        result = engine.run(graph, plan="kout+sv")
+        result = engine.run("kout+sv", graph)
         # Giant-component skipping is on by default after real sampling.
         assert result.largest_label is not None
         assert result.edges_skipped > 0
-        noskip = engine.run(graph, plan="kout+sv", skip_largest=False)
+        noskip = engine.run("kout+sv", graph, skip_largest=False)
         assert noskip.edges_skipped == 0
         assert np.array_equal(result.labels, noskip.labels)
 
     def test_afforest_edge_accounting_preserved(self):
         graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
-        result = engine.run(graph, plan="kout+settle")
+        result = engine.run("kout+settle", graph)
         assert (
             result.edges_sampled + result.edges_final + result.edges_skipped
             == graph.num_directed_edges
@@ -184,21 +182,14 @@ class TestPlanEquivalence:
 
 
 class TestRunSugar:
-    def test_plan_keyword_positional_graph(self, mixed_graph):
-        result = engine.run(mixed_graph, plan="kout+lp")
-        assert result.algorithm == "kout+lp"
-        assert result.plan == "kout+lp"
-
-    def test_plan_object_accepted(self, mixed_graph):
-        plan = engine.get_plan("kout+lp")
-        result = engine.run(graph=mixed_graph, plan=plan)
-        assert result.plan == "kout+lp"
-
     def test_plan_name_as_algorithm_name(self, mixed_graph):
         result = engine.run("kout+sv", mixed_graph)
+        assert result.algorithm == "kout+sv"
         assert result.plan == "kout+sv"
 
     def test_name_and_plan_together_rejected(self, mixed_graph):
-        with pytest.raises(ConfigurationError, match="not both"):
+        # The name is the only way to pick a plan: ``plan=`` is not a
+        # keyword, so it is rejected like any unknown parameter.
+        with pytest.raises(ConfigurationError, match="'plan'"):
             engine.run("sv", mixed_graph, plan="kout+sv")
 

@@ -1,12 +1,11 @@
-"""Tests for the algorithm registry."""
+"""Tests for algorithm-name resolution: the plan table and ``sequential``."""
 
-import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import registry
-from repro.engine.result import CCResult
+from repro.engine.finish import DEFAULT_ALPHA
 from repro.errors import ConfigurationError
+from repro.generators.powerlaw import barabasi_albert_graph
 
 EXPECTED_BUILTINS = [
     "afforest",
@@ -20,6 +19,8 @@ EXPECTED_BUILTINS = [
     "sv",
 ]
 
+BACKEND_KINDS = ("vectorized", "simulated", "distributed")
+
 
 class TestAvailability:
     def test_all_builtins_registered(self):
@@ -30,76 +31,87 @@ class TestAvailability:
         assert names == sorted(names)
 
     def test_describe_pairs_with_descriptions(self):
-        pairs = engine.describe_algorithms()
-        names = [n for n, _ in pairs]
-        # Registered algorithms first, then every composed plan.
-        assert names[: len(EXPECTED_BUILTINS)] == EXPECTED_BUILTINS
-        assert names[len(EXPECTED_BUILTINS):] == engine.available_plans()
+        pairs = engine.describe_plans()
+        assert [n for n, _ in pairs] == engine.available_plans()
         for _, description in pairs:
             assert description.strip()
 
-    def test_describe_can_exclude_plans(self):
-        pairs = engine.describe_algorithms(include_plans=False)
-        assert [n for n, _ in pairs] == EXPECTED_BUILTINS
-
 
 class TestMetadata:
-    def test_afforest_supports_both_backends(self):
-        spec = engine.get_algorithm("afforest")
-        assert spec.supports_backend("vectorized")
-        assert spec.supports_backend("simulated")
+    def test_afforest_supports_both_backends(self, mixed_graph):
+        for kind in ("vectorized", "simulated"):
+            assert engine.supports_backend("afforest", kind)
+            result = engine.run("afforest", mixed_graph, backend=kind, workers=2)
+            assert result.backend == kind
 
     def test_noskip_default_disables_skipping(self):
-        spec = engine.get_algorithm("afforest-noskip")
-        assert spec.defaults == {"skip_largest": False}
+        assert engine.get_plan("afforest-noskip").params == {
+            "skip_largest": False
+        }
+        graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
+        skip = engine.run("afforest", graph)
+        noskip = engine.run("afforest-noskip", graph)
+        assert skip.edges_skipped > 0
+        assert noskip.edges_skipped == 0
+        assert noskip.largest_label is None
+        assert (noskip.labels == skip.labels).all()
 
     def test_frontier_family_supports_every_backend(self):
         for name in ("lp", "lp-datadriven", "bfs", "dobfs"):
-            spec = engine.get_algorithm(name)
-            assert spec.backends == (
-                "vectorized",
-                "simulated",
-                "distributed",
-            )
+            for kind in BACKEND_KINDS:
+                assert engine.supports_backend(name, kind), (name, kind)
 
-    def test_reference_algorithms_are_vectorized_only(self):
-        spec = engine.get_algorithm("sequential")
-        assert spec.backends == ("vectorized",)
-        assert not spec.supports_backend("simulated")
+    def test_reference_algorithms_are_vectorized_only(self, mixed_graph):
+        assert engine.supports_backend("sequential", "vectorized")
+        for kind in ("simulated", "distributed"):
+            assert not engine.supports_backend("sequential", kind)
+            with pytest.raises(ConfigurationError, match="does not support"):
+                engine.run("sequential", mixed_graph, backend=kind)
 
-    def test_pipelines_marked_instrumented(self):
-        assert engine.get_algorithm("afforest").instrumented
-        assert engine.get_algorithm("sv").instrumented
-        assert engine.get_algorithm("lp").instrumented
-        assert not engine.get_algorithm("sequential").instrumented
+    def test_fixed_params_merged_under_caller_params(self, mixed_graph):
+        assert engine.run("dobfs", mixed_graph, beta=7).params == {
+            "alpha": DEFAULT_ALPHA,
+            "beta": 7,
+        }
+        assert engine.run("none+dobfs", mixed_graph, beta=7).params == {
+            "beta": 7
+        }
+
+    def test_pipelines_marked_instrumented(self, mixed_graph):
+        # Plan pipelines time their own phases; the sequential reference
+        # reports only the whole-run ``total``.
+        for name in ("afforest", "sv", "lp"):
+            phases = engine.run(name, mixed_graph, profile=True).phase_seconds
+            assert set(phases) - {"total"}, name
+        sequential = engine.run("sequential", mixed_graph, profile=True)
+        assert set(sequential.phase_seconds) == {"total"}
 
 
 class TestLookup:
-    def test_unknown_name_raises(self):
+    def test_unknown_name_raises(self, mixed_graph):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            engine.get_algorithm("magic")
+            engine.run("magic", mixed_graph)
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ConfigurationError, match="afforest"):
-            engine.get_algorithm("magic")
+            engine.get_plan("magic")
 
     def test_unknown_name_mentions_plans(self):
         with pytest.raises(ConfigurationError, match="composed plans"):
-            engine.get_algorithm("magic")
+            engine.get_plan("magic")
 
     def test_composed_plan_name_resolves(self):
-        spec = engine.get_algorithm("kout+sv")
-        assert spec.name == "kout+sv"
-        assert spec.backends == (
-            "vectorized",
-            "simulated",
-            "distributed",
-        )
-        assert spec.instrumented
+        plan = engine.get_plan("kout+sv")
+        assert plan.name == "kout+sv"
+        assert plan.params == {}
+        for kind in BACKEND_KINDS:
+            assert engine.supports_backend("kout+sv", kind)
 
     def test_unknown_plan_phase_raises(self):
         with pytest.raises(ConfigurationError, match="unknown"):
-            engine.get_algorithm("magic+sv")
+            engine.get_plan("magic+sv")
+        with pytest.raises(ConfigurationError, match="unknown"):
+            engine.supports_backend("magic+sv", "vectorized")
 
     @pytest.mark.parametrize("entry", ["engine.run", "cli"])
     @pytest.mark.parametrize(
@@ -144,59 +156,3 @@ class TestLookup:
         assert "process" in err
         assert all(kind in err for kind in kinds)
 
-
-class TestCustomRegistration:
-    def test_register_run_and_cleanup(self, mixed_graph):
-        @engine.register("test-trivial", description="everything one component")
-        def _run_trivial(graph, backend, **params):
-            return CCResult(
-                labels=np.zeros(graph.num_vertices, dtype=np.int64)
-            )
-
-        try:
-            assert "test-trivial" in engine.available_algorithms()
-            result = engine.run("test-trivial", mixed_graph)
-            assert result.num_components == 1
-            assert result.algorithm == "test-trivial"
-        finally:
-            registry._REGISTRY.pop("test-trivial", None)
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            @engine.register("afforest", description="impostor")
-            def _run_impostor(graph, backend, **params):
-                raise AssertionError("never called")
-
-    def test_overwrite_allows_replacement(self, mixed_graph):
-        original = engine.get_algorithm("sequential")
-
-        @engine.register(
-            "sequential", description="replacement", overwrite=True
-        )
-        def _run_replacement(graph, backend, **params):
-            return CCResult(labels=np.arange(graph.num_vertices))
-
-        try:
-            result = engine.run("sequential", mixed_graph)
-            assert result.num_components == mixed_graph.num_vertices
-        finally:
-            registry._REGISTRY["sequential"] = original
-
-    def test_defaults_merged_under_caller_params(self, mixed_graph):
-        seen = {}
-
-        @engine.register(
-            "test-defaults",
-            description="records merged params",
-            defaults={"alpha": 1, "beta": 2},
-        )
-        def _run_defaults(graph, backend, *, alpha, beta):
-            seen["alpha"], seen["beta"] = alpha, beta
-            return CCResult(labels=np.zeros(graph.num_vertices, dtype=np.int64))
-
-        try:
-            result = engine.run("test-defaults", mixed_graph, beta=7)
-            assert seen == {"alpha": 1, "beta": 7}
-            assert result.params == {"alpha": 1, "beta": 7}
-        finally:
-            registry._REGISTRY.pop("test-defaults", None)

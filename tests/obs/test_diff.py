@@ -131,8 +131,8 @@ class TestDiffRuns:
         runs = {}
         for ranks in (2, 4):
             result = engine.run(
+                "none+fastsv",
                 g,
-                plan="none+fastsv",
                 backend=DistributedBackend(ranks=ranks),
                 profile=True,
             )

@@ -30,7 +30,7 @@ def test_any_world_size_and_partitioner_exact(g, ranks, use_hash):
     backend = DistributedBackend(
         ranks=ranks, partition="hash" if use_hash else "block"
     )
-    result = engine.run(g, plan="none+fastsv", backend=backend)
+    result = engine.run("none+fastsv", g, backend=backend)
     assert equivalent_labelings(result.labels, sequential_components(g))
 
 
@@ -81,7 +81,7 @@ def _run_checked(g, plan, random_sampling=False, **kwargs):
     backend = ShadowCheckedBackend(**kwargs)
     random_sampling = random_sampling and plan.startswith("kout")
     params = {"sampling": "random"} if random_sampling else {}
-    result = engine.run(g, plan=plan, backend=backend, **params)
+    result = engine.run(plan, g, backend=backend, **params)
     assert equivalent_labelings(result.labels, sequential_components(g))
     return backend
 

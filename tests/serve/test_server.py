@@ -148,6 +148,17 @@ class TestMalformedRequests:
         assert isinstance(bad.future.exception(0), ConfigurationError)
         assert good.future.result(0).tolist() == [4, 4]
 
+    def test_float_ids_fail_alone(self, service):
+        # Coalescing concatenates the three runs into one float array;
+        # the per-request fallback then fails only the float request.
+        good = _request("same", [0, 4], [3, 5])
+        bad = _request("same", [0.0], [4.0])
+        tail = _request("same", [1], [2])
+        assert self._run(service, good, bad, tail) == 1
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert good.future.result(0).tolist() == [True, True]
+        assert tail.future.result(0).tolist() == [True]
+
     def test_two_dimensional_payload_spares_neighbours(self, service):
         flat = _request("same", [0, 4], [3, 3])
         grid = _request("same", [[0, 1]], [[1, 2]])

@@ -65,6 +65,18 @@ class TestPointAndBatchReads:
         with pytest.raises(ConfigurationError):
             service.component_sizes(np.array([99]))
 
+    def test_non_integer_ids_rejected(self, service):
+        # A cast would truncate each id to a real vertex and answer.
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            service.same_component_batch(np.array([0.0]), np.array([1.0]))
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            service.component_sizes(np.array([4.5]))
+
+    def test_empty_batches_of_any_dtype_accepted(self, service):
+        empty = np.asarray([])
+        assert service.same_component_batch(empty, empty).shape == (0,)
+        assert service.component_sizes(empty).shape == (0,)
+
     def test_query_counters(self, service):
         service.same_component(0, 1)
         service.same_component_batch(np.array([0]), np.array([1]))
@@ -72,6 +84,29 @@ class TestPointAndBatchReads:
         assert counters["serve_point_queries"] == 1
         assert counters["serve_batch_queries"] == 1
         assert counters["serve_queried_pairs"] == 1
+
+
+class TestNonIntegerUpdates:
+    """Float endpoints are rejected, never truncated into real edges."""
+
+    def test_add_edges_rejects_float_ids(self, service):
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            service.add_edges(np.array([0.5]), np.array([4.9]))
+        service.refresh()
+        assert not service.same_component(0, 4)
+        assert service.num_components == 2
+        assert service.inserted_edges()[0].size == 0
+
+    def test_add_edge_rejects_float_ids(self, service):
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            service.add_edge(0.5, 4.2)
+        service.refresh()
+        assert not service.same_component(0, 4)
+
+    def test_empty_update_of_any_dtype_accepted(self, service):
+        epoch = service.add_edges(np.asarray([]), np.asarray([]))
+        assert epoch == service.epoch
+        assert service.num_components == 2
 
 
 class TestSnapshots:
