@@ -333,24 +333,40 @@ def _write_compare_traces(records, path: str, format: str) -> None:
 
 
 def _print_profile(rec) -> None:
-    """Print one record's per-phase wall-time breakdown, if it has one."""
-    phases = dict(rec.extra.get("phase_seconds") or {})
-    if not phases:
+    """Print one record's per-phase wall-time breakdown, if it has one.
+
+    Rows follow the first sample's span tree: phases directly under the
+    ``total`` span flush left, nested ones (the distributed exchange's
+    ``X-merge`` and ``X`` inside ``L<r>``, ``X-encode`` and ``X-send``
+    inside ``X``) indented under the first phase they appear in, and
+    repeated labels accumulate.  Coverage sums the top-level phases
+    only, so no nested span counts twice.
+    """
+    spans = rec.trace.spans if rec.trace is not None else []
+    total = next((s for s in spans if s.label == "total"), None)
+    if total is None:
         print(f"\n{rec.algorithm}: no phase breakdown recorded")
         return
-    # "total" is the whole-run wall time, not a phase — report it as the
-    # denominator rather than a band of itself.
-    wall = phases.pop("total", None)
-    total = wall if wall else (sum(phases.values()) or 1.0)
+    rows: dict[tuple[int, str], float] = {}
+    stack = [(child, 0) for child in reversed(total.children)]
+    while stack:
+        span, depth = stack.pop()
+        if span.track is not None or span.t1 is None:
+            continue
+        key = (depth, span.label)
+        rows[key] = rows.get(key, 0.0) + span.duration
+        stack.extend((child, depth + 1) for child in reversed(span.children))
+    wall = total.duration or 1.0
     print(f"\n{rec.algorithm} phase breakdown (first sample):")
-    for label, secs in phases.items():
-        print(f"  {label:<10} {secs * 1000:10.3f} ms  {secs / total:6.1%}")
-    if wall is not None:
-        covered = sum(phases.values())
-        print(
-            f"  {'total':<10} {wall * 1000:10.3f} ms  "
-            f"(phases cover {covered / total:.1%}, rest is dispatch)"
-        )
+    for (depth, label), secs in rows.items():
+        name = "  " * depth + label
+        print(f"  {name:<12} {secs * 1000:10.3f} ms  {secs / wall:6.1%}")
+    covered = sum(secs for (depth, _), secs in rows.items() if depth == 0)
+    print(
+        f"  {'total':<12} {total.duration * 1000:10.3f} ms  "
+        f"(phases cover {covered / wall:.1%}, "
+        f"{1 - covered / wall:.1%} outside any phase)"
+    )
     counters = {
         k: v
         for k, v in rec.extra.items()

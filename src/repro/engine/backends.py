@@ -40,7 +40,7 @@ from repro.constants import (
     NARROW_VERTEX_DTYPE,
     VERTEX_DTYPE,
 )
-from repro.core.compress import compress_kernel
+from repro.core.compress import COMPRESS_BLOCK, compress_all, compress_kernel
 from repro.core.link import link_batch, link_kernel
 from repro.core.sampling import approximate_largest_label
 from repro.distributed import partition as _dpart
@@ -93,13 +93,13 @@ def resolve_label_dtype(n: int, policy: str = "auto") -> np.dtype:
 # --------------------------------------------------------------------- #
 
 
-def round_edges(graph: CSRGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
+def round_edges(
+    graph: CSRGraph, deg: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Edge batch of neighbour round ``r``: ``(v, N(v)[r])`` for every
-    vertex with degree > r."""
-    deg = np.asarray(graph.degree())
-    verts = np.nonzero(deg > r)[0].astype(VERTEX_DTYPE)
-    nbrs = graph.indices[graph.indptr[verts] + r]
-    return verts, nbrs
+    vertex with degree (``deg``, the graph's degree array) > r."""
+    verts = np.flatnonzero(deg > r)
+    return verts, graph.indices[graph.indptr[verts] + r]
 
 
 def remaining_edges(
@@ -116,6 +116,23 @@ def remaining_edges(
     src = np.repeat(verts, counts)
     offsets = np.repeat(indptr[verts] + start, counts) + segment_ranges(counts)
     return src, indices[offsets]
+
+
+def remaining_slots(graph: CSRGraph, deg: np.ndarray, start: int) -> int:
+    """How many slots :func:`remaining_edges` yields over every vertex,
+    without gathering them: all slots minus the first ``start``, of
+    which slot ``r`` exists for every vertex with degree > r."""
+    return graph.num_directed_edges - sum(
+        int(np.count_nonzero(deg > r)) for r in range(start)
+    )
+
+
+def _kept(pi: np.ndarray, largest: int | None) -> np.ndarray:
+    """The vertices the final link phase gathers: every vertex outside
+    the ``largest`` component, or all of them when nothing is skipped."""
+    if largest is None:
+        return np.arange(pi.shape[0])
+    return np.flatnonzero(pi != largest)
 
 
 def frontier_edges(
@@ -333,12 +350,13 @@ class ExecutionBackend:
 
     Subclasses implement the primitives on a concrete substrate.  Methods
     that have a meaningful convergence statistic on the vectorized
-    substrate (rounds of ``link_batch``, passes of ``compress_all``)
+    substrate (rounds of ``link_batch``, sweeps of ``compress_all``)
     return it; substrates without such a notion return ``None`` and the
     pipeline skips the bookkeeping.
     """
 
-    #: registry-facing backend kind ("vectorized" / "simulated").
+    #: backend kind, one of :data:`BACKEND_KINDS` ("vectorized" /
+    #: "simulated" / "distributed"); ``engine.run`` reports it.
     kind = "abstract"
 
     def __init__(self, *, label_dtype: str = "auto") -> None:
@@ -357,6 +375,10 @@ class ExecutionBackend:
         # propagate_pass (LP sweeps reuse one batch across all rounds).
         self._edge_graph: CSRGraph | None = None
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        # Identity-cached degree array (sampling rounds and the final
+        # link phase share one per run).
+        self._deg_graph: CSRGraph | None = None
+        self._deg: np.ndarray | None = None
 
     def bind(self, instr: Instrumentation) -> None:
         """Attach the per-run instrumentation (done by ``engine.run``)."""
@@ -384,6 +406,14 @@ class ExecutionBackend:
             self._edge_arrays = graph.edge_array()
         assert self._edge_arrays is not None
         return self._edge_arrays
+
+    def degrees(self, graph: CSRGraph) -> np.ndarray:
+        """The graph's full degree array, cached like the edge arrays."""
+        if self._deg_graph is not graph:
+            self._deg_graph = graph
+            self._deg = np.asarray(graph.degree())
+        assert self._deg is not None
+        return self._deg
 
     # -- primitives ------------------------------------------------------ #
 
@@ -543,8 +573,9 @@ class VectorizedBackend(ExecutionBackend):
     """NumPy batch-kernel substrate: the wall-clock performance path.
 
     Links resolve conflicts by scatter-min (the batch analogue of "the
-    CAS writing the smallest label wins"), compression is pointer
-    doubling, and the giant-component search reads π directly.
+    CAS writing the smallest label wins"), compression walks π in
+    vertex order (:func:`~repro.core.compress.compress_all`), and the
+    giant-component search reads π directly.
     """
 
     kind = "vectorized"
@@ -570,8 +601,8 @@ class VectorizedBackend(ExecutionBackend):
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> int:
         """Gather round-``r`` neighbour slots, then batch-link them."""
-        src, dst = round_edges(graph, r)
         with self.instr.timer(phase):
+            src, dst = round_edges(graph, self.degrees(graph), r)
             return link_batch(pi, src, dst)
 
     def link_remaining(
@@ -585,22 +616,16 @@ class VectorizedBackend(ExecutionBackend):
     ) -> tuple[int, int, int]:
         """Gather the non-skipped remaining slots and batch-link them.
 
-        Skipped work is computed analytically from the degrees of the
-        giant component's vertices — those slots are never materialised.
+        The giant component's slots are never materialised: the skipped
+        count is every remaining slot minus the slots linked.
         """
-        if largest is not None:
-            verts = np.nonzero(pi != largest)[0].astype(VERTEX_DTYPE)
-            deg = np.asarray(graph.degree())
-            skipped_verts = np.nonzero(pi == largest)[0]
-            skipped = int(np.maximum(deg[skipped_verts] - start, 0).sum())
-        else:
-            verts = np.arange(pi.shape[0], dtype=VERTEX_DTYPE)
-            skipped = 0
         with self.instr.timer(f"{phase}-gather"):
-            src, dst = remaining_edges(graph, verts, start)
+            src, dst = remaining_edges(graph, _kept(pi, largest), start)
         with self.instr.timer(phase):
             rounds = link_batch(pi, src, dst)
-        return int(src.shape[0]), skipped, rounds
+        linked = int(src.shape[0])
+        skipped = remaining_slots(graph, self.degrees(graph), start) - linked
+        return linked, skipped, rounds
 
     def _pointer_jump(self, pi: np.ndarray) -> np.ndarray:
         """One ``π ← π[π]`` jump through the pooled scratch buffer.
@@ -614,26 +639,13 @@ class VectorizedBackend(ExecutionBackend):
         return nxt
 
     def compress(self, pi: np.ndarray, *, phase: str) -> int:
-        """Pointer-doubling compression; returns the pass count.
-
-        Identical to :func:`~repro.core.compress.compress_all`, but the
-        per-pass ``π[π]`` gather goes through the pooled scratch buffer
-        instead of allocating ``O(n)`` fresh memory every pass.
-        """
+        """In-order blocked compression
+        (:func:`~repro.core.compress.compress_all`) through the pooled
+        block-sized gather buffer; returns its sweep count."""
         with self.instr.timer(phase):
-            passes = 0
-            cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-            nxt = self.pool.get("jump", int(pi.shape[0]), pi.dtype)
-            while True:
-                np.take(pi, pi, out=nxt)
-                if np.array_equal(nxt, pi):
-                    return passes
-                pi[:] = nxt
-                passes += 1
-                if passes > cap:
-                    raise ConvergenceError(
-                        f"compress_all exceeded {cap} passes — cycle in pi?"
-                    )
+            n = int(pi.shape[0])
+            scratch = self.pool.get("jump", min(n, COMPRESS_BLOCK), pi.dtype)
+            return compress_all(pi, scratch)
 
     def find_largest(
         self,
@@ -1413,9 +1425,9 @@ class DistributedBackend(VectorizedBackend):
     def link_neighbor_round(
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> int:
-        src, dst = round_edges(graph, r)
         self._sync_driver(pi)
         with self.instr.timer(phase):
+            src, dst = round_edges(graph, self.degrees(graph), r)
             return self._dist_link_batch(pi, self._batch_shards(src, dst))
 
     def link_remaining(
@@ -1428,21 +1440,15 @@ class DistributedBackend(VectorizedBackend):
         phase: str,
     ) -> tuple[int, int, int]:
         self._sync_driver(pi)
-        if largest is not None:
-            verts = np.nonzero(pi != largest)[0].astype(VERTEX_DTYPE)
-            deg = np.asarray(graph.degree())
-            skipped_verts = np.nonzero(pi == largest)[0]
-            skipped = int(np.maximum(deg[skipped_verts] - start, 0).sum())
-        else:
-            verts = np.arange(pi.shape[0], dtype=VERTEX_DTYPE)
-            skipped = 0
         with self.instr.timer(f"{phase}-gather"):
-            src, dst = remaining_edges(graph, verts, start)
+            src, dst = remaining_edges(graph, _kept(pi, largest), start)
         with self.instr.timer(phase):
             rounds = self._dist_link_batch(
                 pi, self._batch_shards(src, dst)
             )
-        return int(src.shape[0]), skipped, rounds
+        linked = int(src.shape[0])
+        skipped = remaining_slots(graph, self.degrees(graph), start) - linked
+        return linked, skipped, rounds
 
     # -- replica-local primitives ---------------------------------------- #
 
@@ -1459,7 +1465,7 @@ class DistributedBackend(VectorizedBackend):
         return pi
 
     def compress(self, pi: np.ndarray, *, phase: str) -> int:
-        # Pointer doubling reads/writes only the local replica: since every
+        # Compression reads/writes only the local replica: since every
         # rank holds the same π, all replicas converge identically for free.
         self._sync_driver(pi)
         passes = super().compress(pi, phase=phase)
@@ -1625,8 +1631,8 @@ class DistributedBackend(VectorizedBackend):
 # backend factory
 # --------------------------------------------------------------------- #
 
-#: canonical backend kinds, as accepted by :func:`make_backend`, the CLI's
-#: ``--backend`` flag, and algorithm registry metadata.
+#: canonical backend kinds, as accepted by :func:`make_backend` and the
+#: CLI's ``--backend`` flag.
 BACKEND_KINDS = ("vectorized", "simulated", "distributed")
 
 
@@ -1642,7 +1648,7 @@ def make_backend(
     ranks: int | None = None,
     label_dtype: str = "auto",
 ) -> ExecutionBackend:
-    """Construct a backend from its registry kind.
+    """Construct a backend of ``kind`` (one of :data:`BACKEND_KINDS`).
 
     ``workers`` selects the simulated machine's worker count and
     ``ranks`` the world size of the distributed substrate; the vectorized

@@ -65,6 +65,8 @@ class CCResult:
     edges_final: int = 0
     edges_skipped: int = 0
     link_rounds: list[int] = field(default_factory=list)
+    #: per compress call, the most changing sweeps any block of
+    #: ``compress_all`` needed (0 when π was already flat).
     compress_passes: list[int] = field(default_factory=list)
 
     # -- iterative counters (SV / label propagation) ---------------------- #

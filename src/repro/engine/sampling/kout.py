@@ -38,10 +38,9 @@ def _validate(
 
 
 def _random_round_edges(
-    graph: CSRGraph, rng: np.random.Generator
+    graph: CSRGraph, deg: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """One *random* neighbour per vertex (with replacement across rounds)."""
-    deg = np.asarray(graph.degree())
     verts = np.nonzero(deg > 0)[0].astype(VERTEX_DTYPE)
     offsets = rng.integers(0, deg[verts])
     nbrs = graph.indices[graph.indptr[verts] + offsets]
@@ -62,7 +61,7 @@ def kout_sampling(
     """
     _validate(neighbor_rounds=neighbor_rounds, sampling=sampling)
     backend, pi, result = ctx.backend, ctx.pi, ctx.result
-    deg = np.asarray(ctx.graph.degree())
+    deg = backend.degrees(ctx.graph)
     for r in range(neighbor_rounds):
         link_phase = phase_label("L", round=r)
         if sampling == "first":
@@ -71,7 +70,7 @@ def kout_sampling(
                 pi, ctx.graph, r, phase=link_phase
             )
         else:
-            src, dst = _random_round_edges(ctx.graph, ctx.rng)
+            src, dst = _random_round_edges(ctx.graph, deg, ctx.rng)
             result.edges_sampled += int(src.shape[0])
             rounds = backend.link_edges(pi, src, dst, phase=link_phase)
         if rounds is not None:

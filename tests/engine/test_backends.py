@@ -5,8 +5,16 @@ import pytest
 
 from repro import engine
 from repro.analysis import equivalent_labelings
-from repro.engine import SimulatedBackend, VectorizedBackend
+from repro.engine import (
+    DistributedBackend,
+    SimulatedBackend,
+    VectorizedBackend,
+    backends,
+)
 from repro.errors import ConfigurationError
+from repro.generators import barabasi_albert_graph, road_network_graph
+from repro.graph.csr import CSRGraph
+from repro.obs import Tracer
 from repro.parallel.machine import SimulatedMachine
 from repro.unionfind import sequential_components
 
@@ -187,3 +195,79 @@ class TestSimulatedPhaseStructure:
         assert result.edges_touched + result.edges_skipped == \
             mixed_graph.num_directed_edges
         assert result.phase_seconds
+
+
+GIANT_GRAPHS = {
+    "road": lambda: road_network_graph(32, 32, seed=3),
+    "ba": lambda: barabasi_albert_graph(1500, 3, seed=4),
+}
+
+
+class TestAfforestBookkeeping:
+    """One degree array per run, round gathers inside their ``L<r>``
+    span, and a skip count equal to the giant component's slots."""
+
+    @pytest.fixture
+    def degree_arrays(self, monkeypatch):
+        graphs = []
+        degree = CSRGraph.degree
+
+        def counting(graph, v=None):
+            if v is None:
+                graphs.append(graph)
+            return degree(graph, v)
+
+        monkeypatch.setattr(CSRGraph, "degree", counting)
+        return graphs
+
+    @pytest.mark.parametrize("sampling", ["first", "random"])
+    @pytest.mark.parametrize("backend", ["vectorized", "distributed"])
+    def test_degree_array_at_most_once_per_run(
+        self, degree_arrays, backend, sampling
+    ):
+        graph = GIANT_GRAPHS["road"]()
+        engine.run("afforest", graph, backend=backend, ranks=2, sampling=sampling)
+        assert len(degree_arrays) <= 1
+
+    @pytest.mark.parametrize("backend", ["vectorized", "distributed"])
+    def test_round_gather_inside_link_span(self, monkeypatch, backend):
+        tracer = Tracer(True)
+        seen = []
+        gather = backends.round_edges
+
+        def spy(*args):
+            seen.append((args[-1], tracer.current().label))  # (r, span)
+            return gather(*args)
+
+        monkeypatch.setattr(backends, "round_edges", spy)
+        engine.run(
+            "afforest",
+            GIANT_GRAPHS["road"](),
+            backend=backend,
+            ranks=2,
+            trace=tracer,
+        )
+        assert seen == [(0, "L0"), (1, "L1")]
+
+    @pytest.mark.parametrize("sampling", ["first", "random"])
+    @pytest.mark.parametrize("backend", [VectorizedBackend, DistributedBackend])
+    @pytest.mark.parametrize("name", sorted(GIANT_GRAPHS))
+    def test_skip_count_is_giant_slots(self, monkeypatch, name, backend, sampling):
+        seen = {}
+        link_remaining = backend.link_remaining
+
+        def spy(self, pi, graph, start, largest, *, phase):
+            seen.update(pi=pi.copy(), start=start, largest=largest)
+            return link_remaining(self, pi, graph, start, largest, phase=phase)
+
+        monkeypatch.setattr(backend, "link_remaining", spy)
+        graph = GIANT_GRAPHS[name]()
+        result = engine.run("afforest", graph, backend=backend(), sampling=sampling)
+        pi, start, giant = seen["pi"], seen["start"], seen["largest"]
+        expected = sum(
+            max(graph.degree(v) - start, 0)
+            for v in range(graph.num_vertices)
+            if pi[v] == giant
+        )
+        assert expected > 0
+        assert result.edges_skipped == expected

@@ -179,6 +179,36 @@ class TestCompare:
         ) == 1
         assert "no requested algorithm" in capsys.readouterr().err
 
+    def test_profile_coverage_counts_top_level_phases(self, capsys):
+        # The distributed exchange nests X-merge/X inside L<r> and
+        # X-encode/X-send inside X; coverage must count each once.
+        assert main(
+            [
+                "compare", "dataset:web:small",
+                "--algorithms", "afforest",
+                "--repeats", "1", "--profile",
+                "--backend", "distributed", "--ranks", "2",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        rows = out[out.index("phase breakdown") :].splitlines()[1:]
+        total = next(r for r in rows if r.startswith("  total"))
+        top = [
+            r for r in rows
+            if r.startswith("  ") and not r.startswith("   ")
+            and not r.startswith(("  total", "  counters"))
+        ]
+        nested = {r.split()[0] for r in rows if r.startswith("    ")}
+        assert {"X-merge", "X", "X-encode", "X-send"} <= nested
+        assert "L0" in {r.split()[0] for r in top}
+        top_ms = sum(float(r.split()[1]) for r in top)
+        cover = float(total.split("phases cover ")[1].split("%")[0])
+        assert cover <= 100.0
+        assert cover == pytest.approx(
+            100 * top_ms / float(total.split()[1]), abs=0.3
+        )
+        assert "outside any phase" in total
+
     def test_trace_out_per_algorithm_files(self, graph_file, tmp_path, capsys):
         base = tmp_path / "cmp.json"
         assert main(
