@@ -6,7 +6,7 @@ if needed.  The loop walks both endpoints' ancestor chains; at each step it
 tries to hook the higher-indexed candidate root onto the lower one with a
 compare-and-swap, preserving Invariant 1 (``pi[x] <= x``).
 
-Three implementations share these semantics:
+Four implementations share these semantics:
 
 - :func:`link` — plain scalar with optional counters (analysis runs);
 - :func:`link_kernel` — generator kernel for the simulated machine, with a
@@ -15,7 +15,10 @@ Three implementations share these semantics:
   performance implementation.  Conflicting concurrent hooks are resolved by
   ``np.minimum.at`` scatter-min, the batch analogue of "the winning CAS is
   the one writing the smallest l", and losers re-iterate exactly like the
-  scalar CAS-failure path (case 3 of Lemma 5).
+  scalar CAS-failure path (case 3 of Lemma 5);
+- :func:`link_out` — ``link_batch`` of one out-edge per vertex (a
+  neighbour round), with the first round on an identity π as an
+  elementwise minimum.
 """
 
 from __future__ import annotations
@@ -168,33 +171,78 @@ def link_batch(
        ``(pi[pi[h]], pi[l])`` and go again.
 
     Returns the number of rounds executed.  O(rounds · batch) vectorized
-    work; rounds is O(log n) in practice and capped for safety.
+    work; rounds is O(log n) in practice and capped for safety.  π and
+    the round count depend only on the batch's set of edges, not on
+    their order or multiplicity.
     """
-    if src.shape[0] == 0:
-        return 0
-    a = pi[src]
-    b = pi[dst]
-    n = pi.shape[0]
-    cap = ITERATION_CAP_FACTOR * n + ITERATION_CAP_SLACK
-    rounds = 0
+    return _link_rounds(pi, pi[src], pi[dst], 0)
+
+
+def _link_rounds(
+    pi: np.ndarray, a: np.ndarray, b: np.ndarray, rounds: int
+) -> int:
+    """:func:`link_batch`'s round loop from the cursors ``(a, b)``, after
+    ``rounds`` rounds already run; returns the total round count.
+
+    Each round keeps the edges whose cursors differ and hooks those whose
+    high cursor is a root.  Both selections compact through
+    ``flatnonzero`` plus gathers, which at the loop's typical density is
+    several times cheaper than boolean-mask indexing; the first is
+    skipped when every edge is still apart.
+    """
+    cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
     while True:
         active = a != b
-        if not active.any():
+        live = int(np.count_nonzero(active))
+        if live == 0:
             return rounds
         rounds += 1
         if rounds > cap:
             raise ConvergenceError(
                 f"link_batch exceeded {cap} rounds — corrupted pi?"
             )
-        a = a[active]
-        b = b[active]
+        if live < a.shape[0]:
+            keep = np.flatnonzero(active)
+            a = a[keep]
+            b = b[keep]
         h = np.maximum(a, b)
         l = np.minimum(a, b)
-        ph = pi[h]
-        root = ph == h
-        if root.any():
-            np.minimum.at(pi, h[root], l[root])
+        hook = np.flatnonzero(pi[h] == h)
+        np.minimum.at(pi, h[hook], l[hook])
         # Climb both chains (also resolves freshly hooked edges: their new
         # a and b meet at the common root and drop out next round).
         a = pi[pi[h]]
         b = pi[l]
+
+
+def link_out(pi: np.ndarray, nbr: np.ndarray) -> int:
+    """Vectorized link of one out-edge per vertex: ``(v, nbr[v])`` for
+    every ``v``, where ``nbr[v] == v`` means ``v`` has no edge.
+
+    Leaves π and the round count exactly as
+    ``link_batch(pi, arange(n), nbr)`` does, for any π.  When π is the
+    identity (tested on π itself), every endpoint is a root and each
+    vertex owns one edge, so round 1 needs no gathers or root test:
+    ``π ← minimum(π, nbr)`` hooks every edge that points down, and one
+    scatter-min hooks the edges that point up.  Round 2 then continues,
+    from its cursors, only the edges that may still be apart: every up
+    edge, plus each down edge ``(t, nbr[t])`` whose ``π[t]`` an up edge
+    lowered below ``nbr[t]``.  Every other down edge has ``π[t] ==
+    nbr[t]``, so both its round-2 cursors read ``π[nbr[t]]``.
+    """
+    n = pi.shape[0]
+    if not np.array_equal(pi, np.arange(n, dtype=pi.dtype)):
+        return _link_rounds(pi, pi.copy(), pi[nbr], 0)
+    up = np.flatnonzero(nbr > pi)  # π is the identity: π[u] == u
+    if up.shape[0] == 0 and not (nbr < pi).any():
+        return 0  # no vertex has an edge
+    tgt = nbr[up]
+    np.minimum(pi, nbr, out=pi)
+    np.minimum.at(pi, tgt, up)
+    # t's own edge is lowered iff its hook's winner u (unique: each u owns
+    # one edge) lies below nbr[t] < t; a fan-in of up edges yields t once.
+    tnbr = nbr[tgt]
+    low = tgt[(pi[tgt] == up) & (up < tnbr) & (tnbr < tgt)]
+    h = np.concatenate((tgt, low))
+    l = np.concatenate((up, nbr[low]))
+    return _link_rounds(pi, pi[pi[h]], pi[l], 1)

@@ -5,7 +5,7 @@ edge batch, compress the parent array, probe π for the giant component,
 hook-and-shortcut — that admit three execution substrates:
 
 - :class:`VectorizedBackend` — NumPy batch kernels
-  (:func:`~repro.core.link.link_batch`,
+  (:func:`~repro.core.link.link_batch`, :func:`~repro.core.link.link_out`,
   :func:`~repro.core.compress.compress_all`); the wall-clock performance
   implementation;
 - :class:`SimulatedBackend` — generator kernels on a
@@ -41,7 +41,7 @@ from repro.constants import (
     VERTEX_DTYPE,
 )
 from repro.core.compress import COMPRESS_BLOCK, compress_all, compress_kernel
-from repro.core.link import link_batch, link_kernel
+from repro.core.link import link_batch, link_kernel, link_out
 from repro.core.sampling import approximate_largest_label
 from repro.distributed import partition as _dpart
 from repro.distributed.comm import SimulatedComm
@@ -100,6 +100,25 @@ def round_edges(
     vertex with degree (``deg``, the graph's degree array) > r."""
     verts = np.flatnonzero(deg > r)
     return verts, graph.indices[graph.indptr[verts] + r]
+
+
+def round_neighbors(graph: CSRGraph, deg: np.ndarray, r: int) -> np.ndarray:
+    """Neighbour round ``r`` as one out-edge per vertex: ``N(v)[r]``, or
+    ``v`` itself (no edge) where ``deg[v] <= r``.
+
+    Slot ``r`` of every vertex is ``indptr[v] + r``, so no vertex list
+    is built and ``indptr`` is not gathered.
+    """
+    indices = graph.indices
+    slot = graph.indptr[:-1] + r
+    # Slots ascend with v, so those past the last edge form a suffix, and
+    # every vertex there has deg <= r: the self edges below cover it.
+    cut = int(np.searchsorted(slot, indices.shape[0]))
+    nbr = np.empty(slot.shape[0], dtype=indices.dtype)
+    nbr[:cut] = indices[slot[:cut]]
+    short = np.flatnonzero(deg <= r)
+    nbr[short] = short
+    return nbr
 
 
 def remaining_edges(
@@ -600,10 +619,10 @@ class VectorizedBackend(ExecutionBackend):
     def link_neighbor_round(
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> int:
-        """Gather round-``r`` neighbour slots, then batch-link them."""
+        """Gather slot ``r`` of every vertex, then link it as one
+        out-edge per vertex (:func:`~repro.core.link.link_out`)."""
         with self.instr.timer(phase):
-            src, dst = round_edges(graph, self.degrees(graph), r)
-            return link_batch(pi, src, dst)
+            return link_out(pi, round_neighbors(graph, self.degrees(graph), r))
 
     def link_remaining(
         self,

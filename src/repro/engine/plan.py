@@ -40,7 +40,12 @@ from repro.constants import (
 )
 from repro.engine.backends import ExecutionBackend
 from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA, FINISHES
-from repro.engine.phase import FinishSpec, PlanContext, SamplingSpec
+from repro.engine.phase import (
+    FinishSpec,
+    PlanContext,
+    SamplingSpec,
+    require_int,
+)
 from repro.engine.result import CCResult
 from repro.engine.sampling import SAMPLINGS
 from repro.errors import ConfigurationError
@@ -208,6 +213,8 @@ def run_plan(
         plan.sampling.validate(**s_params)
     if plan.finish.validate is not None:
         plan.finish.validate(**f_params)
+    sample_size = top.get("sample_size", DEFAULT_SKIP_SAMPLE_SIZE)
+    require_int("sample_size", sample_size, 1)
 
     if plan.finish.whole_graph:
         result = plan.finish.fn(graph, backend, **f_params)
@@ -215,7 +222,6 @@ def run_plan(
         return result
 
     seed = top.get("seed", 0)
-    sample_size = top.get("sample_size", DEFAULT_SKIP_SAMPLE_SIZE)
     skip_default = plan.sampling.name != "none" and plan.finish.supports_skip
     skip = bool(top.get("skip_largest", skip_default))
     skip = skip and plan.finish.supports_skip

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DEFAULT_NEIGHBOR_ROUNDS, VERTEX_DTYPE
-from repro.engine.phase import PlanContext, SamplingSpec
+from repro.engine.phase import PlanContext, SamplingSpec, require_int
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.obs import phase_label
@@ -27,10 +27,7 @@ def _validate(
     neighbor_rounds: int = DEFAULT_NEIGHBOR_ROUNDS,
     sampling: str = "first",
 ) -> None:
-    if neighbor_rounds < 0:
-        raise ConfigurationError(
-            f"neighbor_rounds must be >= 0, got {neighbor_rounds}"
-        )
+    require_int("neighbor_rounds", neighbor_rounds, 0)
     if sampling not in ("first", "random"):
         raise ConfigurationError(
             f"sampling must be 'first' or 'random', got {sampling!r}"
@@ -55,9 +52,8 @@ def kout_sampling(
 ) -> None:
     """``neighbor_rounds`` rounds of neighbour linking, each compressed.
 
-    Phase labels are the Afforest legend's ``L<r>`` / ``C<r>``; the flat
-    strings and the structured ``round`` attribute are identical to the
-    pre-refactor monolith, keeping canonical traces bit-compatible.
+    Phase labels are the Afforest legend's ``L<r>`` / ``C<r>``, each
+    carrying its round as the structured ``round`` attribute.
     """
     _validate(neighbor_rounds=neighbor_rounds, sampling=sampling)
     backend, pi, result = ctx.backend, ctx.pi, ctx.result

@@ -2,9 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.constants import VERTEX_DTYPE
-from repro.core.link import LinkCounters, link, link_batch, link_kernel
+from repro.constants import (
+    ITERATION_CAP_FACTOR,
+    ITERATION_CAP_SLACK,
+    VERTEX_DTYPE,
+)
+from repro.core.compress import compress_all
+from repro.core.link import (
+    LinkCounters,
+    link,
+    link_batch,
+    link_kernel,
+    link_out,
+)
 from repro.errors import ConvergenceError
 from repro.parallel import SimulatedMachine
 from repro.unionfind import ParentArray
@@ -179,3 +192,104 @@ class TestLinkKernel:
         labels = ParentArray(pi).labels()
         assert len({int(labels[i]) for i in list(range(8)) + [n - 1]}) == 1
         assert ph.cas_attempts >= 1
+
+
+def reference_link_batch(pi, src, dst):
+    """The batch link loop in its plain form (boolean masks, ``any()``):
+    the reference :func:`link_batch` and :func:`link_out` must match
+    round for round."""
+    if src.shape[0] == 0:
+        return 0
+    a = pi[src]
+    b = pi[dst]
+    cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
+    rounds = 0
+    while True:
+        active = a != b
+        if not active.any():
+            return rounds
+        rounds += 1
+        if rounds > cap:
+            raise ConvergenceError("reference loop exceeded its cap")
+        a = a[active]
+        b = b[active]
+        h = np.maximum(a, b)
+        l = np.minimum(a, b)
+        root = pi[h] == h
+        if root.any():
+            np.minimum.at(pi, h[root], l[root])
+        a = pi[pi[h]]
+        b = pi[l]
+
+
+@st.composite
+def parent_arrays(draw):
+    """π of up to 300 vertices at int32 or int64: the identity, or the
+    result of random earlier batch links, sometimes compressed flat."""
+    n = draw(st.integers(0, 300))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    pi = np.arange(n, dtype=dtype)
+    if n and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        for _ in range(draw(st.integers(1, 3))):
+            m = int(rng.integers(0, 2 * n))
+            src, dst = rng.integers(0, n, size=(2, m))
+            reference_link_batch(pi, src, dst)
+        if draw(st.booleans()):
+            compress_all(pi)
+    return pi
+
+
+@st.composite
+def out_edges(draw, n):
+    """One out-edge per vertex, ``nbr[v] == v`` for none: random up and
+    down pointers in no particular order, with self entries, fan-in to
+    one hub and mutual pairs mixed in at drawn rates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.arange(n)
+    nbr = rng.integers(0, max(n, 1), size=n)
+    nbr[rng.random(n) < draw(st.floats(0.0, 1.0))] = int(
+        rng.integers(0, max(n, 1))
+    )  # fan-in to one hub
+    pairs = rng.permutation(n)
+    pairs = pairs[: 2 * int(draw(st.floats(0.0, 0.5)) * n)]
+    nbr[pairs[0::2]] = pairs[1::2]
+    nbr[pairs[1::2]] = pairs[0::2]
+    own = rng.random(n) < draw(st.floats(0.0, 1.0))
+    nbr[own] = v[own]
+    return nbr
+
+
+class TestLinkAgainstReference:
+    """``link_batch`` and ``link_out`` leave π and the round count exactly
+    as the plain loop does, on identity and linked π alike."""
+
+    @given(pi=parent_arrays(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_link_out_matches_loop(self, pi, data):
+        n = int(pi.shape[0])
+        nbr = data.draw(out_edges(n), label="nbr")
+        ref = pi.copy()
+        ref_rounds = reference_link_batch(ref, np.arange(n), nbr)
+        rounds = link_out(pi, nbr)
+        assert rounds == ref_rounds
+        assert pi.dtype == ref.dtype
+        assert np.array_equal(pi, ref)
+
+    @given(pi=parent_arrays(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_link_batch_matches_loop(self, pi, data):
+        n = int(pi.shape[0])
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(0, 3 * n + 1))
+        src, dst = rng.integers(0, max(n, 1), size=(2, m))
+        loops = rng.random(m) < data.draw(st.floats(0.0, 0.5))
+        dst[loops] = src[loops]
+        twice = int(rng.integers(0, m + 1))  # duplicate a prefix
+        src = np.concatenate((src, src[:twice]))
+        dst = np.concatenate((dst, dst[:twice]))
+        ref = pi.copy()
+        ref_rounds = reference_link_batch(ref, src, dst)
+        assert link_batch(pi, src, dst) == ref_rounds
+        assert np.array_equal(pi, ref)

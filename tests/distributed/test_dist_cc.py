@@ -12,8 +12,11 @@ from repro.errors import ConfigurationError
 from repro.generators import (
     barabasi_albert_graph,
     kronecker_graph,
+    road_network_graph,
     uniform_random_graph,
 )
+from repro.graph.builder import build_csr, from_edge_list
+from repro.graph.coo import EdgeList
 from repro.unionfind import sequential_components
 
 
@@ -220,6 +223,82 @@ class TestTrafficCurve:
         assert max(per_rank) < 8 * graph.num_vertices * (ranks - 1)
         vec = engine.run("none+fastsv", graph)
         assert np.array_equal(result.labels, vec.labels)
+
+
+def _road_permuted_unsorted():
+    """The 256² road proxy with random vertex ids and neighbour lists in
+    input order, so first slots point up as often as down."""
+    graph = road_network_graph(256, 256, seed=3)
+    src, dst = graph.edge_array()
+    perm = np.random.default_rng(5).permutation(graph.num_vertices)
+    edges = EdgeList(graph.num_vertices, perm[src], perm[dst])
+    return build_csr(edges, sort_neighbors=False)
+
+
+def _self_loops_and_isolated():
+    """Random edges on vertices 0..1999, self-loops on some of 0..2499,
+    and vertices up to 2999 with no edge at all."""
+    rng = np.random.default_rng(6)
+    src, dst = rng.integers(0, 2000, size=(2, 4000))
+    loops = rng.integers(0, 2500, size=300)
+    edges = EdgeList(
+        3000, np.concatenate((src, loops)), np.concatenate((dst, loops))
+    )
+    return build_csr(edges, drop_self_loops=False)
+
+
+AFFOREST_GRAPHS = {
+    "road": lambda: road_network_graph(256, 256, seed=3),
+    "ba": lambda: barabasi_albert_graph(5000, 3, seed=4),
+    "road-permuted-unsorted": _road_permuted_unsorted,
+    "self-loops-isolated": _self_loops_and_isolated,
+    "empty": lambda: from_edge_list([], num_vertices=0),
+}
+
+#: every Afforest result the two link implementations must agree on
+AFFOREST_FIELDS = (
+    "link_rounds",
+    "compress_passes",
+    "edges_sampled",
+    "edges_final",
+    "edges_skipped",
+    "largest_label",
+)
+
+
+class TestAfforestMatchesVectorized:
+    """The distributed backend runs its own link loop over round edge
+    batches, so it is an independent reference for the vectorized
+    backend's neighbour rounds: labels and every counter agree."""
+
+    @pytest.fixture(scope="class")
+    def vectorized(self):
+        graphs = {name: make() for name, make in AFFOREST_GRAPHS.items()}
+        runs = {
+            (name, sampling): engine.run("afforest", g, sampling=sampling)
+            for name, g in graphs.items()
+            for sampling in ("first", "random")
+        }
+        return graphs, runs
+
+    @pytest.mark.parametrize("sampling", ["first", "random"])
+    @pytest.mark.parametrize("partition", ["block", "hash"])
+    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("name", list(AFFOREST_GRAPHS))
+    def test_same_labels_and_counters(
+        self, vectorized, name, ranks, partition, sampling
+    ):
+        graphs, runs = vectorized
+        vec = runs[name, sampling]
+        dist = engine.run(
+            "afforest",
+            graphs[name],
+            backend=DistributedBackend(ranks=ranks, partition=partition),
+            sampling=sampling,
+        )
+        assert np.array_equal(dist.labels, vec.labels)
+        for field in AFFOREST_FIELDS:
+            assert getattr(dist, field) == getattr(vec, field), field
 
 
 class TestDedupMin:

@@ -229,17 +229,25 @@ class TestAfforestBookkeeping:
         engine.run("afforest", graph, backend=backend, ranks=2, sampling=sampling)
         assert len(degree_arrays) <= 1
 
+    #: each backend's neighbour-round gather: vectorized takes slot r of
+    #: every vertex, distributed the (v, N(v)[r]) batch of degree > r
+    ROUND_GATHER = {
+        "vectorized": "round_neighbors",
+        "distributed": "round_edges",
+    }
+
     @pytest.mark.parametrize("backend", ["vectorized", "distributed"])
     def test_round_gather_inside_link_span(self, monkeypatch, backend):
         tracer = Tracer(True)
         seen = []
-        gather = backends.round_edges
+        name = self.ROUND_GATHER[backend]
+        gather = getattr(backends, name)
 
         def spy(*args):
             seen.append((args[-1], tracer.current().label))  # (r, span)
             return gather(*args)
 
-        monkeypatch.setattr(backends, "round_edges", spy)
+        monkeypatch.setattr(backends, name, spy)
         engine.run(
             "afforest",
             GIANT_GRAPHS["road"](),

@@ -99,6 +99,54 @@ class TestConfigurationRejection:
         with pytest.raises(ConfigurationError):
             engine.run("afforest", mixed_graph, sampling="psychic")
 
+    @pytest.fixture
+    def no_phase(self, monkeypatch):
+        """Fail the test if a plan reaches its first phase."""
+
+        def init_labels(self, n, **kwargs):
+            raise AssertionError("a phase ran before the check")
+
+        monkeypatch.setattr(engine.VectorizedBackend, "init_labels", init_labels)
+
+    @pytest.mark.parametrize(
+        "value", [2.0, "2", None, True], ids=["float", "str", "none", "bool"]
+    )
+    def test_neighbor_rounds_must_be_an_integer(
+        self, mixed_graph, no_phase, value
+    ):
+        # A float, string or None surfaced as a bare TypeError from range()
+        # or a comparison; True ran one round.
+        with pytest.raises(
+            ConfigurationError, match="neighbor_rounds must be an integer"
+        ):
+            engine.run("afforest", mixed_graph, neighbor_rounds=value)
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_sample_size_must_be_an_integer(self, mixed_graph, no_phase, value):
+        # 2.5 surfaced as a TypeError from the probe draw, after the
+        # sampling phase had run; True drew one probe.
+        with pytest.raises(
+            ConfigurationError, match="sample_size must be an integer"
+        ):
+            engine.run("afforest", mixed_graph, sample_size=value)
+
+    def test_sample_size_zero_rejected_on_simulated(self, mixed_graph):
+        # The simulated probe phase took the mode of zero probes, a bare
+        # ValueError raised after the sampling phase had run.
+        with pytest.raises(ConfigurationError, match="sample_size must be >= 1"):
+            engine.run(
+                "afforest", mixed_graph, backend="simulated", sample_size=0
+            )
+
+    def test_numpy_integer_counts_accepted(self, mixed_graph):
+        result = engine.run(
+            "afforest",
+            mixed_graph,
+            neighbor_rounds=np.int64(1),
+            sample_size=np.int32(8),
+        )
+        assert result.neighbor_rounds == 1
+
     def test_machine_knobs(self):
         from repro.parallel import SimulatedMachine
 
