@@ -37,12 +37,28 @@ def edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     Keys order edges by source, then destination: ascending keys are CSR
     order.
     """
+    keys = np.empty(src.shape[0], dtype=np.int64)
+    _put_keys(src, dst, n, keys)
+    return keys
+
+
+def _put_keys(
+    src: np.ndarray, dst: np.ndarray, n: int, out: np.ndarray
+) -> None:
+    """Write :func:`edge_keys` of ``src, dst`` into the int64 slice ``out``."""
     if n > _MAX_KEYED_VERTICES:
         raise GraphFormatError(
             f"{n} vertices exceed the int64 edge-key range "
             f"(at most {_MAX_KEYED_VERTICES})"
         )
-    return src * np.int64(n) + dst
+    np.multiply(src, np.int64(n), out=out)
+    out += dst
+
+
+def row_starts(keys: np.ndarray, n: int) -> np.ndarray:
+    """``indptr`` of ascending :func:`edge_keys`: where each row's first key
+    ``v * n`` would sort, for v = 0..n."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
 
 
 def csr_from_sorted_keys(
@@ -51,16 +67,17 @@ def csr_from_sorted_keys(
     """Assemble a CSR graph from ascending :func:`edge_keys`.
 
     Sorted keys already are CSR order (rows by source, ascending
-    neighbours), so assembly is a decode plus an optional drop of adjacent
-    duplicates.  ``keys`` is consumed: without ``dedup`` its buffer becomes
-    the graph's ``indices``.
+    neighbours), so assembly is a drop of adjacent duplicates, made only
+    if one exists, then a row search and a decode.  ``keys`` is consumed:
+    unless duplicates were dropped, its buffer becomes the graph's
+    ``indices``.
     """
-    if dedup and keys.size:
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    rows = keys // max(n, 1)
-    indptr = _indptr(rows, n)
-    rows *= n
-    keys -= rows  # in place: the columns
+    if dedup and keys.size > 1:
+        fresh = keys[1:] != keys[:-1]
+        if not fresh.all():
+            keys = keys[np.concatenate(([True], fresh))]
+    indptr = row_starts(keys, n)
+    np.remainder(keys, max(n, 1), out=keys)  # in place: the columns
     return CSRGraph(indptr, keys, validate=False)
 
 
@@ -76,17 +93,26 @@ def _sorted_keys(
     """The sorted :func:`edge_keys` of the normalised records: one sort
     yields the sorted rows, and dedup then only compares neighbours.
 
-    A function of its own so that the self-loop-free copy of the records
-    is freed before the CSR assembly allocates.
+    Both orientations are written into one buffer.  Only an input with a
+    self loop copies its records: to drop the loops, or to keep each loop
+    single under ``symmetrize``.
     """
-    el = edges.without_self_loops() if drop_self_loops else edges
-    n = el.num_vertices
-    keys = edge_keys(el.src, el.dst, n)
-    if symmetrize:
-        mirror = el.src != el.dst  # self loops stay single
-        keys = np.concatenate(
-            [keys, edge_keys(el.dst[mirror], el.src[mirror], n)]
-        )
+    n, src, dst = edges.num_vertices, edges.src, edges.dst
+    keep = src != dst
+    if keep.all():  # no self loop: no copy
+        rev_src, rev_dst = dst, src
+    elif drop_self_loops:
+        src, dst = src[keep], dst[keep]
+        rev_src, rev_dst = dst, src
+    else:  # self loops stay single
+        rev_src, rev_dst = dst[keep], src[keep]
+    if not symmetrize:
+        keys = edge_keys(src, dst, n)
+    else:
+        m = src.shape[0]
+        keys = np.empty(m + rev_src.shape[0], dtype=np.int64)
+        _put_keys(src, dst, n, keys[:m])
+        _put_keys(rev_src, rev_dst, n, keys[m:])
     keys.sort()
     return keys
 

@@ -5,7 +5,8 @@ from:
 
 - **edge-list text** (``.el`` — the GAP loader's plain format): one
   ``u v`` pair per line, ``#`` comments allowed; a file is parsed by one
-  vectorized block parser on both the whole-file and the chunked path;
+  vectorized block parser on both the whole-file and the chunked path,
+  in 1 MiB blocks, decoding each endpoint from 8-byte words;
 - **METIS** (``.graph``): header ``n m`` then one line of (1-based)
   neighbours per vertex;
 - **npz binary**: the CSR arrays verbatim, the fastest round-trip.
@@ -25,8 +26,10 @@ from __future__ import annotations
 
 import io
 import os
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from repro.graph.builder import (
     csr_from_sorted_keys,
     edge_keys,
     from_edge_array,
+    row_starts,
 )
 from repro.graph.csr import CSRGraph
 
@@ -57,38 +61,55 @@ __all__ = [
 # edge-list text
 # --------------------------------------------------------------------- #
 
-#: Characters (bytes, in ASCII text) read per parse block; a block holds
-#: whole lines, so a longer line grows its block.  Parse working memory is a
-#: small multiple of one block.
-_BLOCK_BYTES = 1 << 22
+#: Bytes read per parse block; a block holds whole lines, so a longer line
+#: grows its block.  Parse working memory is a small multiple of one block,
+#: which at this size stays in cache and reuses the same heap pages.
+_BLOCK_BYTES = 1 << 20
 
 #: Longest token the vectorized parser decodes: every 18-digit decimal fits
 #: int64.  Longer tokens (leading zeros, overflow) take the reference path.
 _MAX_DIGITS = 18
 
-_NL, _SPACE, _HASH, _ZERO = b"\n #0"
+_NL, _SPACE, _ZERO = b"\n 0"
+#: Class bytes of comment markers and of every other non-digit, non-space
+#: byte.  Both carry bit 6, which no digit or separator class has, so the
+#: word-wise decode tells a token's bad byte from its end with one mask.
+_HASH, _OTHER = b"cx"
 _INT64 = np.iinfo(np.int64)
 
 
 def _byte_classes() -> bytes:
     r"""``bytes.translate`` table onto the vectorized parser's alphabet:
     digits and ``\n`` map to themselves, the rest of the whitespace that
-    ``str.split`` sees in ASCII to a space, both comment markers to ``#``
-    and every other byte to ``x``."""
-    table = bytearray(b"x" * 256)
+    ``str.split`` sees in ASCII to a space, both comment markers to
+    ``_HASH`` and every other byte to ``_OTHER``."""
+    table = bytearray([_OTHER] * 256)
     for c in range(128):
         if chr(c).isspace():
             table[c] = _SPACE
     for c in b"0123456789\n":
         table[c] = c
-    table[ord("%")] = table[_HASH] = _HASH
+    table[ord("#")] = table[ord("%")] = _HASH
     return bytes(table)
 
 
 _BYTE_CLASS = _byte_classes()
-#: Trailing separators, so that digit reads past a block's last token stay
-#: in bounds.
-_PAD = b" " * (_MAX_DIGITS + 1)
+#: Trailing separators, so that an 8-byte window read at a block's last
+#: byte stays in bounds.
+_PAD = b" " * 7
+
+# Byte-lane constants of the word-wise decode.  A window is 8 bytes read as
+# one little-endian uint64, so the token's first byte is its lowest.
+_LANES = np.uint64(0x0101010101010101)
+_ZEROS = _LANES * np.uint64(_ZERO)
+#: ``x + 0x76`` carries into bit 7 of each byte exactly where ``x >= 10``.
+_NON_DIGIT = _LANES * np.uint64(0x76)
+_BIT7 = _LANES * np.uint64(0x80)
+#: Byte j holds ``8 + 8j``: ``2**(8k)`` times this, shifted right by 56,
+#: is ``64 - 8k``, the left shift that moves k leading digits to the top.
+_SHIFT_BYTES = np.uint64(0x4038302820181008)
+#: ``10**k`` indexed by ``(64 - 8k) >> 3``.
+_POW10 = np.array([10 ** (8 - i) for i in range(9)], dtype=np.uint64)
 
 
 def _parse_edge_line(line: str, lineno: int) -> tuple[int, int] | None:
@@ -146,25 +167,67 @@ def _parse_lines(
         raise error
 
 
-def _decimals(t: np.ndarray, start: np.ndarray) -> np.ndarray | None:
-    """Values of the tokens starting at ``start`` in the class array ``t``,
-    or ``None`` unless each token is 1 to ``_MAX_DIGITS`` ASCII digits."""
-    value = np.zeros(start.shape[0], dtype=np.int64)
-    live = np.ones(start.shape[0], dtype=bool)
-    for k in range(_MAX_DIGITS + 1):
-        c = t[start + k]
-        live &= c > _SPACE
-        if not live.any():
-            return value
-        digit = (c - _ZERO) * live
-        if k == _MAX_DIGITS or (digit > 9).any():
-            break
-        value *= np.where(live, 10, 1)
-        value += digit
-    return None
+def _window_digits(
+    words: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode the 8-byte window at each offset ``at``: the value of its
+    leading digits and ``64 - 8k`` for their count k, or ``None`` if the
+    first non-digit byte of some window is not a separator."""
+    x = words[at]
+    x ^= _ZEROS  # digits -> 0..9; every other class byte is >= 10
+    low = x + _NON_DIGIT
+    low &= _BIT7
+    low >>= 7
+    low &= np.negative(low)  # 2**(8k) at the first non-digit; 0 if none
+    if (x & (low << 6)).any():
+        return None
+    low *= _SHIFT_BYTES
+    low >>= 56
+    # The digits to the top, zeros (leading zeros) below; a window with no
+    # digit (a continuation at a token's end) shifts by 64, which NumPy
+    # defines to give 0.
+    x <<= low
+    # Lemire's "parse eight digits": fold digit pairs, then quads, then
+    # the two halves, each with one multiply-shift-mask step.
+    x *= np.uint64(10 * 2**8 + 1)
+    x >>= 8
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x *= np.uint64(100 * 2**16 + 1)
+    x >>= 16
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x *= np.uint64(10000 * 2**32 + 1)
+    x >>= 32
+    return x, low
 
 
-def _parse_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
+def _decimals(words: np.ndarray, start: np.ndarray) -> np.ndarray | None:
+    """Values of the tokens starting at ``start``, read from ``words`` (the
+    class bytes as unaligned 8-byte windows), or ``None`` unless each token
+    is 1 to ``_MAX_DIGITS`` ASCII digits.
+
+    One window decodes a token of up to 7 digits; only tokens of 8 or
+    more read a second window, and of 16 or more a third.
+    """
+    got = _window_digits(words, start)
+    if got is None:
+        return None
+    value, shift = got
+    longer = np.flatnonzero(shift == 0)  # 8 digits so far: read on
+    for offset in (8, 16):
+        if not longer.size:
+            return value.view(np.int64)
+        got = _window_digits(words, start[longer] + offset)
+        if got is None:
+            return None
+        more, shift = got
+        value[longer] = value[longer] * _POW10[shift >> 3] + more
+        longer = longer[shift == 0]
+    if (shift < 64 - 8 * (_MAX_DIGITS - 16)).any():
+        return None
+    return value.view(np.int64)
+
+
+def _parse_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     r"""Vectorized parse of whole lines, each ending in ``\n``.
 
     Decodes blank lines, ``#``/``%`` comments and lines whose first two
@@ -174,8 +237,10 @@ def _parse_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
     """
     if not block.isascii():
         return None
-    data = (block.encode() + _PAD).translate(_BYTE_CLASS)
+    data = (block + _PAD).translate(_BYTE_CLASS)
     t = np.frombuffer(data, dtype=np.uint8)
+    # Overlapping little-endian 8-byte windows, one per byte offset.
+    words = np.ndarray((t.shape[0] - 7,), dtype="<u8", buffer=data, strides=(1,))
     tok = t > _SPACE
     # Events in file order: token starts and line ends.
     event = t == _NL
@@ -189,51 +254,80 @@ def _parse_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
     first = first[(lead != _NL) & (lead != _HASH)]  # data lines
     if (kind[first + 1] == _NL).any():  # a data line with one column
         return None
-    src = _decimals(t, at[first])
-    dst = _decimals(t, at[first + 1])
+    src = _decimals(words, at[first])
+    dst = _decimals(words, at[first + 1])
     if src is None or dst is None:
         return None
     return src, dst
 
 
-def _line_blocks(fh: TextIO) -> Iterator[str]:
-    r"""A text file as blocks of about ``_BLOCK_BYTES`` characters of whole
-    lines, each ending in ``\n``."""
-    tail = ""
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    r"""A binary file as blocks of about ``_BLOCK_BYTES`` bytes of whole
+    lines, each ending in ``\n``, with universal newlines: ``\r\n`` and
+    a lone ``\r`` become ``\n``, as text mode reads them."""
+    tail = b""
     while chunk := fh.read(_BLOCK_BYTES):
         text = tail + chunk
-        cut = text.rfind("\n") + 1
-        tail = text[cut:]
+        held = text.endswith(b"\r")  # its "\n" may start the next read
+        if held:
+            text = text[:-1]
+        if b"\r" in text:
+            text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = text.rfind(b"\n") + 1
+        tail = text[cut:] + (b"\r" if held else b"")
         if cut:
             yield text[:cut]
-    if tail:  # an unterminated last line
-        yield tail + "\n"
+    if tail:  # an unterminated last line, or a last lone "\r"
+        yield tail.removesuffix(b"\r") + b"\n"
+
+
+def _decoded_lines(
+    block: bytes, lineno: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Reference parse of a block the vectorized parser declined.  At a
+    byte that is not UTF-8 it parses the lines before it, then raises
+    :class:`~repro.errors.GraphFormatError` naming that byte's line."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        cut = block.rfind(b"\n", 0, exc.start) + 1
+        yield from _parse_lines(block[:cut].decode("utf-8").split("\n")[:-1], lineno)
+        bad = lineno + block.count(b"\n", 0, cut)
+        raise GraphFormatError(
+            f"edge list line {bad}: not UTF-8 text ({exc.reason})"
+        ) from None
+    yield from _parse_lines(text[:-1].split("\n"), lineno)
 
 
 def _path_edges(
     path: str | os.PathLike,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    r"""Parse an edge-list file block by block into ``(src, dst)`` arrays.
-
-    Text mode's universal newlines end a line at ``\r\n`` and a lone
-    ``\r`` too, and hand the blocks over with ``\n`` alone.
-    """
+    """Parse an edge-list file block by block into ``(src, dst)`` arrays."""
     lineno = 1
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for block in _line_blocks(fh):
             parsed = _parse_block(block)
             if parsed is None:
-                yield from _parse_lines(block[:-1].split("\n"), lineno)
+                yield from _decoded_lines(block, lineno)
             else:
                 yield parsed
-            lineno += block.count("\n")
+            lineno += block.count(b"\n")
 
 
 def _text_edges(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Parse an open text handle with the reference grammar, in blocks of
     the lines iterating it yields."""
     lineno = 1
-    while lines := fh.readlines(_BLOCK_BYTES):
+    while True:
+        try:
+            lines = fh.readlines(_BLOCK_BYTES)
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"edge list at or after line {lineno}: "
+                f"not {exc.encoding} text ({exc.reason})"
+            ) from None
+        if not lines:
+            return
         yield from _parse_lines(lines, lineno)
         lineno += len(lines)
 
@@ -368,7 +462,7 @@ def build_csr_streaming(
     # Cross-pass check: each row received exactly the entries pass 1
     # counted for it.
     if filled != m_raw or not np.array_equal(
-        np.bincount(keys // max(n, 1), minlength=n), counts
+        np.diff(row_starts(keys, n)), counts
     ):
         raise unstable
     return csr_from_sorted_keys(keys, n)
@@ -388,19 +482,21 @@ def read_edge_list(
     read with Python's ``int()`` and must fit int64.  Later columns (e.g.
     weights) are ignored.  A violation raises
     :class:`~repro.errors.GraphFormatError` naming the 1-based line.  A
-    path is opened as UTF-8 text with universal newlines (``\r\n`` and a
-    lone ``\r`` end a line); an open text handle is read as the lines
-    iterating it yields.
+    path is read as UTF-8 text with universal newlines (``\r\n`` and a
+    lone ``\r`` end a line), and a byte that is not UTF-8 is such a
+    violation; an open text handle is read as the lines iterating it
+    yields.
 
     A path is parsed, on both the whole-file and the chunked path, in
-    blocks of whole lines of about 4 MiB: a vectorized NumPy pass decodes
-    the common grammar (ASCII decimals of at most 18 digits), and a block
-    it cannot decode (non-ASCII text, ``+5``, ``1_0``, overlong or
-    malformed tokens) is re-parsed line by line with the reference
-    grammar, which also raises the exact error.  An open handle takes the
-    reference grammar throughout, in blocks of the same size.  Parse
-    working memory is a small multiple of one block, never an array per
-    byte of the whole file, plus the parsed edge arrays.
+    blocks of whole lines of about 1 MiB: a vectorized NumPy pass decodes
+    the common grammar (ASCII decimals of at most 18 digits), one 8-byte
+    word per token of up to 7 digits, and a block it cannot decode
+    (non-ASCII text, ``+5``, ``1_0``, overlong or malformed tokens) is
+    re-parsed line by line with the reference grammar, which also raises
+    the exact error.  An open handle takes the reference grammar
+    throughout, in blocks of the same size.  Parse working memory is a
+    small multiple of one block, never an array per byte of the whole
+    file, plus the parsed edge arrays.
 
     ``chunk_edges`` switches to the out-of-core path: the file is parsed
     twice, in chunks of that many edges (the last may be shorter), through
@@ -543,44 +639,70 @@ def load_npz(path: str | os.PathLike) -> CSRGraph:
 
     Detects both layouts: a monolithic ``indices`` array, or the chunked
     ``indices_NNNNN`` members, which are streamed sequentially into a
-    preallocated array (peak extra memory: one decompressed chunk).
+    preallocated array (peak extra memory: one decompressed chunk).  A
+    file that is not a readable archive of such members (truncated,
+    corrupt, or a member ``np.load`` rejects) raises
+    :class:`~repro.errors.GraphFormatError`.
     """
-    with np.load(Path(path)) as data:
-        if "indptr" not in data:
-            raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
-        if "indices" in data:
-            return CSRGraph(data["indptr"], data["indices"])
-        chunk_names = sorted(
-            name for name in data.files if name.startswith("indices_")
+    try:
+        with np.load(Path(path)) as data:
+            return _npz_graph(data)
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise GraphFormatError(f"unreadable npz archive: {exc}") from exc
+
+
+def _npz_member(data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
+    """Archive member ``name`` as an array (``NpzFile`` hands back the raw
+    bytes of a member that is not ``.npy`` data)."""
+    member = data[name]
+    if not isinstance(member, np.ndarray):
+        raise GraphFormatError(
+            f"unreadable npz archive: member {name!r} is not an .npy array"
         )
-        if not chunk_names:
-            raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
-        expected = [f"indices_{i:05d}" for i in range(len(chunk_names))]
-        if chunk_names != expected:
+    return member
+
+
+def _npz_graph(data: np.lib.npyio.NpzFile) -> CSRGraph:
+    """The CSR graph stored in an open :func:`save_npz` archive."""
+    if "indptr" not in data:
+        raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
+    if "indices" in data:
+        return CSRGraph(
+            _npz_member(data, "indptr"), _npz_member(data, "indices")
+        )
+    chunk_names = sorted(
+        name for name in data.files if name.startswith("indices_")
+    )
+    if not chunk_names:
+        raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
+    expected = [f"indices_{i:05d}" for i in range(len(chunk_names))]
+    if chunk_names != expected:
+        raise GraphFormatError(
+            "chunked npz has non-contiguous indices members: "
+            f"{chunk_names}"
+        )
+    indptr = np.ascontiguousarray(
+        _npz_member(data, "indptr"), dtype=VERTEX_DTYPE
+    )
+    if indptr.ndim != 1 or indptr.shape[0] < 1:
+        raise GraphFormatError("npz indptr must be a 1-D array")
+    total = int(indptr[-1])
+    indices = np.empty(total, dtype=VERTEX_DTYPE)
+    cursor = 0
+    for name in chunk_names:
+        chunk = _npz_member(data, name)
+        end = cursor + chunk.shape[0]
+        if end > total:
             raise GraphFormatError(
-                "chunked npz has non-contiguous indices members: "
-                f"{chunk_names}"
+                f"chunked npz indices overflow indptr[-1]={total}"
             )
-        indptr = np.ascontiguousarray(data["indptr"], dtype=VERTEX_DTYPE)
-        if indptr.ndim != 1 or indptr.shape[0] < 1:
-            raise GraphFormatError("npz indptr must be a 1-D array")
-        total = int(indptr[-1])
-        indices = np.empty(total, dtype=VERTEX_DTYPE)
-        cursor = 0
-        for name in chunk_names:
-            chunk = data[name]
-            end = cursor + chunk.shape[0]
-            if end > total:
-                raise GraphFormatError(
-                    f"chunked npz indices overflow indptr[-1]={total}"
-                )
-            indices[cursor:end] = chunk
-            cursor = end
-        if cursor != total:
-            raise GraphFormatError(
-                f"chunked npz indices truncated: got {cursor} of {total}"
-            )
-        return CSRGraph(indptr, indices)
+        indices[cursor:end] = chunk
+        cursor = end
+    if cursor != total:
+        raise GraphFormatError(
+            f"chunked npz indices truncated: got {cursor} of {total}"
+        )
+    return CSRGraph(indptr, indices)
 
 
 # --------------------------------------------------------------------- #

@@ -101,6 +101,9 @@ class RunDiff:
     phases: list[PhaseDelta] = field(default_factory=list)
     counters: list[CounterDelta] = field(default_factory=list)
     gauges: list[CounterDelta] = field(default_factory=list)
+    #: root spans each side's seconds are averaged over (1: not averaged).
+    roots_a: int = 1
+    roots_b: int = 1
 
     @property
     def ratio(self) -> float:
@@ -160,12 +163,22 @@ def _as_run(source: Any, label: str | None = None) -> dict[str, Any]:
         inferred = "/".join(
             str(meta[k]) for k in ("algorithm", "backend") if meta.get(k)
         )
+        roots = _repeated_roots(source)
+        if roots > 1:
+            # One root per traced job: compare the mean job, since the
+            # faster side of a fixed-time run traces more jobs.  The
+            # roots' own label is that total, not a phase.
+            phase = {k: v / roots for k, v in phase.items()}
+            total = phase.pop(source.spans[0].label, 0.0)
+        else:
+            total = phase.get("total") or (source.t1 - source.t0)
         return {
             "label": label or inferred,
-            "total": phase.get("total") or (source.t1 - source.t0),
+            "total": total,
             "phase_seconds": phase,
             "counters": dict(source.counters),
             "gauges": dict(source.gauges),
+            "roots": roots,
         }
     if isinstance(source, dict):
         phase = dict(source.get("phase_seconds") or {})
@@ -195,6 +208,13 @@ def _as_run(source: Any, label: str | None = None) -> dict[str, Any]:
     )
 
 
+def _repeated_roots(trace: Trace) -> int:
+    """How many root spans ``trace`` holds if they all share one label
+    (one per repeated job), else 1."""
+    labels = {span.label for span in trace.spans}
+    return len(trace.spans) if len(labels) == 1 else 1
+
+
 #: counters excluded from attribution: the communication totals and the
 #: replica memory scale with the distributed world size rather than with
 #: the regression being attributed, so a ranks=2 vs ranks=4 diff would
@@ -219,7 +239,13 @@ def diff_runs(
     label_a: str | None = None,
     label_b: str | None = None,
 ) -> RunDiff:
-    """Compare two runs; side ``a`` is the baseline, ``b`` the candidate."""
+    """Compare two runs; side ``a`` is the baseline, ``b`` the candidate.
+
+    A trace whose root spans repeat one label (R > 1, e.g. the jobs of a
+    traced benchmark run) is compared per root: its total and every phase
+    are divided by R, so two runs that traced different numbers of jobs
+    compare job for job.
+    """
     run_a = _as_run(a, label_a)
     run_b = _as_run(b, label_b)
 
@@ -257,17 +283,23 @@ def diff_runs(
         phases=phases,
         counters=moved_values("counters"),
         gauges=moved_values("gauges"),
+        roots_a=run_a.get("roots", 1),
+        roots_b=run_b.get("roots", 1),
     )
 
 
 def format_diff(diff: RunDiff, max_phases: int = 12) -> str:
     """Aligned text rendering for the CLI: totals, phases, counters."""
-    lines = [
-        f"a: {diff.label_a or '(unlabelled)'}"
-        f"  total {diff.total_a * 1000:.3f} ms",
-        f"b: {diff.label_b or '(unlabelled)'}"
-        f"  total {diff.total_b * 1000:.3f} ms  ({diff.ratio:.2f}x)",
-    ]
+    heads: list[str] = []
+    for side, label, total, roots in (
+        ("a", diff.label_a, diff.total_a, diff.roots_a),
+        ("b", diff.label_b, diff.total_b, diff.roots_b),
+    ):
+        head = f"{side}: {label or '(unlabelled)'}  total {total * 1000:.3f} ms"
+        if max(diff.roots_a, diff.roots_b) > 1:
+            head += f" per root, R={roots}"
+        heads.append(head)
+    lines = [heads[0], f"{heads[1]}  ({diff.ratio:.2f}x)"]
     shown = diff.phases[:max_phases]
     if shown:
         width = max(len("phase"), *(len(p.label) for p in shown))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -217,3 +218,91 @@ def test_read_edge_list_matches_reference(tmp_path, monkeypatch, text, block):
                     lambda: reference_chunks(ref_lines, chunk)
                 )
             )
+
+
+# -- the word-wise decoder's boundaries ---------------------------------- #
+
+#: Token lengths on each side of the decoder's 8-byte windows (one window
+#: holds up to 7 digits and its end; 8, 16 and 18 digits fill windows) and
+#: of its 18-digit limit.
+WORD_LENGTHS = (1, 7, 8, 9, 15, 16, 17, 18, 19)
+WORD_TOKENS = [
+    token
+    for k in WORD_LENGTHS
+    for token in (
+        "1234567890123456789"[:k],
+        "0" * (k - 1) + "7",  # leading zeros
+        "0" * k,
+        "9" * k,
+    )
+]
+#: A bad byte as a token's 8th, 9th or 17th byte: the last byte of a first
+#: window, the first of a second, the first of a third.
+BAD_BYTE_TOKENS = [
+    "1" * (at - 1) + bad + "2"
+    for at in (8, 9, 17)
+    for bad in ("#", ".", "é")
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("token", WORD_TOKENS + BAD_BYTE_TOKENS)
+def test_word_boundaries_match_reference(tmp_path, monkeypatch, token, block):
+    monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
+    # The token in either column, beside short and 8-digit tokens of the
+    # same block, so that only some tokens read a second window.
+    text = f"3 4\n{token} 5\n6 {token}\n{token}\t{token} x\n12345678 1\n"
+    path = tmp_path / "g.el"
+    path.write_bytes(text.encode("utf-8"))
+    ref_lines = text.splitlines(keepends=True)
+    # Edge arrays, not graphs: ids up to 10**18 would size a CSR build.
+    assert outcome(
+        lambda: [a.tolist() for a in gio._concatenated(gio._edge_blocks(path))]
+    ) == outcome(lambda: [a.tolist() for a in reference_edges(ref_lines)])
+    for chunk in CHUNKS:
+        assert stream_outcome(
+            gio._chunked(gio._edge_blocks(path), chunk)
+        ) == stream_outcome(reference_chunks(ref_lines, chunk))
+
+
+@pytest.mark.parametrize("token", WORD_TOKENS + BAD_BYTE_TOKENS)
+def test_vectorized_parser_declines_exactly_the_undecodable(token):
+    """The block parser decodes a token of 1 to 18 ASCII digits and
+    declines every other token, leaving it to the reference grammar."""
+    text = f"3 4\n{token} 5\n6 {token}\n"
+    parsed = gio._parse_block(text.encode("utf-8"))
+    if token.isascii() and token.isdigit() and len(token) <= gio._MAX_DIGITS:
+        src, dst = reference_edges(text.splitlines(keepends=True))
+        assert parsed is not None
+        assert parsed[0].tolist() == src.tolist()
+        assert parsed[1].tolist() == dst.tolist()
+    else:
+        assert parsed is None
+
+
+def _windows(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The class bytes of ``text`` as the parser's 8-byte windows, and the
+    start of each whitespace-separated token."""
+    data = (text.encode() + gio._PAD).translate(gio._BYTE_CLASS)
+    t = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((t.shape[0] - 7,), dtype="<u8", buffer=data, strides=(1,))
+    tok = t > gio._SPACE
+    starts = np.flatnonzero(tok & ~np.concatenate(([False], tok[:-1])))
+    return words, starts
+
+
+@given(
+    tokens=st.lists(
+        st.text(alphabet="0123456789", min_size=1, max_size=18),
+        min_size=1,
+        max_size=40,
+    ),
+    sep=st.sampled_from([" ", "\n", "\t "]),
+)
+@settings(max_examples=300, deadline=None)
+def test_decimals_equal_int(tokens, sep):
+    words, starts = _windows(sep.join(tokens) + "\n")
+    values = gio._decimals(words, starts)
+    assert values is not None
+    assert values.dtype == np.int64
+    assert values.tolist() == [int(token) for token in tokens]

@@ -1,6 +1,7 @@
 """Round-trip and error tests for graph I/O."""
 
 import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ class TestEdgeListFormat:
                 read_edge_list(source)
 
 
+    @pytest.mark.parametrize("chunk_edges", [None, 1, 1_000])
+    def test_rejects_non_utf8_bytes(self, tmp_path, chunk_edges):
+        path = tmp_path / "bad.el"
+        path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
+        with pytest.raises(GraphFormatError, match="line 3: not UTF-8"):
+            read_edge_list(path, chunk_edges=chunk_edges)
+
+    def test_rejects_non_utf8_handle(self, tmp_path):
+        path = tmp_path / "bad.el"
+        path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(GraphFormatError, match="not utf-8 text"):
+                read_edge_list(fh)
+
+
 class TestMetisFormat:
     def test_roundtrip(self, tmp_path, sample):
         path = tmp_path / "g.graph"
@@ -127,6 +143,45 @@ class TestNpzFormat:
         path = tmp_path / "bad.npz"
         np.savez(path, foo=np.arange(3))
         with pytest.raises(GraphFormatError, match="missing"):
+            load_npz(path)
+
+    @pytest.mark.parametrize("chunk_edges", [None, 64])
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_truncated_archive_rejected(self, tmp_path, chunk_edges, keep):
+        # A half-written archive: both layouts lose their directory.
+        from repro.generators import barabasi_albert_graph
+
+        path = tmp_path / "g.npz"
+        save_npz(barabasi_albert_graph(500, 3, seed=1), path,
+                 chunk_edges=chunk_edges)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(GraphFormatError, match="unreadable npz"):
+            load_npz(path)
+
+    @pytest.mark.parametrize("chunk_edges", [None, 64])
+    def test_corrupt_member_rejected(self, tmp_path, chunk_edges):
+        from repro.generators import barabasi_albert_graph
+
+        path = tmp_path / "g.npz"
+        save_npz(barabasi_albert_graph(500, 3, seed=1), path,
+                 chunk_edges=chunk_edges)
+        data = bytearray(path.read_bytes())
+        for at in range(60, len(data) // 2, 97):  # inside member data
+            data[at] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(GraphFormatError, match="unreadable npz"):
+            load_npz(path)
+
+    @pytest.mark.parametrize("member", ["indices", "indices_00000"])
+    def test_member_np_load_rejects(self, tmp_path, member):
+        buf = io.BytesIO()
+        np.save(buf, np.array([0, 0], dtype=np.int64))
+        path = tmp_path / "g.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("indptr.npy", buf.getvalue())
+            zf.writestr(f"{member}.npy", b"not an npy member")
+        with pytest.raises(GraphFormatError, match="unreadable npz"):
             load_npz(path)
 
 

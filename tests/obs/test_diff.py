@@ -174,6 +174,42 @@ class TestDiffRuns:
         assert diff.ratio == pytest.approx(3.0)
         assert [c.name for c in diff.counters] == ["c"]
 
+    def test_repeated_roots_compare_per_root(self):
+        """A traced benchmark run holds one ``job`` root per traced job,
+        and the faster side of a fixed-time run traces more of them; the
+        same job traced 3 and 5 times must compare as equal."""
+
+        def jobs(count):
+            roots = []
+            for i in range(count):
+                t = 10.0 * i
+                job = Span("job", t, t + 0.30)
+                job.children = [
+                    Span("graph.io.read_edge_list", t, t + 0.20),
+                    Span("L", t + 0.20, t + 0.26),
+                    Span("C", t + 0.26, t + 0.29),
+                ]
+                roots.append(job)
+            return Trace(roots)
+
+        diff = diff_runs(jobs(3), jobs(5))
+        assert (diff.roots_a, diff.roots_b) == (3, 5)
+        assert diff.total_a == pytest.approx(0.30)
+        assert diff.ratio == pytest.approx(1.0)
+        assert diff.moved_phases() == []
+        assert "job" not in [p.label for p in diff.phases]
+        text = format_diff(diff)
+        assert "per root, R=3" in text and "per root, R=5" in text
+
+    def test_single_root_traces_are_not_averaged(self):
+        diff = diff_runs(
+            Trace([Span("total", 0.0, 0.1)]),
+            Trace([Span("total", 0.0, 0.1), Span("other", 0.2, 0.3)]),
+        )
+        assert (diff.roots_a, diff.roots_b) == (1, 1)
+        assert diff.ratio == pytest.approx(1.0)
+        assert "per root" not in format_diff(diff)
+
     def test_rejects_unknown_types(self):
         with pytest.raises(ConfigurationError, match="cannot diff"):
             diff_runs(42, 43)

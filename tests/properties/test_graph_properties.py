@@ -31,18 +31,39 @@ BUILD_FLAGS = ("symmetrize", "dedup", "drop_self_loops", "sort_neighbors")
 
 @st.composite
 def edge_records(draw):
-    """Edge records with self loops and duplicates (ids come from a few
-    vertices), possibly none, over a vertex count that may add isolated
-    vertices above the largest id."""
+    """Edge records over a vertex count that may add isolated vertices
+    above the largest id.  Either free records (ids come from a few
+    vertices, so self loops and duplicates are common), or distinct
+    undirected pairs plus exactly zero or one self loop or duplicate: the
+    two sides of the builder's skips of the loop filter and the dedup
+    compaction."""
     n = draw(st.integers(0, 12))
     ids = st.integers(0, max(n - 1, 0))
-    m = draw(st.integers(0, 30)) if n else 0
-    src = draw(st.lists(ids, min_size=m, max_size=m))
-    dst = draw(st.lists(ids, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["free", "simple", "one-loop", "one-dup"]))
+    if kind == "free" or n < 2:
+        m = draw(st.integers(0, 30)) if n else 0
+        src = draw(st.lists(ids, min_size=m, max_size=m))
+        dst = draw(st.lists(ids, min_size=m, max_size=m))
+        pairs = list(zip(src, dst))
+    else:
+        pairs = draw(
+            st.lists(
+                st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                unique_by=frozenset,
+                max_size=20,
+            )
+        )
+        if kind == "one-loop":
+            v = draw(ids)
+            pairs.insert(draw(st.integers(0, len(pairs))), (v, v))
+        elif kind == "one-dup" and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            again = draw(st.sampled_from([(u, v), (v, u)]))
+            pairs.insert(draw(st.integers(0, len(pairs))), again)
     tail = draw(st.integers(0, 3))
-    return EdgeList(
-        n + tail, np.asarray(src, np.int64), np.asarray(dst, np.int64)
-    )
+    src = np.asarray([u for u, _ in pairs], np.int64)
+    dst = np.asarray([v for _, v in pairs], np.int64)
+    return EdgeList(n + tail, src, dst)
 
 
 def three_sort_build_csr(

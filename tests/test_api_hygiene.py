@@ -97,3 +97,57 @@ def test_no_flagless_np_unique():
         "flag-less np.unique (use repro.nputil.sorted_unique): "
         + ", ".join(f"{f}:{line}" for f, line in sorted(offenders))
     )
+
+
+#: NumPy names newer than the declared floor (``numpy>=1.24`` in
+#: pyproject.toml), by the release that added them; CI installs the latest
+#: NumPy, so only this test notices one.
+_NUMPY_AFTER_FLOOR = {
+    "1.25": {"dtypes", "exceptions"},
+    "2.0": {
+        "acos", "acosh", "asin", "asinh", "astype", "atan", "atan2",
+        "atanh", "bitwise_count", "bitwise_invert", "bitwise_left_shift",
+        "bitwise_right_shift", "concat", "isdtype", "matrix_transpose",
+        "permute_dims", "pow", "trapezoid", "unique_all", "unique_counts",
+        "unique_inverse", "unique_values", "vecdot",
+    },
+    "2.1": {"cumulative_prod", "cumulative_sum", "unstack"},
+    "2.2": {"matvec", "vecmat"},
+}
+
+
+def test_no_numpy_names_newer_than_floor():
+    """``src/repro`` uses no NumPy name that the declared floor lacks,
+    whether as ``np.<name>`` or through ``from numpy import <name>``."""
+    import ast
+    import pathlib
+
+    newer = {
+        name: release
+        for release, names in _NUMPY_AFTER_FLOOR.items()
+        for name in names
+    }
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(root)}:{node.lineno} np.{name} "
+                f"(NumPy {newer[name]})"
+                for name in names
+                if name in newer
+            ]
+    assert not offenders, (
+        "NumPy names newer than the numpy>=1.24 floor: " + ", ".join(offenders)
+    )
