@@ -32,23 +32,9 @@ import numpy as np
 
 from repro.engine.backends import ExecutionBackend
 from repro.engine.result import CCResult
-from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["PlanContext", "SamplingSpec", "FinishSpec", "require_int"]
-
-
-def require_int(name: str, value, minimum: int) -> None:
-    """Raise :class:`~repro.errors.ConfigurationError` unless ``value`` is
-    an integer (Python or NumPy, not ``bool``) of at least ``minimum``.
-
-    Plans check their count parameters with it before any phase runs, so
-    a float, string or ``None`` fails by name instead of deep in a phase.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+__all__ = ["PlanContext", "SamplingSpec", "FinishSpec"]
 
 
 @dataclass

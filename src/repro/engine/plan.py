@@ -40,16 +40,12 @@ from repro.constants import (
 )
 from repro.engine.backends import ExecutionBackend
 from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA, FINISHES
-from repro.engine.phase import (
-    FinishSpec,
-    PlanContext,
-    SamplingSpec,
-    require_int,
-)
+from repro.engine.phase import FinishSpec, PlanContext, SamplingSpec
 from repro.engine.result import CCResult
 from repro.engine.sampling import SAMPLINGS
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import require_int
 
 __all__ = [
     "Plan",

@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DEFAULT_NEIGHBOR_ROUNDS, VERTEX_DTYPE
-from repro.engine.phase import PlanContext, SamplingSpec, require_int
+from repro.engine.phase import PlanContext, SamplingSpec
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import require_int
 from repro.obs import phase_label
 
 __all__ = ["KOUT", "kout_sampling"]

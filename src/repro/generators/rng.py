@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.nputil import require_int
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -19,9 +20,8 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 
 
 def require_positive(name: str, value: int) -> None:
-    """Raise ConfigurationError unless ``value`` >= 1."""
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    """Raise ConfigurationError unless ``value`` is an integer >= 1."""
+    require_int(name, value, 1)
 
 
 def require_nonnegative(name: str, value: int | float) -> None:

@@ -17,6 +17,7 @@ therefore support ``sort_neighbors=False`` to preserve insertion order, and
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,38 @@ from repro.graph.csr import CSRGraph
 
 #: Largest vertex count whose edge keys ``src * n + dst`` fit in int64.
 _MAX_KEYED_VERTICES = math.isqrt(int(np.iinfo(np.int64).max))
+
+#: Bytes per vertex of the sorted build's three n-sized int64 arrays:
+#: ``row_starts``' needles (an ``arange`` and its product) and ``indptr``.
+_VERTEX_BYTES = 24
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where ``os.sysconf`` does not
+    report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def require_vertex_memory(largest_id: int) -> None:
+    """Raise :class:`~repro.errors.GraphFormatError` naming ``largest_id``
+    when a graph sized by it, ``largest_id + 1`` vertices, needs more
+    memory for its vertex arrays than the machine has.
+
+    Builders that infer the vertex count from the ids call it before
+    they allocate anything n-sized, so one far-out id in a small file
+    fails by name instead of getting the process killed.
+    """
+    memory = _physical_memory()
+    need = _VERTEX_BYTES * (largest_id + 1)
+    if memory is not None and need > memory:
+        raise GraphFormatError(
+            f"vertex id {largest_id} implies {largest_id + 1} vertices, "
+            f"whose arrays need {need} bytes, more than the {memory} bytes "
+            "of physical memory"
+        )
 
 
 def edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -168,8 +201,9 @@ def from_edge_array(
 ) -> CSRGraph:
     """Build a CSR graph from parallel endpoint arrays.
 
-    ``num_vertices`` defaults to ``max(endpoint) + 1`` (0 for empty input).
-    Keyword arguments are forwarded to :func:`build_csr`.
+    ``num_vertices`` defaults to ``max(endpoint) + 1`` (0 for empty input),
+    checked by :func:`require_vertex_memory`.  Keyword arguments are
+    forwarded to :func:`build_csr`.
     """
     src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
     dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
@@ -177,6 +211,7 @@ def from_edge_array(
         num_vertices = (
             int(max(src.max(), dst.max())) + 1 if src.size else 0
         )
+        require_vertex_memory(num_vertices - 1)
     return build_csr(EdgeList(num_vertices, src, dst), **kwargs)
 
 

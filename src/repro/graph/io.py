@@ -6,7 +6,8 @@ from:
 - **edge-list text** (``.el`` — the GAP loader's plain format): one
   ``u v`` pair per line, ``#`` comments allowed; a file is parsed by one
   vectorized block parser on both the whole-file and the chunked path,
-  in 1 MiB blocks, decoding each endpoint from 8-byte words;
+  in 1 MiB blocks, decoding each endpoint from 8-byte words, and written
+  in blocks of edges whose digits are formatted four at a time;
 - **METIS** (``.graph``): header ``n m`` then one line of (1-based)
   neighbours per vertex;
 - **npz binary**: the CSR arrays verbatim, the fastest round-trip.
@@ -24,7 +25,6 @@ preallocated array one member at a time.
 
 from __future__ import annotations
 
-import io
 import os
 import zipfile
 import zlib
@@ -39,6 +39,7 @@ from repro.graph.builder import (
     csr_from_sorted_keys,
     edge_keys,
     from_edge_array,
+    require_vertex_memory,
     row_starts,
 )
 from repro.graph.csr import CSRGraph
@@ -423,6 +424,7 @@ def build_csr_streaming(
         hi = int(max(src.max(), dst.max())) + 1
         if num_vertices is None:
             if hi > counts.shape[0]:
+                require_vertex_memory(hi - 1)
                 counts = np.concatenate(
                     [counts, np.zeros(hi - counts.shape[0], dtype=np.int64)]
                 )
@@ -503,6 +505,11 @@ def read_edge_list(
     :func:`build_csr_streaming`, producing a bit-identical graph without
     ever staging the whole edge list in memory.  The chunked path applies
     the default normalisation only, so it accepts no ``build_kwargs``.
+
+    The vertex count is the largest id plus one.  On both paths, an id
+    whose vertex arrays (24 bytes a vertex) would not fit the machine's
+    physical memory raises :class:`~repro.errors.GraphFormatError` naming
+    it before anything vertex-sized is allocated.
     """
     if chunk_edges is not None:
         if build_kwargs:
@@ -521,8 +528,60 @@ def read_edge_list(
     return from_edge_array(src, dst, **build_kwargs)
 
 
+#: Edges :func:`write_edge_list` formats per block; the block's byte matrix
+#: (about 14 bytes an edge at 2^18 vertices) stays in cache.
+_WRITE_EDGES = 1 << 16
+
+#: ``_DIGIT_GROUPS[g]`` is the four ASCII digits of ``g``, zero-padded, as
+#: one little-endian word, for ``0 <= g < 10**4``.
+_DIGIT_GROUPS = np.frombuffer(
+    b"".join(b"%04d" % g for g in range(10**4)), dtype="<u4"
+)
+
+
+def _digit_columns(values: np.ndarray, width: int) -> np.ndarray:
+    """The non-negative ``values`` as a ``(len(values), width)`` matrix of
+    ASCII digits, right-aligned with leading zeros, four digits a pass."""
+    groups = -(-width // 4)
+    words = np.empty((values.shape[0], groups), dtype="<u4")
+    for j in range(groups - 1, -1, -1):
+        values, low = np.divmod(values, 10**4)
+        words[:, j] = _DIGIT_GROUPS[low]
+    return words.view(np.uint8)[:, 4 * groups - width :]
+
+
+def _edge_lines(src: np.ndarray, dst: np.ndarray) -> bytes:
+    r"""The bytes of ``f"{u} {v}\n"`` for each pair of the non-negative
+    ``src`` and ``dst``, in order.
+
+    Each line is one row of a byte matrix, with each id right-aligned in
+    the width of its column's largest; the rows are read back without
+    the leading zeros.
+    """
+    if not src.shape[0]:
+        return b""
+    su, sv = (_digit_columns(x, len(str(int(x.max())))) for x in (src, dst))
+    wu, wv = su.shape[1], sv.shape[1]
+    rows = np.empty((src.shape[0], wu + wv + 2), dtype=np.uint8)
+    rows[:, :wu] = su
+    rows[:, wu] = ord(" ")
+    rows[:, wu + 1 : -1] = sv
+    rows[:, -1] = ord("\n")
+    # A digit is kept once a non-zero digit of its id has been seen, and
+    # each id's last digit always (so 0 is written as "0").
+    keep = rows != ord("0")
+    for lo, hi in ((0, wu), (wu + 1, wu + 1 + wv)):
+        for j in range(lo + 1, hi - 1):
+            keep[:, j] |= keep[:, j - 1]
+        keep[:, hi - 1] = True
+    return rows[keep].tobytes()
+
+
 def write_edge_list(graph: CSRGraph, path: str | os.PathLike | TextIO) -> None:
-    """Write each undirected edge once as a ``u v`` line."""
+    r"""Write each undirected edge once as a ``u v`` line, ``u <= v``, in
+    CSR order: the text of ``f"{u} {v}\n"`` for each edge, formatted by
+    vectorized digit passes over blocks of 2^16 edges.  A path is written
+    as UTF-8; a graph with no edges writes nothing."""
     close = False
     if isinstance(path, (str, os.PathLike)):
         fh: TextIO = open(path, "w", encoding="utf-8")
@@ -531,10 +590,9 @@ def write_edge_list(graph: CSRGraph, path: str | os.PathLike | TextIO) -> None:
         fh = path
     try:
         src, dst = graph.undirected_edge_array()
-        buf = io.StringIO()
-        for u, v in zip(src, dst):
-            buf.write(f"{u} {v}\n")
-        fh.write(buf.getvalue())
+        for lo in range(0, src.shape[0], _WRITE_EDGES):
+            hi = lo + _WRITE_EDGES
+            fh.write(_edge_lines(src[lo:hi], dst[lo:hi]).decode("ascii"))
     finally:
         if close:
             fh.close()

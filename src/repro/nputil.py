@@ -4,8 +4,9 @@ These implement the flat "expand CSR slices without a Python loop" patterns
 used across the library: frontier expansion in BFS, remaining-neighbour
 flattening in Afforest's final phase, and frontier edge gathering in
 data-driven label propagation; plus the sort-based distinct-value pass
-that stands in for a flag-less ``np.unique``, and the vertex-id check
-the serving entry points run before their ``int64`` cast.
+that stands in for a flag-less ``np.unique``, the vertex-id check the
+serving entry points run before their ``int64`` cast, and the integer
+check that plans and generators run on their count and size parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +16,27 @@ import numpy as np
 from repro.constants import VERTEX_DTYPE
 from repro.errors import ConfigurationError
 
-__all__ = ["segment_ranges", "expand_slices", "sorted_unique", "vertex_ids"]
+__all__ = [
+    "segment_ranges",
+    "expand_slices",
+    "sorted_unique",
+    "vertex_ids",
+    "require_int",
+]
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``value`` is
+    an integer (Python or NumPy, not ``bool``) of at least ``minimum``.
+
+    Plans check their count parameters and generators their sizes with it
+    before any work starts, so a float, string or ``None`` fails by name
+    instead of deep in a phase or an array constructor.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def vertex_ids(values) -> np.ndarray:

@@ -192,6 +192,27 @@ class TestPowerlaw:
         with pytest.raises(ConfigurationError):
             barabasi_albert_graph(10, 0)
 
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: barabasi_albert_graph(100, 2.5), "edges_per_vertex"),
+            (lambda: barabasi_albert_graph(100.0, 3), "num_vertices"),
+            (lambda: barabasi_albert_graph(100, True), "edges_per_vertex"),
+            (lambda: web_graph(100, hub_edges_per_vertex=2.5), "edges_per_vertex"),
+            (lambda: web_graph(100.0), "num_vertices"),
+        ],
+        ids=["float-m", "float-n", "bool-m", "web-float-hubs", "web-float-n"],
+    )
+    def test_sizes_must_be_integers(self, build, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            build()
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = barabasi_albert_graph(np.int64(100), np.int32(3), seed=0)
+        assert g == barabasi_albert_graph(100, 3, seed=0)
+        h = web_graph(np.int32(200), hub_edges_per_vertex=np.int64(2), seed=0)
+        assert h == web_graph(200, hub_edges_per_vertex=2, seed=0)
+
     def test_chung_lu_mean_degree(self):
         g = chung_lu_graph(4000, mean_degree=10.0, seed=0)
         deg = np.asarray(g.degree())

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import from_edge_list
+from repro.generators import barabasi_albert_graph
+from repro.graph import builder, from_edge_list
+from repro.graph import io as graph_io
 from repro.graph.io import (
+    _edge_lines,
     load_graph,
     load_npz,
     read_edge_list,
@@ -76,6 +79,66 @@ class TestEdgeListFormat:
         path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
         with pytest.raises(GraphFormatError, match="line 3: not UTF-8"):
             read_edge_list(path, chunk_edges=chunk_edges)
+
+    def test_no_edges_writes_empty_file(self, tmp_path):
+        g = from_edge_list([], num_vertices=5)
+        path = tmp_path / "g.el"
+        write_edge_list(g, path)
+        assert path.read_bytes() == b""
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert buf.getvalue() == ""
+        assert read_edge_list(path).num_vertices == 0
+
+    def test_lines_at_digit_count_boundaries(self):
+        """The formatter's bytes are ``f"{u} {v}\\n"`` for ids of every
+        digit count, paired so each line mixes two widths."""
+        ids = [0, 1, 9, 2**62, 2**63 - 1]
+        for k in range(1, 19):
+            ids += [10**k - 1, 10**k, 10**k + 1]
+        u = np.array(ids, dtype=np.int64)
+        for v in (u[::-1], np.roll(u, 7), np.zeros_like(u)):
+            want = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+            assert _edge_lines(u, np.ascontiguousarray(v)) == want.encode()
+        assert _edge_lines(u[:0], u[:0]) == b""
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
+    def test_blocks_write_the_f_string_bytes(self, tmp_path, monkeypatch, block):
+        """Each block is laid out in the widths of its own ids; the file
+        is the same for any block size."""
+        monkeypatch.setattr(graph_io, "_WRITE_EDGES", block)
+        g = barabasi_albert_graph(3000, 3, seed=5)
+        src, dst = g.undirected_edge_array()
+        path = tmp_path / "g.el"
+        write_edge_list(g, path)
+        want = "".join(f"{u} {v}\n" for u, v in zip(src, dst))
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"sort_neighbors": False}, {"chunk_edges": 1}, {"chunk_edges": 1_000}],
+        ids=["sorted", "unsorted", "chunk-1", "chunk-1000"],
+    )
+    def test_far_out_vertex_id_rejected(self, tmp_path, monkeypatch, kwargs):
+        """One id whose vertex arrays exceed physical memory fails by name
+        before anything vertex-sized is allocated (the probe is patched to
+        1 MiB; 24 bytes x 1,000,001 vertices is 24 MB)."""
+        monkeypatch.setattr(builder, "_physical_memory", lambda: 1 << 20)
+        far, near = tmp_path / "far.el", tmp_path / "near.el"
+        far.write_text("0 1000000\n")
+        near.write_text("0 10\n")
+        with pytest.raises(GraphFormatError, match="vertex id 1000000 "):
+            read_edge_list(far, **kwargs)
+        g = read_edge_list(near, **kwargs)
+        assert g.num_vertices == 11 and g.num_edges == 1
+
+    def test_memory_probe_skipped_without_sysconf(self, monkeypatch):
+        def unsupported(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(builder.os, "sysconf", unsupported)
+        assert builder._physical_memory() is None
+        builder.require_vertex_memory(2**62)  # no probe, no check
 
     def test_rejects_non_utf8_handle(self, tmp_path):
         path = tmp_path / "bad.el"
