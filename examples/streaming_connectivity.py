@@ -93,7 +93,8 @@ def serving_layer() -> None:
 
     with ConnectivityServer(service, max_batch=64) as server:
         # Interleave query batches with update bursts.  The worker loop
-        # coalesces queued queries into single vectorized gathers.
+        # answers the queued queries between two epoch publishes with
+        # one vectorized gather and links their bursts in one call.
         futures = []
         for _ in range(40):
             us = rng.integers(0, n, size=64)
@@ -120,7 +121,7 @@ def serving_layer() -> None:
     print(
         f"epochs published: {service.epoch}, "
         f"stream edges absorbed: {counters['serve_edges_inserted']}, "
-        f"queries coalesced: {counters.get('serve_coalesced', 0)}"
+        f"requests coalesced: {counters.get('serve_coalesced', 0)}"
     )
 
     # The serving invariant: the latest epoch's labels are bit-identical

@@ -4,9 +4,10 @@ These implement the flat "expand CSR slices without a Python loop" patterns
 used across the library: frontier expansion in BFS, remaining-neighbour
 flattening in Afforest's final phase, and frontier edge gathering in
 data-driven label propagation; plus the sort-based distinct-value pass
-that stands in for a flag-less ``np.unique``, the vertex-id check the
-serving entry points run before their ``int64`` cast, and the integer
-check that plans and generators run on their count and size parameters.
+that stands in for a flag-less ``np.unique``, the vertex-id dtype check
+that serving runs at request submission and before its ``int64`` cast,
+and the integer check that plans and generators run on their count and
+size parameters.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "expand_slices",
     "sorted_unique",
     "vertex_ids",
+    "require_integer_ids",
     "require_int",
 ]
 
@@ -39,19 +41,26 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
+def require_integer_ids(arr: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``arr`` may
+    hold vertex ids: a dtype of kind ``i`` or ``u``, or no elements.
+
+    ``bool``, ``float`` and ``timedelta64`` arrays raise instead of having
+    their values cast to ids; an empty batch passes whatever its dtype
+    (``np.asarray([])`` is float64).  Reads the dtype only, never the data.
+    """
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ConfigurationError(f"non-integer vertex ids (dtype {arr.dtype})")
+
+
 def vertex_ids(values) -> np.ndarray:
     """``values`` as a contiguous ``VERTEX_DTYPE`` array of vertex ids.
 
-    A non-empty array that is not of integer dtype raises
-    :class:`~repro.errors.ConfigurationError` instead of having its ids
-    truncated by the cast; an empty batch passes whatever its dtype
-    (``np.asarray([])`` is float64).  O(1) beyond the cast itself.
+    Checked by :func:`require_integer_ids` before the cast, so no id is
+    truncated.  O(1) beyond the cast itself.
     """
     arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ConfigurationError(
-            f"non-integer vertex ids (dtype {arr.dtype})"
-        )
+    require_integer_ids(arr)
     return np.ascontiguousarray(arr, dtype=VERTEX_DTYPE)
 
 

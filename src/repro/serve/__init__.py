@@ -11,8 +11,9 @@ millions of times, while the graph keeps growing.  Two pieces:
   publishes immutable epoch :class:`Snapshot` views so readers never
   observe torn labels;
 - :class:`ConnectivityServer` (:mod:`repro.serve.server`) — the request
-  layer: a worker loop that coalesces queued queries into single
-  vectorized gathers, bounds the queue for backpressure
+  layer: a worker loop that runs each drained batch by epoch segment
+  (one vectorized gather per query kind, one ``add_edges`` for the
+  segment's inserts), bounds the queue for backpressure
   (:class:`BackpressureError`), shuts down gracefully, and emits
   telemetry (per-batch spans, latency histograms, Prometheus text,
   durable ``kind="serve"`` ledger records).

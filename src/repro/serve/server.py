@@ -4,10 +4,17 @@
 :class:`~repro.serve.service.ConnectivityService` in a single-consumer
 request queue drained by a worker thread.  The loop's job is *request
 coalescing*: it drains up to ``max_batch`` pending requests per wakeup
-and answers each contiguous run of same-kind queries with **one**
-vectorized gather against the epoch snapshot — a thousand
-``same-component`` requests become one fancy-indexing operation —
-while updates stay strictly ordered within the stream.
+and runs them by **epoch segment**.  A segment ends at the insert whose
+edges make the service publish, or at a refresh.  No other insert
+publishes, so every query in a segment reads the same epoch snapshot,
+whichever inserts it arrived between.  A segment therefore runs as one
+vectorized gather per query kind — a thousand ``same-component``
+requests become one fancy-indexing operation — then one ``add_edges``
+over all its inserts in arrival order (``link`` is an order-independent
+edge insertion, Theorem 1), then its refresh.  Every future resolves as
+it would one request at a time: the same answers, the old epoch for
+every insert but the one that publishes, and the same edges behind
+each published epoch.
 
 Flow control is explicit: the queue has a fixed depth (``max_queue``);
 a non-blocking submit against a full queue raises
@@ -18,12 +25,17 @@ everything already accepted, then joins the thread — no accepted
 request is ever dropped.
 
 A malformed request fails alone.  ``submit_*`` rejects a payload that
-is not 1-D, or whose two arrays differ in length, with
-:class:`~repro.errors.ConfigurationError` before it is queued (shape
-checks only, nothing that reads the data); when a coalesced run's
-vectorized call still raises (say, on an out-of-range vertex), the run
-is answered one request at a time so only the bad request's future
-carries the error.
+is not 1-D, whose two arrays differ in length, or whose non-empty array
+is not of integer dtype, with :class:`~repro.errors.ConfigurationError`
+before it is queued (shape and dtype checks only, nothing that reads
+the data).  The worker repeats these checks on a request built without
+``submit_*`` and runs one that fails them as a segment of its own,
+never joined to its neighbours.  When a shared call still raises (say,
+on an out-of-range vertex) before the service changed anything, its
+requests are run one at a time so only the bad request's future carries
+the error.  A shared insert that fails after the service changed state
+(an ``on_epoch`` callback raising during the publish) is not retried:
+the publishing request carries the error.
 
 Telemetry rides on the service's shared
 :class:`~repro.obs.metrics.MetricsRegistry` (latency, queue-wait,
@@ -43,11 +55,12 @@ import time
 import uuid
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
+from repro.nputil import require_integer_ids
 from repro.obs.ledger import RunLedger, RunRecord, env_snapshot, resolve_ledger
 from repro.obs.trace import Tracer
 from repro.serve.service import ConnectivityService
@@ -66,8 +79,8 @@ class ServerClosedError(ReproError):
 #: histogram bucket bounds for request latency, in microseconds.
 _LATENCY_BUCKETS = tuple(float(2**k) for k in range(1, 24))
 
-#: kinds whose requests coalesce into one vectorized call per run.
-_QUERY_KINDS = frozenset({"same", "sizes"})
+#: payload arrays of each request kind.
+_ARITY = {"same": 2, "sizes": 1, "update": 2, "refresh": 0}
 
 
 @dataclass
@@ -76,6 +89,7 @@ class _Request:
     payload: tuple[np.ndarray, ...] = ()
     future: Future = field(default_factory=Future)
     t_submit: float = 0.0
+    checked: bool = False  # submit_* accepted the payload
 
 
 _SHUTDOWN = _Request(kind="__shutdown__")
@@ -90,14 +104,43 @@ def _resolve(future: Future, value: Any) -> None:
 
 
 def _vectors(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A request payload: 1-D arrays of one length (shape checks only)."""
+    """A request payload: 1-D integer arrays of one length.
+
+    Reads shapes and dtypes only, never the data.
+    """
     payload = tuple(np.asarray(a) for a in arrays)
-    if any(a.ndim != 1 or a.shape != payload[0].shape for a in payload):
-        raise ConfigurationError(
-            "request arrays must be 1-D and of equal length, got shapes "
-            + ", ".join(str(a.shape) for a in payload)
-        )
+    for a in payload:
+        if a.ndim != 1 or a.shape != payload[0].shape:
+            shapes = ", ".join(str(a.shape) for a in payload)
+            raise ConfigurationError(
+                f"request arrays must be 1-D and of one length, got {shapes}"
+            )
+        require_integer_ids(a)
     return payload
+
+
+def _shareable(req: _Request) -> bool:
+    """Whether ``req`` may share a call: its payload passes submission.
+
+    ``submit_*`` marks the requests it checked.  One built without it
+    reaches the worker unchecked, and joining, say, a ``bool`` payload
+    to integer ones would cast it to vertex ids that the service
+    rejects when it comes alone.
+    """
+    if req.checked:
+        return True
+    if len(req.payload) != _ARITY.get(req.kind):
+        return False
+    try:
+        _vectors(*req.payload)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def _joined(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``arrays`` as one vector; a lone array passes through uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class ConnectivityServer:
@@ -252,7 +295,7 @@ class ConnectivityServer:
             raise ServerClosedError(
                 "server is not running; start() it before submitting"
             )
-        req = _Request(kind=kind, payload=payload, t_submit=time.perf_counter())
+        req = _Request(kind, payload, t_submit=time.perf_counter(), checked=True)
         try:
             self._queue.put(req, block=block)
         except queue.Full:
@@ -310,21 +353,12 @@ class ConnectivityServer:
         t0 = time.perf_counter()  # the batch has just been dequeued
         self.metrics.counter("serve_batches").inc()
         self.metrics.histogram("serve_batch_size").observe(len(batch))
-        # Contiguous same-kind query runs collapse into one vectorized
-        # call; updates and refreshes execute in stream order between
-        # them, so the observable sequence matches arrival order.
-        runs: list[list[_Request]] = []
-        for req in batch:
-            if (
-                runs
-                and req.kind in _QUERY_KINDS
-                and runs[-1][-1].kind == req.kind
-            ):
-                runs[-1].append(req)
-            else:
-                runs.append([req])
-        for run in runs:
-            self._execute_run(run)
+        calls = 0
+        start = 0
+        while start < len(batch):
+            segment = self._segment(batch, start)
+            calls += self._run_segment(segment)
+            start += len(segment)
         if self.tracer.enabled and self._trace_spans < self.max_trace_spans:
             self._trace_spans += 1
             self.tracer.add_span(
@@ -332,7 +366,7 @@ class ConnectivityServer:
                 t0,
                 time.perf_counter(),
                 size=len(batch),
-                runs=len(runs),
+                runs=calls,
                 epoch=self.service.epoch,
             )
         elif self.tracer.enabled:
@@ -350,43 +384,119 @@ class ConnectivityServer:
             (done - t0) * 1e6
         )
 
-    def _execute_run(self, run: list[_Request]) -> None:
-        kind = run[0].kind
+    def _segment(self, batch: list[_Request], start: int) -> list[_Request]:
+        """The epoch segment of ``batch`` that begins at ``start``.
+
+        It ends at the insert whose edges make the service publish, or
+        at a refresh, so no insert before its last one publishes.  An
+        insert's edges count before the service has checked them; a bad
+        insert can only end a segment early.  A request that may not
+        share a call is a segment of its own.
+        """
+        due = self.service.edges_to_publish
+        for end in range(start, len(batch)):
+            req = batch[end]
+            if not _shareable(req):
+                return batch[start : max(end, start + 1)]
+            if req.kind == "refresh":
+                return batch[start : end + 1]
+            if req.kind == "update" and due is not None:
+                due -= req.payload[0].shape[0]
+                if due <= 0:
+                    return batch[start : end + 1]
+        return batch[start:]
+
+    def _run_segment(self, segment: list[_Request]) -> int:
+        """Run one epoch segment; returns the service calls made.
+
+        Its pair queries and its size queries each take one gather
+        against the current snapshot, its inserts one ``add_edges``,
+        and a refresh that ends it runs last.
+        """
+        service = self.service
+        calls = self._answer(
+            [r for r in segment if r.kind == "same"],
+            service.same_component_batch,
+        )
+        calls += self._answer(
+            [r for r in segment if r.kind == "sizes"], service.component_sizes
+        )
+        calls += self._insert([r for r in segment if r.kind == "update"])
+        last = segment[-1]
+        if last.kind == "refresh":
+            calls += 1
+            try:
+                epoch = service.refresh()
+            except Exception as exc:
+                self._fail(last, exc)
+            else:
+                _resolve(last.future, epoch)
+        elif last.kind not in _ARITY:  # pragma: no cover - submit owns kinds
+            self._fail(last, ReproError(f"unknown request kind {last.kind!r}"))
+        return calls
+
+    def _answer(self, run: list[_Request], query: Callable[..., np.ndarray]) -> int:
+        """Answer ``run``'s queries with one call; returns the calls made."""
+        if not run:
+            return 0
         try:
-            if kind == "same":
-                us = np.concatenate([r.payload[0] for r in run])
-                vs = np.concatenate([r.payload[1] for r in run])
-                result = self.service.same_component_batch(us, vs)
-            elif kind == "sizes":
-                vs = np.concatenate([r.payload[0] for r in run])
-                result = self.service.component_sizes(vs)
-            elif kind == "update":
-                result = self.service.add_edges(*run[0].payload)
-            elif kind == "refresh":
-                result = self.service.refresh()
-            else:  # pragma: no cover - submission layer owns the kinds
-                raise ReproError(f"unknown request kind {kind!r}")
+            result = query(*map(_joined, zip(*(r.payload for r in run))))
         except Exception as exc:
-            if len(run) > 1:
-                # One bad request must not fail its neighbours: answer
-                # the run one request at a time.
-                for r in run:
-                    self._execute_run([r])
-                return
-            self.metrics.counter("serve_errors").inc()
-            if not run[0].future.done():
-                run[0].future.set_exception(exc)
-            return
-        if kind not in _QUERY_KINDS:  # updates and refreshes run singly
+            if len(run) == 1:
+                self._fail(run[0], exc)
+                return 1
+            # One bad request must not fail its neighbours: answer the
+            # run one request at a time.
+            return 1 + sum(self._answer([r], query) for r in run)
+        if len(run) == 1:
             _resolve(run[0].future, result)
-            return
-        if len(run) > 1:
-            self.metrics.counter("serve_coalesced").inc(len(run))
+            return 1
+        self.metrics.counter("serve_coalesced").inc(len(run))
         offset = 0
         for r in run:
             width = r.payload[0].shape[0]
             _resolve(r.future, result[offset : offset + width])
             offset += width
+        return 1
+
+    def _insert(self, run: list[_Request]) -> int:
+        """Absorb ``run``'s inserts with one call; returns the calls made.
+
+        Only a segment's last insert can publish, so every other one
+        resolves to the epoch before the call.  A call that raised
+        before the service changed anything is retried one request at a
+        time.  One that raised after (an ``on_epoch`` callback failing
+        in the publish) is not: the last request, the one that
+        published, carries its error.
+        """
+        if not run:
+            return 0
+        service = self.service
+        before, pending = service.epoch, service.pending_updates
+        error: Exception | None = None
+        try:
+            epoch = service.add_edges(*map(_joined, zip(*(r.payload for r in run))))
+        except Exception as exc:
+            changed = service.epoch != before or service.pending_updates != pending
+            if len(run) > 1 and not changed:
+                return 1 + sum(self._insert([r]) for r in run)
+            error = exc
+        if len(run) > 1:
+            # The service counts one update per call; these are requests.
+            self.metrics.counter("serve_updates").inc(len(run) - 1)
+            self.metrics.counter("serve_coalesced").inc(len(run))
+        for r in run[:-1]:
+            _resolve(r.future, before)
+        if error is None:
+            _resolve(run[-1].future, epoch)
+        else:
+            self._fail(run[-1], error)
+        return 1
+
+    def _fail(self, req: _Request, exc: Exception) -> None:
+        self.metrics.counter("serve_errors").inc()
+        if not req.future.done():
+            req.future.set_exception(exc)
 
     # ------------------------------------------------------------------ #
     # session accounting

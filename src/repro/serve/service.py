@@ -226,6 +226,19 @@ class ConnectivityService:
         """Stream edges absorbed but not yet published in an epoch."""
         return self._since_epoch
 
+    @property
+    def edges_to_publish(self) -> int | None:
+        """Stream edges after which :meth:`add_edges` publishes an epoch.
+
+        The call that brings the edges absorbed since the last epoch to
+        ``recompress_every`` publishes, so a call of at least this many
+        edges does and a shorter one does not.  ``None`` when
+        ``recompress_every`` is 0 and only :meth:`refresh` publishes.
+        """
+        if not self.recompress_every:
+            return None
+        return self.recompress_every - self._since_epoch
+
     def labels(self) -> np.ndarray:
         """The current epoch's full labeling (read-only view)."""
         return self._snapshot.labels
@@ -280,6 +293,7 @@ class ConnectivityService:
         src = vertex_ids(src)
         dst = vertex_ids(dst)
         with self._lock:
+            due = self.edges_to_publish
             self._inc.add_edges(src, dst)
             self._inserted_src.append(src)
             self._inserted_dst.append(dst)
@@ -289,10 +303,7 @@ class ConnectivityService:
             self.metrics.counter("serve_edges_inserted").inc(
                 int(src.shape[0])
             )
-            if (
-                self.recompress_every
-                and self._since_epoch >= self.recompress_every
-            ):
+            if due is not None and src.shape[0] >= due:
                 self._publish_locked()
             else:
                 self.metrics.gauge("serve_pending_updates").set(

@@ -59,6 +59,23 @@ class TestDriveSession:
         assert record["throughput_rps"] > 0
         assert record["counters"]["serve_requests"] == 61
 
+    def test_counts_requests_not_calls(self, small_graph):
+        # 32-edge bursts against recompress_every=64: every second burst
+        # publishes, several times inside one drained batch of 128.
+        record, _ = serving.drive_session(
+            small_graph, "tiny", requests=400, recompress_every=64,
+            update_edges=32, max_batch=128, seed=5,
+        )
+        ops = serving.build_workload(
+            np.random.default_rng(5), small_graph.num_vertices, 400,
+            update_edges=32,
+        )
+        updates = sum(op[0] == "update" for op in ops)
+        assert record["counters"]["serve_updates"] == updates
+        assert record["edges_inserted"] == 32 * updates
+        assert record["matches_oracle"] is True
+        assert record["epochs"] > 2
+
     def test_ledger_records_session(self, small_graph, tmp_path):
         from repro.obs.ledger import RunLedger
 

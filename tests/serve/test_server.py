@@ -121,6 +121,22 @@ class TestMalformedRequests:
             assert server.same_component(0, 1)
         assert service.metrics.counters_snapshot()["serve_requests"] == 1
 
+    @pytest.mark.parametrize(
+        "ids", [[True, False], [0.0, 4.0]], ids=["bool", "float"]
+    )
+    def test_submit_rejects_non_integer_ids(self, service, ids):
+        with ConnectivityServer(service) as server:
+            with pytest.raises(ConfigurationError, match="non-integer"):
+                server.submit_same(np.array(ids), np.array([0, 1]))
+            with pytest.raises(ConfigurationError, match="non-integer"):
+                server.submit_update(np.array([0, 1]), np.array(ids))
+            with pytest.raises(ConfigurationError, match="non-integer"):
+                server.submit_sizes(np.array(ids))
+            # An empty batch passes whatever its dtype, as at the service.
+            empty = np.asarray([])
+            assert server.submit_sizes(empty).result(5).shape == (0,)
+        assert service.metrics.counters_snapshot()["serve_requests"] == 1
+
     def _run(self, service, *requests):
         ConnectivityServer(service)._run_batch(list(requests))
         return service.metrics.counters_snapshot().get("serve_errors", 0)
@@ -159,6 +175,32 @@ class TestMalformedRequests:
         assert good.future.result(0).tolist() == [True, True]
         assert tail.future.result(0).tolist() == [True]
 
+    def test_bool_query_fails_alone(self, service):
+        # Joined to its integer neighbours, [True] would be cast to
+        # vertex 1 and answered.
+        good = _request("same", [0], [1])
+        bad = _request("same", [True], [False])
+        tail = _request("same", [4], [0])
+        assert self._run(service, good, bad, tail) == 1
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert good.future.result(0).tolist() == [True]
+        assert tail.future.result(0).tolist() == [False]
+
+    def test_bool_insert_fails_alone(self, service):
+        head = _request("update", [0], [4])
+        bad = _request("update", [False], [True])
+        tail = _request("update", [1, 2], [5, 6])
+        assert self._run(service, head, bad, tail) == 1
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert head.future.result(0) == 0
+        assert tail.future.result(0) == 0
+        src, dst = service.inserted_edges()
+        assert src.tolist() == [0, 1, 2]
+        assert dst.tolist() == [4, 5, 6]
+        counters = service.metrics.counters_snapshot()
+        assert counters["serve_updates"] == 2
+        assert counters["serve_edges_inserted"] == 3
+
     def test_two_dimensional_payload_spares_neighbours(self, service):
         flat = _request("same", [0, 4], [3, 3])
         grid = _request("same", [[0, 1]], [[1, 2]])
@@ -172,6 +214,90 @@ class TestMalformedRequests:
         kept = _request("same", [0], [4])
         assert self._run(service, gone, kept) == 0
         assert kept.future.result(0).tolist() == [False]
+
+
+def _log_calls(service, calls):
+    """Append the name of each query and insert call to ``calls``."""
+    for name in ("same_component_batch", "component_sizes", "add_edges"):
+        method = getattr(service, name)
+
+        def logged(*arrays, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*arrays)
+
+        setattr(service, name, logged)
+
+
+class TestEpochSegments:
+    def test_one_call_per_kind_and_per_insert_run(self, two_cliques):
+        calls = []
+        service = ConnectivityService(two_cliques, recompress_every=4)
+        _log_calls(service, calls)
+        server = ConnectivityServer(service, trace=True)
+        batch = [
+            _request("same", [0], [4]),
+            _request("update", [0], [4]),
+            _request("sizes", [0]),
+            _request("update", [1, 2], [5, 6]),
+            _request("same", [1], [5]),
+            # 1 + 2 + 1 edges reach recompress_every: this one publishes.
+            _request("update", [3], [7]),
+            _request("same", [0], [4]),
+            _request("sizes", [4]),
+        ]
+        server._run_batch(batch)
+        assert calls == [
+            "same_component_batch",
+            "component_sizes",
+            "add_edges",
+            "same_component_batch",
+            "component_sizes",
+        ]
+        # Each query reads the epoch the insert before it reported.
+        results = [r.future.result(0) for r in batch]
+        assert [results[i] for i in (1, 3, 5)] == [0, 0, 1]
+        assert [results[i].tolist() for i in (0, 2, 4)] == [[False], [4], [False]]
+        assert [results[i].tolist() for i in (6, 7)] == [[True], [8]]
+        span = server.tracer.finish().spans[-1]
+        assert span.label == "batch"
+        assert span.attrs["runs"] == len(calls)
+
+    def test_publish_error_is_not_retried(self, two_cliques):
+        def fail(snapshot):
+            raise RuntimeError("on_epoch failed")
+
+        service = ConnectivityService(
+            two_cliques, recompress_every=4, on_epoch=fail
+        )
+        first = _request("update", [0, 1], [4, 5])
+        last = _request("update", [4, 5], [0, 1])
+        ConnectivityServer(service)._run_batch([first, last])
+        # The state one request at a time leaves: the second insert
+        # published epoch 1 over all four edges and carries the error.
+        assert first.future.result(0) == 0
+        assert isinstance(last.future.exception(0), RuntimeError)
+        assert service.epoch == 1
+        assert service.snapshot.edges_applied == 4
+        assert service.inserted_edges()[0].tolist() == [0, 1, 4, 5]
+        counters = service.metrics.counters_snapshot()
+        assert counters["serve_updates"] == 2
+        assert counters["serve_errors"] == 1
+        assert counters["serve_coalesced"] == 2  # one shared call
+
+    def test_bad_insert_retried_alone_before_any_change(self, two_cliques):
+        service = ConnectivityService(two_cliques, recompress_every=4)
+        good = _request("update", [0, 1], [4, 5])
+        bad = _request("update", [0, 99], [4, 5])
+        tail = _request("update", [2, 3], [6, 7])
+        query = _request("same", [0], [4])
+        ConnectivityServer(service)._run_batch([good, bad, tail, query])
+        # Counted with the bad insert, the segment ended early at it;
+        # alone, the tail insert is the one that publishes.
+        assert isinstance(bad.future.exception(0), ConfigurationError)
+        assert [good.future.result(0), tail.future.result(0)] == [0, 1]
+        assert query.future.result(0).tolist() == [True]
+        assert service.inserted_edges()[0].tolist() == [0, 1, 2, 3]
+        assert service.metrics.counters_snapshot()["serve_updates"] == 2
 
 
 class TestFlowControl:

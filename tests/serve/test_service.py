@@ -71,6 +71,9 @@ class TestPointAndBatchReads:
             service.same_component_batch(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ConfigurationError, match="non-integer"):
             service.component_sizes(np.array([4.5]))
+        # timedelta64 subclasses NumPy's signedinteger, but holds no ids.
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            service.component_sizes(np.array([4], dtype="m8[s]"))
 
     def test_empty_batches_of_any_dtype_accepted(self, service):
         empty = np.asarray([])
@@ -145,6 +148,16 @@ class TestSnapshots:
         assert svc.epoch == 0  # 3 < 4: still pending
         svc.add_edges(*_stream(8, 2, seed=1))
         assert svc.epoch == 1  # 5 >= 4: published
+
+    def test_edges_to_publish(self, two_cliques):
+        svc = ConnectivityService(two_cliques, recompress_every=4)
+        assert svc.edges_to_publish == 4
+        svc.add_edges(*_stream(8, 3, seed=0))
+        assert (svc.edges_to_publish, svc.epoch) == (1, 0)
+        svc.add_edge(0, 4)  # exactly the remaining edge publishes
+        assert (svc.edges_to_publish, svc.epoch) == (4, 1)
+        svc = ConnectivityService(two_cliques, recompress_every=0)
+        assert svc.edges_to_publish is None
 
     def test_refresh_noop_when_clean(self, service):
         assert service.refresh() == 0
