@@ -185,19 +185,42 @@ def _cmd_plans(args: argparse.Namespace) -> int:
     return 0
 
 
+def _plan_check_graph() -> CSRGraph:
+    """The plan check's input: ``component_fraction_graph(150, 0.3,
+    seed=3)``, whose every vertex has degree >= 9, plus disjoint parts
+    whose vertices lack slot r for small r: three isolated vertices, a
+    four-vertex path, and a vertex with a self-loop and one pendant
+    neighbour.  So every neighbour round meets vertices without an edge
+    or with one to themselves."""
+    from repro.generators.components import component_fraction_graph
+    from repro.graph.builder import build_csr
+    from repro.graph.coo import EdgeList
+
+    base = component_fraction_graph(150, 0.3, seed=3)
+    src, dst = base.edge_array()
+    n = base.num_vertices  # n, n + 1 and n + 2 stay isolated
+    path = [(n + 3, n + 4), (n + 4, n + 5), (n + 5, n + 6)]
+    loop = [(n + 7, n + 7), (n + 7, n + 8)]
+    more_src, more_dst = np.array(path + loop).T
+    edges = EdgeList(
+        n + 9, np.concatenate((src, more_src)), np.concatenate((dst, more_dst))
+    )
+    return build_csr(edges, drop_self_loops=False)
+
+
 def _check_plans(args: argparse.Namespace) -> int:
     """Validate that every composed plan runs on every backend.
 
-    Runs each composition on a small multi-component graph per backend
-    kind and compares the labels against the scipy oracle's
+    Runs each composition on a small multi-component graph
+    (:func:`_plan_check_graph`) per backend kind and compares the
+    labels against the scipy oracle's
     component-minimum labeling; exits non-zero on any mismatch (the CI
     gate behind ``repro plans --check``).
     """
     from repro.engine import available_plans
-    from repro.generators.components import component_fraction_graph
     from repro.graph.properties import scipy_components
 
-    graph = component_fraction_graph(150, 0.3, seed=3)
+    graph = _plan_check_graph()
     comp = scipy_components(graph)
     n = graph.num_vertices
     mins = np.full(int(comp.max()) + 1, n, dtype=np.int64)

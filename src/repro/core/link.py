@@ -215,6 +215,11 @@ def _link_rounds(
         b = pi[l]
 
 
+def is_identity(pi: np.ndarray) -> bool:
+    """True when every vertex is its own root: ``pi[v] == v``."""
+    return bool(np.array_equal(pi, np.arange(pi.shape[0], dtype=pi.dtype)))
+
+
 def link_out(pi: np.ndarray, nbr: np.ndarray) -> int:
     """Vectorized link of one out-edge per vertex: ``(v, nbr[v])`` for
     every ``v``, where ``nbr[v] == v`` means ``v`` has no edge.
@@ -230,8 +235,7 @@ def link_out(pi: np.ndarray, nbr: np.ndarray) -> int:
     lowered below ``nbr[t]``.  Every other down edge has ``π[t] ==
     nbr[t]``, so both its round-2 cursors read ``π[nbr[t]]``.
     """
-    n = pi.shape[0]
-    if not np.array_equal(pi, np.arange(n, dtype=pi.dtype)):
+    if not is_identity(pi):
         return _link_rounds(pi, pi.copy(), pi[nbr], 0)
     up = np.flatnonzero(nbr > pi)  # π is the identity: π[u] == u
     if up.shape[0] == 0 and not (nbr < pi).any():

@@ -7,7 +7,8 @@ hook-and-shortcut — that admit three execution substrates:
 - :class:`VectorizedBackend` — NumPy batch kernels
   (:func:`~repro.core.link.link_batch`, :func:`~repro.core.link.link_out`,
   :func:`~repro.core.compress.compress_all`); the wall-clock performance
-  implementation;
+  implementation.  Its neighbour rounds gather slot ``r`` of every vertex
+  (:func:`round_neighbors`) and link it with ``link_out``;
 - :class:`SimulatedBackend` — generator kernels on a
   :class:`~repro.parallel.machine.SimulatedMachine`, with a preemption
   point before every shared access; the instrumented concurrent-semantics
@@ -16,7 +17,9 @@ hook-and-shortcut — that admit three execution substrates:
   edge shards (:mod:`repro.engine.partition`) and merged each superstep
   by scatter-min against a snapshot, over a metered
   :class:`~repro.distributed.comm.SimulatedComm`; deterministic by
-  construction.
+  construction.  Its neighbour rounds take the same
+  :func:`round_neighbors` gather and run ``link_out``'s identity round
+  rank by rank, each rank over its own window of vertices.
 
 Each sampling and finish phase (:mod:`repro.engine.sampling`,
 :mod:`repro.engine.finish`) is written *once* against
@@ -41,7 +44,7 @@ from repro.constants import (
     VERTEX_DTYPE,
 )
 from repro.core.compress import COMPRESS_BLOCK, compress_all, compress_kernel
-from repro.core.link import link_batch, link_kernel, link_out
+from repro.core.link import is_identity, link_batch, link_kernel, link_out
 from repro.core.sampling import approximate_largest_label
 from repro.distributed import partition as _dpart
 from repro.distributed.comm import SimulatedComm
@@ -50,7 +53,7 @@ from repro.engine.bufferpool import BufferPool
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.csr import CSRGraph
-from repro.nputil import segment_ranges, sorted_unique
+from repro.nputil import merge_min, segment_ranges, sorted_unique
 from repro.obs.metrics import POW2_BUCKETS
 from repro.parallel.machine import KernelContext, SimulatedMachine
 from repro.parallel.metrics import RunStats
@@ -91,15 +94,6 @@ def resolve_label_dtype(n: int, policy: str = "auto") -> np.dtype:
 # --------------------------------------------------------------------- #
 # vectorized edge-batch helpers
 # --------------------------------------------------------------------- #
-
-
-def round_edges(
-    graph: CSRGraph, deg: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge batch of neighbour round ``r``: ``(v, N(v)[r])`` for every
-    vertex with degree (``deg``, the graph's degree array) > r."""
-    verts = np.flatnonzero(deg > r)
-    return verts, graph.indices[graph.indptr[verts] + r]
 
 
 def round_neighbors(graph: CSRGraph, deg: np.ndarray, r: int) -> np.ndarray:
@@ -144,6 +138,14 @@ def remaining_slots(graph: CSRGraph, deg: np.ndarray, start: int) -> int:
     return graph.num_directed_edges - sum(
         int(np.count_nonzero(deg > r)) for r in range(start)
     )
+
+
+def _holds(v: slice | np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask of the ``ids`` among a rank's round vertices ``v``: a window
+    slice, or a sorted id array."""
+    if isinstance(v, slice):
+        return (ids >= v.start) & (ids < v.stop)
+    return np.isin(ids, v)
 
 
 def _kept(pi: np.ndarray, largest: int | None) -> np.ndarray:
@@ -1380,13 +1382,32 @@ class DistributedBackend(VectorizedBackend):
                 for _, idx, val in live:
                     np.minimum.at(pi, idx, val)
                 changed = np.flatnonzero(pi != self._shadow)
+        return self._publish(pi, live, changed, already_applied=already_applied)
+
+    def _publish(
+        self,
+        pi: np.ndarray,
+        live: list[tuple[int, np.ndarray, np.ndarray]],
+        changed: np.ndarray,
+        *,
+        already_applied: bool = False,
+    ) -> np.ndarray:
+        """Ship one merged exchange — each live rank's sorted distinct
+        candidates and the ``changed`` slots π already holds — and
+        refresh the shadow; returns ``changed``."""
         if self.ranks > 1:
             with self.instr.timer("X"):
                 self._ship_deltas(
                     pi, live, changed, already_applied=already_applied
                 )
             self._flush_comm()
-        self._shadow[changed] = pi[changed]
+        assert self._shadow is not None
+        if 8 * changed.shape[0] > pi.shape[0]:
+            # π differs from the shadow exactly at ``changed``: at this
+            # density one sequential copy beats the gather and scatter.
+            np.copyto(self._shadow, pi)
+        else:
+            self._shadow[changed] = pi[changed]
         return changed
 
     # -- link primitives ------------------------------------------------- #
@@ -1396,21 +1417,37 @@ class DistributedBackend(VectorizedBackend):
         pi: np.ndarray,
         shards: list[tuple[np.ndarray, np.ndarray]],
     ) -> int:
-        """The ``link_batch`` loop as one delta-exchange superstep per
-        round: every rank climbs its shard's private ``(a, b)`` cursors on
-        the replica and ships only winning root hooks.  Round-for-round
-        identical to :func:`~repro.core.link.link_batch` because hooks are
-        gathered against the pre-round snapshot and merged by scatter-min.
-        """
+        """The ``link_batch`` loop over per-rank edge shards (see
+        :meth:`_dist_link_rounds`)."""
         if sum(int(s.shape[0]) for s, _ in shards) == 0:
             return 0
-        state = [(pi[src], pi[dst]) for src, dst in shards]
+        return self._dist_link_rounds(
+            pi, [(pi[src], pi[dst]) for src, dst in shards], 0
+        )
+
+    def _dist_link_rounds(
+        self,
+        pi: np.ndarray,
+        cursors: list[tuple[np.ndarray, np.ndarray]],
+        rounds: int,
+    ) -> int:
+        """:func:`~repro.core.link.link_batch`'s round loop as one
+        delta-exchange superstep per round, from each rank's ``(a, b)``
+        cursors after ``rounds`` rounds already run; returns the total
+        round count.
+
+        Every rank climbs its own cursors on the replica and ships only
+        winning root hooks.  Round-for-round identical to ``link_batch``
+        because hooks are gathered against the pre-round snapshot and
+        merged by scatter-min.  Cursors are read only before the round's
+        exchange, so they may be views of π.  A rank compacts its live
+        edges with ``flatnonzero`` unless every edge is still apart.
+        """
         cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-        rounds = 0
         while True:
-            actives = [a != b for a, b in state]
-            flags = [bool(act.any()) for act in actives]
-            any_active = self.comm.allreduce_any(flags)
+            actives = [a != b for a, b in cursors]
+            lives = [int(np.count_nonzero(act)) for act in actives]
+            any_active = self.comm.allreduce_any([k > 0 for k in lives])
             self._flush_comm()
             if not any_active:
                 return rounds
@@ -1421,18 +1458,114 @@ class DistributedBackend(VectorizedBackend):
                 )
             deltas = []
             climbs = []
-            for (a, b), act in zip(state, actives):
-                a = a[act]
-                b = b[act]
+            for (a, b), act, live in zip(cursors, actives, lives):
+                if live < a.shape[0]:
+                    keep = np.flatnonzero(act)
+                    a = a[keep]
+                    b = b[keep]
                 high = np.maximum(a, b)
                 low = np.minimum(a, b)
-                root = pi[high] == high
-                deltas.append((high[root], low[root]))
+                hook = np.flatnonzero(pi[high] == high)
+                deltas.append((high[hook], low[hook]))
                 climbs.append((high, low))
             self._exchange(pi, deltas)
-            state = [
-                (pi[pi[high]], pi[low]) for high, low in climbs
-            ]
+            cursors = [(pi[pi[high]], pi[low]) for high, low in climbs]
+
+    def _round_ranks(
+        self, deg: np.ndarray, r: int
+    ) -> list[slice] | list[np.ndarray] | None:
+        """Each rank's vertices in neighbour round ``r``: the ones
+        :meth:`_batch_shards` gives it of the vertices with degree > r,
+        or None when no vertex has slot ``r``.
+
+        ``block`` cuts a contiguous window per rank.  Its cut points are
+        the even ``partition_ranges`` positions among the vertices of
+        degree > r, mapped to vertex ids by counting the degree ≤ r
+        vertices before each: ``short[i]`` precedes the p-th one exactly
+        when ``short[i] - i <= p``.  A window may hold degree ≤ r
+        vertices too; their slot is themselves, no edge.  ``hash`` lists
+        the vertices ``hash_owners`` assigns to each rank.
+        """
+        short = np.flatnonzero(deg <= r)
+        m = int(deg.shape[0] - short.shape[0])
+        if m == 0:
+            return None
+        if self.partition == "hash":
+            verts = np.flatnonzero(deg > r)
+            owner = _dpart.hash_owners(m, self.ranks)
+            return [verts[owner == k] for k in range(self.ranks)]
+        pos = np.array([lo for lo, _ in _part.partition_ranges(m, self.ranks)] + [m])
+        shift = short - np.arange(short.shape[0])
+        cuts = pos + np.searchsorted(shift, pos, side="right")
+        cuts[0] = 0
+        return [slice(lo, hi) for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+
+    def _identity_round(
+        self,
+        pi: np.ndarray,
+        nbr: np.ndarray,
+        ranks: list[slice] | list[np.ndarray],
+    ) -> int:
+        """A neighbour round on an identity π: round 1 the way
+        :func:`~repro.core.link.link_out` runs it, rank by rank, then
+        the round loop over ``link_out``'s round-2 edges.
+
+        Every endpoint is a root, so a rank's candidates are its down
+        slots ``(v, nbr[v])``, ``nbr[v] < v``, already sorted and
+        distinct, plus its up slots ``(nbr[u], u)``, deduplicated and
+        merged in (:func:`merge_min`).  That is the set the rank would
+        ship from its whole edge batch, so the payloads are unchanged.
+        The merge is ``π ← minimum(π, nbr)`` plus one scatter-min of the
+        up slots.  Round 2 carries on, each on the rank that owns it,
+        every up edge and each down edge ``(t, nbr[t])`` whose ``π[t]``
+        an up edge lowered below ``nbr[t]``; every other edge has both
+        cursors at ``π[nbr[t]]``.
+        """
+        n = int(pi.shape[0])
+        flags = []
+        live = []
+        ups = []
+        for k, v in enumerate(ranks):
+            nb = nbr[v]
+            own = pi[v]  # π is the identity: the window's own ids
+            down = np.flatnonzero(nb < own)
+            up = np.flatnonzero(nb > own)
+            d_val = nb[down].astype(pi.dtype, copy=False)
+            u_tgt = nb[up]
+            if isinstance(v, slice):  # positions count from the window start
+                down += v.start
+                up += v.start
+            else:
+                down, up = v[down], v[up]
+            ups.append((up, u_tgt))
+            flags.append(bool(down.shape[0] or up.shape[0]))
+            if up.shape[0]:
+                hooks = self._dedup_min(u_tgt, up.astype(pi.dtype), n)
+                live.append((k, *merge_min(down, d_val, *hooks)))
+            elif down.shape[0]:
+                live.append((k, down, d_val))
+        any_edge = self.comm.allreduce_any(flags)
+        self._flush_comm()
+        if not any_edge:
+            return 0
+        assert self._shadow is not None
+        src = np.concatenate([u for u, _ in ups])
+        dst = np.concatenate([t for _, t in ups])
+        with self.instr.timer("X-merge"):
+            np.minimum(pi, nbr, out=pi)
+            np.minimum.at(pi, dst, src)
+            changed = np.flatnonzero(pi != self._shadow)
+        self._publish(pi, live, changed)
+        # t's own edge is lowered iff its hook's winner u lies below
+        # nbr[t] < t (as in link_out); a fan-in of up edges yields t once.
+        tnbr = nbr[dst]
+        low = dst[(pi[dst] == src) & (src < tnbr) & (tnbr < dst)]
+        cursors = []
+        for v, (up, tgt) in zip(ranks, ups):
+            mine = low[_holds(v, low)]
+            high = np.concatenate((tgt, mine))
+            cursors.append((pi[pi[high]], pi[np.concatenate((up, nbr[mine]))]))
+        return self._dist_link_rounds(pi, cursors, 1)
 
     def link_edges(
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
@@ -1444,10 +1577,20 @@ class DistributedBackend(VectorizedBackend):
     def link_neighbor_round(
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> int:
+        """Gather slot ``r`` of every vertex (:func:`round_neighbors`) and
+        link it rank by rank, each rank over its :meth:`_round_ranks`
+        vertices: on an identity π as :meth:`_identity_round`, otherwise
+        through the round loop from every rank's cursors."""
         self._sync_driver(pi)
         with self.instr.timer(phase):
-            src, dst = round_edges(graph, self.degrees(graph), r)
-            return self._dist_link_batch(pi, self._batch_shards(src, dst))
+            deg = self.degrees(graph)
+            nbr = round_neighbors(graph, deg, r)
+            ranks = self._round_ranks(deg, r)
+            if ranks is None:
+                return 0
+            if is_identity(pi):
+                return self._identity_round(pi, nbr, ranks)
+            return self._dist_link_rounds(pi, [(pi[v], pi[nbr[v]]) for v in ranks], 0)
 
     def link_remaining(
         self,

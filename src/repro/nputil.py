@@ -4,7 +4,8 @@ These implement the flat "expand CSR slices without a Python loop" patterns
 used across the library: frontier expansion in BFS, remaining-neighbour
 flattening in Afforest's final phase, and frontier edge gathering in
 data-driven label propagation; plus the sort-based distinct-value pass
-that stands in for a flag-less ``np.unique``, the vertex-id dtype check
+that stands in for a flag-less ``np.unique``, the min-union of two
+sorted delta sets, the vertex-id dtype check
 that serving runs at request submission and before its ``int64`` cast,
 and the integer check that plans and generators run on their count and
 size parameters.
@@ -21,6 +22,7 @@ __all__ = [
     "segment_ranges",
     "expand_slices",
     "sorted_unique",
+    "merge_min",
     "vertex_ids",
     "require_integer_ids",
     "require_int",
@@ -116,3 +118,26 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(out[1:], out[:-1], out=keep[1:])
     return out[keep]
+
+
+def merge_min(
+    idx: np.ndarray, val: np.ndarray, more_idx: np.ndarray, more_val: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Union of two ``(index, value)`` sets whose indices are sorted and
+    distinct; an index in both keeps the smaller value.
+
+    Binary-searches ``more_idx`` into ``idx`` and inserts the new
+    entries in order: O(k' log k + k + k') for ``k = len(idx)`` and
+    ``k' = len(more_idx)``, no sort.  The inputs are left unchanged.
+    """
+    if idx.shape[0] == 0:
+        return more_idx, more_val
+    pos = np.searchsorted(idx, more_idx)
+    both = idx[np.minimum(pos, idx.shape[0] - 1)] == more_idx
+    if both.any():
+        at = pos[both]
+        val = val.copy()
+        val[at] = np.minimum(val[at], more_val[both])
+        new = ~both
+        pos, more_idx, more_val = pos[new], more_idx[new], more_val[new]
+    return np.insert(idx, pos, more_idx), np.insert(val, pos, more_val)

@@ -22,7 +22,10 @@ a non-blocking submit against a full queue raises
 ``block=True`` and are throttled by the queue itself).  Shutdown is
 graceful: :meth:`stop` rejects new submissions, lets the loop drain
 everything already accepted, then joins the thread — no accepted
-request is ever dropped.
+request is ever dropped.  A client may withdraw a queued insert with
+``future.cancel()``: the worker claims each insert's future before it
+runs the batch and skips the ones already cancelled, so their edges
+are never linked.  Once claimed, an insert can no longer be cancelled.
 
 A malformed request fails alone.  ``submit_*`` rejects a payload that
 is not 1-D, whose two arrays differ in length, or whose non-empty array
@@ -353,10 +356,19 @@ class ConnectivityServer:
         t0 = time.perf_counter()  # the batch has just been dequeued
         self.metrics.counter("serve_batches").inc()
         self.metrics.histogram("serve_batch_size").observe(len(batch))
+        # Claim every insert before segmenting: one its client cancelled
+        # while queued is dropped, so it is never linked, counted, or
+        # counted toward a publish.  A cancelled query is only left
+        # unanswered (``_resolve``).
+        todo = [
+            r
+            for r in batch
+            if r.kind != "update" or r.future.set_running_or_notify_cancel()
+        ]
         calls = 0
         start = 0
-        while start < len(batch):
-            segment = self._segment(batch, start)
+        while start < len(todo):
+            segment = self._segment(todo, start)
             calls += self._run_segment(segment)
             start += len(segment)
         if self.tracer.enabled and self._trace_spans < self.max_trace_spans:

@@ -267,9 +267,11 @@ AFFOREST_FIELDS = (
 
 
 class TestAfforestMatchesVectorized:
-    """The distributed backend runs its own link loop over round edge
-    batches, so it is an independent reference for the vectorized
-    backend's neighbour rounds: labels and every counter agree."""
+    """Whole Afforest runs agree with the vectorized backend: labels and
+    every counter.  Both backends gather each neighbour round with
+    ``round_neighbors`` and run ``link_out``'s identity round, so this
+    is a consistency check, not an independent reference; that is the
+    vertex-list batch path in ``test_neighbor_rounds.py``."""
 
     @pytest.fixture(scope="class")
     def vectorized(self):

@@ -229,11 +229,11 @@ class TestAfforestBookkeeping:
         engine.run("afforest", graph, backend=backend, ranks=2, sampling=sampling)
         assert len(degree_arrays) <= 1
 
-    #: each backend's neighbour-round gather: vectorized takes slot r of
-    #: every vertex, distributed the (v, N(v)[r]) batch of degree > r
+    #: each backend's neighbour-round gather: both take slot r of every
+    #: vertex; the distributed backend then splits it among its ranks
     ROUND_GATHER = {
         "vectorized": "round_neighbors",
-        "distributed": "round_edges",
+        "distributed": "round_neighbors",
     }
 
     @pytest.mark.parametrize("backend", ["vectorized", "distributed"])

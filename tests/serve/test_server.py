@@ -84,6 +84,22 @@ class TestRequestPath:
         assert counters["serve_coalesced"] >= 20
         assert counters["serve_batch_queries"] < 21
 
+    def test_cancelled_queued_insert_is_never_applied(self, service):
+        _stall(service)
+        with ConnectivityServer(service, max_batch=64) as server:
+            server.submit_sizes(np.array([0]))  # stalls the loop
+            gone = server.submit_update(np.array([0]), np.array([4]))
+            assert gone.cancel()
+            kept = server.submit_update(np.array([1]), np.array([2]))
+            assert server.submit_refresh().result(5) == 1
+            assert kept.result(5) == 0
+            assert not server.same_component(0, 4)
+        assert gone.cancelled()
+        assert service.inserted_edges()[0].tolist() == [1]
+        counters = service.metrics.counters_snapshot()
+        assert counters["serve_updates"] == 1
+        assert counters["serve_edges_inserted"] == 1
+
     def test_results_split_per_request(self, service):
         _stall(service)
         with ConnectivityServer(service, max_batch=64) as server:
@@ -283,6 +299,37 @@ class TestEpochSegments:
         assert counters["serve_updates"] == 2
         assert counters["serve_errors"] == 1
         assert counters["serve_coalesced"] == 2  # one shared call
+
+    def test_cancelled_insert_matches_a_stream_without_it(self, two_cliques):
+        def run(with_cancelled):
+            service = ConnectivityService(two_cliques, recompress_every=2)
+            head = _request("update", [0], [1])
+            gone = _request("update", [2], [4])
+            assert gone.future.cancel()
+            tail = _request("update", [6], [7])
+            query = _request("same", [2], [4])
+            batch = [head, gone, tail, query] if with_cancelled else [
+                head, tail, query
+            ]
+            ConnectivityServer(service)._run_batch(batch)
+            service.refresh()
+            return service, [r.future for r in (head, tail, query)]
+
+        service, futures = run(True)
+        twin, twin_futures = run(False)
+        # Counted with the cancelled insert, head + gone would publish
+        # and join the cliques; without it, tail publishes, intra-clique.
+        for got, want in ((service, futures), (twin, twin_futures)):
+            assert [f.result(0) for f in want[:2]] == [0, 1]
+            assert want[2].result(0).tolist() == [False]
+            assert not got.same_component(2, 4)
+        assert service.epoch == twin.epoch
+        for got, want in zip(service.inserted_edges(), twin.inserted_edges()):
+            assert got.tolist() == want.tolist()
+        assert (
+            service.metrics.counters_snapshot()
+            == twin.metrics.counters_snapshot()
+        )
 
     def test_bad_insert_retried_alone_before_any_change(self, two_cliques):
         service = ConnectivityService(two_cliques, recompress_every=4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nputil import expand_slices, segment_ranges, sorted_unique
+from repro.nputil import expand_slices, merge_min, segment_ranges, sorted_unique
 
 
 class TestSegmentRanges:
@@ -83,3 +83,39 @@ class TestSortedUnique:
         arr = np.array([3, 1, 3])
         sorted_unique(arr)
         assert arr.tolist() == [3, 1, 3]
+
+
+class TestMergeMin:
+    def test_basic(self):
+        idx, val = merge_min(
+            np.array([1, 4, 6]), np.array([9, 3, 5]), np.array([0, 4, 7]),
+            np.array([2, 1, 8]),
+        )
+        assert idx.tolist() == [0, 1, 4, 6, 7]
+        assert val.tolist() == [2, 9, 1, 5, 8]
+
+    def test_empty_sides(self):
+        one = (np.array([2, 5]), np.array([1, 1], dtype=np.int32))
+        none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
+        for a, b in ((one, none), (none, one)):
+            idx, val = merge_min(*a, *b)
+            assert idx.tolist() == [2, 5] and val.tolist() == [1, 1]
+            assert val.dtype == np.int32
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_random_matches_dict_union(self, dtype):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            a = np.unique(rng.integers(0, 40, size=rng.integers(0, 30)))
+            b = np.unique(rng.integers(0, 40, size=rng.integers(0, 30)))
+            a_val = rng.integers(0, 40, size=a.shape[0]).astype(dtype)
+            b_val = rng.integers(0, 40, size=b.shape[0]).astype(dtype)
+            kept = a_val.copy()
+            idx, val = merge_min(a, a_val, b, b_val)
+            want = dict(zip(a.tolist(), a_val.tolist()))
+            for i, v in zip(b.tolist(), b_val.tolist()):
+                want[i] = min(v, want.get(i, v))
+            assert idx.tolist() == sorted(want)
+            assert val.tolist() == [want[i] for i in sorted(want)]
+            assert val.dtype == dtype
+            assert np.array_equal(a_val, kept)  # inputs untouched
