@@ -25,9 +25,9 @@ from repro.generators import uniform_random_graph
 
 
 def solve(graph, ranks: int, partition: str = "hash"):
-    """One delta-exchange fastsv solve; returns (labels, comm stats)."""
+    """One delta-exchange Afforest solve; returns (labels, comm stats)."""
     backend = DistributedBackend(ranks=ranks, partition=partition)
-    result = engine.run("none+fastsv", graph, backend=backend)
+    result = engine.run("afforest", graph, backend=backend)
     return result.labels, backend.comm.stats
 
 
@@ -78,7 +78,7 @@ def main() -> None:
     print("\npartition balance (8 ranks, directed edges per rank):")
     for mode in ("block", "hash"):
         backend = DistributedBackend(ranks=8, partition=mode)
-        engine.run("none+fastsv", graph, backend=backend)
+        engine.run("afforest", graph, backend=backend)
         counts = backend.shard_sizes(graph)
         print(
             f"  {mode:>5}: min {min(counts)}, max {max(counts)}, "

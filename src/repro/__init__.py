@@ -78,12 +78,11 @@ def connected_components(
     """Component labels of ``graph`` using the named algorithm.
 
     Every algorithm returns an equivalent labeling (same partition of the
-    vertex set); label *values* differ by algorithm.  Names are the
-    classical ones (``repro.engine.available_algorithms()`` lists them)
-    or composed ``<sampling>+<finish>`` plans, resolved by
-    :func:`repro.engine.plan.get_plan`; unknown names raise
+    vertex set); label *values* differ by algorithm.  Names come from the
+    plan table (``repro.engine.available_algorithms()`` lists them, with
+    ``sequential``); unknown names raise
     :class:`~repro.errors.ConfigurationError`.  Keyword arguments
-    override the parameters a classical name fixes; for the full result
+    override the parameters a name fixes; for the full result
     record (counters, phase times, provenance) call
     :func:`repro.engine.run` directly.
     """

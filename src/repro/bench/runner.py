@@ -110,7 +110,7 @@ def run_algorithm(
     first = results[0]
     extra: dict = {"num_components": first.num_components}
     if first.plan:
-        # Plan provenance: which sampling+finish composition actually ran.
+        # Plan provenance: which sampling + finish pair actually ran.
         extra["plan"] = first.plan
     if first.edges_touched:
         extra["edges_touched"] = first.edges_touched

@@ -7,7 +7,8 @@ Commands
 ``info``      print Table III-style statistics for a graph
 ``solve``     compute connected components and optionally save the labels
 ``compare``   run several algorithms on one graph and print a timing table
-``plans``     list the sampling × finish plan space (``--check`` validates it)
+``plans``     list the algorithm names and their plans (``--check`` runs
+              each on every backend against the scipy oracle)
 ``convert``   translate between the supported graph file formats
 ``serve``     stand up the connectivity serving layer on one graph and
               drive a mixed query/update stream through it (throughput,
@@ -18,9 +19,8 @@ Commands
               ``diff`` attributes a slowdown between two runs, reports,
               or ledgers, and ``watch`` streams live per-round progress
 
-Algorithm arguments accept the classical names (``afforest``, ``sv``, …),
-composed plan names (``<sampling>+<finish>``, e.g. ``kout+sv``) and
-``sequential``; :func:`repro.engine.plan.get_plan` resolves them.
+Algorithm arguments accept the names in the plan table (``afforest``,
+``sv``, …; :data:`repro.engine.plan.CANONICAL_PLANS`) and ``sequential``.
 
 ``solve`` and ``compare`` accept ``--trace-out PATH`` (with
 ``--trace-format {jsonl,chrome}``) to export the telemetry trace of the
@@ -47,11 +47,13 @@ import numpy as np
 import repro
 from repro.constants import LABEL_DTYPE_POLICIES
 from repro.engine import (
+    CANONICAL_PLANS,
     available_algorithms,
     backend_kinds,
     make_backend,
     supports_backend,
 )
+from repro.engine.plan import SEQUENTIAL
 from repro.errors import ConfigurationError, ReproError
 from repro.generators.datasets import DATASETS, SIZE_TIERS, load_dataset
 from repro.graph.csr import CSRGraph
@@ -158,30 +160,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_plans(args: argparse.Namespace) -> int:
-    from repro.engine import describe_plans
-    from repro.engine.finish import FINISHES
-    from repro.engine.sampling import SAMPLINGS
-
     if args.check:
         return _check_plans(args)
-    print("sampling phases:")
-    for name in sorted(SAMPLINGS):
-        print(f"  {name:<10} {SAMPLINGS[name].description}")
-    print("\nfinish phases:")
-    for name in sorted(FINISHES):
-        spec = FINISHES[name]
-        notes = []
-        if spec.supports_skip:
-            notes.append("skip-capable")
-        if spec.whole_graph:
-            notes.append("whole-graph: composes with 'none' only")
-        suffix = f"  [{', '.join(notes)}]" if notes else ""
-        print(f"  {name:<14} {spec.description}{suffix}")
-    plans = describe_plans()
-    print(f"\ncomposed plans ({len(plans)}):")
-    for name, _ in plans:
-        print(f"  {name}")
-    print("\nrun one with: repro solve <graph> -a <sampling>+<finish>")
+    print(f"{'algorithm':<16} {'plan':<12} fixed parameters")
+    for name, plan in CANONICAL_PLANS.items():
+        fixed = ", ".join(f"{k}={v}" for k, v in plan.params.items())
+        print(f"{name:<16} {plan.name:<12} {fixed or '-'}")
+    print(f"{SEQUENTIAL:<16} {'-':<12} union-find reference, vectorized only")
     return 0
 
 
@@ -209,15 +194,14 @@ def _plan_check_graph() -> CSRGraph:
 
 
 def _check_plans(args: argparse.Namespace) -> int:
-    """Validate that every composed plan runs on every backend.
+    """Validate that every name in the plan table runs on every backend.
 
-    Runs each composition on a small multi-component graph
+    Runs each name on a small multi-component graph
     (:func:`_plan_check_graph`) per backend kind and compares the
     labels against the scipy oracle's
     component-minimum labeling; exits non-zero on any mismatch (the CI
     gate behind ``repro plans --check``).
     """
-    from repro.engine import available_plans
     from repro.graph.properties import scipy_components
 
     graph = _plan_check_graph()
@@ -238,30 +222,28 @@ def _check_plans(args: argparse.Namespace) -> int:
             kind, workers=args.workers, ranks=getattr(args, "ranks", None)
         )
         try:
-            for plan_name in available_plans():
+            for name in CANONICAL_PLANS:
                 checked += 1
                 try:
-                    result = repro.engine.run(plan_name, graph, backend=backend)
+                    result = repro.engine.run(name, graph, backend=backend)
                     ok = np.array_equal(result.labels, expected)
                 except ReproError as exc:
-                    failures.append(f"{plan_name} [{kind}]: {exc}")
+                    failures.append(f"{name} [{kind}]: {exc}")
                     continue
                 if not ok:
-                    failures.append(
-                        f"{plan_name} [{kind}]: labels diverge from oracle"
-                    )
+                    failures.append(f"{name} [{kind}]: labels diverge from oracle")
         finally:
             backend.close()
     if failures:
         for line in failures:
             print(f"FAIL {line}", file=sys.stderr)
         print(
-            f"plans check: {len(failures)}/{checked} plan×backend "
+            f"plans check: {len(failures)}/{checked} algorithm×backend "
             "combinations failed",
             file=sys.stderr,
         )
         return 1
-    print(f"plans check: {checked} plan×backend combinations OK")
+    print(f"plans check: {checked} algorithm×backend combinations OK")
     return 0
 
 
@@ -270,17 +252,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.bench.runner import run_algorithm
 
     algorithms = [algo.strip() for algo in args.algorithms.split(",")]
-    if args.plans is not None:
-        from repro.engine import available_plans
-
-        # --plans alone appends the full composed matrix; --plans a,b
-        # appends just those compositions.
-        extra = (
-            available_plans()
-            if args.plans == ""
-            else [p.strip() for p in args.plans.split(",")]
-        )
-        algorithms.extend(p for p in extra if p not in algorithms)
     # Every name is validated up front — a typo fails before the
     # (possibly expensive) graph load and timing runs — and algorithms
     # that cannot run on the requested substrate are skipped with a
@@ -732,8 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-a",
         "--algorithm",
         default="afforest",
-        help=f"algorithm or plan name (default: afforest; "
-        f"one of: {algo_names}; or '<sampling>+<finish>')",
+        help=f"algorithm name (default: afforest; one of: {algo_names})",
     )
     p.add_argument("--output", help="write labels to an .npz file")
     add_backend_args(p)
@@ -744,17 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument(
         "--algorithms", default="afforest,sv,lp,bfs,dobfs",
-        help=f"comma-separated algorithm or plan names (from: {algo_names}; "
-        "plans as '<sampling>+<finish>')",
-    )
-    p.add_argument(
-        "--plans",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PLAN[,PLAN...]",
-        help="also compare composed plans: a comma-separated list, or no "
-        "value for every composed plan",
+        help=f"comma-separated algorithm names (from: {algo_names})",
     )
     p.add_argument("--repeats", type=int, default=7)
     p.add_argument(
@@ -768,13 +728,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plans",
-        help="list the sampling x finish plan space "
-        "(--check validates every plan on every backend)",
+        help="list the algorithm names and their plans "
+        "(--check validates every name on every backend)",
     )
     p.add_argument(
         "--check",
         action="store_true",
-        help="run every composed plan on every backend against the "
+        help="run every algorithm name on every backend against the "
         "scipy oracle; non-zero exit on any failure",
     )
     p.add_argument(
@@ -814,8 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-a",
         "--algorithm",
         default="afforest",
-        help=f"algorithm or plan for the initial solve (one of: "
-        f"{algo_names}; or '<sampling>+<finish>')",
+        help=f"algorithm for the initial solve (one of: {algo_names})",
     )
     p.add_argument(
         "--backend",
@@ -942,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-a",
         "--algorithm",
         default="afforest",
-        help=f"algorithm or plan name (one of: {algo_names})",
+        help=f"algorithm name (one of: {algo_names})",
     )
     q.add_argument(
         "--backend",

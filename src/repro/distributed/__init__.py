@@ -4,7 +4,7 @@ The conclusions propose "generaliz[ing] the algorithm to distributed
 memory environments".  This subpackage holds the message-passing layer
 that generalisation is built on; the algorithmic half lives in the
 engine as :class:`repro.engine.backends.DistributedBackend`, which runs
-every composed sampling × finish plan as BSP delta-exchange supersteps
+every plan in the name table as BSP delta-exchange supersteps
 (see ``docs/distributed.md``):
 
 - :mod:`~repro.distributed.comm` — a BSP-style simulated communicator:

@@ -3,11 +3,10 @@
 The engine ties four pieces together:
 
 - the **name table** (:mod:`~repro.engine.plan`) — every algorithm is a
-  plan, one sampling phase plus one finish phase; the classical names
+  plan, one sampling phase plus one finish phase; the algorithm names
   (``afforest``, ``sv``, ...) map to their plans and fixed parameters in
-  :data:`~repro.engine.plan.CANONICAL_PLANS`, any
-  ``<sampling>+<finish>`` name composes directly, and ``sequential``,
-  the union-find reference, is the one name outside the table;
+  :data:`~repro.engine.plan.CANONICAL_PLANS`, and ``sequential``, the
+  union-find reference, is the one name outside the table;
 - the unified **result record** (:class:`~repro.engine.result.CCResult`)
   that every algorithm returns;
 - pluggable **execution backends**
@@ -26,11 +25,10 @@ Usage::
     from repro import engine
 
     result = engine.run("afforest", g, neighbor_rounds=2)
-    result = engine.run("kout+sv", g)
     result = engine.run("sv", g, backend=engine.SimulatedBackend(machine))
     result = engine.run("afforest", g, backend="distributed", ranks=4)
     engine.available_algorithms()   # ['afforest', 'afforest-noskip', ...]
-    engine.available_plans()        # ['kout+fastsv', 'kout+lp', ...]
+    engine.get_plan("sv").name      # 'none+sv'
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ from repro.engine.plan import (
     SEQUENTIAL,
     Plan,
     available_algorithms,
-    available_plans,
-    describe_plans,
     get_plan,
     run_plan,
 )
@@ -77,8 +73,6 @@ __all__ = [
     "available_algorithms",
     "Plan",
     "CANONICAL_PLANS",
-    "available_plans",
-    "describe_plans",
     "get_plan",
     "run_plan",
     "CCResult",
@@ -98,9 +92,9 @@ __all__ = [
 
 
 def supports_backend(name: str, kind: str) -> bool:
-    """True when algorithm or plan ``name`` runs on a backend of ``kind``.
+    """True when algorithm ``name`` runs on a backend of ``kind``.
 
-    Every plan and classical name runs on all three backends;
+    Every name in the plan table runs on all three backends;
     ``sequential`` runs on vectorized only.  Raises
     :class:`~repro.errors.ConfigurationError` for an unknown name.
     """
@@ -133,12 +127,11 @@ def run(
     | None = None,
     **params,
 ) -> CCResult:
-    """Run algorithm or plan ``name`` on ``graph`` and return its result.
+    """Run algorithm ``name`` on ``graph`` and return its result.
 
-    ``name`` is a classical name (``"afforest"``), a composed plan name
-    (``"kout+sv"``) or ``"sequential"``; :func:`~repro.engine.plan.get_plan`
-    resolves the first two and :func:`~repro.engine.plan.run_plan` runs
-    them.
+    ``name`` is a name in the plan table (``"afforest"``, ``"sv"``, ...)
+    or ``"sequential"``; :func:`~repro.engine.plan.get_plan` looks the
+    first up and :func:`~repro.engine.plan.run_plan` runs it.
 
     ``backend`` selects the execution substrate: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, a kind
@@ -169,7 +162,7 @@ def run(
     :class:`~repro.obs.heartbeat.HeartbeatMonitor`, a callable sink, or
     a list to append events to, and iterative pipelines emit one
     progress event per round.  Remaining keyword arguments override the
-    parameters a classical name fixes and are forwarded to its pipeline.
+    parameters a name fixes and are forwarded to its pipeline.
     """
     plan = None if name == SEQUENTIAL else get_plan(name)
     owned = False

@@ -270,16 +270,6 @@ def _hook_kernel(
                 changed["flag"] = True
 
 
-def _shortcut_kernel(
-    ctx: KernelContext, v: int, pi: np.ndarray
-) -> Generator[None, None, None]:
-    """One single-step shortcut: ``pi[v] <- pi[pi[v]]`` (no fixpoint loop)."""
-    parent = yield from ctx.read(pi, v)
-    grand = yield from ctx.read(pi, parent)
-    if grand != parent:
-        yield from ctx.write(pi, v, grand)
-
-
 def _fill_kernel(
     ctx: KernelContext, v: int, pi: np.ndarray, value: int
 ) -> Generator[None, None, None]:
@@ -475,11 +465,6 @@ class ExecutionBackend:
         """Compress every tree in π to depth one."""
         raise NotImplementedError
 
-    def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
-        """A single ``pi <- pi[pi]`` shortcut step (no fixpoint loop): the
-        pointer-jump half of the base :meth:`fused_hook_jump`."""
-        raise NotImplementedError
-
     def find_largest(
         self,
         pi: np.ndarray,
@@ -509,31 +494,6 @@ class ExecutionBackend:
         no change performed no writes on any substrate).
         """
         raise NotImplementedError
-
-    def fused_hook_jump(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        """One fused FastSV round: min-label hook sweep + pointer jump.
-
-        Returns the hook sweep's change count.  When the sweep reports no
-        change the trailing jump is *skipped* (counted as
-        ``rounds_skipped``): a zero-change sweep performs no writes on any
-        substrate, and a propagation fixpoint over a symmetric edge set
-        means every component carries a constant label — necessarily its
-        minimum vertex id — so π is already flat and ``π ← π[π]`` would be
-        the identity.  Each fused round bumps ``fused_passes``.
-
-        The base implementation composes the two timed primitives; the
-        vectorized and distributed backends override it with one timed
-        span per round.
-        """
-        changed = self.propagate_pass(pi, graph, phase=phase)
-        if changed:
-            self.shortcut_step(pi, phase=phase)
-        else:
-            self.instr.count("rounds_skipped")
-        self.instr.count("fused_passes")
-        return changed
 
     def frontier_expand(
         self,
@@ -648,17 +608,6 @@ class VectorizedBackend(ExecutionBackend):
         skipped = remaining_slots(graph, self.degrees(graph), start) - linked
         return linked, skipped, rounds
 
-    def _pointer_jump(self, pi: np.ndarray) -> np.ndarray:
-        """One ``π ← π[π]`` jump through the pooled scratch buffer.
-
-        Returns the scratch view still holding the post-jump values (so
-        ``compress`` can fixpoint-test without another gather).
-        """
-        nxt = self.pool.get("jump", int(pi.shape[0]), pi.dtype)
-        np.take(pi, pi, out=nxt)
-        pi[:] = nxt
-        return nxt
-
     def compress(self, pi: np.ndarray, *, phase: str) -> int:
         """In-order blocked compression
         (:func:`~repro.core.compress.compress_all`) through the pooled
@@ -725,42 +674,16 @@ class VectorizedBackend(ExecutionBackend):
         nothing.
         """
         src, dst = self._edges(graph)
-        with self.instr.timer(phase):
-            return self._min_sweep(pi, src, dst)
-
-    def _min_sweep(
-        self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray
-    ) -> int:
-        """Pooled masked scatter-min of ``pi[src]`` into ``pi[dst]``;
-        returns the win count (no timer: callers wrap it)."""
         pool = self.pool
-        m = int(src.shape[0])
-        cand = pool.take(pi, src, "prop-cand")
-        down = pool.take(pi, dst, "prop-down")
-        won = pool.get("prop-won", m, np.bool_)
-        np.less(cand, down, out=won)
-        changed = int(np.count_nonzero(won))
-        if changed:
-            np.minimum.at(pi, dst[won], cand[won])
-        return changed
-
-    def fused_hook_jump(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        """Single-kernel fused FastSV round (see the base-class contract).
-
-        One timed span covers the hook sweep and the pointer jump; the
-        jump is skipped (``rounds_skipped``) when nothing changed, and
-        every edge- or vertex-sized intermediate lives in the buffer pool.
-        """
-        src, dst = self._edges(graph)
         with self.instr.timer(phase):
-            changed = self._min_sweep(pi, src, dst)
+            m = int(src.shape[0])
+            cand = pool.take(pi, src, "prop-cand")
+            down = pool.take(pi, dst, "prop-down")
+            won = pool.get("prop-won", m, np.bool_)
+            np.less(cand, down, out=won)
+            changed = int(np.count_nonzero(won))
             if changed:
-                self._pointer_jump(pi)
-            else:
-                self.instr.count("rounds_skipped")
-            self.instr.count("fused_passes")
+                np.minimum.at(pi, dst[won], cand[won])
             return changed
 
     def frontier_expand(
@@ -895,13 +818,6 @@ class SimulatedBackend(ExecutionBackend):
                 pi.shape[0], compress_kernel, pi, phase=phase
             )
         return None
-
-    def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
-        """Concurrent single-step shortcut of every vertex."""
-        with self.instr.timer(phase):
-            self.machine.parallel_for(
-                pi.shape[0], _shortcut_kernel, pi, phase=phase
-            )
 
     def find_largest(
         self,
@@ -1041,9 +957,9 @@ class DistributedBackend(VectorizedBackend):
     Vertex ownership is an even 1-D block map (``block_bounds``); edge
     sharding follows ``partition`` — ``block`` keeps CSR row locality per
     rank (``partition_csr_blocks``), ``hash`` spreads edges pseudo-randomly
-    (``hash_owners``).  Pure replica-local work (compression, pointer
-    jumps, the giant-component probe) is inherited from the vectorized
-    substrate and costs no traffic; all bytes that do cross ranks flow
+    (``hash_owners``).  Pure replica-local work (compression, the
+    giant-component probe) is inherited from the vectorized substrate
+    and costs no traffic; all bytes that do cross ranks flow
     through ``self.comm`` and surface as ``comm_*`` counters.
     """
 
@@ -1698,22 +1614,6 @@ class DistributedBackend(VectorizedBackend):
         with self.instr.timer(phase):
             return self._sweep_exchange(pi, shards)
 
-    def fused_hook_jump(
-        self, pi: np.ndarray, graph: CSRGraph, *, phase: str
-    ) -> int:
-        self._sync_driver(pi)
-        shards = self._graph_shards(graph)
-        with self.instr.timer(phase):
-            changed = self._sweep_exchange(pi, shards)
-            if changed:
-                self._pointer_jump(pi)
-                assert self._shadow is not None
-                np.copyto(self._shadow, pi)
-            else:
-                self.instr.count("rounds_skipped")
-            self.instr.count("fused_passes")
-            return changed
-
     # -- frontier primitives ---------------------------------------------- #
 
     def frontier_expand(
@@ -1813,8 +1713,8 @@ def make_backend(
     """Construct a backend of ``kind`` (one of :data:`BACKEND_KINDS`).
 
     ``workers`` selects the simulated machine's worker count and
-    ``ranks`` the world size of the distributed substrate; the vectorized
-    backend ignores both.
+    ``ranks`` the world size of the distributed substrate, each 4 when
+    ``None``; the vectorized backend ignores both.
     ``label_dtype`` selects the parent-array width policy (see
     :func:`resolve_label_dtype`).
     """
@@ -1822,10 +1722,13 @@ def make_backend(
         return VectorizedBackend(label_dtype=label_dtype)
     if kind == "simulated":
         return SimulatedBackend(
-            SimulatedMachine(workers or 4), label_dtype=label_dtype
+            SimulatedMachine(4 if workers is None else workers),
+            label_dtype=label_dtype,
         )
     if kind == "distributed":
-        return DistributedBackend(ranks=ranks or 4, label_dtype=label_dtype)
+        return DistributedBackend(
+            ranks=4 if ranks is None else ranks, label_dtype=label_dtype
+        )
     raise ConfigurationError(
         f"unknown backend kind {kind!r}; available: {list(BACKEND_KINDS)}"
     )

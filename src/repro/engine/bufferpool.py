@@ -1,8 +1,8 @@
 """Reusable scratch buffers for the hot-path kernels.
 
-The vectorized finish loops (``propagate_pass`` / ``hook_pass`` and
-the fused FastSV round) gather edge-sized candidate
-arrays and vertex-sized jump scratch every round; on a profile those
+The vectorized finish loops (``propagate_pass`` / ``hook_pass``) gather
+edge-sized candidate arrays every round, and ``compress`` a block of
+jump scratch every pass; on a profile those
 allocations dominate the non-compute time of small- and medium-graph
 runs.  A :class:`BufferPool` keeps one named buffer per kernel slot and
 hands out prefix views, so a converged run allocates each buffer exactly

@@ -1,31 +1,19 @@
-"""The finish phase family.
+"""The finish phases.
 
 A finish phase takes the partial forest a sampling phase left in π and
 drives it to the exact component labeling: union-find settle (Afforest's
-final phase), tree hooking (SV / FastSV), or label propagation (both
-variants).  BFS and DOBFS are *whole-graph* finishes — self-contained
-traversal pipelines that own their sentinel initialisation and only
-compose with the ``none`` sampling phase.
+final phase), Shiloach–Vishkin tree hooking, or synchronous label
+propagation.  BFS and DOBFS are *whole-graph* finishes — self-contained
+traversal pipelines that own their sentinel initialisation.
 
-``FINISHES`` is the registry the plan layer composes from.
+The plan table (:data:`repro.engine.plan.CANONICAL_PLANS`) names each
+finish it runs.
 """
 
 from __future__ import annotations
 
-from repro.engine.phase import FinishSpec
-from repro.engine.finish.hooking import (
-    FASTSV,
-    SV,
-    fastsv_finish,
-    sv_finish,
-    sv_pipeline_edges,
-)
-from repro.engine.finish.propagation import (
-    LP,
-    LP_DATADRIVEN,
-    lp_datadriven_finish,
-    lp_finish,
-)
+from repro.engine.finish.hooking import SV, sv_finish, sv_pipeline_edges
+from repro.engine.finish.propagation import LP, lp_finish
 from repro.engine.finish.settle import SETTLE, settle_finish
 from repro.engine.finish.traversal import (
     BFS_FINISH,
@@ -37,28 +25,17 @@ from repro.engine.finish.traversal import (
 )
 
 __all__ = [
-    "FINISHES",
     "SV",
-    "FASTSV",
     "LP",
-    "LP_DATADRIVEN",
     "SETTLE",
     "BFS_FINISH",
     "DOBFS_FINISH",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "sv_finish",
-    "fastsv_finish",
     "lp_finish",
-    "lp_datadriven_finish",
     "settle_finish",
     "sv_pipeline_edges",
     "bfs_pipeline",
     "dobfs_pipeline",
 ]
-
-#: name -> spec of every registered finish phase.
-FINISHES: dict[str, FinishSpec] = {
-    spec.name: spec
-    for spec in (SETTLE, SV, FASTSV, LP, LP_DATADRIVEN, BFS_FINISH, DOBFS_FINISH)
-}

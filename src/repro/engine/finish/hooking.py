@@ -1,17 +1,9 @@
-"""Tree-hooking finish phases: Shiloach–Vishkin and FastSV.
+"""Tree-hooking finish: Shiloach–Vishkin.
 
-Both iterate a hook/propagate pass with a shortcut until a full pass
-changes nothing.  SV hooks parent pointers edge-by-edge (GAP's
-formulation, Fig. 1); FastSV replaces the per-edge root check with a
-scatter-min label sweep plus a single pointer-jump per iteration (after
-Zhang et al.'s FastSV), which converges in far fewer rounds than label
-propagation on high-diameter graphs.
-
-As finish phases both start from whatever partial forest the sampling
-phase built; when the plan's skip glue identified a giant component, SV
-drops the edges *internal* to it up front (both endpoints already carry
-the giant label, so those edges can never hook — dropping them is free
-work avoidance with bit-identical results).
+Each iteration hooks parent pointers edge-by-edge (GAP's formulation,
+Fig. 1), then shortcuts, until a full hook pass changes nothing.  The
+loop is shared by the ``sv`` plan and the flat edge-list entry point
+:func:`sv_pipeline_edges`.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from repro.errors import ConvergenceError
 from repro.obs import phase_label
 from repro.unionfind.parent import ParentArray
 
-__all__ = ["SV", "FASTSV", "sv_finish", "fastsv_finish", "sv_pipeline_edges"]
+__all__ = ["SV", "sv_finish", "sv_pipeline_edges"]
 
 
 def _hook_loop(
@@ -63,9 +55,8 @@ def _hook_loop(
             # A hook pass reporting no change performed no writes on any
             # substrate, and the previous iteration ended with a full
             # compress — π is still flat, so the trailing compress would
-            # be the identity.  (The first iteration must still compress:
-            # sampling phases can hand the loop deep trees that no hook
-            # ever touches.)
+            # be the identity.  (The first iteration still compresses:
+            # the loop does not assume the π it is handed is flat.)
             backend.instr.count("rounds_skipped")
         backend.instr.beat(
             phase_label("H", round=iterations), changed=int(changed)
@@ -76,55 +67,9 @@ def _hook_loop(
 
 
 def sv_finish(ctx: PlanContext, *, track_depth: bool = False) -> None:
-    """Shiloach–Vishkin hook/shortcut loop over the full edge array.
-
-    With ``ctx.largest`` set, edges whose endpoints *both* already carry
-    the giant label are dropped before the loop — they can never hook
-    (equal roots), so the labeling is unchanged while the per-iteration
-    edge scan shrinks by the giant component's internal edges.
-    """
+    """Shiloach–Vishkin hook/shortcut loop over the full edge array."""
     src, dst = ctx.graph.edge_array()
-    if ctx.largest is not None and src.shape[0]:
-        internal = (ctx.pi[src] == ctx.largest) & (ctx.pi[dst] == ctx.largest)
-        ctx.result.edges_skipped = int(np.count_nonzero(internal))
-        keep = ~internal
-        src, dst = src[keep], dst[keep]
     _hook_loop(ctx.backend, ctx.pi, src, dst, ctx.result, track_depth=track_depth)
-
-
-def fastsv_finish(ctx: PlanContext) -> None:
-    """FastSV-style finish: fused scatter-min sweep + pointer jump per
-    iteration (phase ``HS<i>``), until a sweep changes nothing.
-
-    Each round is one :meth:`~repro.engine.backends.ExecutionBackend.
-    fused_hook_jump` call: the min-label sweep hooks aggressively — every
-    edge lowers its endpoint's label to the neighbour's, no root check —
-    and the fused pointer jump (``π ← π[π]``) halves chain lengths, so
-    convergence needs far fewer rounds than pure label propagation on
-    high-diameter graphs.  The backend skips the jump on the final
-    no-change round (π is provably flat then — see the primitive's
-    contract), which the ``rounds_skipped`` counter makes visible.
-    """
-    backend, pi, graph, result = ctx.backend, ctx.pi, ctx.graph, ctx.result
-    m = graph.num_directed_edges
-    if m == 0:
-        return
-    cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > cap:
-            raise ConvergenceError(f"FastSV exceeded {cap} iterations")
-        changed = backend.fused_hook_jump(
-            pi, graph, phase=phase_label("HS", round=iterations)
-        )
-        result.edges_processed += m
-        backend.instr.beat(
-            phase_label("HS", round=iterations), changed=int(changed)
-        )
-        if not changed:
-            break
-    result.iterations = iterations
 
 
 def sv_pipeline_edges(
@@ -161,18 +106,4 @@ def sv_pipeline_edges(
     return result
 
 
-SV = FinishSpec(
-    name="sv",
-    fn=sv_finish,
-    description="Shiloach-Vishkin tree hooking (GAP formulation): "
-    "hook + shortcut over every edge per iteration",
-    params=("track_depth",),
-    supports_skip=True,
-)
-
-FASTSV = FinishSpec(
-    name="fastsv",
-    fn=fastsv_finish,
-    description="FastSV-style scatter-min hooking with per-iteration "
-    "pointer jumping (fused rounds)",
-)
+SV = FinishSpec(name="sv", fn=sv_finish, params=("track_depth",))

@@ -32,10 +32,4 @@ def settle_finish(ctx: PlanContext) -> None:
     backend.instr.beat("H")
 
 
-SETTLE = FinishSpec(
-    name="settle",
-    fn=settle_finish,
-    description="union-find settle (Afforest final phase): link remaining "
-    "edge slots with component skipping, then compress",
-    supports_skip=True,
-)
+SETTLE = FinishSpec(name="settle", fn=settle_finish)

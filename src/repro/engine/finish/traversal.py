@@ -2,8 +2,7 @@
 
 These two own their initialisation (the unvisited sentinel ``n`` instead
 of self-pointing π), so they are *whole-graph* finishes: self-contained
-pipelines that only compose with the ``none`` sampling phase.  The
-pipeline bodies are unchanged from the pre-refactor monoliths.
+pipelines whose plans sample nothing.
 """
 
 from __future__ import annotations
@@ -219,19 +218,11 @@ def dobfs_pipeline(
     return result
 
 
-BFS_FINISH = FinishSpec(
-    name="bfs",
-    fn=bfs_pipeline,
-    description="per-component parallel BFS (linear work, serial over "
-    "components)",
-    whole_graph=True,
-)
+BFS_FINISH = FinishSpec(name="bfs", fn=bfs_pipeline, whole_graph=True)
 
 DOBFS_FINISH = FinishSpec(
     name="dobfs",
     fn=dobfs_pipeline,
-    description="direction-optimizing BFS (Beamer et al.): top-down / "
-    "bottom-up switching",
     params=("alpha", "beta"),
     whole_graph=True,
     validate=_validate,

@@ -1,12 +1,12 @@
-"""Shared vocabulary of the composable pipeline phases.
+"""Shared vocabulary of the pipeline phases.
 
 A connectivity *plan* (:mod:`repro.engine.plan`) is a sampling phase
 followed by a finish phase, with the probabilistic giant-component
-identification (paper Sec. IV-E) as optional glue in between.  Both phase
-families are expressed against the same
-:class:`~repro.engine.backends.ExecutionBackend` primitives the monolithic
-pipelines used, so every composition runs unchanged on the vectorized,
-simulated, and distributed substrates.
+identification (paper Sec. IV-E) as glue in between when the plan
+samples.  Both phase families are expressed against the
+:class:`~repro.engine.backends.ExecutionBackend` primitives, so every
+plan runs unchanged on the vectorized, simulated, and distributed
+substrates.
 
 This module defines what a phase *is*:
 
@@ -16,8 +16,8 @@ This module defines what a phase *is*:
   glue state (``largest``, the skipped component's label, and
   ``final_start``, the first unconsumed edge slot per vertex);
 - :class:`SamplingSpec` / :class:`FinishSpec` — metadata records binding
-  a phase name to its implementation, its accepted parameters (used to
-  route plan-level keyword arguments), and its composition constraints.
+  a phase name to its implementation and its accepted parameters (used
+  to route plan-level keyword arguments).
 
 Phase implementations live in :mod:`repro.engine.sampling` and
 :mod:`repro.engine.finish`.
@@ -62,7 +62,7 @@ class PlanContext:
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """One registered sampling phase.
+    """One sampling phase.
 
     ``fn(ctx, **params)`` mutates ``ctx.pi`` (and the counters on
     ``ctx.result``) through backend primitives; ``params`` names the
@@ -74,29 +74,23 @@ class SamplingSpec:
 
     name: str
     fn: Callable
-    description: str
     params: tuple[str, ...] = ()
     validate: Callable | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class FinishSpec:
-    """One registered finish phase.
+    """One finish phase.
 
-    ``supports_skip`` marks finishes that can honour ``ctx.largest`` by
-    skipping giant-component edges (edge-list algorithms: the union-find
-    settle and Shiloach–Vishkin); graph-sweep finishes ignore the glue,
-    so the executor never pays for ``find_largest`` on their behalf.
+    ``fn(ctx, **params)`` drives ``ctx.pi`` to the exact labeling.
     ``whole_graph`` marks self-contained traversal pipelines (BFS/DOBFS)
-    that own their initialisation (sentinel fill) and therefore only
-    compose with the ``none`` sampling phase; their ``fn`` has the
-    classic pipeline signature ``fn(graph, backend, **params)``.
+    that own their initialisation (sentinel fill), so their plans sample
+    nothing; their ``fn`` has the pipeline signature
+    ``fn(graph, backend, **params)``.
     """
 
     name: str
     fn: Callable
-    description: str
     params: tuple[str, ...] = ()
-    supports_skip: bool = False
     whole_graph: bool = False
     validate: Callable | None = field(default=None, compare=False)

@@ -1,27 +1,27 @@
-"""Plans: composed sampling × finish connectivity pipelines.
+"""Plans: the table of algorithm names and the executor that runs them.
 
 A :class:`Plan` pairs one sampling phase (:mod:`repro.engine.sampling`)
-with one finish phase (:mod:`repro.engine.finish`); :func:`get_plan`
-resolves a name to one and :func:`run_plan` executes it — the
-ConnectIt-style compositional space generalising the paper's single
-sampling+finish point.  A plan run is:
+with one finish phase (:mod:`repro.engine.finish`), plus the parameters
+its name fixes.  :data:`CANONICAL_PLANS` is the one name space: each
+algorithm name (``afforest``, ``sv``, ...) maps to its plan, and
+:func:`get_plan` looks a name up there.  ``sequential``, the union-find
+reference, is the one algorithm name outside it.  A plan's own name,
+``"<sampling>+<finish>"`` (``kout+settle``, ``none+sv``), is what
+``result.plan`` and the run ledger record; it is not an algorithm name.
+
+:func:`run_plan` executes a plan:
 
 1. ``init_labels`` (phase ``I``): π self-pointing;
 2. the sampling phase links a cheap subset of edges into π;
-3. *skip glue* (phase ``F``): when skipping is on and the finish can
-   honour it, the giant intermediate component's label is identified by
-   sampling π (:func:`repro.core.sampling.most_frequent_element` through
+3. *skip glue* (phase ``F``): when the plan samples and skipping is on,
+   the giant intermediate component's label is identified by sampling π
+   (:func:`repro.core.sampling.most_frequent_element` through
    ``backend.find_largest``);
 4. the finish phase drives π to the exact component labeling, skipping
-   the identified component's edges where supported.
+   the identified component's edges.
 
-Plan names are ``"<sampling>+<finish>"`` (``kout+settle``, ``kout+sv``,
-``none+lp``).  :data:`CANONICAL_PLANS` is the one table of the eight
-classical names (``afforest``, ``sv``, ...): each maps to its
-composition plus the parameters the name fixes.  ``sequential``, the
-union-find reference, is the one algorithm name outside it.
-Whole-graph finishes (BFS/DOBFS) own their initialisation and only
-compose with ``none``.
+BFS and DOBFS are whole-graph finishes: they own their initialisation,
+so their plans sample nothing and run no glue.
 
 Every phase speaks the :class:`~repro.engine.backends.ExecutionBackend`
 primitive vocabulary, so every plan runs on all three substrates.
@@ -29,7 +29,10 @@ primitive vocabulary, so every plan runs on all three substrates.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any
 
 import numpy as np
 
@@ -39,10 +42,18 @@ from repro.constants import (
     VERTEX_DTYPE,
 )
 from repro.engine.backends import ExecutionBackend
-from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA, FINISHES
+from repro.engine.finish import (
+    BFS_FINISH,
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DOBFS_FINISH,
+    LP,
+    SETTLE,
+    SV,
+)
 from repro.engine.phase import FinishSpec, PlanContext, SamplingSpec
 from repro.engine.result import CCResult
-from repro.engine.sampling import SAMPLINGS
+from repro.engine.sampling import KOUT, NONE
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.nputil import require_int
@@ -52,8 +63,6 @@ __all__ = [
     "CANONICAL_PLANS",
     "SEQUENTIAL",
     "available_algorithms",
-    "available_plans",
-    "describe_plans",
     "get_plan",
     "run_plan",
 ]
@@ -61,17 +70,34 @@ __all__ = [
 #: plan-level parameters routed to the executor rather than a phase.
 PLAN_PARAMS = ("seed", "skip_largest", "sample_size")
 
-#: classical algorithm name -> (composed plan name, the parameters the
-#: name fixes).  Caller keyword arguments override the fixed ones.
-CANONICAL_PLANS: dict[str, tuple[str, dict]] = {
-    "afforest": ("kout+settle", {}),
-    "afforest-noskip": ("kout+settle", {"skip_largest": False}),
-    "sv": ("none+sv", {}),
-    "fastsv": ("none+fastsv", {}),
-    "lp": ("none+lp", {}),
-    "lp-datadriven": ("none+lp-datadriven", {}),
-    "bfs": ("none+bfs", {}),
-    "dobfs": ("none+dobfs", {"alpha": DEFAULT_ALPHA, "beta": DEFAULT_BETA}),
+
+@dataclass(frozen=True)
+class Plan:
+    """One pipeline: a sampling phase and a finish phase, plus the
+    parameters its algorithm name fixes (a read-only copy, so a shared
+    :data:`CANONICAL_PLANS` entry cannot be edited through it)."""
+
+    sampling: SamplingSpec
+    finish: FinishSpec
+    params: Mapping[str, Any] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @property
+    def name(self) -> str:
+        return f"{self.sampling.name}+{self.finish.name}"
+
+
+#: algorithm name -> its plan.  Caller keyword arguments override the
+#: parameters a plan fixes.
+CANONICAL_PLANS: dict[str, Plan] = {
+    "afforest": Plan(KOUT, SETTLE),
+    "afforest-noskip": Plan(KOUT, SETTLE, {"skip_largest": False}),
+    "sv": Plan(NONE, SV),
+    "lp": Plan(NONE, LP),
+    "bfs": Plan(NONE, BFS_FINISH),
+    "dobfs": Plan(NONE, DOBFS_FINISH, {"alpha": DEFAULT_ALPHA, "beta": DEFAULT_BETA}),
 }
 
 #: the sequential union-find reference: the one algorithm name that is
@@ -79,94 +105,29 @@ CANONICAL_PLANS: dict[str, tuple[str, dict]] = {
 SEQUENTIAL = "sequential"
 
 
-@dataclass(frozen=True)
-class Plan:
-    """One composed pipeline: a sampling phase and a finish phase, plus
-    the parameters a classical name fixes (empty for a composed name)."""
-
-    sampling: SamplingSpec
-    finish: FinishSpec
-    params: dict = field(default_factory=dict, hash=False)
-
-    @property
-    def name(self) -> str:
-        return f"{self.sampling.name}+{self.finish.name}"
-
-    @property
-    def description(self) -> str:
-        return (
-            f"{self.sampling.name} sampling + {self.finish.name} finish "
-            f"({self.finish.description})"
-        )
-
-
 def get_plan(name: str) -> Plan:
-    """Resolve a classical name or a ``"<sampling>+<finish>"`` name.
-
-    Classical names come from :data:`CANONICAL_PLANS`; composed names
-    straight from the sampling and finish families.  Whole-graph
-    finishes compose with the ``none`` sampling phase only.
-    """
-    composed, params = CANONICAL_PLANS.get(name, (name, {}))
-    parts = composed.split("+")
-    if len(parts) != 2:
+    """The plan of algorithm ``name`` in :data:`CANONICAL_PLANS`."""
+    plan = CANONICAL_PLANS.get(name)
+    if plan is None:
         raise ConfigurationError(
-            f"unknown algorithm {name!r}; available: "
-            f"{available_algorithms()} plus composed plans "
-            "('<sampling>+<finish>', see available_plans())"
+            f"unknown algorithm {name!r}; available: {available_algorithms()}"
         )
-    sampling, finish = parts
-    s_spec = SAMPLINGS.get(sampling)
-    if s_spec is None:
-        raise ConfigurationError(
-            f"unknown sampling phase {sampling!r}; "
-            f"available: {sorted(SAMPLINGS)}"
-        )
-    f_spec = FINISHES.get(finish)
-    if f_spec is None:
-        raise ConfigurationError(
-            f"unknown finish phase {finish!r}; "
-            f"available: {sorted(FINISHES)}"
-        )
-    if f_spec.whole_graph and sampling != "none":
-        raise ConfigurationError(
-            f"finish {finish!r} is a whole-graph pipeline and only "
-            f"composes with the 'none' sampling phase, not {sampling!r}"
-        )
-    return Plan(sampling=s_spec, finish=f_spec, params=dict(params))
+    return plan
 
 
 def available_algorithms() -> list[str]:
-    """Sorted algorithm names: the classical plans and ``sequential``."""
+    """Sorted algorithm names: the plan table's and ``sequential``."""
     return sorted([*CANONICAL_PLANS, SEQUENTIAL])
 
 
-def _compositions() -> list[Plan]:
-    """Every valid sampling × finish pair, sorted by name."""
-    plans = [
-        Plan(sampling=s_spec, finish=f_spec)
-        for s_spec in SAMPLINGS.values()
-        for f_spec in FINISHES.values()
-        if s_spec.name == "none" or not f_spec.whole_graph
-    ]
-    return sorted(plans, key=lambda p: p.name)
-
-
-def available_plans() -> list[str]:
-    """Sorted names of every valid composed plan."""
-    return [p.name for p in _compositions()]
-
-
-def describe_plans() -> list[tuple[str, str]]:
-    """``(name, description)`` pairs for every valid composed plan."""
-    return [(p.name, p.description) for p in _compositions()]
-
-
 def _split_params(plan: Plan, params: dict) -> tuple[dict, dict, dict]:
-    """Route plan keyword arguments to (sampling, finish, executor)."""
+    """Route plan keyword arguments to (sampling, finish, executor).
+
+    The executor's parameters all steer sampling or the skip glue that
+    follows it, so a plan that samples nothing refuses them."""
     s_keys = set(plan.sampling.params)
     f_keys = set(plan.finish.params)
-    plan_keys = set() if plan.finish.whole_graph else set(PLAN_PARAMS)
+    plan_keys = set(PLAN_PARAMS) if plan.sampling is not NONE else set()
     s_params: dict = {}
     f_params: dict = {}
     top: dict = {}
@@ -194,13 +155,12 @@ def run_plan(
 ) -> CCResult:
     """Execute ``plan`` on ``graph`` over ``backend``; exact labeling.
 
-    Plan-level parameters: ``seed`` (RNG for random neighbour sampling and
-    the skip glue's π probes), ``skip_largest`` (defaulting to True
-    exactly when the plan samples *and* its finish can skip — the
-    classical finish-only plans stay skip-free like their monolithic
-    ancestors), ``sample_size`` (number of π probes).  Remaining keywords
-    are routed to the phase that declares them; unknown keys raise.  A
-    classical plan's fixed parameters apply unless overridden.
+    Plan-level parameters, accepted only by a plan that samples (so only
+    Afforest): ``seed`` (RNG for random neighbour sampling and the skip
+    glue's π probes), ``skip_largest`` (default True), ``sample_size``
+    (number of π probes).  Remaining keywords are routed to the phase
+    that declares them; unknown keys raise.  The plan's fixed parameters
+    apply unless overridden.
     """
     if isinstance(plan, str):
         plan = get_plan(plan)
@@ -218,14 +178,13 @@ def run_plan(
         return result
 
     seed = top.get("seed", 0)
-    skip_default = plan.sampling.name != "none" and plan.finish.supports_skip
-    skip = bool(top.get("skip_largest", skip_default))
-    skip = skip and plan.finish.supports_skip
+    samples = plan.sampling is not NONE
+    skip = samples and bool(top.get("skip_largest", True))
 
     n = graph.num_vertices
     if n == 0:
         result = CCResult(labels=np.arange(0, dtype=VERTEX_DTYPE))
-        if plan.sampling.name == "kout":
+        if samples:
             result.neighbor_rounds = s_params.get(
                 "neighbor_rounds", DEFAULT_NEIGHBOR_ROUNDS
             )
@@ -248,4 +207,3 @@ def run_plan(
     result.labels = ctx.pi
     result.run_stats = backend.run_stats()
     return result
-

@@ -48,10 +48,10 @@ class CCResult:
     """
 
     labels: np.ndarray
-    #: algorithm or plan name the run was asked for.
+    #: algorithm name the run was asked for.
     algorithm: str = ""
-    #: composed plan name ("<sampling>+<finish>") when the run went
-    #: through the plan layer.
+    #: plan name ("<sampling>+<finish>") when the run went through the
+    #: plan layer.
     plan: str = ""
     #: ``kind`` of the execution backend ("vectorized" / "simulated").
     backend: str = ""

@@ -86,8 +86,6 @@ def kout_sampling(
 KOUT = SamplingSpec(
     name="kout",
     fn=kout_sampling,
-    description="k-out neighbour rounds (Afforest Sec. IV-C): link "
-    "(v, N(v)[r]) per round, compress between rounds",
     params=("neighbor_rounds", "sampling"),
     validate=_validate,
 )

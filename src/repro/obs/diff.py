@@ -7,8 +7,9 @@ The perf gate can say a median moved 1.4x; this module says where.
 and attributes the movement to phases (per-label wall seconds) and to
 the counters/gauges that changed with it.  The result renders three
 ways: a one-line summary for failure messages
-(``fastsv/lattice: +38% in HS3, rounds_skipped 4->0``), an aligned
-text table for the CLI, and a markdown table for CI step summaries.
+(``sv/lattice: +12% total — new phase S3, rounds_skipped 1->0``), an
+aligned text table for the CLI, and a markdown table for CI step
+summaries.
 
 Attribution is deliberately threshold-based, not statistical: a phase
 "moved" when its delta clears both a relative and an absolute floor,
@@ -67,7 +68,7 @@ class PhaseDelta:
         return abs(self.delta) >= max(rel_threshold * scale, abs_floor)
 
     def describe(self) -> str:
-        """``+38% in HS3`` / ``new phase HS3`` / ``HS3 disappeared``."""
+        """``+38% in H3`` / ``new phase S3`` / ``S3 disappeared``."""
         if self.a_seconds <= 0.0:
             return f"new phase {self.label}"
         if self.b_seconds <= 0.0:

@@ -67,8 +67,8 @@ def render_trace(trace: Trace, *, width: int = 48) -> str:
         for span, depth in trace.walk()
         if span.track is None
     ]
-    # Column width tracks the deepest/longest label (fused HS<i> rounds,
-    # attribute-heavy phases) so unknown vocabularies stay aligned.
+    # Column width tracks the deepest/longest label (nested X-merge
+    # spans, attribute-heavy phases) so unknown vocabularies stay aligned.
     name_width = max(
         [22] + [2 * d + len(str(s.label)) for s, d in main_spans]
     )

@@ -22,10 +22,11 @@ a non-blocking submit against a full queue raises
 ``block=True`` and are throttled by the queue itself).  Shutdown is
 graceful: :meth:`stop` rejects new submissions, lets the loop drain
 everything already accepted, then joins the thread — no accepted
-request is ever dropped.  A client may withdraw a queued insert with
-``future.cancel()``: the worker claims each insert's future before it
-runs the batch and skips the ones already cancelled, so their edges
-are never linked.  Once claimed, an insert can no longer be cancelled.
+request is ever dropped.  A client may withdraw a queued insert or
+refresh with ``future.cancel()``: the worker claims each one's future
+before it runs the batch and skips the ones already cancelled, so a
+cancelled insert's edges are never linked and a cancelled refresh
+publishes no epoch.  Once claimed, neither can be cancelled any more.
 
 A malformed request fails alone.  ``submit_*`` rejects a payload that
 is not 1-D, whose two arrays differ in length, or whose non-empty array
@@ -356,14 +357,16 @@ class ConnectivityServer:
         t0 = time.perf_counter()  # the batch has just been dequeued
         self.metrics.counter("serve_batches").inc()
         self.metrics.histogram("serve_batch_size").observe(len(batch))
-        # Claim every insert before segmenting: one its client cancelled
-        # while queued is dropped, so it is never linked, counted, or
-        # counted toward a publish.  A cancelled query is only left
-        # unanswered (``_resolve``).
+        # Claim every insert and refresh before segmenting: one its
+        # client cancelled while queued is dropped, so an insert is never
+        # linked, counted, or counted toward a publish, and a refresh
+        # publishes nothing.  A cancelled query is only left unanswered
+        # (``_resolve``).
+        claimed = ("update", "refresh")
         todo = [
             r
             for r in batch
-            if r.kind != "update" or r.future.set_running_or_notify_cancel()
+            if r.kind not in claimed or r.future.set_running_or_notify_cancel()
         ]
         calls = 0
         start = 0

@@ -2,7 +2,7 @@
 
 A :class:`ConnectivityService` is the long-lived core of the serving
 layer.  It solves a graph exactly once through :func:`repro.engine.run`
-(any plan, any backend), then keeps two things hot:
+(any algorithm, any backend), then keeps two things hot:
 
 - a fully compressed **label array** (``labels[v]`` is the minimum
   vertex id of ``v``'s component — the same canonical labeling every
@@ -132,8 +132,8 @@ class ConnectivityService:
     graph:
         The base graph, solved once at construction.
     algorithm:
-        Algorithm or composed plan name for the initial solve
-        (anything :func:`repro.engine.run` accepts, e.g. ``kout+sv``).
+        Algorithm name for the initial solve (anything
+        :func:`repro.engine.run` accepts, e.g. ``sv``).
     backend, workers:
         Execution substrate for the initial solve (kind string or a
         ready :class:`~repro.engine.ExecutionBackend`); the serving

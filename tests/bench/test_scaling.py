@@ -15,7 +15,7 @@ def small_graph():
 
 class TestRecordTelemetry:
     def test_profiled_sample_attaches_trace_and_extras(self, small_graph):
-        rec = run_algorithm(small_graph, "lp-datadriven", "ba", repeats=2)
+        rec = run_algorithm(small_graph, "bfs", "ba", repeats=2)
         assert rec.trace is not None
         assert rec.extra["phase_seconds"].keys() == rec.trace.phase_seconds().keys()
         assert "frontier_size" in rec.extra["histograms"]

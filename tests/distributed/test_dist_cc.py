@@ -21,9 +21,9 @@ from repro.unionfind import sequential_components
 
 
 def solve(graph, ranks, **kwargs):
-    """One ``none+fastsv`` solve on ``ranks`` ranks: (result, backend)."""
+    """One ``sv`` solve on ``ranks`` ranks: (result, backend)."""
     backend = DistributedBackend(ranks=ranks, **kwargs)
-    return engine.run("none+fastsv", graph, backend=backend), backend
+    return engine.run("sv", graph, backend=backend), backend
 
 
 class TestPartitioners:
@@ -80,9 +80,7 @@ class TestDistributedCC:
 
     def test_supersteps_reach_run_counters(self, two_cliques):
         backend = DistributedBackend(ranks=4)
-        result = engine.run(
-            "none+fastsv", two_cliques, backend=backend, profile=True
-        )
+        result = engine.run("sv", two_cliques, backend=backend, profile=True)
         assert backend.comm.stats.supersteps >= 1
         assert result.counters["comm_supersteps"] == backend.comm.stats.supersteps
 
@@ -115,14 +113,15 @@ class TestDistributedCC:
     def test_bit_identical_to_engine_backend(self, mixed_graph):
         """Superstep merges reproduce the single-machine labels exactly."""
         dist, _ = solve(mixed_graph, 4, partition="hash")
-        vec = engine.run("none+fastsv", mixed_graph)
+        vec = engine.run("sv", mixed_graph)
         assert np.array_equal(dist.labels, vec.labels)
 
 
 #: ``(comm_bytes_sent, comm_messages, comm_supersteps)`` of one solve of
 #: ``kronecker_graph(9, edge_factor=8, seed=0)`` per (algorithm, ranks,
 #: partition).  The merge bookkeeping may change how candidates are
-#: deduplicated and routed, never what crosses the wire.
+#: deduplicated and routed, never what crosses the wire.  ``sv`` pins the
+#: hook exchange and ``lp`` the sweep exchange (``_sweep_exchange``).
 PINNED_TRAFFIC = {
     ("afforest", 2, "block"): (2076, 20, 16),
     ("afforest", 2, "hash"): (2192, 18, 15),
@@ -130,12 +129,18 @@ PINNED_TRAFFIC = {
     ("afforest", 4, "hash"): (7280, 76, 17),
     ("afforest", 16, "block"): (28892, 690, 18),
     ("afforest", 16, "hash"): (30980, 873, 18),
-    ("fastsv", 2, "block"): (6024, 6, 3),
-    ("fastsv", 2, "hash"): (6300, 6, 3),
-    ("fastsv", 4, "block"): (18404, 66, 6),
-    ("fastsv", 4, "hash"): (19052, 72, 6),
-    ("fastsv", 16, "block"): (75208, 1308, 6),
-    ("fastsv", 16, "hash"): (76356, 1425, 6),
+    ("sv", 2, "block"): (2524, 4, 2),
+    ("sv", 2, "hash"): (2884, 4, 2),
+    ("sv", 4, "block"): (7872, 36, 4),
+    ("sv", 4, "hash"): (8688, 46, 4),
+    ("sv", 16, "block"): (33936, 623, 4),
+    ("sv", 16, "hash"): (35216, 736, 4),
+    ("lp", 2, "block"): (7060, 8, 4),
+    ("lp", 2, "hash"): (7340, 8, 4),
+    ("lp", 4, "block"): (21444, 89, 8),
+    ("lp", 4, "hash"): (21988, 94, 8),
+    ("lp", 16, "block"): (86144, 1507, 8),
+    ("lp", 16, "hash"): (87124, 1619, 8),
 }
 
 
@@ -186,19 +191,19 @@ class TestExchangeTraffic:
 
 
 #: ``(bytes_sent, messages, supersteps, bytes_per_rank)`` of one
-#: ``none+fastsv`` solve of ``barabasi_albert_graph(5000,
+#: ``sv`` solve of ``barabasi_albert_graph(5000,
 #: edges_per_vertex=4, seed=7)`` under the block partition, per rank
 #: count: the traffic-vs-ranks curve.  Skewed degrees make the early dense
 #: rounds a worst case for delta shipping.  The simulated communicator is
 #: deterministic, so any movement is protocol drift.
 PINNED_CURVE = {
-    2: (58291, 4, 2, [34913, 23378]),
-    4: (165609, 45, 4, [45829, 45301, 40008, 34471]),
+    2: (31777, 2, 1, [20000, 11777]),
+    4: (90605, 21, 2, [27371, 25755, 21274, 16205]),
     8: (
-        341356,
-        208,
-        4,
-        [43783, 46955, 46919, 44484, 43025, 40490, 38763, 36937],
+        189836,
+        96,
+        2,
+        [27837, 27461, 26797, 25038, 23399, 21644, 19773, 17887],
     ),
 }
 
@@ -221,7 +226,7 @@ class TestTrafficCurve:
         ) == PINNED_CURVE[ranks]
         # A whole-array reduction ships 8n bytes to each of R - 1 peers.
         assert max(per_rank) < 8 * graph.num_vertices * (ranks - 1)
-        vec = engine.run("none+fastsv", graph)
+        vec = engine.run("sv", graph)
         assert np.array_equal(result.labels, vec.labels)
 
 

@@ -3,9 +3,8 @@
 Covers the :class:`~repro.engine.bufferpool.BufferPool` contract (named
 reuse, growth, dtype change, allocation accounting) and the end-to-end
 counters a profiled run reports: ``bytes_allocated``
-(scratch demanded by the round structure; zero on a warm pool),
-``fused_passes`` (FastSV fused hook+jump rounds), and ``rounds_skipped``
-(change-detection eliding the final no-op jump/compress).
+(scratch demanded by the round structure; zero on a warm pool) and
+``rounds_skipped`` (change-detection eliding SV's final no-op compress).
 """
 
 from __future__ import annotations
@@ -81,15 +80,6 @@ class TestBufferPool:
 
 
 class TestOptimizationCounters:
-    def test_fastsv_counters_present(self):
-        g = uniform_random_graph(400, edge_factor=4, seed=5)
-        result = engine.run("fastsv", g, profile=True)
-        assert result.counters.get("fused_passes", 0) >= 1
-        # The convergence round's sweep changes nothing, so its jump is
-        # skipped (labels are already flat).
-        assert result.counters.get("rounds_skipped", 0) >= 1
-        assert result.counters.get("bytes_allocated", 0) > 0
-
     def test_sv_skips_converged_compress(self, mixed_graph):
         result = engine.run("sv", mixed_graph, profile=True)
         if result.iterations > 1:
@@ -98,9 +88,9 @@ class TestOptimizationCounters:
     def test_warm_pool_allocates_nothing(self):
         g = uniform_random_graph(400, edge_factor=4, seed=5)
         backend = VectorizedBackend()
-        first = engine.run("fastsv", g, backend=backend, profile=True)
-        second = engine.run("fastsv", g, backend=backend, profile=True)
-        assert first.counters.get("bytes_allocated", 0) > 0
+        first = engine.run("sv", g, backend=backend, profile=True)
+        second = engine.run("sv", g, backend=backend, profile=True)
+        assert first.counters.get("bytes_allocated", 0) == 45_476
         # Every scratch buffer already fits, so the warm run reports zero
         # fresh bytes (the counter is absent or 0).
         assert second.counters.get("bytes_allocated", 0) == 0
@@ -121,19 +111,20 @@ class TestOptimizationCounters:
 
         g = uniform_random_graph(400, edge_factor=4, seed=5)
         backend = DistributedBackend(ranks=2)
-        first = engine.run("fastsv", g, backend=backend, profile=True)
-        second = engine.run("fastsv", g, backend=backend, profile=True)
-        assert first.counters.get("bytes_allocated", 0) > 0
+        first = engine.run("sv", g, backend=backend, profile=True)
+        second = engine.run("sv", g, backend=backend, profile=True)
+        assert first.counters.get("bytes_allocated", 0) == 3_200
         assert second.counters.get("bytes_allocated", 0) == 0
 
     def test_counters_empty_without_profiling(self, mixed_graph):
-        result = engine.run("fastsv", mixed_graph)
+        result = engine.run("sv", mixed_graph)
         assert result.counters == {}
 
     def test_counters_reach_bench_records(self):
         from repro.bench.runner import run_algorithm
 
         g = uniform_random_graph(300, edge_factor=4, seed=2)
-        rec = run_algorithm(g, "fastsv", "g", repeats=2)
+        rec = run_algorithm(g, "sv", "g", repeats=2)
         counters = rec.extra.get("counters", {})
-        assert counters.get("fused_passes", 0) >= 1
+        assert counters.get("rounds_skipped", 0) == 1
+        assert counters.get("bytes_allocated", 0) > 0

@@ -70,7 +70,7 @@ class TestBitIdentity:
     """auto (int32) runs must match wide (int64) runs bit for bit."""
 
     @pytest.mark.parametrize("kind", ["vectorized", "simulated"])
-    @pytest.mark.parametrize("algorithm", ["afforest", "sv", "fastsv"])
+    @pytest.mark.parametrize("algorithm", ["afforest", "sv", "lp"])
     def test_single_process_substrates(self, kind, algorithm):
         g = uniform_random_graph(300, edge_factor=4, seed=11)
         auto, wide = _run_both(kind, 2, algorithm, g)

@@ -40,8 +40,8 @@ class TestEngineLedger:
     def test_record_accepts_ledger_instance(self, mixed_graph, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         engine.run("sv", mixed_graph, record=ledger)
-        engine.run("fastsv", mixed_graph, record=ledger)
-        assert [r.algorithm for r in ledger.records()] == ["sv", "fastsv"]
+        engine.run("lp", mixed_graph, record=ledger)
+        assert [r.algorithm for r in ledger.records()] == ["sv", "lp"]
 
     def test_env_var_enables_recording(self, mixed_graph, tmp_path, monkeypatch):
         target = tmp_path / "env.jsonl"
@@ -85,7 +85,7 @@ class TestEngineHeartbeat:
         assert rounds  # at least one round reported
 
     def test_rounds_survive_composed_plans(self):
-        # A composed plan (sampling phase + finish) restarts its own
+        # Afforest's plan (kout sampling + settle finish) restarts its
         # phase numbering; the monitor's round counter keeps climbing.
         g = barabasi_albert_graph(2000, edges_per_vertex=3, seed=9)
         events = []
@@ -98,7 +98,7 @@ class TestEngineHeartbeat:
         # rounds and a finite ETA from round 2 onward.
         g = grid_graph(40, 40)
         events = []
-        engine.run("lp-datadriven", g, heartbeat=events)
+        engine.run("lp", g, heartbeat=events)
         rounds = [e for e in events if e.kind == "round"]
         assert len(rounds) > 2
         for event in rounds[1:]:
@@ -117,8 +117,8 @@ class TestEngineHeartbeat:
         assert result.phase_seconds == {}
 
     def test_heartbeat_does_not_change_labeling(self, mixed_graph):
-        plain = engine.run("fastsv", mixed_graph)
-        beating = engine.run("fastsv", mixed_graph, heartbeat=[])
+        plain = engine.run("sv", mixed_graph)
+        beating = engine.run("sv", mixed_graph, heartbeat=[])
         assert np.array_equal(plain.labels, beating.labels)
 
 
@@ -132,15 +132,17 @@ class TestOverheadBudget:
         # a recorded+monitored run executes the identical pipeline plus
         # exactly (one beat per round + build record + append).  Timing
         # that block against the measured disabled run keeps the test
-        # deterministic while bounding the true end-to-end delta.
-        graph = grid_graph(60, 60)
-        result = engine.run("lp-datadriven", graph)
+        # deterministic while bounding the true end-to-end delta.  The
+        # grid is sized so a round costs ~0.2 ms: the per-round beat is
+        # then a fixed share of the run, whatever the round count.
+        graph = grid_graph(85, 85)
+        result = engine.run("lp", graph)
         rounds = max(result.iterations, 1)
 
         base_samples = []
         for _ in range(3):
             t0 = time.perf_counter()
-            engine.run("lp-datadriven", graph)
+            engine.run("lp", graph)
             base_samples.append(time.perf_counter() - t0)
         base = min(base_samples)  # least-throttled run: strictest bound
 

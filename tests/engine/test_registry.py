@@ -12,9 +12,7 @@ EXPECTED_BUILTINS = [
     "afforest-noskip",
     "bfs",
     "dobfs",
-    "fastsv",
     "lp",
-    "lp-datadriven",
     "sequential",
     "sv",
 ]
@@ -29,12 +27,6 @@ class TestAvailability:
     def test_names_sorted(self):
         names = engine.available_algorithms()
         assert names == sorted(names)
-
-    def test_describe_pairs_with_descriptions(self):
-        pairs = engine.describe_plans()
-        assert [n for n, _ in pairs] == engine.available_plans()
-        for _, description in pairs:
-            assert description.strip()
 
 
 class TestMetadata:
@@ -56,8 +48,15 @@ class TestMetadata:
         assert noskip.largest_label is None
         assert (noskip.labels == skip.labels).all()
 
+    def test_fixed_params_read_only(self, mixed_graph):
+        # get_plan returns the shared table entry: editing its fixed
+        # parameters must not change later runs.
+        with pytest.raises(TypeError):
+            engine.get_plan("dobfs").params["alpha"] = 1  # type: ignore[index]
+        assert engine.run("dobfs", mixed_graph).params["alpha"] == DEFAULT_ALPHA
+
     def test_frontier_family_supports_every_backend(self):
-        for name in ("lp", "lp-datadriven", "bfs", "dobfs"):
+        for name in ("lp", "bfs", "dobfs"):
             for kind in BACKEND_KINDS:
                 assert engine.supports_backend(name, kind), (name, kind)
 
@@ -73,8 +72,9 @@ class TestMetadata:
             "alpha": DEFAULT_ALPHA,
             "beta": 7,
         }
-        assert engine.run("none+dobfs", mixed_graph, beta=7).params == {
-            "beta": 7
+        assert engine.run("dobfs", mixed_graph, alpha=3, beta=7).params == {
+            "alpha": 3,
+            "beta": 7,
         }
 
     def test_pipelines_marked_instrumented(self, mixed_graph):
@@ -95,17 +95,6 @@ class TestLookup:
     def test_unknown_name_lists_available(self):
         with pytest.raises(ConfigurationError, match="afforest"):
             engine.get_plan("magic")
-
-    def test_unknown_name_mentions_plans(self):
-        with pytest.raises(ConfigurationError, match="composed plans"):
-            engine.get_plan("magic")
-
-    def test_composed_plan_name_resolves(self):
-        plan = engine.get_plan("kout+sv")
-        assert plan.name == "kout+sv"
-        assert plan.params == {}
-        for kind in BACKEND_KINDS:
-            assert engine.supports_backend("kout+sv", kind)
 
     def test_unknown_plan_phase_raises(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -129,12 +118,9 @@ class TestLookup:
             with pytest.raises(ConfigurationError) as exc_info:
                 engine.run(name, mixed_graph)
             err = str(exc_info.value)
-        assert "unknown" in err
+        assert "unknown algorithm" in err
         assert "available" in err
-        if "+" in name:
-            assert "'kout', 'none'" in err
-        else:
-            assert "'afforest'" in err
+        assert "'afforest'" in err
 
     @pytest.mark.parametrize("entry", ["make_backend", "engine.run", "cli"])
     def test_process_backend_kind_rejected(self, entry, mixed_graph, capsys):
@@ -155,4 +141,23 @@ class TestLookup:
             err = str(exc_info.value)
         assert "process" in err
         assert all(kind in err for kind in kinds)
+
+    @pytest.mark.parametrize(
+        "kind, size, message",
+        [
+            ("distributed", "ranks", "ranks must be >= 1, got 0"),
+            ("simulated", "workers", "num_workers must be >= 1, got 0"),
+        ],
+    )
+    def test_zero_size_rejected(self, kind, size, message, mixed_graph, capsys):
+        """An explicit 0 reaches the constructor, not the default of 4."""
+        from repro.cli import main
+
+        with pytest.raises(ConfigurationError, match=message):
+            engine.make_backend(kind, **{size: 0})
+        with pytest.raises(ConfigurationError, match=message):
+            engine.run("afforest", mixed_graph, backend=kind, **{size: 0})
+        argv = ["solve", "dataset:kron:tiny", "--backend", kind, f"--{size}", "0"]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 

@@ -16,7 +16,7 @@ from repro.generators.datasets import CPU_SUITE
 from repro.graph.io import load_graph, save_graph
 from repro.parallel import MemoryTrace, SimulatedMachine, WorkSpanModel
 
-ALGOS = ["afforest", "afforest-noskip", "sv", "lp", "lp-datadriven", "bfs", "dobfs"]
+ALGOS = ["afforest", "afforest-noskip", "sv", "lp", "bfs", "dobfs"]
 
 
 @pytest.mark.parametrize("dataset", CPU_SUITE)

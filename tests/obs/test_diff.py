@@ -19,9 +19,9 @@ from repro.obs.trace import Span, Trace
 
 class TestPhaseDelta:
     def test_pct_and_describe(self):
-        delta = PhaseDelta("HS3", 0.100, 0.138)
+        delta = PhaseDelta("H3", 0.100, 0.138)
         assert delta.pct == pytest.approx(38.0)
-        assert delta.describe() == "+38% in HS3"
+        assert delta.describe() == "+38% in H3"
 
     def test_new_and_disappeared_phases(self):
         assert PhaseDelta("X", 0.0, 0.01).describe() == "new phase X"
@@ -44,8 +44,8 @@ class TestPhaseDelta:
 
 class TestCounterDelta:
     def test_describe_integers(self):
-        assert CounterDelta("rounds_skipped", 4, 0).describe() == (
-            "rounds_skipped 4→0"
+        assert CounterDelta("rounds_skipped", 1, 0).describe() == (
+            "rounds_skipped 1→0"
         )
 
     def test_describe_floats(self):
@@ -63,17 +63,17 @@ def _run(total, phases, counters=None, gauges=None):
 
 class TestDiffRuns:
     def test_attributes_regression_to_phase_and_counters(self):
-        a = _run(0.10, {"HS1": 0.02, "HS3": 0.05}, {"rounds_skipped": 4})
-        b = _run(0.14, {"HS1": 0.02, "HS3": 0.09}, {"rounds_skipped": 0})
-        diff = diff_runs(a, b, label_a="fastsv/lattice", label_b="fastsv/lattice")
+        a = _run(0.10, {"H1": 0.02, "H3": 0.05}, {"rounds_skipped": 1})
+        b = _run(0.14, {"H1": 0.02, "H3": 0.09}, {"rounds_skipped": 0})
+        diff = diff_runs(a, b, label_a="sv/lattice", label_b="sv/lattice")
         assert diff.ratio == pytest.approx(1.4)
         assert diff.regressed(1.25)
         moved = diff.moved_phases()
-        assert moved and moved[0].label == "HS3"
+        assert moved and moved[0].label == "H3"
         summary = diff.summary()
-        assert "fastsv/lattice" in summary
-        assert "+80% in HS3" in summary
-        assert "rounds_skipped 4→0" in summary
+        assert "sv/lattice" in summary
+        assert "+80% in H3" in summary
+        assert "rounds_skipped 1→0" in summary
 
     def test_total_is_excluded_from_phase_deltas(self):
         a = _run(0.1, {"total": 0.1, "H1": 0.1})
@@ -131,7 +131,7 @@ class TestDiffRuns:
         runs = {}
         for ranks in (2, 4):
             result = engine.run(
-                "none+fastsv",
+                "sv",
                 g,
                 backend=DistributedBackend(ranks=ranks),
                 profile=True,
@@ -221,13 +221,13 @@ class TestDiffRuns:
 
 class TestFormatDiff:
     def test_renders_table_and_summary(self):
-        a = _run(0.10, {"HS1": 0.02, "HS3": 0.05}, {"rounds_skipped": 4})
-        b = _run(0.14, {"HS1": 0.02, "HS3": 0.09}, {"rounds_skipped": 0})
+        a = _run(0.10, {"H1": 0.02, "H3": 0.05}, {"rounds_skipped": 1})
+        b = _run(0.14, {"H1": 0.02, "H3": 0.09}, {"rounds_skipped": 0})
         text = format_diff(diff_runs(a, b, label_a="base", label_b="now"))
         assert "a: base" in text and "b: now" in text
         assert "1.40x" in text
-        assert "HS3" in text
-        assert "rounds_skipped 4→0" in text
+        assert "H3" in text
+        assert "rounds_skipped 1→0" in text
 
     def test_truncates_long_phase_lists(self):
         phases_a = {f"P{i}": 0.001 for i in range(30)}

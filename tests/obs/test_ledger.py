@@ -60,13 +60,13 @@ class TestRunRecord:
             run_id="rdeadbeef-0001",
             timestamp=123.5,
             kind="bench",
-            algorithm="fastsv",
-            plan="none+fastsv",
+            algorithm="sv",
+            plan="none+sv",
             backend="process",
             workers=4,
             graph={"vertices": 10, "edges": 9, "digest": "ab"},
             seconds=0.25,
-            phase_seconds={"HS1": 0.1, "total": 0.25},
+            phase_seconds={"H1": 0.1, "total": 0.25},
             counters={"rounds_skipped": 2},
             gauges={"label_dtype_bits": 32.0},
             label_dtype_bits=32,
@@ -95,12 +95,12 @@ class TestRunRecord:
 class _FakeResult:
     """Duck-typed stand-in for CCResult."""
 
-    algorithm = "fastsv"
-    plan = "none+fastsv"
+    algorithm = "sv"
+    plan = "none+sv"
     backend = "vectorized"
     num_components = 2
     counters = {"rounds_skipped": 1}
-    phase_seconds = {"HS1": 0.01, "total": 0.02}
+    phase_seconds = {"H1": 0.01, "total": 0.02}
     trace = None
 
 
@@ -115,7 +115,7 @@ class TestRecordFromResult:
         )
         assert rec.kind == "bench"
         assert rec.run_id.startswith("r")
-        assert rec.algorithm == "fastsv"
+        assert rec.algorithm == "sv"
         assert rec.seconds == 0.5
         assert rec.graph["vertices"] == 8
         assert rec.counters == {"rounds_skipped": 1}

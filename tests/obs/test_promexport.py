@@ -25,11 +25,11 @@ class TestCountersAndGauges:
         lines = prometheus_lines(
             counters={"c": 1},
             gauges={"g": 2.5},
-            labels={"algorithm": "fastsv", "backend": "process"},
+            labels={"algorithm": "sv", "backend": "process"},
         )
         samples = [ln for ln in lines if not ln.startswith("#")]
         for sample in samples:
-            assert 'algorithm="fastsv"' in sample
+            assert 'algorithm="sv"' in sample
             assert 'backend="process"' in sample
 
     def test_label_values_escaped(self):
@@ -82,7 +82,7 @@ class TestRenderPrometheus:
     def test_from_run_record_includes_run_id(self):
         rec = RunRecord(
             run_id="rff-01",
-            algorithm="fastsv",
+            algorithm="sv",
             backend="process",
             counters={"c": 3},
             meta={"dataset": "lattice"},

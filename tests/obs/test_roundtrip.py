@@ -1,7 +1,7 @@
 """Property-style JSONL ⇄ Chrome round-trip tests for trace export.
 
 Traces are generated from seeded randomness so every run exercises the
-same family of shapes: fused phase labels (``HS<i>``), skipped rounds
+same family of shapes: multi-letter phase labels (``HS<i>``), skipped rounds
 (gaps in the round numbering), worker-track spans, counters, gauges,
 and histogram summaries.  Both exporters must reproduce the phase
 timings, metric snapshots, and track structure after a round trip.
@@ -70,7 +70,7 @@ def _random_trace(seed: int) -> Trace:
         counters=counters,
         gauges=gauges,
         histograms=histograms,
-        meta={"algorithm": "fastsv", "backend": "process", "workers": 2},
+        meta={"algorithm": "sv", "backend": "process", "workers": 2},
     )
 
 

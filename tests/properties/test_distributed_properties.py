@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro import engine
 from repro.analysis import equivalent_labelings
 from repro.engine import DistributedBackend
-from repro.engine.plan import available_plans
 from repro.graph import from_edge_list
 from repro.unionfind import sequential_components
 
@@ -30,7 +29,7 @@ def test_any_world_size_and_partitioner_exact(g, ranks, use_hash):
     backend = DistributedBackend(
         ranks=ranks, partition="hash" if use_hash else "block"
     )
-    result = engine.run("none+fastsv", g, backend=backend)
+    result = engine.run("sv", g, backend=backend)
     assert equivalent_labelings(result.labels, sequential_components(g))
 
 
@@ -43,7 +42,6 @@ PRIMITIVES = (
     "find_largest",
     "hook_pass",
     "propagate_pass",
-    "fused_hook_jump",
     "frontier_expand",
     "bottom_up_pass",
 )
@@ -79,7 +77,7 @@ for _name in PRIMITIVES:
 
 def _run_checked(g, plan, random_sampling=False, **kwargs):
     backend = ShadowCheckedBackend(**kwargs)
-    random_sampling = random_sampling and plan.startswith("kout")
+    random_sampling = random_sampling and plan.startswith("afforest")
     params = {"sampling": "random"} if random_sampling else {}
     result = engine.run(plan, g, backend=backend, **params)
     assert equivalent_labelings(result.labels, sequential_components(g))
@@ -90,7 +88,7 @@ def _run_checked(g, plan, random_sampling=False, **kwargs):
     graphs(),
     st.integers(1, 9),
     st.booleans(),
-    st.sampled_from(available_plans()),
+    st.sampled_from(sorted(engine.CANONICAL_PLANS)),
     st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
@@ -107,14 +105,14 @@ def test_shadow_equals_pi_after_every_primitive(
 
 
 def test_shadow_check_reaches_every_primitive():
-    """The plans between them run every checked primitive, so the
+    """The algorithms between them run every checked primitive, so the
     property above is not vacuous."""
     g = from_edge_list(
         [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (8, 9)],
         num_vertices=12,
     )
     seen = set()
-    for plan in available_plans():
+    for plan in engine.CANONICAL_PLANS:
         for random_sampling in (False, True):
             seen.update(_run_checked(g, plan, random_sampling, ranks=3).checked)
     assert seen == set(PRIMITIVES)

@@ -14,7 +14,6 @@ ALGORITHMS = [
     "afforest-noskip",
     "sv",
     "lp",
-    "lp-datadriven",
     "bfs",
     "dobfs",
 ]

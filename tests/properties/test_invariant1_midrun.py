@@ -4,9 +4,9 @@ The paper's hooks always point a higher id at a lower one, so every
 self-initialised π keeps ``pi[v] <= v`` between any two primitives, not
 only at convergence.  Each backend is wrapped in a test-only subclass
 that asserts it on the live π after every primitive, and every plan that
-starts from the identity π runs on small random graphs.  ``none+bfs`` and
-``none+dobfs`` are left out: they start from the unvisited sentinel
-``n``, which is above every vertex id by design.
+starts from the identity π runs on small random graphs.  ``bfs`` and
+``dobfs`` are left out: they start from the unvisited sentinel ``n``,
+which is above every vertex id by design.
 """
 
 import numpy as np
@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 from repro import engine
 from repro.analysis import equivalent_labelings
 from repro.engine import DistributedBackend, SimulatedBackend, VectorizedBackend
-from repro.engine.plan import available_plans
 from repro.graph import from_edge_list
 from repro.parallel.machine import SimulatedMachine
 from repro.unionfind import sequential_components
 
-#: plans whose π starts as the identity.
-SELF_INITIALISED = [
-    p for p in available_plans() if p not in ("none+bfs", "none+dobfs")
-]
+#: plan name -> an algorithm name that runs it, for every plan whose π
+#: starts as the identity.
+SELF_INITIALISED = {"kout+settle": "afforest", "none+sv": "sv", "none+lp": "lp"}
 
 #: every primitive those plans reach on some backend.
 PRIMITIVES = (
@@ -33,12 +31,9 @@ PRIMITIVES = (
     "link_neighbor_round",
     "link_remaining",
     "compress",
-    "shortcut_step",
     "find_largest",
     "hook_pass",
     "propagate_pass",
-    "fused_hook_jump",
-    "frontier_expand",
 )
 
 
@@ -120,7 +115,7 @@ def _run_checked(g, plan, backend, random_sampling=False):
     if plan.startswith("kout"):
         # Random neighbour rounds link through ``link_edges``.
         params = {"sampling": "random" if random_sampling else "first"}
-    result = engine.run(plan, g, backend=backend, **params)
+    result = engine.run(SELF_INITIALISED[plan], g, backend=backend, **params)
     assert equivalent_labelings(result.labels, sequential_components(g))
     return backend.checked
 

@@ -56,9 +56,9 @@ def test_tree_hooking_labels_are_component_minima(g):
         labels = repro.connected_components(g, algorithm)
         assert np.array_equal(labels, expected), algorithm
     labels = repro.connected_components(
-        g, "fastsv", backend="distributed", ranks=4
+        g, "sv", backend="distributed", ranks=4
     )
-    assert np.array_equal(labels, expected), "fastsv [distributed]"
+    assert np.array_equal(labels, expected), "sv [distributed]"
 
 
 @given(graphs(), st.integers(0, 4), st.integers(0, 99))

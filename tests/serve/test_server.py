@@ -331,6 +331,31 @@ class TestEpochSegments:
             == twin.metrics.counters_snapshot()
         )
 
+    def test_cancelled_refresh_publishes_nothing(self, two_cliques):
+        published = []
+        service = ConnectivityService(
+            two_cliques, recompress_every=1_000_000, on_epoch=published.append
+        )
+        server = ConnectivityServer(service)
+        insert = _request("update", [0], [4])
+        gone = _request("refresh")
+        assert gone.future.cancel()
+        server._run_batch([insert, gone])
+        assert insert.future.result(0) == 0
+        assert gone.future.cancelled()
+        assert service.epoch == 0
+        assert service.metrics.counters_snapshot().get("serve_epochs", 0) == 0
+        assert published == []
+        assert not service.same_component(0, 4)
+        # The edge stays pending: a refresh nobody cancelled publishes it.
+        kept = _request("refresh")
+        server._run_batch([kept])
+        assert kept.future.result(0) == 1
+        assert service.epoch == 1
+        assert service.metrics.counters_snapshot()["serve_epochs"] == 1
+        assert [s.epoch for s in published] == [1]
+        assert service.same_component(0, 4)
+
     def test_bad_insert_retried_alone_before_any_change(self, two_cliques):
         service = ConnectivityService(two_cliques, recompress_every=4)
         good = _request("update", [0, 1], [4, 5])

@@ -31,10 +31,10 @@ class TestInitialSolve:
         assert np.array_equal(service.labels(), oracle)
 
     def test_any_algorithm_and_plan(self, two_cliques):
-        for name in ("sv", "kout+sv", "kout+lp"):
+        for name in ("sv", "afforest", "lp"):
             svc = ConnectivityService(two_cliques, algorithm=name)
             assert svc.num_components == 2
-        assert svc.plan == "kout+lp"
+        assert svc.plan == "none+lp"
 
     def test_fingerprint_carried(self, two_cliques, service):
         assert service.fingerprint["vertices"] == 8

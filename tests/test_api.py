@@ -14,7 +14,6 @@ ALGORITHMS = [
     "afforest-noskip",
     "sv",
     "lp",
-    "lp-datadriven",
     "bfs",
     "dobfs",
     "sequential",
@@ -28,10 +27,10 @@ def test_all_algorithms_on_mixed(algorithm, mixed_graph):
     assert equivalent_labelings(labels, ref)
 
 
-def test_fastsv_on_distributed_backend(mixed_graph):
+def test_sv_on_distributed_backend(mixed_graph):
     ref = repro.sequential_components(mixed_graph)
     labels = repro.connected_components(
-        mixed_graph, "fastsv", backend="distributed", ranks=4
+        mixed_graph, "sv", backend="distributed", ranks=4
     )
     assert equivalent_labelings(labels, ref)
 
@@ -73,9 +72,10 @@ def test_quickstart_docstring_flow():
     assert result.num_components >= 1
 
 
-def test_removed_surface_rejected(mixed_graph):
+def test_removed_surface_rejected(mixed_graph, capsys):
     """``engine.run`` is the one way in: the per-algorithm shims, the
-    modules nothing reached, and SV's ``shortcut`` knob are gone."""
+    modules nothing reached, SV's ``shortcut`` knob, the FastSV and
+    data-driven LP finishes and ``<sampling>+<finish>`` names are gone."""
     for module in (
         "repro.baselines",
         "repro.core.afforest",
@@ -98,3 +98,22 @@ def test_removed_surface_rejected(mixed_graph):
     assert removed.isdisjoint(repro.__all__)
     with pytest.raises(ConfigurationError, match="accepted: .*track_depth"):
         repro.engine.run("sv", mixed_graph, shortcut="single")
+    for name in (
+        "fastsv",
+        "lp-datadriven",
+        "kout+sv",
+        "kout+lp",
+        "none+settle",
+        "kout+settle",
+        "none+sv",
+    ):
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            repro.engine.run(name, mixed_graph)
+    for name in ("available_plans", "describe_plans"):
+        assert not hasattr(repro.engine, name)
+    from repro.cli import main
+
+    assert main(["solve", "dataset:kron:tiny", "-a", "kout+sv"]) == 1
+    assert "unknown algorithm 'kout+sv'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["compare", "dataset:kron:tiny", "--plans"])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.cli import main
+from repro.engine import available_algorithms, backend_kinds
 from repro.graph.io import load_graph, write_edge_list
 
 
@@ -100,34 +102,47 @@ class TestSolve:
         assert "lp [distributed]: 2 components" in capsys.readouterr().out
 
     def test_plan_name_via_algorithm_flag(self, graph_file, capsys):
-        assert main(["solve", graph_file, "-a", "kout+lp"]) == 0
-        assert "kout+lp: 2 components" in capsys.readouterr().out
+        # A plan's name is what a run records, not an algorithm name.
+        assert main(["solve", graph_file, "-a", "kout+settle"]) == 1
+        assert "unknown algorithm 'kout+settle'" in capsys.readouterr().err
 
     def test_plan_and_algorithm_conflict(self, graph_file, capsys):
         # --algorithm is the one way to name a plan; --plan is no flag.
         with pytest.raises(SystemExit) as exit_info:
-            main(["solve", graph_file, "-a", "sv", "--plan", "kout+sv"])
+            main(["solve", graph_file, "-a", "sv", "--plan", "kout+settle"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --plan" in capsys.readouterr().err
 
     def test_unknown_plan(self, graph_file, capsys):
         assert main(["solve", graph_file, "-a", "magic+sv"]) == 1
-        assert "unknown sampling" in capsys.readouterr().err
+        assert "unknown algorithm" in capsys.readouterr().err
 
 
 class TestPlans:
     def test_lists_matrix(self, capsys):
+        # The table: one row per name, with its plan and fixed parameters.
         assert main(["plans"]) == 0
-        out = capsys.readouterr().out
-        assert "kout+sv" in out
-        assert "none+dobfs" in out
-        assert "[skip-capable]" in out
-        assert "[whole-graph" in out
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line.split(None, 2)[1:] for line in lines[1:]}
+        assert rows["afforest"] == ["kout+settle", "-"]
+        assert rows["afforest-noskip"] == ["kout+settle", "skip_largest=False"]
+        assert rows["sv"] == ["none+sv", "-"]
+        assert rows["dobfs"] == ["none+dobfs", "alpha=15.0, beta=18.0"]
+        assert sorted(rows) == available_algorithms()
 
     def test_check_validates_matrix(self, capsys):
         assert main(["plans", "--check", "--workers", "1"]) == 0
         out = capsys.readouterr().out
-        assert "plan×backend combinations OK" in out
+        checked = len(engine.CANONICAL_PLANS) * len(backend_kinds())
+        assert f"{checked} algorithm×backend combinations OK" in out
+
+    def test_check_restricted_to_one_backend(self, capsys):
+        assert main(
+            ["plans", "--check", "--backend", "distributed", "--ranks", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        checked = len(engine.CANONICAL_PLANS)
+        assert f"{checked} algorithm×backend combinations OK" in out
 
 
 class TestCompare:
@@ -139,19 +154,6 @@ class TestCompare:
         assert "afforest" in out
         assert "sv" in out
         assert "speedup_vs_afforest" in out
-
-    def test_composed_plans_compare(self, graph_file, capsys):
-        assert main(
-            [
-                "compare", graph_file,
-                "--algorithms", "afforest",
-                "--plans", "kout+sv,none+fastsv",
-                "--repeats", "2",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "kout+sv" in out
-        assert "none+fastsv" in out
 
     def test_simulated_backend_skips_unsupported(self, graph_file, capsys):
         assert main(
@@ -363,8 +365,8 @@ class TestServe:
         assert graph_file in capsys.readouterr().out
 
     def test_plan_spec(self, graph_file, capsys):
-        assert main(self.SERVE + [graph_file, "-a", "kout+sv"]) == 0
-        assert "kout+sv" in capsys.readouterr().out
+        assert main(self.SERVE + [graph_file, "-a", "sv"]) == 0
+        assert "(plan none+sv)" in capsys.readouterr().out
 
     def test_dataset_spec(self, capsys):
         assert main(self.SERVE + ["dataset:urand:tiny"]) == 0
@@ -376,17 +378,15 @@ class TestObs:
 
     @pytest.fixture
     def ledger_path(self, tmp_path, two_cliques):
-        from repro import engine
-
         path = tmp_path / "ledger.jsonl"
         engine.run("sv", two_cliques, profile=True, record=str(path))
-        engine.run("fastsv", two_cliques, profile=True, record=str(path))
+        engine.run("lp", two_cliques, profile=True, record=str(path))
         return str(path)
 
     def test_runs_lists_records(self, ledger_path, capsys):
         assert main(["obs", "runs", "--ledger", ledger_path]) == 0
         out = capsys.readouterr().out
-        assert "sv/" in out and "fastsv/" in out
+        assert "sv/" in out and "lp/" in out
         assert "2 record(s)" in out
 
     def test_runs_empty_ledger(self, tmp_path, capsys):
@@ -397,7 +397,7 @@ class TestObs:
     def test_show_latest(self, ledger_path, capsys):
         assert main(["obs", "show", "latest", "--ledger", ledger_path]) == 0
         out = capsys.readouterr().out
-        assert "algorithm:  fastsv" in out
+        assert "algorithm:  lp" in out
         assert "phases:" in out
 
     def test_show_prometheus(self, ledger_path, capsys):
@@ -406,7 +406,7 @@ class TestObs:
         ) == 0
         out = capsys.readouterr().out
         assert "# TYPE" in out
-        assert 'algorithm="fastsv"' in out
+        assert 'algorithm="lp"' in out
 
     def test_show_ambiguous_prefix_fails(self, ledger_path, capsys):
         assert main(["obs", "show", "r", "--ledger", ledger_path]) == 1
