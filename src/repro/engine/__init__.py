@@ -16,9 +16,10 @@ The engine ties four pieces together:
   :class:`~repro.engine.backends.DistributedBackend` for edge shards
   across simulated ranks) against which every sampling and finish phase
   is written exactly once;
-- uniform **instrumentation**
-  (:class:`~repro.engine.instrumentation.Instrumentation`) so any
-  profiled run yields a per-phase wall-time breakdown.
+- uniform **telemetry**: every backend records on the run's
+  :class:`~repro.obs.Tracer` (``backend.tracer``) and reports rounds to
+  its heartbeat (``backend.beat``), so any profiled run yields a
+  per-phase wall-time breakdown.
 
 Usage::
 
@@ -49,7 +50,6 @@ from repro.engine.backends import (
     make_backend,
     resolve_label_dtype,
 )
-from repro.engine.instrumentation import Instrumentation
 from repro.engine.partition import EdgeBlock, partition_csr_blocks
 from repro.engine.plan import (
     CANONICAL_PLANS,
@@ -76,7 +76,6 @@ __all__ = [
     "get_plan",
     "run_plan",
     "CCResult",
-    "Instrumentation",
     "Trace",
     "Tracer",
     "ExecutionBackend",
@@ -190,8 +189,7 @@ def run(
         monitor = heartbeat
     else:
         monitor = HeartbeatMonitor(heartbeat)
-    instr = Instrumentation(tracer=tracer, heartbeat=monitor)
-    backend.bind(instr)
+    backend.tracer, backend.heartbeat = tracer, monitor
     t_start = time.perf_counter()
     try:
         try:
@@ -202,7 +200,7 @@ def run(
                 result = solve(graph, backend, **merged)
         finally:
             # Leave shared/reused backends with a clean disabled recorder.
-            backend.bind(Instrumentation(False))
+            backend.tracer, backend.heartbeat = Tracer(False), None
         if result.labels.dtype != VERTEX_DTYPE:
             # Backends may run on narrowed labels (label_dtype policy);
             # results always leave the engine at the canonical width, so

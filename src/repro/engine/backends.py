@@ -24,14 +24,16 @@ hook-and-shortcut — that admit three execution substrates:
 Each sampling and finish phase (:mod:`repro.engine.sampling`,
 :mod:`repro.engine.finish`) is written *once* against
 :class:`ExecutionBackend`; choosing the substrate is a constructor
-argument, not a separate code path.  Backend methods wrap their work in
-the bound :class:`~repro.engine.instrumentation.Instrumentation` timers,
-so profiled runs get a per-phase wall-time breakdown on any substrate.
+argument, not a separate code path.  Backend methods record on the
+run's :class:`~repro.obs.trace.Tracer` (``backend.tracer``): a span per
+phase and counters, gauges and histograms in its ``metrics``, so
+profiled runs get a per-phase wall-time breakdown on any substrate.
+Pipelines report each finished round through :meth:`ExecutionBackend.beat`.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Any, Generator
 
 import numpy as np
 
@@ -50,11 +52,12 @@ from repro.distributed import partition as _dpart
 from repro.distributed.comm import SimulatedComm
 from repro.engine import partition as _part
 from repro.engine.bufferpool import BufferPool
-from repro.engine.instrumentation import Instrumentation
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.nputil import merge_min, segment_ranges, sorted_unique
+from repro.obs.heartbeat import HeartbeatMonitor
 from repro.obs.metrics import POW2_BUCKETS
+from repro.obs.trace import Tracer
 from repro.parallel.machine import KernelContext, SimulatedMachine
 from repro.parallel.metrics import RunStats
 
@@ -104,12 +107,13 @@ def round_neighbors(graph: CSRGraph, deg: np.ndarray, r: int) -> np.ndarray:
     is built and ``indptr`` is not gathered.
     """
     indices = graph.indices
+    if indices.shape[0] == 0:
+        return np.arange(graph.num_vertices, dtype=indices.dtype)
     slot = graph.indptr[:-1] + r
-    # Slots ascend with v, so those past the last edge form a suffix, and
-    # every vertex there has deg <= r: the self edges below cover it.
-    cut = int(np.searchsorted(slot, indices.shape[0]))
-    nbr = np.empty(slot.shape[0], dtype=indices.dtype)
-    nbr[:cut] = indices[slot[:cut]]
+    # A slot past the last edge belongs to a vertex with deg <= r, which
+    # the self edges below overwrite: clip it to any valid slot.
+    np.minimum(slot, indices.shape[0] - 1, out=slot)
+    nbr = indices[slot]
     short = np.flatnonzero(deg <= r)
     nbr[short] = short
     return nbr
@@ -376,7 +380,10 @@ class ExecutionBackend:
                 f"unknown label dtype policy {label_dtype!r}; "
                 f"available: {list(LABEL_DTYPE_POLICIES)}"
             )
-        self.instr = Instrumentation(False)
+        #: the run's tracer (a disabled one between runs) and heartbeat
+        #: monitor (or ``None``); ``engine.run`` sets both for its run.
+        self.tracer = Tracer(False)
+        self.heartbeat: HeartbeatMonitor | None = None
         #: label-width policy (see :func:`resolve_label_dtype`).
         self.label_dtype = label_dtype
         #: reusable scratch buffers for the hot-path kernels; fresh
@@ -391,23 +398,28 @@ class ExecutionBackend:
         self._deg_graph: CSRGraph | None = None
         self._deg: np.ndarray | None = None
 
-    def bind(self, instr: Instrumentation) -> None:
-        """Attach the per-run instrumentation (done by ``engine.run``)."""
-        self.instr = instr
+    def beat(
+        self,
+        phase: str = "",
+        *,
+        frontier: int | None = None,
+        changed: int | None = None,
+        **extra: Any,
+    ) -> None:
+        """Report a finished pipeline round to the live heartbeat, if any."""
+        if self.heartbeat is not None:
+            self.heartbeat.beat(phase, frontier=frontier, changed=changed, **extra)
 
     def _count_alloc(self, nbytes: int) -> None:
         """Buffer-pool allocation callback -> ``bytes_allocated`` counter."""
-        self.instr.count("bytes_allocated", int(nbytes))
+        self.tracer.metrics.counter("bytes_allocated").inc(int(nbytes))
 
     def _label_dtype(self, n: int) -> np.dtype:
         """Resolve (and record) the parent-array dtype for an ``n``-vertex
         run: the ``label_dtype_bits`` gauge makes the narrowing decision
         visible in profiled runs."""
         dtype = resolve_label_dtype(n, self.label_dtype)
-        if self.instr.metrics.enabled:
-            self.instr.metrics.gauge("label_dtype_bits").set(
-                dtype.itemsize * 8
-            )
+        self.tracer.metrics.gauge("label_dtype_bits").set(dtype.itemsize * 8)
         return dtype
 
     def _edges(self, graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -531,14 +543,6 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def record_frontier(self, size: int, *, phase: str) -> None:
-        """Observe an active-frontier size into the ``frontier_size``
-        histogram (no-op while metrics are disabled)."""
-        if self.instr.metrics.enabled:
-            self.instr.metrics.histogram(
-                "frontier_size", POW2_BUCKETS
-            ).observe(size)
-
     def run_stats(self) -> RunStats | None:
         """Work/span statistics of the substrate, when it collects any."""
         return None
@@ -575,7 +579,7 @@ class VectorizedBackend(ExecutionBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> int:
         """Batch link; returns the number of link rounds executed."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return link_batch(pi, src, dst)
 
     def link_neighbor_round(
@@ -583,7 +587,7 @@ class VectorizedBackend(ExecutionBackend):
     ) -> int:
         """Gather slot ``r`` of every vertex, then link it as one
         out-edge per vertex (:func:`~repro.core.link.link_out`)."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return link_out(pi, round_neighbors(graph, self.degrees(graph), r))
 
     def link_remaining(
@@ -600,9 +604,9 @@ class VectorizedBackend(ExecutionBackend):
         The giant component's slots are never materialised: the skipped
         count is every remaining slot minus the slots linked.
         """
-        with self.instr.timer(f"{phase}-gather"):
+        with self.tracer.span(f"{phase}-gather"):
             src, dst = remaining_edges(graph, _kept(pi, largest), start)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             rounds = link_batch(pi, src, dst)
         linked = int(src.shape[0])
         skipped = remaining_slots(graph, self.degrees(graph), start) - linked
@@ -612,7 +616,7 @@ class VectorizedBackend(ExecutionBackend):
         """In-order blocked compression
         (:func:`~repro.core.compress.compress_all`) through the pooled
         block-sized gather buffer; returns its sweep count."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             n = int(pi.shape[0])
             scratch = self.pool.get("jump", min(n, COMPRESS_BLOCK), pi.dtype)
             return compress_all(pi, scratch)
@@ -626,7 +630,7 @@ class VectorizedBackend(ExecutionBackend):
         phase: str,
     ) -> int:
         """Mode of ``sample_size`` direct probes of π."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return approximate_largest_label(pi, sample_size, rng=rng)
 
     def hook_pass(
@@ -640,7 +644,7 @@ class VectorizedBackend(ExecutionBackend):
         CAS variant.
         """
         pool = self.pool
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             m = int(src.shape[0])
             cu = pool.take(pi, src, "hook-cu")
             cv = pool.take(pi, dst, "hook-cv")
@@ -652,10 +656,10 @@ class VectorizedBackend(ExecutionBackend):
             mask &= root
             if not mask.any():
                 return False
-            if self.instr.metrics.enabled:
+            if self.tracer.metrics.enabled:
                 # Label distance each winning hook covers: the Table II
                 # convergence signal (large early, shrinking per pass).
-                self.instr.metrics.histogram(
+                self.tracer.metrics.histogram(
                     "hook_distance", POW2_BUCKETS
                 ).observe_many(cv[mask] - cu[mask])
             np.minimum.at(pi, cv[mask], cu[mask])
@@ -675,7 +679,7 @@ class VectorizedBackend(ExecutionBackend):
         """
         src, dst = self._edges(graph)
         pool = self.pool
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             m = int(src.shape[0])
             cand = pool.take(pi, src, "prop-cand")
             down = pool.take(pi, dst, "prop-down")
@@ -695,7 +699,7 @@ class VectorizedBackend(ExecutionBackend):
         phase: str,
     ) -> np.ndarray:
         """Gather the frontier's neighbour slots and scatter-min onto them."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             _, dst, cand = frontier_edges(pi, graph, frontier)
             won = cand < pi[dst]
             if not won.any():
@@ -714,7 +718,7 @@ class VectorizedBackend(ExecutionBackend):
         phase: str,
     ) -> tuple[np.ndarray, int, int]:
         """Segmented first-hit pull over all unvisited vertices."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return _part.bottom_up_block(
                 pi,
                 graph.indptr,
@@ -751,7 +755,7 @@ class SimulatedBackend(ExecutionBackend):
         """Init phase ``I``: every vertex writes its own π slot (or the
         constant ``fill`` sentinel)."""
         pi = np.empty(n, dtype=self._label_dtype(n))
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             if fill is not None:
                 self.machine.parallel_for(
                     n, _fill_kernel, pi, int(fill), phase=phase
@@ -764,7 +768,7 @@ class SimulatedBackend(ExecutionBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> None:
         """Concurrent link of the batch, one kernel per edge."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 int(src.shape[0]), link_kernel, pi, src, dst, phase=phase
             )
@@ -774,7 +778,7 @@ class SimulatedBackend(ExecutionBackend):
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> None:
         """Concurrent neighbour round, one kernel per vertex."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0],
                 _neighbor_link_kernel,
@@ -797,7 +801,7 @@ class SimulatedBackend(ExecutionBackend):
     ) -> tuple[int, int, None]:
         """Concurrent final phase with the per-vertex skip check."""
         counters = {"skipped": 0, "final": 0}
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0],
                 _final_link_kernel,
@@ -813,7 +817,7 @@ class SimulatedBackend(ExecutionBackend):
 
     def compress(self, pi: np.ndarray, *, phase: str) -> None:
         """Concurrent per-vertex compression to the root."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0], compress_kernel, pi, phase=phase
             )
@@ -831,7 +835,7 @@ class SimulatedBackend(ExecutionBackend):
         n = pi.shape[0]
         probes = rng.integers(0, n, size=min(sample_size, max(n, 1)))
         out = np.empty(probes.shape[0], dtype=VERTEX_DTYPE)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 probes.shape[0], _probe_kernel, pi, probes, out, phase=phase
             )
@@ -843,7 +847,7 @@ class SimulatedBackend(ExecutionBackend):
     ) -> bool:
         """Concurrent CAS hook pass over every directed edge."""
         changed = {"flag": False}
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 int(src.shape[0]), _hook_kernel, pi, src, dst, changed,
                 phase=phase,
@@ -861,7 +865,7 @@ class SimulatedBackend(ExecutionBackend):
         """
         src, dst = self._edges(graph)
         changed = {"count": 0}
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 int(src.shape[0]),
                 _min_label_kernel,
@@ -883,7 +887,7 @@ class SimulatedBackend(ExecutionBackend):
     ) -> np.ndarray:
         """Concurrent push, one kernel per frontier vertex."""
         changed: set = set()
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             if frontier.shape[0]:
                 self.machine.parallel_for(
                     frontier,
@@ -913,7 +917,7 @@ class SimulatedBackend(ExecutionBackend):
         unvisited = np.nonzero(pi == sentinel)[0].astype(VERTEX_DTYPE)
         counters = {"edges": 0}
         found: list = []
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             if unvisited.shape[0]:
                 self.machine.parallel_for(
                     unvisited,
@@ -1072,29 +1076,28 @@ class DistributedBackend(VectorizedBackend):
     def _flush_comm(self) -> None:
         """Move new CommStats traffic into the run's counters."""
         stats = self.comm.stats
+        metrics = self.tracer.metrics
         if stats.bytes_sent != self._seen_bytes:
-            self.instr.count(
-                "comm_bytes_sent", stats.bytes_sent - self._seen_bytes
+            metrics.counter("comm_bytes_sent").inc(
+                stats.bytes_sent - self._seen_bytes
             )
             self._seen_bytes = stats.bytes_sent
         if stats.messages != self._seen_msgs:
-            self.instr.count("comm_messages", stats.messages - self._seen_msgs)
+            metrics.counter("comm_messages").inc(stats.messages - self._seen_msgs)
             self._seen_msgs = stats.messages
         new_steps = stats.supersteps - self._seen_steps
         if new_steps:
-            self.instr.count("comm_supersteps", new_steps)
-            if self.instr.metrics.enabled:
-                hist = self.instr.metrics.histogram(
-                    "comm_step_bytes", POW2_BUCKETS
-                )
+            metrics.counter("comm_supersteps").inc(new_steps)
+            if metrics.enabled:
+                hist = metrics.histogram("comm_step_bytes", POW2_BUCKETS)
                 for nbytes in stats.step_bytes[self._seen_steps :]:
                     hist.observe(nbytes)
             self._seen_steps = stats.supersteps
         for pair, nbytes in stats.by_pair.items():
             seen = self._seen_pair.get(pair, 0)
             if nbytes != seen:
-                self.instr.count(
-                    f"comm_pair_{pair[0]}_{pair[1]}", nbytes - seen
+                metrics.counter(f"comm_pair_{pair[0]}_{pair[1]}").inc(
+                    nbytes - seen
                 )
                 self._seen_pair[pair] = nbytes
 
@@ -1210,7 +1213,7 @@ class DistributedBackend(VectorizedBackend):
         gather_cost = (self.ranks - 1) * sum(
             self._enc_cost(idx.shape[0], n, item) for _, idx, _ in live
         )
-        with self.instr.timer("X-encode"):
+        with self.tracer.span("X-encode"):
             routed: dict[tuple[int, int], np.ndarray] = {}
             if gather_cost <= owner_cost:
                 published = {
@@ -1229,7 +1232,7 @@ class DistributedBackend(VectorizedBackend):
                     )
                     for root, sel in pub.items()
                 }
-        with self.instr.timer("X-send"):
+        with self.tracer.span("X-send"):
             if routed:
                 self.comm.alltoallv(routed)
             if published:
@@ -1290,7 +1293,7 @@ class DistributedBackend(VectorizedBackend):
         if already_applied:
             changed = np.concatenate([idx for _, idx, _ in live])
         else:
-            with self.instr.timer("X-merge"):
+            with self.tracer.span("X-merge"):
                 n = int(pi.shape[0])
                 live = [
                     (r, *self._dedup_min(idx, val, n)) for r, idx, val in live
@@ -1312,7 +1315,7 @@ class DistributedBackend(VectorizedBackend):
         candidates and the ``changed`` slots π already holds — and
         refresh the shadow; returns ``changed``."""
         if self.ranks > 1:
-            with self.instr.timer("X"):
+            with self.tracer.span("X"):
                 self._ship_deltas(
                     pi, live, changed, already_applied=already_applied
                 )
@@ -1467,7 +1470,7 @@ class DistributedBackend(VectorizedBackend):
         assert self._shadow is not None
         src = np.concatenate([u for u, _ in ups])
         dst = np.concatenate([t for _, t in ups])
-        with self.instr.timer("X-merge"):
+        with self.tracer.span("X-merge"):
             np.minimum(pi, nbr, out=pi)
             np.minimum.at(pi, dst, src)
             changed = np.flatnonzero(pi != self._shadow)
@@ -1487,7 +1490,7 @@ class DistributedBackend(VectorizedBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> int:
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._dist_link_batch(pi, self._batch_shards(src, dst))
 
     def link_neighbor_round(
@@ -1498,7 +1501,7 @@ class DistributedBackend(VectorizedBackend):
         vertices: on an identity π as :meth:`_identity_round`, otherwise
         through the round loop from every rank's cursors."""
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             deg = self.degrees(graph)
             nbr = round_neighbors(graph, deg, r)
             ranks = self._round_ranks(deg, r)
@@ -1518,9 +1521,9 @@ class DistributedBackend(VectorizedBackend):
         phase: str,
     ) -> tuple[int, int, int]:
         self._sync_driver(pi)
-        with self.instr.timer(f"{phase}-gather"):
+        with self.tracer.span(f"{phase}-gather"):
             src, dst = remaining_edges(graph, _kept(pi, largest), start)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             rounds = self._dist_link_batch(
                 pi, self._batch_shards(src, dst)
             )
@@ -1537,7 +1540,9 @@ class DistributedBackend(VectorizedBackend):
         # rank — no traffic; the shadow records the common starting state.
         # ``replica_bytes`` is the O(n·R) memory of the R replicas of π.
         pi = super().init_labels(n, phase=phase, fill=fill)
-        self.instr.count("replica_bytes", self.ranks * pi.nbytes)
+        self.tracer.metrics.counter("replica_bytes").inc(
+            self.ranks * pi.nbytes
+        )
         self._shadow = pi.copy()
         self._vertex_bounds(n)
         return pi
@@ -1570,7 +1575,7 @@ class DistributedBackend(VectorizedBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> bool:
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             deltas = []
             hooked = False
             for src_r, dst_r in self._batch_shards(src, dst):
@@ -1579,8 +1584,8 @@ class DistributedBackend(VectorizedBackend):
                 mask = (cu < cv) & (pi[cv] == cv)
                 if mask.any():
                     hooked = True
-                    if self.instr.metrics.enabled:
-                        self.instr.metrics.histogram(
+                    if self.tracer.metrics.enabled:
+                        self.tracer.metrics.histogram(
                             "hook_distance", POW2_BUCKETS
                         ).observe_many(cv[mask] - cu[mask])
                 deltas.append((cv[mask], cu[mask]))
@@ -1611,7 +1616,7 @@ class DistributedBackend(VectorizedBackend):
     ) -> int:
         self._sync_driver(pi)
         shards = self._graph_shards(graph)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._sweep_exchange(pi, shards)
 
     # -- frontier primitives ---------------------------------------------- #
@@ -1627,7 +1632,7 @@ class DistributedBackend(VectorizedBackend):
         # Frontier membership is derived from replicated label state, so
         # the frontier itself never crosses the wire — only label deltas.
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             offsets, dst, cand = frontier_edges(pi, graph, frontier)
             owner = self._edge_owner(graph)[offsets]
             deltas = []
@@ -1652,7 +1657,7 @@ class DistributedBackend(VectorizedBackend):
         phase: str,
     ) -> tuple[np.ndarray, int, int]:
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             bounds = self._vertex_bounds(int(pi.shape[0]))
             founds = []
             deltas = []

@@ -57,10 +57,8 @@ def _hook_loop(
             # compress — π is still flat, so the trailing compress would
             # be the identity.  (The first iteration still compresses:
             # the loop does not assume the π it is handed is flat.)
-            backend.instr.count("rounds_skipped")
-        backend.instr.beat(
-            phase_label("H", round=iterations), changed=int(changed)
-        )
+            backend.tracer.metrics.counter("rounds_skipped").inc()
+        backend.beat(phase_label("H", round=iterations), changed=int(changed))
         if not changed:
             break
     result.iterations = iterations

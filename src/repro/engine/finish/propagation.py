@@ -36,7 +36,7 @@ def lp_finish(ctx: PlanContext) -> None:
         phase = phase_label("P", round=iterations)
         changed = backend.propagate_pass(pi, graph, phase=phase)
         result.edges_processed += m
-        backend.instr.beat(phase, changed=int(changed))
+        backend.beat(phase, changed=int(changed))
         if not changed:
             break
     result.iterations = iterations

@@ -29,7 +29,7 @@ def settle_finish(ctx: PlanContext) -> None:
     passes = backend.compress(pi, phase=phase_label("C", final=True))
     if passes is not None:
         result.compress_passes.append(passes)
-    backend.instr.beat("H")
+    backend.beat("H")
 
 
 SETTLE = FinishSpec(name="settle", fn=settle_finish)

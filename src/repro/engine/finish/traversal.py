@@ -85,11 +85,13 @@ def bfs_pipeline(graph: CSRGraph, backend: ExecutionBackend) -> CCResult:
             phase = phase_label(
                 "T", round=steps, frontier=int(frontier.shape[0])
             )
-            backend.record_frontier(int(frontier.shape[0]), phase=phase)
+            backend.tracer.metrics.histogram("frontier_size").observe(
+                int(frontier.shape[0])
+            )
             frontier = backend.frontier_expand(
                 pi, graph, frontier, phase=phase
             )
-            backend.instr.beat(phase, frontier=int(frontier.shape[0]))
+            backend.beat(phase, frontier=int(frontier.shape[0]))
         cursor += 1
     # step_edges: edges examined per frontier expansion, in execution
     # order — the per-parallel-phase work profile used by the scaling
@@ -165,16 +167,16 @@ def dobfs_pipeline(
                     phase = phase_label(
                         "B", round=bu_steps, frontier=int(awake)
                     )
-                    backend.record_frontier(int(awake), phase=phase)
+                    backend.tracer.metrics.histogram(
+                        "frontier_size"
+                    ).observe(int(awake))
                     frontier, modeled, gathered = backend.bottom_up_pass(
                         pi, graph, in_frontier, label, sentinel, phase=phase
                     )
                     edges_modeled += modeled
                     edges_gathered += gathered
                     step_edges.append(modeled)
-                    backend.instr.beat(
-                        phase, frontier=int(frontier.shape[0])
-                    )
+                    backend.beat(phase, frontier=int(frontier.shape[0]))
                     prev_awake, awake = awake, frontier.shape[0]
                     if awake == 0 or (
                         awake < prev_awake and awake <= n / beta
@@ -195,15 +197,13 @@ def dobfs_pipeline(
                     phase = phase_label(
                         "T", round=td_steps, frontier=int(frontier.shape[0])
                     )
-                    backend.record_frontier(
-                        int(frontier.shape[0]), phase=phase
-                    )
+                    backend.tracer.metrics.histogram(
+                        "frontier_size"
+                    ).observe(int(frontier.shape[0]))
                     frontier = backend.frontier_expand(
                         pi, graph, frontier, phase=phase
                     )
-                    backend.instr.beat(
-                        phase, frontier=int(frontier.shape[0])
-                    )
+                    backend.beat(phase, frontier=int(frontier.shape[0]))
         cursor += 1
     # step_edges: modeled edges examined per step, in execution order
     # (Fig. 8b input).

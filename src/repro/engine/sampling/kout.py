@@ -75,7 +75,7 @@ def kout_sampling(
         passes = backend.compress(pi, phase=phase_label("C", round=r))
         if passes is not None:
             result.compress_passes.append(passes)
-        backend.instr.beat(link_phase)
+        backend.beat(link_phase)
     result.neighbor_rounds = neighbor_rounds
     # Random sampling cannot mark which slots were consumed, so the settle
     # finish starts from slot 0 (reprocessing); first-k resumes after the

@@ -12,15 +12,12 @@ from:
   neighbours per vertex;
 - **npz binary**: the CSR arrays verbatim, the fastest round-trip.
 
-The edge-list and npz paths additionally support **chunked / out-of-core
+The edge-list path additionally supports **chunked / out-of-core
 loading** for datasets too large to stage as a whole COO edge list
 (2^24-vertex synthetics and beyond): ``read_edge_list(path,
 chunk_edges=...)`` streams fixed-size edge blocks through the two-pass
 :func:`build_csr_streaming` assembly (degree count, then one sort of the
-edge keys — the peak footprint is the key array plus one block), and
-``save_npz(graph, path, chunk_edges=...)`` splits ``indices`` into
-bounded archive members that :func:`load_npz` streams back into a
-preallocated array one member at a time.
+edge keys — the peak footprint is the key array plus one block).
 """
 
 from __future__ import annotations
@@ -661,50 +658,27 @@ def write_metis(graph: CSRGraph, path: str | os.PathLike) -> None:
 # --------------------------------------------------------------------- #
 
 
-def save_npz(
-    graph: CSRGraph,
-    path: str | os.PathLike,
-    *,
-    chunk_edges: int | None = None,
-) -> None:
-    """Save the CSR arrays to a compressed ``.npz`` file.
-
-    With ``chunk_edges`` the ``indices`` array is split into archive
-    members ``indices_00000``, ``indices_00001``, ... of at most that many
-    entries, so :func:`load_npz` can decompress one bounded member at a
-    time instead of inflating the whole adjacency in one shot.
-    """
-    if chunk_edges is None:
-        np.savez_compressed(
-            Path(path), indptr=graph.indptr, indices=graph.indices
-        )
-        return
-    if chunk_edges < 1:
-        raise GraphFormatError(
-            f"chunk_edges must be >= 1, got {chunk_edges}"
-        )
-    members = {
-        f"indices_{i:05d}": graph.indices[lo : lo + chunk_edges]
-        for i, lo in enumerate(
-            range(0, max(graph.indices.shape[0], 1), chunk_edges)
-        )
-    }
-    np.savez_compressed(Path(path), indptr=graph.indptr, **members)
+def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
+    """Save the CSR arrays to a compressed ``.npz`` file."""
+    np.savez_compressed(Path(path), indptr=graph.indptr, indices=graph.indices)
 
 
 def load_npz(path: str | os.PathLike) -> CSRGraph:
     """Load a graph previously saved with :func:`save_npz`.
 
-    Detects both layouts: a monolithic ``indices`` array, or the chunked
-    ``indices_NNNNN`` members, which are streamed sequentially into a
-    preallocated array (peak extra memory: one decompressed chunk).  A
-    file that is not a readable archive of such members (truncated,
-    corrupt, or a member ``np.load`` rejects) raises
-    :class:`~repro.errors.GraphFormatError`.
+    A file that is not a readable archive of the ``indptr`` and
+    ``indices`` arrays (truncated, corrupt, missing an array, or a member
+    ``np.load`` rejects) raises :class:`~repro.errors.GraphFormatError`.
     """
     try:
         with np.load(Path(path)) as data:
-            return _npz_graph(data)
+            if "indptr" not in data or "indices" not in data:
+                raise GraphFormatError(
+                    "npz file missing 'indptr'/'indices' arrays"
+                )
+            return CSRGraph(
+                _npz_member(data, "indptr"), _npz_member(data, "indices")
+            )
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise GraphFormatError(f"unreadable npz archive: {exc}") from exc
 
@@ -718,49 +692,6 @@ def _npz_member(data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
             f"unreadable npz archive: member {name!r} is not an .npy array"
         )
     return member
-
-
-def _npz_graph(data: np.lib.npyio.NpzFile) -> CSRGraph:
-    """The CSR graph stored in an open :func:`save_npz` archive."""
-    if "indptr" not in data:
-        raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
-    if "indices" in data:
-        return CSRGraph(
-            _npz_member(data, "indptr"), _npz_member(data, "indices")
-        )
-    chunk_names = sorted(
-        name for name in data.files if name.startswith("indices_")
-    )
-    if not chunk_names:
-        raise GraphFormatError("npz file missing 'indptr'/'indices' arrays")
-    expected = [f"indices_{i:05d}" for i in range(len(chunk_names))]
-    if chunk_names != expected:
-        raise GraphFormatError(
-            "chunked npz has non-contiguous indices members: "
-            f"{chunk_names}"
-        )
-    indptr = np.ascontiguousarray(
-        _npz_member(data, "indptr"), dtype=VERTEX_DTYPE
-    )
-    if indptr.ndim != 1 or indptr.shape[0] < 1:
-        raise GraphFormatError("npz indptr must be a 1-D array")
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=VERTEX_DTYPE)
-    cursor = 0
-    for name in chunk_names:
-        chunk = _npz_member(data, name)
-        end = cursor + chunk.shape[0]
-        if end > total:
-            raise GraphFormatError(
-                f"chunked npz indices overflow indptr[-1]={total}"
-            )
-        indices[cursor:end] = chunk
-        cursor = end
-    if cursor != total:
-        raise GraphFormatError(
-            f"chunked npz indices truncated: got {cursor} of {total}"
-        )
-    return CSRGraph(indptr, indices)
 
 
 # --------------------------------------------------------------------- #

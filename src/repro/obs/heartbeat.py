@@ -2,7 +2,7 @@
 
 Traces answer questions *after* a run; the heartbeat answers "is it
 making progress?" *during* one.  Pipelines call
-``instr.beat(phase, changed=..., frontier=...)`` once per round; the
+``backend.beat(phase, changed=..., frontier=...)`` once per round; the
 :class:`HeartbeatMonitor` timestamps the round, estimates time to
 completion from the round trend, and hands a :class:`HeartbeatEvent`
 to a pluggable sink (any callable, or a list to append to).

@@ -1,12 +1,11 @@
 """Structured span tracing: the engine's recording substrate.
 
 A :class:`Tracer` records a tree of :class:`Span` objects — nested,
-attributed, timestamped intervals — for one engine run.  Backends open a
-span per pipeline phase (through the
-:class:`~repro.engine.instrumentation.Instrumentation` shim), and
-:meth:`Tracer.finish` freezes everything into an immutable :class:`Trace`
-that exporters (:mod:`repro.obs.export`) and the ASCII renderer
-(:mod:`repro.obs.render`) consume.
+attributed, timestamped intervals — for one engine run.  Backends hold
+the run's tracer as ``backend.tracer`` and open a span per pipeline
+phase on it, and :meth:`Tracer.finish` freezes everything into an
+immutable :class:`Trace` that exporters (:mod:`repro.obs.export`) and
+the ASCII renderer (:mod:`repro.obs.render`) consume.
 
 Phase identity is structured: a :class:`PhaseLabel` is a ``str`` subclass
 that carries the phase's *base name* and attributes (``round``, ``final``)
@@ -339,17 +338,18 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def phase_seconds(self) -> dict[str, float]:
-        """Live flat label -> seconds view over the spans closed so far."""
-        return Trace(self._roots).phase_seconds()
-
     def finish(self, **meta: Any) -> Trace:
-        """Freeze into a :class:`Trace` (closing any still-open spans)."""
+        """Freeze into a :class:`Trace` (closing any still-open spans).
+
+        The trace keeps its own copy of the root list, so spans opened
+        later (a caller-owned tracer reused for another run) never
+        reach it.
+        """
         now = time.perf_counter()
         while self._stack:
             self._stack.pop().t1 = now
         return Trace(
-            self._roots,
+            list(self._roots),
             counters=self.metrics.counters_snapshot(),
             gauges=self.metrics.gauges_snapshot(),
             histograms=self.metrics.histogram_summaries(),

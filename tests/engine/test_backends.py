@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engine
 from repro.analysis import equivalent_labelings
@@ -13,6 +15,8 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 from repro.generators import barabasi_albert_graph, road_network_graph
+from repro.graph.builder import build_csr
+from repro.graph.coo import EdgeList
 from repro.graph.csr import CSRGraph
 from repro.obs import Tracer
 from repro.parallel.machine import SimulatedMachine
@@ -140,7 +144,7 @@ class TestProfiling:
     def test_backend_left_disabled_after_profiled_run(self, mixed_graph):
         backend = VectorizedBackend()
         engine.run("afforest", mixed_graph, backend=backend, profile=True)
-        assert not backend.instr.enabled
+        assert not backend.tracer.enabled
         second = engine.run("afforest", mixed_graph, backend=backend)
         assert second.phase_seconds == {}
 
@@ -279,3 +283,35 @@ class TestAfforestBookkeeping:
         )
         assert expected > 0
         assert result.edges_skipped == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    core=st.integers(0, 40),
+    tail=st.integers(0, 4),
+    per_vertex=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    sort=st.booleans(),
+)
+def test_round_neighbors_matches_definition(data, core, tail, per_vertex, seed, sort):
+    """``round_neighbors(graph, deg, r)[v]`` is ``N(v)[r]``, or ``v`` where
+    ``deg[v] <= r``: on empty graphs, graphs ending in ``tail`` isolated
+    vertices (their slots lie past the last edge), self-loops, and ``r``
+    up to one past the largest degree."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, max(core, 1), size=(2, core * per_vertex))
+    graph = build_csr(
+        EdgeList(core + tail, src, dst),
+        drop_self_loops=False,
+        sort_neighbors=sort,
+    )
+    deg = np.asarray(graph.degree())
+    r = data.draw(st.integers(0, int(deg.max(initial=0)) + 1))
+    got = backends.round_neighbors(graph, deg, r)
+    want = [
+        graph.neighbors(v)[r] if deg[v] > r else v
+        for v in range(graph.num_vertices)
+    ]
+    assert got.dtype == graph.indices.dtype
+    assert got.tolist() == want

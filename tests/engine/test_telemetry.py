@@ -12,9 +12,19 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import DistributedBackend
+from repro.analysis import equivalent_labelings
+from repro.engine import DistributedBackend, VectorizedBackend
 from repro.generators.powerlaw import barabasi_albert_graph
-from repro.obs import load_trace, render_trace, write_trace
+from repro.obs import (
+    Counter,
+    Gauge,
+    HeartbeatEvent,
+    Histogram,
+    Span,
+    load_trace,
+    render_trace,
+    write_trace,
+)
 
 
 def canon(labels):
@@ -65,6 +75,18 @@ class TestProfiledRun:
         assert result.trace is not None
         assert result.phase_seconds
 
+    def test_reused_tracer_leaves_earlier_trace_alone(self):
+        from repro.generators import kronecker_graph
+        from repro.obs import Tracer
+
+        tracer = Tracer(True)
+        graph = kronecker_graph(scale=9, seed=0)
+        first = engine.run("afforest", graph, trace=tracer)
+        spans = first.trace.num_spans()
+        assert spans > 1
+        engine.run("afforest", graph, trace=tracer)
+        assert first.trace.num_spans() == spans
+
 
 class TestUntracedRun:
     """Satellite: disabled telemetry leaves no residue and changes nothing."""
@@ -97,6 +119,96 @@ class TestDistributedTelemetry:
         result = engine.run("afforest", mixed_graph, backend=backend)
         assert result.trace is None
         assert result.phase_seconds == {}
+
+
+class TestReusedBackend:
+    """A backend reused across runs carries nothing from an earlier run,
+    whether that run finished or raised mid-phase.  The plain run is
+    ``run_plan`` on the backend as ``engine.run`` left it: ``engine.run``
+    itself hands the backend a fresh tracer and heartbeat first."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [VectorizedBackend, lambda: DistributedBackend(ranks=2)],
+        ids=["vectorized", "distributed"],
+    )
+    def test_plain_run_records_nowhere(self, mixed_graph, monkeypatch, make):
+        from repro.obs import Tracer
+
+        backend = make()
+        profiled = []
+        engine.run(
+            "afforest", mixed_graph, backend=backend, profile=True,
+            heartbeat=profiled,
+        )
+        assert profiled
+
+        compress = backend.compress
+        raised = []
+
+        def compress_failing_once(pi, *, phase):
+            if phase == "C1" and not raised:
+                raised.append(phase)
+                raise RuntimeError("compress failed")
+            return compress(pi, phase=phase)
+
+        monkeypatch.setattr(backend, "compress", compress_failing_once)
+        failed = []
+        tracer = Tracer(True)
+        with pytest.raises(RuntimeError, match="compress failed"):
+            engine.run(
+                "afforest", mixed_graph, backend=backend, trace=tracer,
+                heartbeat=failed,
+            )
+        assert [e.phase for e in failed] == ["L0"]
+
+        def recorded():
+            return (
+                len(profiled),
+                len(failed),
+                tracer.finish().num_spans(),
+                tracer.metrics.counters_snapshot(),
+            )
+
+        before = recorded()
+        plain = engine.run_plan("afforest", mixed_graph, backend)
+        assert recorded() == before
+        assert plain.trace is None
+        assert plain.phase_seconds == {}
+        ref = engine.run("sequential", mixed_graph)
+        assert equivalent_labelings(plain.labels, ref.labels)
+
+
+class TestDisabledTelemetry:
+    """An unprofiled run without a heartbeat costs nothing: it builds no
+    span, counter, gauge, histogram or heartbeat event on any backend."""
+
+    TELEMETRY = (Span, Counter, Gauge, Histogram, HeartbeatEvent)
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        made = []
+        for cls in self.TELEMETRY:
+
+            def spy(obj, *args, _init=cls.__init__, **kwargs):
+                made.append(type(obj).__name__)
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        return made
+
+    @pytest.mark.parametrize("kind", ["vectorized", "simulated", "distributed"])
+    def test_unprofiled_run_constructs_nothing(self, mixed_graph, constructed, kind):
+        for name in engine.available_algorithms():
+            if engine.supports_backend(name, kind):
+                engine.run(name, mixed_graph, backend=kind, workers=2, ranks=2)
+        assert constructed == []
+        # The spies see what a profiled run with a heartbeat builds.
+        engine.run(
+            "sv", mixed_graph, backend=kind, workers=2, ranks=2,
+            profile=True, heartbeat=[],
+        )
+        assert {"Span", "Counter", "Gauge", "HeartbeatEvent"} <= set(constructed)
 
 
 class TestChromeExportAcceptance:

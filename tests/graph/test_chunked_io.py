@@ -11,9 +11,7 @@ from repro.graph.builder import from_edge_array
 from repro.graph.io import (
     build_csr_streaming,
     iter_edge_list_chunks,
-    load_npz,
     read_edge_list,
-    save_npz,
     write_edge_list,
 )
 
@@ -151,65 +149,3 @@ class TestChunkedEdgeList:
     def test_rejects_non_positive_chunk(self):
         with pytest.raises(GraphFormatError, match="chunk_edges"):
             read_edge_list(io.StringIO("0 1\n"), chunk_edges=0)
-
-
-class TestChunkedNpz:
-    @pytest.mark.parametrize("chunk", [1, 4, 1_000_000])
-    def test_roundtrip_matches_whole(self, tmp_path, mixed_graph, chunk):
-        whole = tmp_path / "whole.npz"
-        chunked = tmp_path / "chunked.npz"
-        save_npz(mixed_graph, whole)
-        save_npz(mixed_graph, chunked, chunk_edges=chunk)
-        assert load_npz(chunked) == load_npz(whole) == mixed_graph
-
-    def test_chunked_layout_written(self, tmp_path, two_cliques):
-        path = tmp_path / "g.npz"
-        save_npz(two_cliques, path, chunk_edges=4)
-        with np.load(path) as data:
-            names = set(data.files)
-        assert "indices" not in names
-        assert "indices_00000" in names
-        assert len(names) - 1 == -(-two_cliques.indices.shape[0] // 4)
-
-    def test_missing_chunk_rejected(self, tmp_path):
-        indptr = np.array([0, 2, 4], dtype=VERTEX_DTYPE)
-        np.savez(
-            tmp_path / "bad.npz",
-            indptr=indptr,
-            indices_00000=np.array([1, 1], dtype=VERTEX_DTYPE),
-            indices_00002=np.array([0, 0], dtype=VERTEX_DTYPE),
-        )
-        with pytest.raises(GraphFormatError, match="non-contiguous"):
-            load_npz(tmp_path / "bad.npz")
-
-    def test_truncated_chunks_rejected(self, tmp_path):
-        indptr = np.array([0, 2, 4], dtype=VERTEX_DTYPE)
-        np.savez(
-            tmp_path / "short.npz",
-            indptr=indptr,
-            indices_00000=np.array([1, 1], dtype=VERTEX_DTYPE),
-        )
-        with pytest.raises(GraphFormatError, match="truncated"):
-            load_npz(tmp_path / "short.npz")
-
-    def test_oversized_chunks_rejected(self, tmp_path):
-        indptr = np.array([0, 1, 2], dtype=VERTEX_DTYPE)
-        np.savez(
-            tmp_path / "long.npz",
-            indptr=indptr,
-            indices_00000=np.array([1, 0, 0], dtype=VERTEX_DTYPE),
-        )
-        with pytest.raises(GraphFormatError, match="overflow"):
-            load_npz(tmp_path / "long.npz")
-
-    def test_rejects_non_positive_chunk(self, tmp_path, two_cliques):
-        with pytest.raises(GraphFormatError, match="chunk_edges"):
-            save_npz(two_cliques, tmp_path / "g.npz", chunk_edges=0)
-
-    def test_empty_graph_chunked(self, tmp_path):
-        g = from_edge_array(
-            np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=VERTEX_DTYPE)
-        )
-        path = tmp_path / "empty.npz"
-        save_npz(g, path, chunk_edges=8)
-        assert load_npz(path) == g

@@ -107,6 +107,16 @@ class TestTracer:
         assert trace.meta == {"algorithm": "afforest", "backend": "process"}
         assert trace.counters == {"hits": 3}
 
+    def test_finished_trace_does_not_grow(self):
+        tracer = Tracer(True)
+        with tracer.span("total"):
+            pass
+        trace = tracer.finish()
+        with tracer.span("later"):
+            pass
+        tracer.add_span("added", 0.0, 1.0)
+        assert [s.label for s, _ in trace.walk()] == ["total"]
+
     def test_span_durations_are_wall_time(self):
         tracer = Tracer(True)
         with tracer.span("total"):

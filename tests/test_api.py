@@ -75,7 +75,8 @@ def test_quickstart_docstring_flow():
 def test_removed_surface_rejected(mixed_graph, capsys):
     """``engine.run`` is the one way in: the per-algorithm shims, the
     modules nothing reached, SV's ``shortcut`` knob, the FastSV and
-    data-driven LP finishes and ``<sampling>+<finish>`` names are gone."""
+    data-driven LP finishes, ``<sampling>+<finish>`` names and the
+    engine's ``Instrumentation`` shim are gone."""
     for module in (
         "repro.baselines",
         "repro.core.afforest",
@@ -83,9 +84,16 @@ def test_removed_surface_rejected(mixed_graph, capsys):
         "repro.parallel.atomics",
         "repro.graph.subgraph",
         "repro.analysis.efficiency",
+        "repro.engine.instrumentation",
     ):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+    assert "Instrumentation" not in repro.engine.__all__
+    for kind in repro.engine.backend_kinds():
+        backend = repro.engine.make_backend(kind, workers=2, ranks=2)
+        for name in ("instr", "bind", "record_frontier"):
+            assert not hasattr(backend, name)
+    assert not hasattr(repro.obs.Tracer, "phase_seconds")
     removed = {
         "afforest",
         "AfforestResult",
