@@ -15,7 +15,7 @@ from repro import engine
 from repro.bench.report import format_table
 from repro.bench.runner import median_time
 from repro.engine import VectorizedBackend
-from repro.engine.finish import sv_pipeline_edges
+from repro.engine.hooking import sv_pipeline_edges
 from repro.generators.datasets import GPU_SUITE
 
 from conftest import bench_size, register_report

@@ -1,7 +1,7 @@
 """Distributed-memory connected components (the paper's future work).
 
 Demonstrates the engine's distributed substrate: edges are sharded
-across simulated ranks and every plan runs as BSP supersteps that
+across simulated ranks and every algorithm runs as BSP supersteps that
 exchange only changed-label deltas (index+value pairs, switching to
 bitmap or dense encodings as density grows — see docs/distributed.md).
 The backend counts supersteps and meters every byte per rank pair, so

@@ -80,7 +80,7 @@ def serving_layer() -> None:
     graph = uniform_random_graph(20_000, num_edges=30_000, seed=6)
     n = graph.num_vertices
 
-    # The service solves the base graph once (any plan/backend), then
+    # The service solves the base graph once (any algorithm/backend), then
     # keeps a compressed label array + size census hot; readers always
     # see a complete epoch snapshot, never a half-updated structure.
     service = ConnectivityService(

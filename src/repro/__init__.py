@@ -79,8 +79,8 @@ def connected_components(
 
     Every algorithm returns an equivalent labeling (same partition of the
     vertex set); label *values* differ by algorithm.  Names come from the
-    plan table (``repro.engine.available_algorithms()`` lists them, with
-    ``sequential``); unknown names raise
+    name table (``repro.engine.available_algorithms()`` lists them);
+    unknown names raise
     :class:`~repro.errors.ConfigurationError`.  Keyword arguments
     override the parameters a name fixes; for the full result
     record (counters, phase times, provenance) call

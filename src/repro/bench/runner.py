@@ -109,9 +109,6 @@ def run_algorithm(
     med, p25, p75, samples = median_time(_sample, repeats=repeats)
     first = results[0]
     extra: dict = {"num_components": first.num_components}
-    if first.plan:
-        # Plan provenance: which sampling + finish pair actually ran.
-        extra["plan"] = first.plan
     if first.edges_touched:
         extra["edges_touched"] = first.edges_touched
         extra["edges_skipped"] = first.edges_skipped

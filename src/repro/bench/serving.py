@@ -187,7 +187,6 @@ def drive_session(
         "dataset": dataset,
         "algorithm": algorithm,
         "backend": service.backend_kind,
-        "plan": service.plan,
         "requests": submitted,
         "median_seconds": float(p50),
         "p50_ms": float(p50 * 1e3),

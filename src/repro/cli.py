@@ -7,8 +7,9 @@ Commands
 ``info``      print Table III-style statistics for a graph
 ``solve``     compute connected components and optionally save the labels
 ``compare``   run several algorithms on one graph and print a timing table
-``plans``     list the algorithm names and their plans (``--check`` runs
-              each on every backend against the scipy oracle)
+``plans``     list the algorithm names and their fixed parameters
+              (``--check`` runs each on every backend against the scipy
+              oracle)
 ``convert``   translate between the supported graph file formats
 ``serve``     stand up the connectivity serving layer on one graph and
               drive a mixed query/update stream through it (throughput,
@@ -19,8 +20,8 @@ Commands
               ``diff`` attributes a slowdown between two runs, reports,
               or ledgers, and ``watch`` streams live per-round progress
 
-Algorithm arguments accept the names in the plan table (``afforest``,
-``sv``, …; :data:`repro.engine.plan.CANONICAL_PLANS`) and ``sequential``.
+Algorithm arguments accept the names in the name table (``afforest``,
+``sv``, …, ``sequential``; :data:`repro.engine.ALGORITHMS`).
 
 ``solve`` and ``compare`` accept ``--trace-out PATH`` (with
 ``--trace-format {jsonl,chrome}``) to export the telemetry trace of the
@@ -47,13 +48,13 @@ import numpy as np
 import repro
 from repro.constants import LABEL_DTYPE_POLICIES
 from repro.engine import (
-    CANONICAL_PLANS,
+    ALGORITHMS,
+    SEQUENTIAL,
     available_algorithms,
     backend_kinds,
     make_backend,
     supports_backend,
 )
-from repro.engine.plan import SEQUENTIAL
 from repro.errors import ConfigurationError, ReproError
 from repro.generators.datasets import DATASETS, SIZE_TIERS, load_dataset
 from repro.graph.csr import CSRGraph
@@ -162,16 +163,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_plans(args: argparse.Namespace) -> int:
     if args.check:
         return _check_plans(args)
-    print(f"{'algorithm':<16} {'plan':<12} fixed parameters")
-    for name, plan in CANONICAL_PLANS.items():
-        fixed = ", ".join(f"{k}={v}" for k, v in plan.params.items())
-        print(f"{name:<16} {plan.name:<12} {fixed or '-'}")
-    print(f"{SEQUENTIAL:<16} {'-':<12} union-find reference, vectorized only")
+    print(f"{'algorithm':<16} fixed parameters")
+    for name, algorithm in ALGORITHMS.items():
+        if name == SEQUENTIAL:
+            fixed = "union-find reference, vectorized only"
+        else:
+            fixed = ", ".join(f"{k}={v}" for k, v in algorithm.params.items())
+        print(f"{name:<16} {fixed or '-'}")
     return 0
 
 
 def _plan_check_graph() -> CSRGraph:
-    """The plan check's input: ``component_fraction_graph(150, 0.3,
+    """The name check's input: ``component_fraction_graph(150, 0.3,
     seed=3)``, whose every vertex has degree >= 9, plus disjoint parts
     whose vertices lack slot r for small r: three isolated vertices, a
     four-vertex path, and a vertex with a self-loop and one pendant
@@ -194,13 +197,13 @@ def _plan_check_graph() -> CSRGraph:
 
 
 def _check_plans(args: argparse.Namespace) -> int:
-    """Validate that every name in the plan table runs on every backend.
+    """Validate that every parallel algorithm runs on every backend.
 
-    Runs each name on a small multi-component graph
-    (:func:`_plan_check_graph`) per backend kind and compares the
-    labels against the scipy oracle's
-    component-minimum labeling; exits non-zero on any mismatch (the CI
-    gate behind ``repro plans --check``).
+    Runs each name but ``sequential``, the reference, on a small
+    multi-component graph (:func:`_plan_check_graph`) per backend kind
+    and compares the labels against the scipy oracle's component-minimum
+    labeling; exits non-zero on any mismatch (the CI gate behind
+    ``repro plans --check``).
     """
     from repro.graph.properties import scipy_components
 
@@ -222,7 +225,9 @@ def _check_plans(args: argparse.Namespace) -> int:
             kind, workers=args.workers, ranks=getattr(args, "ranks", None)
         )
         try:
-            for name in CANONICAL_PLANS:
+            for name in ALGORITHMS:
+                if name == SEQUENTIAL:
+                    continue
                 checked += 1
                 try:
                     result = repro.engine.run(name, graph, backend=backend)
@@ -403,7 +408,7 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
         sys.stdout.write(render_prometheus(rec))
         return 0
     print(f"run:        {rec.run_id}  ({rec.kind})")
-    print(f"algorithm:  {rec.algorithm or '-'}  plan={rec.plan or '-'}")
+    print(f"algorithm:  {rec.algorithm or '-'}")
     workers = "" if rec.workers is None else f", workers={rec.workers}"
     print(f"backend:    {rec.backend or '-'}{workers}")
     if rec.graph:
@@ -469,7 +474,7 @@ def _obs_source(
                 )
                 key = (
                     str(dataset),
-                    rec.algorithm or rec.plan or "?",
+                    rec.algorithm or "?",
                     rec.backend or "?",
                 )
                 matrix[key] = rec
@@ -580,10 +585,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ledger=args.ledger,
     )
     counters = record["counters"]
-    plan = f" (plan {record['plan']})" if record.get("plan") else ""
     print(
-        f"served {args.graph}: {record['algorithm']} on "
-        f"{record['backend']}{plan}"
+        f"served {args.graph}: {record['algorithm']} on {record['backend']}"
     )
     print(
         f"  requests    {record['requests']} "
@@ -728,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plans",
-        help="list the algorithm names and their plans "
+        help="list the algorithm names and their fixed parameters "
         "(--check validates every name on every backend)",
     )
     p.add_argument(

@@ -21,14 +21,15 @@ hook-and-shortcut — that admit three execution substrates:
   :func:`round_neighbors` gather and run ``link_out``'s identity round
   rank by rank, each rank over its own window of vertices.
 
-Each sampling and finish phase (:mod:`repro.engine.sampling`,
-:mod:`repro.engine.finish`) is written *once* against
-:class:`ExecutionBackend`; choosing the substrate is a constructor
-argument, not a separate code path.  Backend methods record on the
-run's :class:`~repro.obs.trace.Tracer` (``backend.tracer``): a span per
-phase and counters, gauges and histograms in its ``metrics``, so
-profiled runs get a per-phase wall-time breakdown on any substrate.
-Pipelines report each finished round through :meth:`ExecutionBackend.beat`.
+Each algorithm (:mod:`repro.engine.afforest`, :mod:`repro.engine.hooking`,
+:mod:`repro.engine.propagation`, :mod:`repro.engine.traversal`) is
+written *once* against :class:`ExecutionBackend`; choosing the substrate
+is a constructor argument, not a separate code path.  Backend methods
+record on the run's :class:`~repro.obs.trace.Tracer` (``backend.tracer``):
+a span per phase and counters, gauges and histograms in its ``metrics``,
+so profiled runs get a per-phase wall-time breakdown on any substrate.
+Algorithms report each finished round through
+:meth:`ExecutionBackend.beat`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.constants import (
 from repro.core.compress import COMPRESS_BLOCK, compress_all, compress_kernel
 from repro.core.link import is_identity, link_batch, link_kernel, link_out
 from repro.core.sampling import approximate_largest_label
-from repro.distributed import partition as _dpart
 from repro.distributed.comm import SimulatedComm
 from repro.engine import partition as _part
 from repro.engine.bufferpool import BufferPool
@@ -1015,7 +1015,7 @@ class DistributedBackend(VectorizedBackend):
     def _vertex_bounds(self, n: int) -> np.ndarray:
         if self._bounds_n != n:
             self._bounds_n = n
-            self._bounds = _dpart.block_bounds(n, self.ranks)
+            self._bounds = _part.block_bounds(n, self.ranks)
         assert self._bounds is not None
         return self._bounds
 
@@ -1026,7 +1026,7 @@ class DistributedBackend(VectorizedBackend):
             m = int(src.shape[0])
             owner = np.empty(m, dtype=np.int64)
             if self.partition == "hash":
-                owner[:] = _dpart.hash_owners(m, self.ranks)
+                owner[:] = _part.hash_owners(m, self.ranks)
                 shards = [
                     (src[owner == r], dst[owner == r])
                     for r in range(self.ranks)
@@ -1062,14 +1062,12 @@ class DistributedBackend(VectorizedBackend):
         position, mirroring the configured partition mode."""
         m = int(src.shape[0])
         if self.partition == "hash":
-            owner = _dpart.hash_owners(m, self.ranks)
+            owner = _part.hash_owners(m, self.ranks)
             return [
                 (src[owner == r], dst[owner == r]) for r in range(self.ranks)
             ]
-        return [
-            (src[lo:hi], dst[lo:hi])
-            for lo, hi in _part.partition_ranges(m, self.ranks)
-        ]
+        cuts = _part.block_bounds(m, self.ranks).tolist()
+        return [(src[lo:hi], dst[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     # -- replica consistency / traffic accounting ------------------------ #
 
@@ -1398,7 +1396,7 @@ class DistributedBackend(VectorizedBackend):
         or None when no vertex has slot ``r``.
 
         ``block`` cuts a contiguous window per rank.  Its cut points are
-        the even ``partition_ranges`` positions among the vertices of
+        the even ``block_bounds`` positions among the vertices of
         degree > r, mapped to vertex ids by counting the degree ≤ r
         vertices before each: ``short[i]`` precedes the p-th one exactly
         when ``short[i] - i <= p``.  A window may hold degree ≤ r
@@ -1411,9 +1409,9 @@ class DistributedBackend(VectorizedBackend):
             return None
         if self.partition == "hash":
             verts = np.flatnonzero(deg > r)
-            owner = _dpart.hash_owners(m, self.ranks)
+            owner = _part.hash_owners(m, self.ranks)
             return [verts[owner == k] for k in range(self.ranks)]
-        pos = np.array([lo for lo, _ in _part.partition_ranges(m, self.ranks)] + [m])
+        pos = _part.block_bounds(m, self.ranks)
         shift = short - np.arange(short.shape[0])
         cuts = pos + np.searchsorted(shift, pos, side="right")
         cuts[0] = 0

@@ -50,9 +50,6 @@ class CCResult:
     labels: np.ndarray
     #: algorithm name the run was asked for.
     algorithm: str = ""
-    #: plan name ("<sampling>+<finish>") when the run went through the
-    #: plan layer.
-    plan: str = ""
     #: ``kind`` of the execution backend ("vectorized" / "simulated").
     backend: str = ""
     #: resolved parameters the run used (fixed parameters + overrides).

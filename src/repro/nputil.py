@@ -7,7 +7,7 @@ data-driven label propagation; plus the sort-based distinct-value pass
 that stands in for a flag-less ``np.unique``, the min-union of two
 sorted delta sets, the vertex-id dtype check
 that serving runs at request submission and before its ``int64`` cast,
-and the integer check that plans and generators run on their count and
+and the integer check that algorithms and generators run on their count and
 size parameters.
 """
 
@@ -33,7 +33,7 @@ def require_int(name: str, value, minimum: int) -> None:
     """Raise :class:`~repro.errors.ConfigurationError` unless ``value`` is
     an integer (Python or NumPy, not ``bool``) of at least ``minimum``.
 
-    Plans check their count parameters and generators their sizes with it
+    Algorithms check their count parameters and generators their sizes with it
     before any work starts, so a float, string or ``None`` fails by name
     instead of deep in a phase or an array constructor.
     """

@@ -8,8 +8,8 @@ completion from the round trend, and hands a :class:`HeartbeatEvent`
 to a pluggable sink (any callable, or a list to append to).
 
 Guarantees the serving layer can build on: ``round`` increases
-monotonically across a monitor's lifetime (even when a plan's finish
-restarts the sampling phase's round numbering), and ``eta_seconds`` is finite
+monotonically across a monitor's lifetime (even when an algorithm's
+phases each number their own rounds), and ``eta_seconds`` is finite
 from the third round onward — the estimator falls back to
 "as many rounds again" when the convergence signal is not decaying.
 

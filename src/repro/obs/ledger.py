@@ -3,7 +3,7 @@
 Counters and spans evaporate when the process exits; the ledger is the
 piece that makes them durable.  Every recorded ``engine.run`` or
 serving session appends one self-contained :class:`RunRecord` — a
-JSON line carrying plan provenance, the backend and worker count, a
+JSON line carrying the algorithm name, the backend and worker count, a
 graph fingerprint, per-phase wall seconds from the trace, every
 counter/gauge/histogram snapshot, the label dtype the run actually
 used, and an environment snapshot — to a JSONL file (default
@@ -119,14 +119,13 @@ class RunRecord:
     ``kind`` distinguishes the writer (``"engine.run"`` vs ``"serve"``);
     ``seconds`` is the run's wall time as measured by the writer (for
     serve records, the whole session); ``meta`` is free-form writer
-    context (dataset name, plan params).
+    context (dataset name, algorithm params).
     """
 
     run_id: str = ""
     timestamp: float = 0.0
     kind: str = "engine.run"
     algorithm: str = ""
-    plan: str = ""
     backend: str = ""
     workers: int | None = None
     graph: dict[str, Any] = field(default_factory=dict)
@@ -143,7 +142,7 @@ class RunRecord:
     def label(self) -> str:
         """Short human identity: ``algorithm/dataset/backend``."""
         dataset = self.meta.get("dataset") or self.graph.get("digest") or "?"
-        parts = [self.algorithm or self.plan or "?", str(dataset)]
+        parts = [self.algorithm or "?", str(dataset)]
         if self.backend:
             parts.append(self.backend)
         return "/".join(parts)
@@ -155,7 +154,6 @@ class RunRecord:
             "timestamp": self.timestamp,
             "kind": self.kind,
             "algorithm": self.algorithm,
-            "plan": self.plan,
             "backend": self.backend,
             "workers": self.workers,
             "graph": self.graph,
@@ -179,7 +177,6 @@ class RunRecord:
             "run_id",
             "kind",
             "algorithm",
-            "plan",
             "backend",
         ):
             value = data.get(key)
@@ -220,7 +217,7 @@ def record_from_result(
     """Build a :class:`RunRecord` from a finished run.
 
     ``result`` is duck-typed against :class:`~repro.engine.result.CCResult`
-    (``algorithm``/``plan``/``backend``/``counters``/``phase_seconds``/
+    (``algorithm``/``backend``/``counters``/``phase_seconds``/
     ``trace``/``num_components``); anything missing stays at its default,
     so callers can pass lighter objects.
     """
@@ -245,7 +242,6 @@ def record_from_result(
         timestamp=now,
         kind=kind,
         algorithm=str(getattr(result, "algorithm", "") or ""),
-        plan=str(getattr(result, "plan", "") or ""),
         backend=str(getattr(result, "backend", "") or ""),
         workers=workers,
         graph=fingerprint_graph(graph) if graph is not None else {},

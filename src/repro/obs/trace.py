@@ -338,6 +338,16 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
+    def is_empty(self) -> bool:
+        """True while the tracer holds no span and no instrument."""
+        metrics = self.metrics
+        return not (
+            self._roots
+            or metrics._counters
+            or metrics._gauges
+            or metrics._histograms
+        )
+
     def finish(self, **meta: Any) -> Trace:
         """Freeze into a :class:`Trace` (closing any still-open spans).
 

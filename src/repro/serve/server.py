@@ -550,7 +550,6 @@ class ConnectivityServer:
             timestamp=now,
             kind="serve",
             algorithm=service.algorithm,
-            plan=service.plan,
             backend=service.backend_kind,
             graph=dict(service.fingerprint),
             seconds=self.session_seconds(),

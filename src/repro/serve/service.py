@@ -185,7 +185,6 @@ class ConnectivityService:
         result = engine.run(
             algorithm, graph, backend=backend, workers=workers, **params
         )
-        self.plan = result.plan
         self.backend_kind = result.backend
         # The solved labeling doubles as a depth-one parent forest; the
         # incremental layer adopts it and absorbs the stream from there.

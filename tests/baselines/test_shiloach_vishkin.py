@@ -6,7 +6,7 @@ import pytest
 from repro import engine
 from repro.analysis.verify import equivalent_labelings, is_valid_labeling
 from repro.engine import SimulatedBackend, VectorizedBackend
-from repro.engine.finish import sv_pipeline_edges
+from repro.engine.hooking import sv_pipeline_edges
 from repro.errors import ConfigurationError
 from repro.generators import kronecker_graph, uniform_random_graph
 from repro.parallel import SimulatedMachine
@@ -66,6 +66,24 @@ class TestEdgeListSV:
         r = sv_pipeline_edges(VectorizedBackend(), 0, empty, empty)
         assert r.num_components == 0
 
+    @pytest.mark.parametrize(
+        "n, src, dst, match",
+        [
+            (3, [0, -1], [1, 2], r"\[0, 3\)"),
+            (3, [0, 1], [1, 5], r"\[0, 3\)"),
+            (3, [0, 1], [1], "equal length"),
+            (3, [[0, 1]], [[1, 2]], "1-D"),
+            (3, [0.0, 1.0], [1.0, 2.0], "non-integer"),
+            (-1, [], [], "num_vertices must be >= 0"),
+        ],
+        ids=["negative-id", "id-past-n", "unequal", "2-d", "float", "negative-n"],
+    )
+    def test_bad_edge_list_rejected(self, n, src, dst, match):
+        backend = VectorizedBackend()
+        with pytest.raises(ConfigurationError, match=match):
+            sv_pipeline_edges(backend, n, np.asarray(src), np.asarray(dst))
+        assert backend.pool._buffers == {}
+
 
 def _sv_simulated(graph, machine):
     """Shiloach–Vishkin on the simulated machine via the engine registry."""
@@ -123,6 +141,6 @@ class TestSimulatedSV:
 class TestShortcutVariants:
     def test_unknown_shortcut_rejected(self, mixed_graph):
         # The shortcut is always a full compress (GAP's formulation), so
-        # the plan takes no ``shortcut`` parameter at all.
+        # ``sv`` takes no ``shortcut`` parameter at all.
         with pytest.raises(ConfigurationError, match="accepted"):
             engine.run("sv", mixed_graph, shortcut="double")

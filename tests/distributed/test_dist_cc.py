@@ -5,9 +5,10 @@ import pytest
 
 from repro import engine
 from repro.analysis import equivalent_labelings, is_valid_labeling
-from repro.distributed import SimulatedComm, block_bounds, hash_owners
+from repro.distributed import SimulatedComm
 from repro.engine import DistributedBackend
 from repro.engine.bufferpool import BufferPool
+from repro.engine.partition import block_bounds, hash_owners
 from repro.errors import ConfigurationError
 from repro.generators import (
     barabasi_albert_graph,

@@ -169,7 +169,7 @@ def test_round_matches_vertex_list_reference(data, graph, rs, ranks, partition):
 )
 def test_block_windows_hold_the_batch_shards(deg, r, ranks):
     """Each ``block`` window holds exactly the degree > r vertices that
-    ``partition_ranges`` gives the rank, and the windows tile [0, n)."""
+    ``block_bounds`` gives the rank, and the windows tile [0, n)."""
     deg = np.asarray(deg, dtype=np.int64)
     windows = DistributedBackend(ranks)._round_ranks(deg, r)
     verts = np.flatnonzero(deg > r)
@@ -179,6 +179,7 @@ def test_block_windows_hold_the_batch_shards(deg, r, ranks):
     assert windows[0].start == 0
     assert windows[-1].stop == deg.shape[0]
     assert all(a.stop == b.start for a, b in zip(windows, windows[1:]))
-    for w, (lo, hi) in zip(windows, _part.partition_ranges(verts.shape[0], ranks)):
+    cuts = _part.block_bounds(verts.shape[0], ranks)
+    for w, lo, hi in zip(windows, cuts[:-1], cuts[1:]):
         held = np.arange(w.start, w.stop)
         assert held[deg[held] > r].tolist() == verts[lo:hi].tolist()

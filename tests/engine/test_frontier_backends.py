@@ -3,8 +3,8 @@
 lp, bfs and dobfs are written once against the frontier/label
 primitive family and must produce the same labeling on every backend.
 All three converge to the component-minimum
-labeling (min-label scatter / min-seed BFS), so — like the plan suite in
-``test_plans.py`` — the assertion is bit-identical labels, not just
+labeling (min-label scatter / min-seed BFS), so — like the name-table
+suite in ``test_plans.py`` — the assertion is bit-identical labels, not just
 partition equivalence.
 """
 

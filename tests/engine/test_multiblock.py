@@ -5,7 +5,7 @@ graph that fits in one block runs it as plain pointer doubling.  These
 graphs span several blocks: a 256×256 lattice with 30 % of its edges
 dropped (4 full blocks, hundreds of components) and a path of
 3·2^14 + 7 vertices (3 full blocks plus a partial one, one chain across
-all of them).  Every plan that reaches ``compress`` must still return
+all of them).  Every algorithm that reaches ``compress`` must still return
 the union-find oracle's min-labels on every backend that runs it at
 wall-clock speed, and a serving epoch must still equal a batch re-solve.
 """
@@ -22,8 +22,8 @@ from repro.graph.builder import from_edge_array
 from repro.serve import ConnectivityService
 from repro.unionfind import sequential_components
 
-#: plan name -> the algorithm name that runs it, for every plan that
-#: compresses.
+#: test id (``<sampling>+<final phase>``) -> the algorithm name, for
+#: every algorithm that compresses.
 COMPRESS_PLANS = {"kout+settle": "afforest", "none+sv": "sv"}
 
 

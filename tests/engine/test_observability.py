@@ -85,8 +85,8 @@ class TestEngineHeartbeat:
         assert rounds  # at least one round reported
 
     def test_rounds_survive_composed_plans(self):
-        # Afforest's plan (kout sampling + settle finish) restarts its
-        # phase numbering; the monitor's round counter keeps climbing.
+        # Afforest's final link restarts the neighbour rounds' phase
+        # numbering; the monitor's round counter keeps climbing.
         g = barabasi_albert_graph(2000, edges_per_vertex=3, seed=9)
         events = []
         engine.run("afforest", g, heartbeat=events)

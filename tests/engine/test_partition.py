@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.partition import partition_csr_blocks, partition_ranges
+from repro.engine.partition import block_bounds, partition_csr_blocks
 from repro.errors import ConfigurationError
 from repro.generators.powerlaw import barabasi_albert_graph
 
@@ -57,14 +57,14 @@ class TestPartitionCSRBlocks:
 
 
 class TestPartitionRanges:
+    """:func:`block_bounds`: the even 1-D cut points."""
+
     def test_covers_total(self):
-        ranges = partition_ranges(10, 3)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == 10
-        for (lo1, hi1), (lo2, _) in zip(ranges, ranges[1:]):
-            assert hi1 == lo2
-            assert hi1 >= lo1
+        bounds = block_bounds(10, 3)
+        assert bounds.tolist() == [0, 3, 6, 10]
+        assert bounds.dtype == np.int64
+        assert np.all(np.diff(bounds) >= 0)
 
     def test_zero_total(self):
-        assert all(lo == hi for lo, hi in partition_ranges(0, 4))
+        assert block_bounds(0, 4).tolist() == [0, 0, 0, 0, 0]
 

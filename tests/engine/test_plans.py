@@ -1,16 +1,24 @@
-"""The plan table: name lookup and equivalence.
+"""The name table: lookup, parameter checks and equivalence.
 
-Every plan in :data:`~repro.engine.plan.CANONICAL_PLANS` must produce the
-exact component-minimum labeling on every backend, every algorithm name
-must keep recording its plan's name, and no other name may resolve.
+Every name in :data:`~repro.engine.ALGORITHMS` must produce the exact
+component-minimum labeling on every backend and run exactly its function
+with its fixed parameters; each function checks its own parameters, and
+no other name may resolve.
 """
 
 import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import DistributedBackend, Plan, SimulatedBackend
-from repro.engine.sampling import NONE
+from repro.engine import (
+    DistributedBackend,
+    SimulatedBackend,
+    VectorizedBackend,
+    afforest,
+    hooking,
+    propagation,
+    traversal,
+)
 from repro.errors import ConfigurationError
 from repro.generators.components import component_fraction_graph
 from repro.generators.lattice import grid_graph
@@ -20,18 +28,35 @@ from repro.graph.csr import CSRGraph
 from repro.parallel.machine import SimulatedMachine
 from repro.unionfind import sequential_components
 
-#: algorithm name -> the plan name it must keep recording.
+#: parallel algorithm name -> the function it runs.
 CANONICAL = {
-    "afforest": "kout+settle",
-    "afforest-noskip": "kout+settle",
-    "sv": "none+sv",
-    "lp": "none+lp",
-    "bfs": "none+bfs",
-    "dobfs": "none+dobfs",
+    "afforest": afforest.afforest,
+    "afforest-noskip": afforest.afforest,
+    "sv": hooking.sv,
+    "lp": propagation.lp,
+    "bfs": traversal.bfs,
+    "dobfs": traversal.dobfs,
 }
 
-#: plan name -> an algorithm name that runs it.
-PLANS = {plan: name for name, plan in reversed(CANONICAL.items())}
+#: test id -> the algorithm name it runs.  Ids name an algorithm by its
+#: phases, ``<sampling>+<final phase>`` with ``none`` for no sampling;
+#: the two Afforest names share ``kout+settle``.
+PLANS = {
+    "kout+settle": "afforest",
+    "none+bfs": "bfs",
+    "none+dobfs": "dobfs",
+    "none+lp": "lp",
+    "none+sv": "sv",
+}
+
+#: every parameter check an algorithm carries, as (key, refused value).
+CHECKS = [
+    ("neighbor_rounds", -1),
+    ("sample_size", 0),
+    ("sampling", "middle"),
+    ("alpha", 0),
+    ("beta", float("nan")),
+]
 
 
 def _family_graphs() -> list[tuple[str, CSRGraph]]:
@@ -63,7 +88,7 @@ def distributed_backend(request):
 
 class TestPlanTable:
     def test_table_size(self):
-        assert len(engine.CANONICAL_PLANS) == 6
+        assert len(engine.ALGORITHMS) == 7  # the six and ``sequential``
         assert sorted(PLANS) == [
             "kout+settle",
             "none+bfs",
@@ -73,53 +98,73 @@ class TestPlanTable:
         ]
 
     def test_plan_names_round_trip(self):
-        for plan_name, name in PLANS.items():
-            plan = engine.get_plan(name)
-            assert isinstance(plan, Plan)
-            assert plan.name == plan_name
+        for name in PLANS.values():
+            entry = engine.ALGORITHMS[name]
+            assert isinstance(entry, engine.Algorithm)
+            assert entry.fn is CANONICAL[name]
 
     def test_canonical_aliases_resolve(self):
-        assert sorted(engine.CANONICAL_PLANS) == sorted(CANONICAL)
-        for alias, composed in CANONICAL.items():
-            assert engine.CANONICAL_PLANS[alias].name == composed
-            assert engine.get_plan(alias).name == composed
+        assert sorted(engine.ALGORITHMS) == sorted([*CANONICAL, "sequential"])
+        for alias, fn in CANONICAL.items():
+            assert engine.ALGORITHMS[alias].fn is fn
+            assert engine.supports_backend(alias, "distributed")
 
     def test_unknown_sampling_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            engine.get_plan("magic+sv")
+            engine.supports_backend("magic+sv", "vectorized")
 
     def test_unknown_finish_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            engine.get_plan("kout+magic")
+            engine.supports_backend("kout+magic", "vectorized")
 
     def test_malformed_name_rejected(self):
         for bad in ("kout", "kout+sv+lp", "justaname"):
             with pytest.raises(ConfigurationError):
-                engine.get_plan(bad)
+                engine.supports_backend(bad, "vectorized")
 
     def test_whole_graph_finishes_compose_only_with_none(self):
+        # The traversals take no sampling parameter, and no name pairs
+        # them with sampling.
         for finish in ("bfs", "dobfs"):
-            assert engine.get_plan(finish).sampling is NONE
-            assert engine.get_plan(finish).finish.whole_graph
+            assert "neighbor_rounds" not in engine.ALGORITHMS[finish].accepted
             with pytest.raises(ConfigurationError, match="unknown algorithm"):
-                engine.get_plan(f"kout+{finish}")
+                engine.supports_backend(f"kout+{finish}", "vectorized")
 
     def test_unknown_parameter_rejected(self, mixed_graph):
         with pytest.raises(ConfigurationError, match="bogus"):
-            engine.run_plan(
-                "afforest", mixed_graph, engine.VectorizedBackend(), bogus=1
-            )
+            engine.run("afforest", mixed_graph, bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            afforest.afforest(mixed_graph, VectorizedBackend(), bogus=1)
 
     def test_parameters_routed_to_phases(self, mixed_graph):
-        result = engine.run_plan(
-            "afforest",
+        result = afforest.afforest(
             mixed_graph,
-            engine.VectorizedBackend(),
+            VectorizedBackend(),
             neighbor_rounds=3,
             skip_largest=False,
         )
         assert result.neighbor_rounds == 3
         assert result.edges_skipped == 0
+
+    @pytest.mark.parametrize("name", sorted(engine.ALGORITHMS))
+    def test_each_algorithm_checks_its_own_parameters(self, name, mixed_graph):
+        """An unknown keyword fails in ``engine.run``; every check a name
+        carries fails there on an empty graph and in a direct call of its
+        function on a non-empty one."""
+        empty = from_edge_list([], num_vertices=0)
+        with pytest.raises(
+            ConfigurationError, match="does not accept parameter 'bogus'"
+        ):
+            engine.run(name, empty, bogus=1)
+        entry = engine.ALGORITHMS[name]
+        carried = [(k, v) for k, v in CHECKS if k in entry.accepted]
+        for key, value in carried:
+            with pytest.raises(ConfigurationError, match=key):
+                engine.run(name, empty, **{key: value})
+            with pytest.raises(ConfigurationError, match=key):
+                entry.fn(mixed_graph, VectorizedBackend(), **{key: value})
+        expected = {"afforest": 3, "afforest-noskip": 3, "dobfs": 2}
+        assert len(carried) == expected.get(name, 0)
 
 
 class TestPlanEquivalence:
@@ -130,7 +175,7 @@ class TestPlanEquivalence:
     def test_vectorized_matches_component_minima(self, plan, family, graph):
         result = engine.run(PLANS[plan], graph)
         assert np.array_equal(result.labels, _component_minima(graph))
-        assert result.plan == plan
+        assert result.algorithm == PLANS[plan]
 
     @pytest.mark.parametrize("plan", sorted(PLANS))
     def test_simulated_matches_component_minima(self, plan):
@@ -155,18 +200,15 @@ class TestPlanEquivalence:
     def test_canonical_names_bit_identical_to_compositions(
         self, alias, family, graph
     ):
-        """A name runs exactly its plan's two phases and fixed params."""
-        plan = engine.get_plan(alias)
+        """A name runs exactly its function with its fixed params."""
+        entry = engine.ALGORITHMS[alias]
         legacy = engine.run(alias, graph)
-        composed = engine.run_plan(
-            Plan(plan.sampling, plan.finish),
-            graph,
-            engine.VectorizedBackend(),
-            **plan.params,
-        )
+        composed = entry.fn(graph, VectorizedBackend(), **entry.params)
         assert np.array_equal(legacy.labels, composed.labels)
         assert np.array_equal(legacy.labels, _component_minima(graph))
-        assert legacy.plan == composed.plan == CANONICAL[alias]
+        assert legacy.params == dict(entry.params)
+        for counter in ("edges_skipped", "edges_processed", "iterations"):
+            assert getattr(legacy, counter) == getattr(composed, counter)
 
     def test_skip_glue_records_largest_and_skips(self):
         graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
@@ -178,8 +220,8 @@ class TestPlanEquivalence:
         assert noskip.largest_label is None
         assert noskip.edges_skipped == 0
         assert np.array_equal(result.labels, noskip.labels)
-        # A plan that samples nothing has no glue to steer: it refuses
-        # the glue's parameters rather than ignoring them.
+        # An algorithm that samples nothing has no probe to steer: it
+        # refuses the probe's parameters rather than ignoring them.
         for name in ("sv", "lp", "bfs"):
             for key, value in (
                 ("skip_largest", True), ("seed", 1), ("sample_size", 8)
@@ -198,15 +240,16 @@ class TestPlanEquivalence:
 
 class TestRunSugar:
     def test_plan_name_as_algorithm_name(self, mixed_graph):
-        # A plan's name is what a run records, not a name it accepts.
+        # A run records its algorithm name and nothing else; a phase
+        # pairing is no name.
         result = engine.run("afforest", mixed_graph)
         assert result.algorithm == "afforest"
-        assert result.plan == "kout+settle"
+        assert not hasattr(result, "plan")
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             engine.run("kout+settle", mixed_graph)
 
     def test_name_and_plan_together_rejected(self, mixed_graph):
-        # The name is the only way to pick a plan: ``plan=`` is not a
-        # keyword, so it is rejected like any unknown parameter.
+        # The name is the only way to pick an algorithm: ``plan=`` is not
+        # a keyword, so it is rejected like any unknown parameter.
         with pytest.raises(ConfigurationError, match="'plan'"):
             engine.run("sv", mixed_graph, plan="kout+settle")

@@ -1,9 +1,9 @@
-"""Tests for algorithm-name resolution: the plan table and ``sequential``."""
+"""Tests for algorithm-name resolution: the name table and ``sequential``."""
 
 import pytest
 
 from repro import engine
-from repro.engine.finish import DEFAULT_ALPHA
+from repro.engine.traversal import DEFAULT_ALPHA
 from repro.errors import ConfigurationError
 from repro.generators.powerlaw import barabasi_albert_graph
 
@@ -37,7 +37,7 @@ class TestMetadata:
             assert result.backend == kind
 
     def test_noskip_default_disables_skipping(self):
-        assert engine.get_plan("afforest-noskip").params == {
+        assert engine.ALGORITHMS["afforest-noskip"].params == {
             "skip_largest": False
         }
         graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
@@ -49,10 +49,12 @@ class TestMetadata:
         assert (noskip.labels == skip.labels).all()
 
     def test_fixed_params_read_only(self, mixed_graph):
-        # get_plan returns the shared table entry: editing its fixed
-        # parameters must not change later runs.
+        # The table and its entries are shared: editing either must not
+        # change later runs.
         with pytest.raises(TypeError):
-            engine.get_plan("dobfs").params["alpha"] = 1  # type: ignore[index]
+            engine.ALGORITHMS["dobfs"].params["alpha"] = 1  # type: ignore[index]
+        with pytest.raises(TypeError):
+            engine.ALGORITHMS["magic"] = engine.ALGORITHMS["sv"]  # type: ignore[index]
         assert engine.run("dobfs", mixed_graph).params["alpha"] == DEFAULT_ALPHA
 
     def test_frontier_family_supports_every_backend(self):
@@ -78,8 +80,8 @@ class TestMetadata:
         }
 
     def test_pipelines_marked_instrumented(self, mixed_graph):
-        # Plan pipelines time their own phases; the sequential reference
-        # reports only the whole-run ``total``.
+        # The parallel algorithms time their own phases; the sequential
+        # reference reports only the whole-run ``total``.
         for name in ("afforest", "sv", "lp"):
             phases = engine.run(name, mixed_graph, profile=True).phase_seconds
             assert set(phases) - {"total"}, name
@@ -94,11 +96,11 @@ class TestLookup:
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ConfigurationError, match="afforest"):
-            engine.get_plan("magic")
+            engine.supports_backend("magic", "vectorized")
 
-    def test_unknown_plan_phase_raises(self):
+    def test_unknown_plan_phase_raises(self, mixed_graph):
         with pytest.raises(ConfigurationError, match="unknown"):
-            engine.get_plan("magic+sv")
+            engine.run("magic+sv", mixed_graph)
         with pytest.raises(ConfigurationError, match="unknown"):
             engine.supports_backend("magic+sv", "vectorized")
 

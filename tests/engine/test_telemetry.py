@@ -76,6 +76,7 @@ class TestProfiledRun:
         assert result.phase_seconds
 
     def test_reused_tracer_leaves_earlier_trace_alone(self):
+        from repro.errors import ConfigurationError
         from repro.generators import kronecker_graph
         from repro.obs import Tracer
 
@@ -84,8 +85,49 @@ class TestProfiledRun:
         first = engine.run("afforest", graph, trace=tracer)
         spans = first.trace.num_spans()
         assert spans > 1
-        engine.run("afforest", graph, trace=tracer)
+        with pytest.raises(ConfigurationError, match="fresh Tracer"):
+            engine.run("afforest", graph, trace=tracer)
         assert first.trace.num_spans() == spans
+
+    @pytest.mark.parametrize("held", ["span", "counter", "gauge", "histogram"])
+    def test_refused_tracer_and_backend_left_as_they_were(self, held, mixed_graph):
+        """A tracer holding a span or an instrument is refused before the
+        run touches it or the backend."""
+        from repro.errors import ConfigurationError
+        from repro.obs import Tracer
+
+        tracer = Tracer(True)
+        if held == "span":
+            with tracer.span("job"):
+                pass
+        elif held == "histogram":
+            tracer.metrics.histogram("job_size").observe(3)
+        else:
+            getattr(tracer.metrics, held)("jobs")
+        before = (
+            [s.label for s, _ in tracer.finish().walk()],
+            tracer.metrics.counters_snapshot(),
+            tracer.metrics.gauges_snapshot(),
+            tracer.metrics.histogram_summaries(),
+        )
+        backend = VectorizedBackend()
+        state = dict(vars(backend))
+        events = []
+        with pytest.raises(ConfigurationError, match="already holds"):
+            engine.run(
+                "afforest", mixed_graph, backend=backend, trace=tracer,
+                heartbeat=events,
+            )
+        after = (
+            [s.label for s, _ in tracer.finish().walk()],
+            tracer.metrics.counters_snapshot(),
+            tracer.metrics.gauges_snapshot(),
+            tracer.metrics.histogram_summaries(),
+        )
+        assert after == before
+        assert vars(backend).keys() == state.keys()
+        assert all(vars(backend)[k] is v for k, v in state.items())
+        assert backend.pool._buffers == {} and events == []
 
 
 class TestUntracedRun:
@@ -123,9 +165,10 @@ class TestDistributedTelemetry:
 
 class TestReusedBackend:
     """A backend reused across runs carries nothing from an earlier run,
-    whether that run finished or raised mid-phase.  The plain run is
-    ``run_plan`` on the backend as ``engine.run`` left it: ``engine.run``
-    itself hands the backend a fresh tracer and heartbeat first."""
+    whether that run finished or raised mid-phase.  The plain run is a
+    direct call of ``afforest`` on the backend as ``engine.run`` left it:
+    ``engine.run`` itself hands the backend a fresh tracer and heartbeat
+    first."""
 
     @pytest.mark.parametrize(
         "make",
@@ -171,7 +214,7 @@ class TestReusedBackend:
             )
 
         before = recorded()
-        plain = engine.run_plan("afforest", mixed_graph, backend)
+        plain = engine.ALGORITHMS["afforest"].fn(mixed_graph, backend)
         assert recorded() == before
         assert plain.trace is None
         assert plain.phase_seconds == {}

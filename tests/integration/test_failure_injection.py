@@ -101,7 +101,7 @@ class TestConfigurationRejection:
 
     @pytest.fixture
     def no_phase(self, monkeypatch):
-        """Fail the test if a plan reaches its first phase."""
+        """Fail the test if an algorithm reaches its first phase."""
 
         def init_labels(self, n, **kwargs):
             raise AssertionError("a phase ran before the check")

@@ -28,7 +28,7 @@ class TestMonitorRounds:
         assert monitor.rounds == 5
 
     def test_rounds_survive_pipeline_composition(self):
-        # A composed plan restarts its own round numbering; the monitor's
+        # Each phase of an algorithm numbers its own rounds; the monitor's
         # count keeps climbing regardless of the phases it is fed.
         events = []
         monitor = HeartbeatMonitor(events, clock=FakeClock())

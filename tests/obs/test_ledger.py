@@ -61,7 +61,6 @@ class TestRunRecord:
             timestamp=123.5,
             kind="bench",
             algorithm="sv",
-            plan="none+sv",
             backend="process",
             workers=4,
             graph={"vertices": 10, "edges": 9, "digest": "ab"},
@@ -96,7 +95,6 @@ class _FakeResult:
     """Duck-typed stand-in for CCResult."""
 
     algorithm = "sv"
-    plan = "none+sv"
     backend = "vectorized"
     num_components = 2
     counters = {"rounds_skipped": 1}

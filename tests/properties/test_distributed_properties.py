@@ -75,6 +75,14 @@ for _name in PRIMITIVES:
     setattr(ShadowCheckedBackend, _name, _checked(_name))
 
 
+#: every name that runs on the distributed backend.
+PARALLEL = [
+    name
+    for name in engine.available_algorithms()
+    if engine.supports_backend(name, "distributed")
+]
+
+
 def _run_checked(g, plan, random_sampling=False, **kwargs):
     backend = ShadowCheckedBackend(**kwargs)
     random_sampling = random_sampling and plan.startswith("afforest")
@@ -88,7 +96,7 @@ def _run_checked(g, plan, random_sampling=False, **kwargs):
     graphs(),
     st.integers(1, 9),
     st.booleans(),
-    st.sampled_from(sorted(engine.CANONICAL_PLANS)),
+    st.sampled_from(PARALLEL),
     st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
@@ -112,7 +120,7 @@ def test_shadow_check_reaches_every_primitive():
         num_vertices=12,
     )
     seen = set()
-    for plan in engine.CANONICAL_PLANS:
+    for plan in PARALLEL:
         for random_sampling in (False, True):
             seen.update(_run_checked(g, plan, random_sampling, ranks=3).checked)
     assert seen == set(PRIMITIVES)

@@ -3,8 +3,8 @@
 The paper's hooks always point a higher id at a lower one, so every
 self-initialised π keeps ``pi[v] <= v`` between any two primitives, not
 only at convergence.  Each backend is wrapped in a test-only subclass
-that asserts it on the live π after every primitive, and every plan that
-starts from the identity π runs on small random graphs.  ``bfs`` and
+that asserts it on the live π after every primitive, and every algorithm
+that starts from the identity π runs on small random graphs.  ``bfs`` and
 ``dobfs`` are left out: they start from the unvisited sentinel ``n``,
 which is above every vertex id by design.
 """
@@ -21,11 +21,11 @@ from repro.graph import from_edge_list
 from repro.parallel.machine import SimulatedMachine
 from repro.unionfind import sequential_components
 
-#: plan name -> an algorithm name that runs it, for every plan whose π
-#: starts as the identity.
+#: test id (``<sampling>+<final phase>``) -> the algorithm name, for
+#: every algorithm whose π starts as the identity.
 SELF_INITIALISED = {"kout+settle": "afforest", "none+sv": "sv", "none+lp": "lp"}
 
-#: every primitive those plans reach on some backend.
+#: every primitive those algorithms reach on some backend.
 PRIMITIVES = (
     "link_edges",
     "link_neighbor_round",
@@ -130,7 +130,7 @@ def test_invariant1_after_every_primitive(kind, plan, data, g, random_sampling):
 
 
 def test_invariant1_check_reaches_every_primitive():
-    """Between them the plans and backends run every checked primitive,
+    """Between them the algorithms and backends run every checked primitive,
     so the property above is not vacuous."""
     g = from_edge_list(
         [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (8, 9)],

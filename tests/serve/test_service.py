@@ -34,7 +34,8 @@ class TestInitialSolve:
         for name in ("sv", "afforest", "lp"):
             svc = ConnectivityService(two_cliques, algorithm=name)
             assert svc.num_components == 2
-        assert svc.plan == "none+lp"
+            assert svc.algorithm == name
+        assert not hasattr(svc, "plan")
 
     def test_fingerprint_carried(self, two_cliques, service):
         assert service.fingerprint["vertices"] == 8

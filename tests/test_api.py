@@ -1,6 +1,8 @@
 """Tests for the top-level public API."""
 
+import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import repro
 from repro.analysis import equivalent_labelings
 from repro.errors import ConfigurationError
+from repro.obs.ledger import RunRecord
 
 ALGORITHMS = [
     "afforest",
@@ -75,8 +78,10 @@ def test_quickstart_docstring_flow():
 def test_removed_surface_rejected(mixed_graph, capsys):
     """``engine.run`` is the one way in: the per-algorithm shims, the
     modules nothing reached, SV's ``shortcut`` knob, the FastSV and
-    data-driven LP finishes, ``<sampling>+<finish>`` names and the
-    engine's ``Instrumentation`` shim are gone."""
+    data-driven LP finishes, ``<sampling>+<finish>`` names, the
+    engine's ``Instrumentation`` shim and the plan layer (``Plan``, the
+    phase specs, the sampling and finish packages, the recorded ``plan``
+    field) are gone."""
     for module in (
         "repro.baselines",
         "repro.core.afforest",
@@ -85,10 +90,25 @@ def test_removed_surface_rejected(mixed_graph, capsys):
         "repro.graph.subgraph",
         "repro.analysis.efficiency",
         "repro.engine.instrumentation",
+        "repro.engine.plan",
+        "repro.engine.phase",
+        "repro.engine.sampling",
+        "repro.engine.finish",
+        "repro.distributed.partition",
     ):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert "Instrumentation" not in repro.engine.__all__
+    for name in ("Plan", "CANONICAL_PLANS", "get_plan", "run_plan"):
+        assert name not in repro.engine.__all__
+        assert not hasattr(repro.engine, name)
+    import repro.engine.afforest as afforest_module
+
+    assert inspect.ismodule(afforest_module)
+    for record_type in (repro.engine.CCResult, RunRecord):
+        assert "plan" not in {f.name for f in dataclasses.fields(record_type)}
+    assert not hasattr(repro.engine.run("sv", mixed_graph), "plan")
+    assert not hasattr(repro.serve.ConnectivityService(mixed_graph), "plan")
     for kind in repro.engine.backend_kinds():
         backend = repro.engine.make_backend(kind, workers=2, ranks=2)
         for name in ("instr", "bind", "record_frontier"):

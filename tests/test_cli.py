@@ -102,12 +102,12 @@ class TestSolve:
         assert "lp [distributed]: 2 components" in capsys.readouterr().out
 
     def test_plan_name_via_algorithm_flag(self, graph_file, capsys):
-        # A plan's name is what a run records, not an algorithm name.
+        # A phase pairing is not an algorithm name.
         assert main(["solve", graph_file, "-a", "kout+settle"]) == 1
         assert "unknown algorithm 'kout+settle'" in capsys.readouterr().err
 
     def test_plan_and_algorithm_conflict(self, graph_file, capsys):
-        # --algorithm is the one way to name a plan; --plan is no flag.
+        # --algorithm is the one way to name an algorithm; --plan is no flag.
         with pytest.raises(SystemExit) as exit_info:
             main(["solve", graph_file, "-a", "sv", "--plan", "kout+settle"])
         assert exit_info.value.code == 2
@@ -120,20 +120,24 @@ class TestSolve:
 
 class TestPlans:
     def test_lists_matrix(self, capsys):
-        # The table: one row per name, with its plan and fixed parameters.
+        # The table: one row per name, with its fixed parameters.
         assert main(["plans"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        rows = {line.split()[0]: line.split(None, 2)[1:] for line in lines[1:]}
-        assert rows["afforest"] == ["kout+settle", "-"]
-        assert rows["afforest-noskip"] == ["kout+settle", "skip_largest=False"]
-        assert rows["sv"] == ["none+sv", "-"]
-        assert rows["dobfs"] == ["none+dobfs", "alpha=15.0, beta=18.0"]
+        assert lines[0].split() == ["algorithm", "fixed", "parameters"]
+        rows = {line.split()[0]: line.split(None, 1)[1] for line in lines[1:]}
+        assert rows["afforest"] == "-"
+        assert rows["afforest-noskip"] == "skip_largest=False"
+        assert rows["sv"] == "-"
+        assert rows["dobfs"] == "alpha=15.0, beta=18.0"
+        assert rows["sequential"] == "union-find reference, vectorized only"
         assert sorted(rows) == available_algorithms()
 
     def test_check_validates_matrix(self, capsys):
         assert main(["plans", "--check", "--workers", "1"]) == 0
         out = capsys.readouterr().out
-        checked = len(engine.CANONICAL_PLANS) * len(backend_kinds())
+        # Every name but the sequential reference, on every backend.
+        checked = (len(engine.ALGORITHMS) - 1) * len(backend_kinds())
+        assert checked == 18
         assert f"{checked} algorithm×backend combinations OK" in out
 
     def test_check_restricted_to_one_backend(self, capsys):
@@ -141,8 +145,7 @@ class TestPlans:
             ["plans", "--check", "--backend", "distributed", "--ranks", "3"]
         ) == 0
         out = capsys.readouterr().out
-        checked = len(engine.CANONICAL_PLANS)
-        assert f"{checked} algorithm×backend combinations OK" in out
+        assert "6 algorithm×backend combinations OK" in out
 
 
 class TestCompare:
@@ -366,7 +369,9 @@ class TestServe:
 
     def test_plan_spec(self, graph_file, capsys):
         assert main(self.SERVE + [graph_file, "-a", "sv"]) == 0
-        assert "(plan none+sv)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"served {graph_file}: sv on vectorized\n" in out
+        assert "(plan" not in out
 
     def test_dataset_spec(self, capsys):
         assert main(self.SERVE + ["dataset:urand:tiny"]) == 0
@@ -452,6 +457,36 @@ class TestObs:
         assert "sv/" in out  # per-combination summary lines
         text = summary.read_text(encoding="utf-8")
         assert "| run | ratio |" in text
+
+    #: a ledger line as written while records carried a ``plan`` field.
+    PLAN_LINE = (
+        '{"run_id":"r01a1540e5cac-eeb729","timestamp":1792411589.8,'
+        '"kind":"engine.run","algorithm":"lp","plan":"none+lp",'
+        '"backend":"vectorized","workers":null,"graph":{"vertices":8,'
+        '"edges":12,"digest":"0123456789abcdef"},"seconds":0.0007,'
+        '"phase_seconds":{"total":0.0007,"I":0.0001,"P1":0.0002,"P2":0.0001},'
+        '"counters":{},"gauges":{"label_dtype_bits":32.0},"histograms":{},'
+        '"label_dtype_bits":32,"num_components":2,"env":{"python":"3.11.7"},'
+        '"meta":{"workers":null,"ranks":null}}'
+    )
+
+    def test_show_and_diff_read_a_record_with_a_plan(
+        self, tmp_path, two_cliques, capsys
+    ):
+        from repro.obs import RunLedger
+
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(self.PLAN_LINE + "\n", encoding="utf-8")
+        engine.run("lp", two_cliques, profile=True, record=str(path))
+        old, new = RunLedger(str(path)).records()
+        assert old.algorithm == "lp" and old.num_components == 2
+        assert "plan" not in old.to_dict() and "plan" not in new.to_dict()
+        ledger = ["--ledger", str(path)]
+        assert main(["obs", "show", old.run_id] + ledger) == 0
+        out = capsys.readouterr().out
+        assert "algorithm:  lp\n" in out and "plan" not in out
+        assert main(["obs", "diff", old.run_id, new.run_id] + ledger) == 0
+        assert "P1" in capsys.readouterr().out
 
     def test_diff_mixed_sources_fail(self, ledger_path, capsys):
         assert main(["obs", "diff", ledger_path, "latest"]) == 1
