@@ -188,7 +188,8 @@ def _link_rounds(
     high cursor is a root.  Both selections compact through
     ``flatnonzero`` plus gathers, which at the loop's typical density is
     several times cheaper than boolean-mask indexing; the first is
-    skipped when every edge is still apart.
+    skipped when every edge is still apart.  Cursors are read only
+    before the round's scatter-min, so they may be views of π.
     """
     cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
     while True:
@@ -225,7 +226,9 @@ def link_out(pi: np.ndarray, nbr: np.ndarray) -> int:
     every ``v``, where ``nbr[v] == v`` means ``v`` has no edge.
 
     Leaves π and the round count exactly as
-    ``link_batch(pi, arange(n), nbr)`` does, for any π.  When π is the
+    ``link_batch(pi, arange(n), nbr)`` does, for any π.  On a π that is
+    not the identity the round loop starts from the cursors
+    ``(π, π[nbr])``, its ``a`` cursors π itself.  When π is the
     identity (tested on π itself), every endpoint is a root and each
     vertex owns one edge, so round 1 needs no gathers or root test:
     ``π ← minimum(π, nbr)`` hooks every edge that points down, and one
@@ -236,7 +239,7 @@ def link_out(pi: np.ndarray, nbr: np.ndarray) -> int:
     nbr[t]``, so both its round-2 cursors read ``π[nbr[t]]``.
     """
     if not is_identity(pi):
-        return _link_rounds(pi, pi.copy(), pi[nbr], 0)
+        return _link_rounds(pi, pi, pi[nbr], 0)
     up = np.flatnonzero(nbr > pi)  # π is the identity: π[u] == u
     if up.shape[0] == 0 and not (nbr < pi).any():
         return 0  # no vertex has an edge

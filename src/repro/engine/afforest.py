@@ -91,8 +91,10 @@ def afforest(
     for r in range(neighbor_rounds):
         link_phase = phase_label("L", round=r)
         if sampling == "first":
-            result.edges_sampled += int(np.count_nonzero(deg > r))
             rounds = backend.link_neighbor_round(pi, graph, r, phase=link_phase)
+            # Counted after the round: a backend that gathers the round
+            # finds its degree <= r vertices inside the round's span.
+            result.edges_sampled += n - backend.short_vertices(graph, r).shape[0]
         else:
             src, dst = _random_round_edges(graph, deg, rng)
             result.edges_sampled += int(src.shape[0])

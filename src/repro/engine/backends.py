@@ -8,7 +8,8 @@ hook-and-shortcut — that admit three execution substrates:
   (:func:`~repro.core.link.link_batch`, :func:`~repro.core.link.link_out`,
   :func:`~repro.core.compress.compress_all`); the wall-clock performance
   implementation.  Its neighbour rounds gather slot ``r`` of every vertex
-  (:func:`round_neighbors`) and link it with ``link_out``;
+  (:func:`round_neighbors`) into one pooled n-slot buffer, which every
+  round reuses, and link it with ``link_out``;
 - :class:`SimulatedBackend` — generator kernels on a
   :class:`~repro.parallel.machine.SimulatedMachine`, with a preemption
   point before every shared access; the instrumented concurrent-semantics
@@ -17,9 +18,11 @@ hook-and-shortcut — that admit three execution substrates:
   edge shards (:mod:`repro.engine.partition`) and merged each superstep
   by scatter-min against a snapshot, over a metered
   :class:`~repro.distributed.comm.SimulatedComm`; deterministic by
-  construction.  Its neighbour rounds take the same
+  construction.  Its neighbour rounds take the same pooled
   :func:`round_neighbors` gather and run ``link_out``'s identity round
-  rank by rank, each rank over its own window of vertices.
+  rank by rank, each rank over its own window of vertices, cut at the
+  round's vertices of degree ≤ r (:meth:`ExecutionBackend.short_vertices`,
+  one pass over the degrees per round).
 
 Each algorithm (:mod:`repro.engine.afforest`, :mod:`repro.engine.hooking`,
 :mod:`repro.engine.propagation`, :mod:`repro.engine.traversal`) is
@@ -99,24 +102,27 @@ def resolve_label_dtype(n: int, policy: str = "auto") -> np.dtype:
 # --------------------------------------------------------------------- #
 
 
-def round_neighbors(graph: CSRGraph, deg: np.ndarray, r: int) -> np.ndarray:
-    """Neighbour round ``r`` as one out-edge per vertex: ``N(v)[r]``, or
-    ``v`` itself (no edge) where ``deg[v] <= r``.
+def round_neighbors(
+    graph: CSRGraph, short: np.ndarray, r: int, *, out: np.ndarray
+) -> np.ndarray:
+    """Neighbour round ``r`` as one out-edge per vertex, written into
+    ``out`` (n slots of ``indices.dtype``): ``N(v)[r]``, or ``v`` itself
+    (no edge) for the vertices ``short``, those with degree <= r.
 
-    Slot ``r`` of every vertex is ``indptr[v] + r``, so no vertex list
-    is built and ``indptr`` is not gathered.
+    Slot ``r`` of every vertex is ``indptr[v] + r``, so one gather of
+    ``indices[r:]`` at ``indptr[:-1]`` reads it, with no slot array and
+    no vertex list.  ``indptr`` never decreases, so only the slots of
+    degree <= r vertices can run past the last edge; clip mode bends
+    those to the last slot and the self edges overwrite them.  Clip mode
+    also spares the output-sized temporary that raise mode gathers into;
+    NumPy still copies the read-only ``indptr`` before it gathers.  When
+    ``m <= r`` every vertex is short: the identity.
     """
     indices = graph.indices
-    if indices.shape[0] == 0:
-        return np.arange(graph.num_vertices, dtype=indices.dtype)
-    slot = graph.indptr[:-1] + r
-    # A slot past the last edge belongs to a vertex with deg <= r, which
-    # the self edges below overwrite: clip it to any valid slot.
-    np.minimum(slot, indices.shape[0] - 1, out=slot)
-    nbr = indices[slot]
-    short = np.flatnonzero(deg <= r)
-    nbr[short] = short
-    return nbr
+    if indices.shape[0] > r:
+        np.take(indices[r:], graph.indptr[:-1], mode="clip", out=out)
+    out[short] = short
+    return out
 
 
 def remaining_edges(
@@ -133,15 +139,6 @@ def remaining_edges(
     src = np.repeat(verts, counts)
     offsets = np.repeat(indptr[verts] + start, counts) + segment_ranges(counts)
     return src, indices[offsets]
-
-
-def remaining_slots(graph: CSRGraph, deg: np.ndarray, start: int) -> int:
-    """How many slots :func:`remaining_edges` yields over every vertex,
-    without gathering them: all slots minus the first ``start``, of
-    which slot ``r`` exists for every vertex with degree > r."""
-    return graph.num_directed_edges - sum(
-        int(np.count_nonzero(deg > r)) for r in range(start)
-    )
 
 
 def _holds(v: slice | np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -394,9 +391,11 @@ class ExecutionBackend:
         self._edge_graph: CSRGraph | None = None
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
         # Identity-cached degree array (sampling rounds and the final
-        # link phase share one per run).
+        # link phase share one per run), and per round r the vertices of
+        # degree <= r, reset with it.
         self._deg_graph: CSRGraph | None = None
         self._deg: np.ndarray | None = None
+        self._shorts: dict[int, np.ndarray] = {}
 
     def beat(
         self,
@@ -435,8 +434,34 @@ class ExecutionBackend:
         if self._deg_graph is not graph:
             self._deg_graph = graph
             self._deg = np.asarray(graph.degree())
+            self._shorts = {}
         assert self._deg is not None
         return self._deg
+
+    def short_vertices(self, graph: CSRGraph, r: int) -> np.ndarray:
+        """The vertices of degree <= r, which have no slot ``r``: one
+        pass over the degrees per round, cached with them.  Neighbour
+        round ``r`` links the other ``n - len`` vertices."""
+        deg = self.degrees(graph)
+        short = self._shorts.get(r)
+        if short is None:
+            short = self._shorts[r] = np.flatnonzero(deg <= r)
+        return short
+
+    def _round_neighbors(self, graph: CSRGraph, r: int) -> np.ndarray:
+        """Neighbour round ``r``'s out-edges (:func:`round_neighbors`) in
+        the pooled ``round`` buffer."""
+        out = self.pool.get("round", graph.num_vertices, graph.indices.dtype)
+        return round_neighbors(graph, self.short_vertices(graph, r), r, out=out)
+
+    def _remaining_slots(self, graph: CSRGraph, start: int) -> int:
+        """How many slots :func:`remaining_edges` yields over every vertex
+        after ``start`` rounds, without gathering them: all slots minus
+        slot ``r`` of every vertex of degree > r, for each ``r < start``."""
+        n = graph.num_vertices
+        return graph.num_directed_edges - sum(
+            n - self.short_vertices(graph, r).shape[0] for r in range(start)
+        )
 
     # -- primitives ------------------------------------------------------ #
 
@@ -588,7 +613,7 @@ class VectorizedBackend(ExecutionBackend):
         """Gather slot ``r`` of every vertex, then link it as one
         out-edge per vertex (:func:`~repro.core.link.link_out`)."""
         with self.tracer.span(phase):
-            return link_out(pi, round_neighbors(graph, self.degrees(graph), r))
+            return link_out(pi, self._round_neighbors(graph, r))
 
     def link_remaining(
         self,
@@ -609,7 +634,7 @@ class VectorizedBackend(ExecutionBackend):
         with self.tracer.span(phase):
             rounds = link_batch(pi, src, dst)
         linked = int(src.shape[0])
-        skipped = remaining_slots(graph, self.degrees(graph), start) - linked
+        skipped = self._remaining_slots(graph, start) - linked
         return linked, skipped, rounds
 
     def compress(self, pi: np.ndarray, *, phase: str) -> int:
@@ -674,8 +699,9 @@ class VectorizedBackend(ExecutionBackend):
         decrease within a pass, a candidate that did not beat the
         pre-pass destination can never win inside the same ``at`` call,
         so the final π is identical to the unmasked sweep.  All edge-sized
-        gathers go through the buffer pool, so repeated sweeps allocate
-        nothing.
+        gathers land in the buffer pool, so repeated sweeps allocate no
+        new result arrays; each raise-mode gather still allocates NumPy's
+        hidden edge-sized temporary (:meth:`BufferPool.take`).
         """
         src, dst = self._edges(graph)
         pool = self.pool
@@ -1389,11 +1415,11 @@ class DistributedBackend(VectorizedBackend):
             cursors = [(pi[pi[high]], pi[low]) for high, low in climbs]
 
     def _round_ranks(
-        self, deg: np.ndarray, r: int
+        self, short: np.ndarray, n: int
     ) -> list[slice] | list[np.ndarray] | None:
-        """Each rank's vertices in neighbour round ``r``: the ones
-        :meth:`_batch_shards` gives it of the vertices with degree > r,
-        or None when no vertex has slot ``r``.
+        """Each rank's vertices in a neighbour round whose degree <= r
+        vertices are ``short``: the ones :meth:`_batch_shards` gives it
+        of the other vertices, or None when no vertex has slot ``r``.
 
         ``block`` cuts a contiguous window per rank.  Its cut points are
         the even ``block_bounds`` positions among the vertices of
@@ -1403,12 +1429,13 @@ class DistributedBackend(VectorizedBackend):
         vertices too; their slot is themselves, no edge.  ``hash`` lists
         the vertices ``hash_owners`` assigns to each rank.
         """
-        short = np.flatnonzero(deg <= r)
-        m = int(deg.shape[0] - short.shape[0])
+        m = n - int(short.shape[0])
         if m == 0:
             return None
         if self.partition == "hash":
-            verts = np.flatnonzero(deg > r)
+            has_slot = np.ones(n, dtype=np.bool_)
+            has_slot[short] = False
+            verts = np.flatnonzero(has_slot)
             owner = _part.hash_owners(m, self.ranks)
             return [verts[owner == k] for k in range(self.ranks)]
         pos = _part.block_bounds(m, self.ranks)
@@ -1500,9 +1527,10 @@ class DistributedBackend(VectorizedBackend):
         through the round loop from every rank's cursors."""
         self._sync_driver(pi)
         with self.tracer.span(phase):
-            deg = self.degrees(graph)
-            nbr = round_neighbors(graph, deg, r)
-            ranks = self._round_ranks(deg, r)
+            nbr = self._round_neighbors(graph, r)
+            ranks = self._round_ranks(
+                self.short_vertices(graph, r), int(pi.shape[0])
+            )
             if ranks is None:
                 return 0
             if is_identity(pi):
@@ -1526,7 +1554,7 @@ class DistributedBackend(VectorizedBackend):
                 pi, self._batch_shards(src, dst)
             )
         linked = int(src.shape[0])
-        skipped = remaining_slots(graph, self.degrees(graph), start) - linked
+        skipped = self._remaining_slots(graph, start) - linked
         return linked, skipped, rounds
 
     # -- replica-local primitives ---------------------------------------- #

@@ -247,9 +247,9 @@ class TestAfforestBookkeeping:
         name = self.ROUND_GATHER[backend]
         gather = getattr(backends, name)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append((args[-1], tracer.current().label))  # (r, span)
-            return gather(*args)
+            return gather(*args, **kwargs)
 
         monkeypatch.setattr(backends, name, spy)
         engine.run(
@@ -293,12 +293,18 @@ class TestAfforestBookkeeping:
     per_vertex=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
     sort=st.booleans(),
+    spare=st.integers(0, 3),
 )
-def test_round_neighbors_matches_definition(data, core, tail, per_vertex, seed, sort):
-    """``round_neighbors(graph, deg, r)[v]`` is ``N(v)[r]``, or ``v`` where
-    ``deg[v] <= r``: on empty graphs, graphs ending in ``tail`` isolated
-    vertices (their slots lie past the last edge), self-loops, and ``r``
-    up to one past the largest degree."""
+def test_round_neighbors_matches_definition(
+    data, core, tail, per_vertex, seed, sort, spare
+):
+    """``round_neighbors(graph, short, r, out=out)[v]`` is ``N(v)[r]``, or
+    ``v`` where ``deg[v] <= r``, written into ``out``: on empty graphs,
+    graphs ending in ``tail`` isolated vertices (their slots lie past the
+    last edge), self-loops, ``r`` up to one past the largest degree or
+    one past the number of edges, and
+    an ``out`` that arrives filled with -1 as the prefix of a longer
+    buffer, as a pool sized by a larger graph hands it out."""
     rng = np.random.default_rng(seed)
     src, dst = rng.integers(0, max(core, 1), size=(2, core * per_vertex))
     graph = build_csr(
@@ -306,12 +312,23 @@ def test_round_neighbors_matches_definition(data, core, tail, per_vertex, seed, 
         drop_self_loops=False,
         sort_neighbors=sort,
     )
+    n = graph.num_vertices
     deg = np.asarray(graph.degree())
-    r = data.draw(st.integers(0, int(deg.max(initial=0)) + 1))
-    got = backends.round_neighbors(graph, deg, r)
+    r = data.draw(
+        st.integers(0, int(deg.max(initial=0)) + 1)
+        | st.integers(0, graph.num_directed_edges + 1)
+    )
+    buf = np.full(n + spare, -1, dtype=graph.indices.dtype)
+    out = buf[:n]
+    got = backends.round_neighbors(
+        graph, np.flatnonzero(deg <= r), r, out=out
+    )
     want = [
         graph.neighbors(v)[r] if deg[v] > r else v
-        for v in range(graph.num_vertices)
+        for v in range(n)
     ]
     assert got.dtype == graph.indices.dtype
+    assert n == 0 or np.shares_memory(got, out)
     assert got.tolist() == want
+    assert buf[:n].tolist() == want
+    assert (buf[n:] == -1).all()

@@ -9,12 +9,17 @@ counters a profiled run reports: ``bytes_allocated``
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro import engine
-from repro.engine import VectorizedBackend
+from repro.engine import DistributedBackend, VectorizedBackend
 from repro.engine.bufferpool import BufferPool
-from repro.generators import uniform_random_graph
+from repro.generators import barabasi_albert_graph, uniform_random_graph
+from repro.graph.builder import build_csr
+from repro.graph.coo import EdgeList
 
 
 class TestBufferPool:
@@ -128,3 +133,67 @@ class TestOptimizationCounters:
         counters = rec.extra.get("counters", {})
         assert counters.get("rounds_skipped", 0) == 1
         assert counters.get("bytes_allocated", 0) > 0
+
+
+#: one backend of each kind that runs Afforest's neighbour rounds
+REUSED_BACKENDS = {
+    "vectorized": VectorizedBackend,
+    "distributed-block": lambda: DistributedBackend(ranks=3, partition="block"),
+    "distributed-hash": lambda: DistributedBackend(ranks=3, partition="hash"),
+}
+
+
+def _degree_two_up():
+    """Graph A: power-law degrees, all but one vertex of degree >= 2."""
+    return barabasi_albert_graph(600, 2, seed=3)
+
+
+def _sparse_with_tail():
+    """Graph B: fewer vertices than A, most of degree 0 to 2, and 40
+    isolated vertices after the last edge."""
+    rng = np.random.default_rng(8)
+    src, dst = rng.integers(0, 260, size=(2, 200))
+    return build_csr(EdgeList(300, src, dst))
+
+
+def _recorded(result):
+    """Everything a run records except its times and ``bytes_allocated``."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    labels = fields.pop("labels")
+    trace = fields.pop("trace")
+    fields["phase_seconds"] = sorted(fields["phase_seconds"])
+    fields["counters"].pop("bytes_allocated", None)
+    trace.counters.pop("bytes_allocated", None)
+    spans = [(span.label, depth) for span, depth in trace.walk()]
+    return (
+        labels.dtype,
+        labels.tobytes(),
+        fields,
+        spans,
+        trace.counters,
+        trace.gauges,
+        trace.histograms,
+    )
+
+
+@pytest.mark.parametrize("rounds", [2, 3])
+@pytest.mark.parametrize("kind", sorted(REUSED_BACKENDS))
+def test_one_backend_across_graphs(kind, rounds):
+    """Afforest on graph A, then on a smaller B of another degree profile,
+    then on A again, all on one backend: each run records what a fresh
+    backend records (the per-graph degree and short-vertex caches follow
+    the graph), and the warm re-run of A allocates no pooled buffer."""
+    make = REUSED_BACKENDS[kind]
+    a, b = _degree_two_up(), _sparse_with_tail()
+    assert b.num_vertices < a.num_vertices
+    shared = make()
+    for g in (a, b, a):
+        got = engine.run(
+            "afforest", g, backend=shared, profile=True, neighbor_rounds=rounds
+        )
+        want = engine.run(
+            "afforest", g, backend=make(), profile=True, neighbor_rounds=rounds
+        )
+        assert want.counters["bytes_allocated"] > 0
+        assert _recorded(got) == _recorded(want)
+    assert got.counters.get("bytes_allocated", 0) == 0

@@ -61,10 +61,14 @@ def test_distributed_matches_oracle(graph_and_oracle, plan, ranks, partition):
 
 
 def test_compress_scratch_is_one_block():
-    # The only pooled buffer afforest touches on the vectorized backend
-    # is compress's gather scratch: one block of int32 labels.
-    result = engine.run("afforest", _path(), profile=True)
-    assert result.counters["bytes_allocated"] == COMPRESS_BLOCK * 4
+    # The pooled buffers afforest touches on the vectorized backend are
+    # compress's gather scratch, one block of int32 labels, and the
+    # neighbour rounds' out-edges, n int64 slots.
+    graph = _path()
+    result = engine.run("afforest", graph, profile=True)
+    assert result.counters["bytes_allocated"] == (
+        COMPRESS_BLOCK * 4 + 8 * graph.num_vertices
+    )
 
 
 def test_service_epoch_matches_batch_resolve():

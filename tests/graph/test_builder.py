@@ -1,7 +1,11 @@
 """Unit tests for CSR construction from edge data."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph.builder import (
@@ -12,11 +16,14 @@ from repro.graph.builder import (
     from_edge_list,
 )
 from repro.graph.coo import EdgeList
+from repro.graph.csr import CSRGraph
+from repro.graph.io import read_edge_list
 from repro.graph.validate import (
     check_no_duplicates,
     check_no_self_loops,
     check_sorted_neighbors,
     check_symmetric,
+    validate_graph,
 )
 
 
@@ -118,3 +125,62 @@ def test_edge_keys_vertex_limit():
     assert int(key[0]) == _MAX_KEYED_VERTICES**2 - 1
     with pytest.raises(GraphFormatError, match="int64 edge-key range"):
         edge_keys(top, top, _MAX_KEYED_VERTICES + 1)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge records over ``core`` vertices, drawn from so few ids that
+    self loops and duplicates are common, then ``tail`` isolated
+    vertices after the last id."""
+    core = draw(st.integers(0, 12))
+    tail = draw(st.integers(0, 3))
+    ids = st.integers(0, max(core - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40 if core else 0))
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return EdgeList(core + tail, src.copy(), dst.copy())
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=edge_lists())
+def test_build_csr_output_is_valid_csr(edges):
+    """Every normalisation builds a CSR that passes the constructor's
+    checks (``indptr`` from 0, never decreasing, ending at m; ids in
+    range) although ``build_csr`` skips them; the symmetrized ones pass
+    the semantic checks their flags promise."""
+    for symmetrize, dedup, drop, sort in itertools.product([False, True], repeat=4):
+        g = build_csr(
+            edges,
+            symmetrize=symmetrize,
+            dedup=dedup,
+            drop_self_loops=drop,
+            sort_neighbors=sort,
+        )
+        assert g.num_vertices == edges.num_vertices
+        CSRGraph(g.indptr, g.indices, validate=True)
+        if symmetrize:
+            validate_graph(
+                g,
+                require_sorted=sort,
+                allow_self_loops=not drop,
+                allow_duplicates=not dedup,
+            )
+
+
+@pytest.fixture(scope="module")
+def edge_list_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge-lists") / "g.el"
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=edge_lists(), data=st.data())
+def test_chunked_read_output_is_valid_csr(edge_list_path, edges, data):
+    """The out-of-core path, in chunks of any size, builds a valid CSR
+    under the default normalisation, equal to the whole-file read."""
+    edge_list_path.write_text(
+        "".join(f"{u} {v}\n" for u, v in zip(edges.src, edges.dst))
+    )
+    chunk = data.draw(st.integers(1, edges.num_edges + 1))
+    g = read_edge_list(edge_list_path, chunk_edges=chunk)
+    CSRGraph(g.indptr, g.indices, validate=True)
+    validate_graph(g, require_sorted=True)
+    assert g == read_edge_list(edge_list_path)
