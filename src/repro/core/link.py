@@ -216,9 +216,40 @@ def _link_rounds(
         b = pi[l]
 
 
+#: Slots per block of :func:`is_identity`'s walk.
+IDENTITY_BLOCK = 1 << 14
+
+
 def is_identity(pi: np.ndarray) -> bool:
-    """True when every vertex is its own root: ``pi[v] == v``."""
-    return bool(np.array_equal(pi, np.arange(pi.shape[0], dtype=pi.dtype)))
+    """True when every vertex is its own root: ``pi[v] == v``.
+
+    Reads the last slot first, which any link that hooked the last
+    vertex has lowered, then compares π block by block against one
+    block-sized ``arange`` advanced in place, stopping at the first
+    block that differs: no n-sized temporary.
+    """
+    n = int(pi.shape[0])
+    if n == 0:
+        return True
+    if pi[n - 1] != n - 1:
+        return False
+    ramp = np.arange(min(n, IDENTITY_BLOCK), dtype=pi.dtype)
+    for lo in range(0, n, IDENTITY_BLOCK):
+        blk = pi[lo : lo + IDENTITY_BLOCK]
+        if not np.array_equal(blk, ramp[: blk.shape[0]]):
+            return False
+        ramp += IDENTITY_BLOCK
+    return True
+
+
+def is_one_flat_tree(pi: np.ndarray) -> bool:
+    """True when every vertex points at vertex 0 (or there is none): one
+    flat tree, whose root is 0 under Invariant 1.  No link can change
+    such a π.  Reads the last slot first, so a π that ends in a nonzero
+    slot answers without a scan.
+    """
+    n = int(pi.shape[0])
+    return n == 0 or bool(pi[n - 1] == 0 and not pi.any())
 
 
 def link_out(pi: np.ndarray, nbr: np.ndarray) -> int:

@@ -19,6 +19,13 @@
    by non-skipped endpoints keep cross-component connectivity), then a
    final compress turning π into the component labeling.
 
+Work that π already settles is skipped, exactly: a first-k round on an
+all-zero π (one flat tree) gathers and links nothing inside the
+backend, and a compress after a link that ran 0 rounds is not run.
+Round 0 leaves one tree when every vertex but 0 has a lower-numbered
+first neighbour: sorted neighbour lists of a connected graph numbered
+in BFS, DFS or growth order.
+
 Every step speaks the :class:`~repro.engine.backends.ExecutionBackend`
 primitive vocabulary, so Afforest runs on all three substrates.
 """
@@ -50,6 +57,33 @@ def _random_round_edges(
     offsets = rng.integers(0, deg[verts])
     nbrs = graph.indices[graph.indptr[verts] + offsets]
     return verts, nbrs
+
+
+def _compress(
+    backend: ExecutionBackend,
+    pi: np.ndarray,
+    linked: int | None,
+    result: CCResult,
+    phase: str,
+) -> None:
+    """Compress π after a link that ran ``linked`` rounds and record the
+    passes.
+
+    A link that ran 0 rounds wrote nothing, so π is as flat as the last
+    compress (or the identity) left it and ``compress`` would make one
+    verifying sweep that returns 0.  The skip records 0 passes, keeps the
+    phase's span (empty) and counts itself in ``rounds_skipped``.  A
+    backend that reports no rounds (``None``) always compresses.
+    """
+    if linked == 0:
+        with backend.tracer.span(phase):
+            pass
+        backend.tracer.metrics.counter("rounds_skipped").inc()
+        result.compress_passes.append(0)
+        return
+    passes = backend.compress(pi, phase=phase)
+    if passes is not None:
+        result.compress_passes.append(passes)
 
 
 def afforest(
@@ -101,9 +135,7 @@ def afforest(
             rounds = backend.link_edges(pi, src, dst, phase=link_phase)
         if rounds is not None:
             result.link_rounds.append(rounds)
-        passes = backend.compress(pi, phase=phase_label("C", round=r))
-        if passes is not None:
-            result.compress_passes.append(passes)
+        _compress(backend, pi, rounds, result, phase_label("C", round=r))
         backend.beat(link_phase)
 
     largest: int | None = None
@@ -122,9 +154,7 @@ def afforest(
     result.edges_skipped = skipped
     if rounds is not None:
         result.link_rounds.append(rounds)
-    passes = backend.compress(pi, phase=phase_label("C", final=True))
-    if passes is not None:
-        result.compress_passes.append(passes)
+    _compress(backend, pi, rounds, result, phase_label("C", final=True))
     backend.beat("H")
     result.run_stats = backend.run_stats()
     return result

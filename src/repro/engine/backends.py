@@ -50,7 +50,13 @@ from repro.constants import (
     VERTEX_DTYPE,
 )
 from repro.core.compress import COMPRESS_BLOCK, compress_all, compress_kernel
-from repro.core.link import is_identity, link_batch, link_kernel, link_out
+from repro.core.link import (
+    is_identity,
+    is_one_flat_tree,
+    link_batch,
+    link_kernel,
+    link_out,
+)
 from repro.core.sampling import approximate_largest_label
 from repro.distributed.comm import SimulatedComm
 from repro.engine import partition as _part
@@ -472,6 +478,12 @@ class ExecutionBackend:
         or constant ``fill`` (the BFS pipelines' unvisited sentinel)."""
         raise NotImplementedError
 
+    def seed(self, pi: np.ndarray, v: int, label: int) -> None:
+        """Driver write ``pi[v] = label`` between primitives (the BFS
+        pipelines' component seed); a plain write unless the substrate
+        must replicate it."""
+        pi[v] = label
+
     def link_edges(
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> int | None:
@@ -481,7 +493,11 @@ class ExecutionBackend:
     def link_neighbor_round(
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> int | None:
-        """Link ``(v, N(v)[r])`` for every vertex with degree > r."""
+        """Link ``(v, N(v)[r])`` for every vertex with degree > r.
+
+        The vectorized and distributed substrates return 0 without
+        gathering when π is all zero: every vertex then points at root
+        0, so every edge's endpoints already share a tree."""
         raise NotImplementedError
 
     def link_remaining(
@@ -611,8 +627,11 @@ class VectorizedBackend(ExecutionBackend):
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> int:
         """Gather slot ``r`` of every vertex, then link it as one
-        out-edge per vertex (:func:`~repro.core.link.link_out`)."""
+        out-edge per vertex (:func:`~repro.core.link.link_out`); on an
+        all-zero π, 0 with no gather."""
         with self.tracer.span(phase):
+            if is_one_flat_tree(pi):
+                return 0
             return link_out(pi, self._round_neighbors(graph, r))
 
     def link_remaining(
@@ -1018,10 +1037,11 @@ class DistributedBackend(VectorizedBackend):
         self.ranks = ranks
         self.partition = partition
         self.comm = comm if comm is not None else SimulatedComm(ranks)
-        # Replica state as of the last barrier: driver-side writes
-        # (the BFS pipelines seed ``pi[cursor] = label`` directly) are
-        # detected against it and charged as a root broadcast.
+        # Replica state as of the last barrier, and the slots the driver
+        # has written since (``seed``), which the next primitive charges
+        # as a root broadcast.
         self._shadow: np.ndarray | None = None
+        self._seeds: list[int] = []
         # Vertex-ownership cut points, cached per n.
         self._bounds_n = -1
         self._bounds: np.ndarray | None = None
@@ -1125,27 +1145,39 @@ class DistributedBackend(VectorizedBackend):
                 )
                 self._seen_pair[pair] = nbytes
 
+    def seed(self, pi: np.ndarray, v: int, label: int) -> None:
+        """Write ``pi[v] = label`` on the driver's replica and record
+        ``v`` for the next primitive to broadcast."""
+        pi[v] = label
+        self._seeds.append(int(v))
+
     def _sync_driver(self, pi: np.ndarray) -> None:
         """Fold driver-side writes into every replica.
 
-        Pipelines own π between primitives and may write it directly (the
-        BFS cursor seed).  Any divergence from the last-barrier shadow is
-        broadcast — sparse or dense, whichever is smaller — before the
-        primitive's supersteps run.
+        Pipelines own π between primitives and write it only through
+        :meth:`seed`.  The slots seeded since the last primitive that
+        differ from the last-barrier shadow go out as one broadcast —
+        sparse or dense, whichever is smaller — before the primitive's
+        supersteps run; batching them keeps a run of seeded isolated
+        vertices to one superstep.  A π the backend has not seen (no
+        shadow yet, or another length) is adopted as every replica's.
         """
         shadow = self._shadow
+        seeds, self._seeds = self._seeds, []
         if shadow is None or shadow.shape[0] != pi.shape[0]:
             self._shadow = pi.copy()
             return
+        if not seeds:
+            return
+        idx = sorted_unique(np.asarray(seeds, dtype=np.int64))
+        idx = idx[pi[idx] != shadow[idx]]
+        if idx.shape[0] == 0:
+            return
+        shadow[idx] = pi[idx]
         if self.ranks == 1:
-            np.copyto(shadow, pi)
             return
-        diff = np.nonzero(pi != shadow)[0]
-        if diff.shape[0] == 0:
-            return
-        payload = self._encode(pi, diff, pi[diff], 0, int(pi.shape[0]))
+        payload = self._encode(pi, idx, pi[idx], 0, int(pi.shape[0]))
         self.comm.bcast_all({0: payload})
-        shadow[diff] = pi[diff]
         self._flush_comm()
 
     @staticmethod
@@ -1524,9 +1556,15 @@ class DistributedBackend(VectorizedBackend):
         """Gather slot ``r`` of every vertex (:func:`round_neighbors`) and
         link it rank by rank, each rank over its :meth:`_round_ranks`
         vertices: on an identity π as :meth:`_identity_round`, otherwise
-        through the round loop from every rank's cursors."""
+        through the round loop from every rank's cursors.
+
+        On an all-zero π every rank reads off its own replica that
+        nothing is apart, so the round returns 0 with no gather and no
+        barrier."""
         self._sync_driver(pi)
         with self.tracer.span(phase):
+            if is_one_flat_tree(pi):
+                return 0
             nbr = self._round_neighbors(graph, r)
             ranks = self._round_ranks(
                 self.short_vertices(graph, r), int(pi.shape[0])
@@ -1570,6 +1608,7 @@ class DistributedBackend(VectorizedBackend):
             self.ranks * pi.nbytes
         )
         self._shadow = pi.copy()
+        self._seeds = []
         self._vertex_bounds(n)
         return pi
 

@@ -55,7 +55,7 @@ def bfs(graph: CSRGraph, backend: ExecutionBackend) -> CCResult:
             cursor += 1
             continue
         label = cursor
-        pi[cursor] = label
+        backend.seed(pi, cursor, label)
         frontier = np.asarray([cursor], dtype=VERTEX_DTYPE)
         while frontier.size:
             steps += 1
@@ -136,7 +136,7 @@ def dobfs(
             cursor += 1
             continue
         label = cursor
-        pi[cursor] = label
+        backend.seed(pi, cursor, label)
         frontier = np.asarray([cursor], dtype=VERTEX_DTYPE)
         while frontier.size:
             scout = int(deg[frontier].sum())

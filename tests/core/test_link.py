@@ -12,7 +12,10 @@ from repro.constants import (
 )
 from repro.core.compress import compress_all
 from repro.core.link import (
+    IDENTITY_BLOCK,
     LinkCounters,
+    is_identity,
+    is_one_flat_tree,
     link,
     link_batch,
     link_kernel,
@@ -293,3 +296,71 @@ class TestLinkAgainstReference:
         ref_rounds = reference_link_batch(ref, src, dst)
         assert link_batch(pi, src, dst) == ref_rounds
         assert np.array_equal(pi, ref)
+
+
+class TestIsIdentity:
+    """``is_identity`` reads π block by block; it must agree with a
+    whole-array comparison against ``arange(n)`` wherever a wrong slot
+    sits: first, last, or either side of a block boundary."""
+
+    SIZES = [0, 1, 2, IDENTITY_BLOCK - 1, IDENTITY_BLOCK, 2 * IDENTITY_BLOCK + 5]
+
+    @staticmethod
+    def expected(pi):
+        return bool(np.array_equal(pi, np.arange(pi.shape[0])))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_identity(self, n, dtype):
+        pi = np.arange(n, dtype=dtype)
+        assert is_identity(pi) is True
+        assert np.array_equal(pi, np.arange(n))  # read-only
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_one_wrong_slot(self, n, dtype):
+        positions = {0, n - 1}
+        for edge in range(IDENTITY_BLOCK, n, IDENTITY_BLOCK):
+            positions |= {edge - 1, edge}
+        for pos in sorted(positions):
+            for wrong in (n, pos - 1 if pos else 1):
+                pi = np.arange(n, dtype=dtype)
+                pi[pos] = wrong
+                assert self.expected(pi) is False
+                assert is_identity(pi) is False, (pos, wrong)
+
+    @given(
+        n=st.integers(0, 3 * IDENTITY_BLOCK),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_whole_array_comparison(self, n, dtype, data):
+        pi = np.arange(n, dtype=dtype)
+        if n:
+            k = data.draw(st.integers(0, 3), label="wrong slots")
+            for pos in data.draw(
+                st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                label="positions",
+            ):
+                pi[pos] = data.draw(st.integers(0, n - 1), label="value")
+        assert is_identity(pi) == self.expected(pi)
+
+
+class TestIsOneFlatTree:
+    """``is_one_flat_tree`` is ``not pi.any()``: it reads the last slot
+    first but must still find a nonzero slot anywhere else."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, IDENTITY_BLOCK + 3])
+    def test_all_zero(self, n, dtype):
+        assert is_one_flat_tree(np.zeros(n, dtype=dtype)) is True
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", [2, 7, IDENTITY_BLOCK + 3])
+    def test_one_nonzero_slot(self, n, dtype):
+        for pos in (1, n // 2, n - 1):
+            pi = np.zeros(n, dtype=dtype)
+            pi[pos] = 1
+            assert is_one_flat_tree(pi) is False, pos
+        assert is_one_flat_tree(np.arange(n, dtype=dtype)) is False

@@ -122,7 +122,10 @@ class TestDistributedCC:
 #: ``kronecker_graph(9, edge_factor=8, seed=0)`` per (algorithm, ranks,
 #: partition).  The merge bookkeeping may change how candidates are
 #: deduplicated and routed, never what crosses the wire.  ``sv`` pins the
-#: hook exchange and ``lp`` the sweep exchange (``_sweep_exchange``).
+#: hook exchange, ``lp`` the sweep exchange (``_sweep_exchange``), and
+#: ``bfs``/``dobfs`` the frontier exchanges plus the broadcast of each
+#: component's seed, batched with the seeds of the isolated vertices
+#: before it.
 PINNED_TRAFFIC = {
     ("afforest", 2, "block"): (2076, 20, 16),
     ("afforest", 2, "hash"): (2192, 18, 15),
@@ -142,6 +145,25 @@ PINNED_TRAFFIC = {
     ("lp", 4, "hash"): (21988, 94, 8),
     ("lp", 16, "block"): (86144, 1507, 8),
     ("lp", 16, "hash"): (87124, 1619, 8),
+    ("bfs", 2, "block"): (2748, 9, 7),
+    ("bfs", 2, "hash"): (2848, 10, 7),
+    ("bfs", 4, "block"): (8280, 62, 9),
+    ("bfs", 4, "hash"): (8744, 85, 10),
+    ("dobfs", 2, "block"): (1932, 9, 7),
+    ("dobfs", 2, "hash"): (2060, 10, 7),
+    ("dobfs", 4, "block"): (5796, 39, 7),
+    ("dobfs", 4, "hash"): (6360, 63, 8),
+}
+
+#: The same totals for ``afforest`` on ``barabasi_albert_graph(3000,
+#: edges_per_vertex=4, seed=1)``, numbered in growth order: round 0
+#: leaves one tree, so round 1 runs no barrier and ``C1`` and ``C*`` no
+#: sweep (``link_rounds`` [1, 0, 0], ``compress_passes`` [3, 0, 0]).
+PINNED_CONNECTED_TRAFFIC = {
+    (2, "block"): (12032, 6, 5),
+    (2, "hash"): (12778, 6, 5),
+    (4, "block"): (36096, 24, 5),
+    (4, "hash"): (40596, 24, 5),
 }
 
 
@@ -165,6 +187,26 @@ class TestExchangeTraffic:
             counters["comm_supersteps"],
         ) == PINNED_TRAFFIC[(algorithm, ranks, partition)]
         assert np.array_equal(result.labels, engine.run(algorithm, graph).labels)
+
+    @pytest.mark.parametrize(
+        "ranks,partition",
+        sorted(PINNED_CONNECTED_TRAFFIC),
+        ids=[f"R{r}-{p}" for r, p in sorted(PINNED_CONNECTED_TRAFFIC)],
+    )
+    def test_connected_order_traffic_pinned(self, ranks, partition):
+        graph = barabasi_albert_graph(3000, edges_per_vertex=4, seed=1)
+        backend = DistributedBackend(ranks=ranks, partition=partition)
+        result = engine.run("afforest", graph, backend=backend, profile=True)
+        counters = result.counters
+        assert (
+            counters["comm_bytes_sent"],
+            counters["comm_messages"],
+            counters["comm_supersteps"],
+        ) == PINNED_CONNECTED_TRAFFIC[(ranks, partition)]
+        assert result.link_rounds == [1, 0, 0]
+        assert result.compress_passes == [3, 0, 0]
+        assert counters["rounds_skipped"] == 2
+        assert not result.labels.any()
 
     @pytest.mark.parametrize("ranks", [1, 4])
     def test_replica_bytes(self, graph, ranks):

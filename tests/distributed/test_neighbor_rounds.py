@@ -49,8 +49,12 @@ class RecordingComm(SimulatedComm):
 def reference_link_round(backend, pi, graph, r):
     """The neighbour round as a vertex-list batch: ``(v, N(v)[r])`` for
     every vertex of degree > r, sharded by flat position, each round a
-    boolean-mask pass over every rank's whole shard."""
+    boolean-mask pass over every rank's whole shard.  An all-zero π is
+    one tree, so every replica knows without a barrier that nothing is
+    apart."""
     backend._sync_driver(pi)
+    if not pi.any():
+        return 0
     verts = np.flatnonzero(backend.degrees(graph) > r)
     src, dst = verts, graph.indices[graph.indptr[verts] + r]
     shards = backend._batch_shards(src, dst)

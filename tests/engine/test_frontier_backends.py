@@ -117,6 +117,26 @@ class TestFrontierBackendEquivalence:
                 f"trial {trial} ({algorithm}) diverged from the oracle"
             )
 
+    @pytest.mark.parametrize("algorithm", ["bfs", "dobfs"])
+    def test_seeds_left_by_a_run_stay_in_it(self, algorithm):
+        """A run that ends on isolated vertices leaves their seeds
+        unbroadcast (no primitive follows them); the next run on the
+        backend, here on a smaller graph, must not see them."""
+        tail = from_edge_list([(0, 1), (1, 2)], num_vertices=40)
+        small = from_edge_list([(0, 1), (2, 3)], num_vertices=5)
+        backend = DistributedBackend(ranks=2)
+        engine.run(algorithm, tail, backend=backend)
+        result = engine.run(algorithm, small, backend=backend, profile=True)
+        fresh = engine.run(
+            algorithm, small, backend=DistributedBackend(ranks=2), profile=True
+        )
+        assert np.array_equal(result.labels, fresh.labels)
+
+        def traffic(counters):
+            return {k: v for k, v in counters.items() if k.startswith("comm_")}
+
+        assert traffic(result.counters) == traffic(fresh.counters)
+
 
 class TestFrontierProfiling:
     def test_lp_distributed_profile_has_sweep_phases(self):
