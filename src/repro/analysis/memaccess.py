@@ -57,13 +57,6 @@ class AccessSummary:
                 return p
         raise KeyError(f"no phase labeled {label!r}")
 
-    def combined_histogram(self) -> np.ndarray:
-        """Address histogram over all phases (the full heat-map marginal)."""
-        out = np.zeros(self.bins, dtype=np.int64)
-        for p in self.phases:
-            out += p.address_histogram
-        return out
-
 
 def _sequentiality(
     addresses: np.ndarray, workers: np.ndarray, max_stride: int

@@ -3,22 +3,22 @@
 Commands
 --------
 
-``generate``  write a synthetic dataset proxy to a graph file
-``info``      print Table III-style statistics for a graph
-``solve``     compute connected components and optionally save the labels
-``compare``   run several algorithms on one graph and print a timing table
-``plans``     list the algorithm names and their fixed parameters
-              (``--check`` runs each on every backend against the scipy
-              oracle)
-``convert``   translate between the supported graph file formats
-``serve``     stand up the connectivity serving layer on one graph and
-              drive a mixed query/update stream through it (throughput,
-              p50/p95/p99 latency, epoch bit-identity oracle)
-``trace``     render a saved execution trace as an ASCII timeline
-``obs``       run-ledger tools: ``runs`` lists recent recorded runs,
-              ``show`` prints one (``--prom`` for Prometheus text),
-              ``diff`` attributes a slowdown between two runs, reports,
-              or ledgers, and ``watch`` streams live per-round progress
+``generate``    write a synthetic dataset proxy to a graph file
+``info``        print Table III-style statistics for a graph
+``solve``       compute connected components and optionally save the labels
+``compare``     run several algorithms on one graph and print a timing table
+``algorithms``  list the algorithm names and their fixed parameters
+                (``--check`` runs each on every backend against the scipy
+                oracle)
+``convert``     translate between the supported graph file formats
+``serve``       stand up the connectivity serving layer on one graph and
+                drive a mixed query/update stream through it (throughput,
+                p50/p95/p99 latency, epoch bit-identity oracle)
+``trace``       render a saved execution trace as an ASCII timeline
+``obs``         run-ledger tools: ``runs`` lists recent recorded runs,
+                ``show`` prints one (``--prom`` for Prometheus text),
+                ``diff`` attributes a slowdown between two runs, reports,
+                or ledgers, and ``watch`` streams live per-round progress
 
 Algorithm arguments accept the names in the name table (``afforest``,
 ``sv``, …, ``sequential``; :data:`repro.engine.ALGORITHMS`).
@@ -160,9 +160,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plans(args: argparse.Namespace) -> int:
+def _cmd_algorithms(args: argparse.Namespace) -> int:
     if args.check:
-        return _check_plans(args)
+        return _check_algorithms(args)
     print(f"{'algorithm':<16} fixed parameters")
     for name, algorithm in ALGORITHMS.items():
         if name == SEQUENTIAL:
@@ -173,7 +173,7 @@ def _cmd_plans(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_check_graph() -> CSRGraph:
+def _algorithm_check_graph() -> CSRGraph:
     """The name check's input: ``component_fraction_graph(150, 0.3,
     seed=3)``, whose every vertex has degree >= 9, plus disjoint parts
     whose vertices lack slot r for small r: three isolated vertices, a
@@ -196,18 +196,18 @@ def _plan_check_graph() -> CSRGraph:
     return build_csr(edges, drop_self_loops=False)
 
 
-def _check_plans(args: argparse.Namespace) -> int:
+def _check_algorithms(args: argparse.Namespace) -> int:
     """Validate that every parallel algorithm runs on every backend.
 
     Runs each name but ``sequential``, the reference, on a small
-    multi-component graph (:func:`_plan_check_graph`) per backend kind
+    multi-component graph (:func:`_algorithm_check_graph`) per backend kind
     and compares the labels against the scipy oracle's component-minimum
     labeling; exits non-zero on any mismatch (the CI gate behind
-    ``repro plans --check``).
+    ``repro algorithms --check``).
     """
     from repro.graph.properties import scipy_components
 
-    graph = _plan_check_graph()
+    graph = _algorithm_check_graph()
     comp = scipy_components(graph)
     n = graph.num_vertices
     mins = np.full(int(comp.max()) + 1, n, dtype=np.int64)
@@ -243,12 +243,12 @@ def _check_plans(args: argparse.Namespace) -> int:
         for line in failures:
             print(f"FAIL {line}", file=sys.stderr)
         print(
-            f"plans check: {len(failures)}/{checked} algorithm×backend "
+            f"algorithms check: {len(failures)}/{checked} algorithm×backend "
             "combinations failed",
             file=sys.stderr,
         )
         return 1
-    print(f"plans check: {checked} algorithm×backend combinations OK")
+    print(f"algorithms check: {checked} algorithm×backend combinations OK")
     return 0
 
 
@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser(
-        "plans",
+        "algorithms",
         help="list the algorithm names and their fixed parameters "
         "(--check validates every name on every backend)",
     )
@@ -759,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="world size for the distributed backend during --check "
         "(default: 4)",
     )
-    p.set_defaults(fn=_cmd_plans)
+    p.set_defaults(fn=_cmd_algorithms)
 
     p = sub.add_parser("convert", help="translate between graph file formats")
     p.add_argument("input")

@@ -38,12 +38,3 @@ def spanning_forest(graph: CSRGraph) -> EdgeList:
         np.asarray(keep_src, dtype=VERTEX_DTYPE),
         np.asarray(keep_dst, dtype=VERTEX_DTYPE),
     )
-
-
-def spanning_forest_size(graph: CSRGraph) -> int:
-    """``|V| - C`` without materialising the forest."""
-    uf = SequentialUnionFind(graph.num_vertices)
-    src, dst = graph.undirected_edge_array()
-    for u, v in zip(src.tolist(), dst.tolist()):
-        uf.union(u, v)
-    return graph.num_vertices - uf.num_sets

@@ -88,17 +88,6 @@ class EdgeList:
         hi = np.maximum(self.src, self.dst)
         return EdgeList(self.num_vertices, lo, hi)
 
-    def permuted(self, order: np.ndarray) -> "EdgeList":
-        """Reorder edge records by ``order`` (a permutation of record ids).
-
-        Used to build adversarial edge orders for worst-case analyses
-        (paper Sec. V-A).
-        """
-        order = np.asarray(order)
-        if order.shape != self.src.shape:
-            raise GraphFormatError("permutation length must equal num_edges")
-        return EdgeList(self.num_vertices, self.src[order], self.dst[order])
-
     def concatenated(self, other: "EdgeList") -> "EdgeList":
         """Append ``other``'s records (vertex counts must agree)."""
         if other.num_vertices != self.num_vertices:

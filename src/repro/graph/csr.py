@@ -15,8 +15,6 @@ non-writeable so that algorithm kernels can never corrupt a shared graph.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.constants import VERTEX_DTYPE
@@ -156,14 +154,6 @@ class CSRGraph:
         src, dst = self.sources(), self._indices
         keep = src <= dst
         return src[keep], dst[keep].copy()
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate stored directed edges as Python int pairs (slow path,
-        for tests and small examples)."""
-        indptr, indices = self._indptr, self._indices
-        for v in range(self.num_vertices):
-            for e in range(indptr[v], indptr[v + 1]):
-                yield v, int(indices[e])
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if ``v`` appears in ``u``'s neighbour list.

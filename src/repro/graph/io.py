@@ -5,19 +5,15 @@ from:
 
 - **edge-list text** (``.el`` — the GAP loader's plain format): one
   ``u v`` pair per line, ``#`` comments allowed; a file is parsed by one
-  vectorized block parser on both the whole-file and the chunked path,
-  in 1 MiB blocks, decoding each endpoint from 8-byte words, and written
-  in blocks of edges whose digits are formatted four at a time;
+  vectorized block parser in 1 MiB blocks, decoding each endpoint from
+  8-byte words, and written in blocks of edges whose digits are
+  formatted four at a time;
 - **METIS** (``.graph``): header ``n m`` then one line of (1-based)
   neighbours per vertex;
 - **npz binary**: the CSR arrays verbatim, the fastest round-trip.
 
-The edge-list path additionally supports **chunked / out-of-core
-loading** for datasets too large to stage as a whole COO edge list
-(2^24-vertex synthetics and beyond): ``read_edge_list(path,
-chunk_edges=...)`` streams fixed-size edge blocks through the two-pass
-:func:`build_csr_streaming` assembly (degree count, then one sort of the
-edge keys — the peak footprint is the key array plus one block).
+METIS and npz files store the adjacency itself, so their loaders check
+that it is symmetric; ``build_csr`` symmetrizes an edge list by default.
 """
 
 from __future__ import annotations
@@ -26,26 +22,19 @@ import os
 import zipfile
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
-from repro.graph.builder import (
-    csr_from_sorted_keys,
-    edge_keys,
-    from_edge_array,
-    require_vertex_memory,
-    row_starts,
-)
+from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
+from repro.graph.validate import check_symmetric
 
 __all__ = [
     "read_edge_list",
     "write_edge_list",
-    "iter_edge_list_chunks",
-    "build_csr_streaming",
     "read_metis",
     "write_metis",
     "load_npz",
@@ -139,30 +128,20 @@ def _parse_edge_line(line: str, lineno: int) -> tuple[int, int] | None:
 
 def _parse_lines(
     lines: Iterable[str], lineno: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Reference parse of ``lines``, numbered from ``lineno``, as one block.
-
-    At a malformed line it yields the edges before that line and then
-    raises, as a line-by-line reader would: a chunked reader hands those
-    edges on before the error.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference parse of ``lines``, numbered from ``lineno``, as one
+    ``(src, dst)`` pair; raises at the first malformed line."""
     src_l: list[int] = []
     dst_l: list[int] = []
-    error = None
-    try:
-        for i, line in enumerate(lines, lineno):
-            parsed = _parse_edge_line(line, i)
-            if parsed is not None:
-                src_l.append(parsed[0])
-                dst_l.append(parsed[1])
-    except GraphFormatError as exc:
-        error = exc
-    yield (
+    for i, line in enumerate(lines, lineno):
+        parsed = _parse_edge_line(line, i)
+        if parsed is not None:
+            src_l.append(parsed[0])
+            dst_l.append(parsed[1])
+    return (
         np.asarray(src_l, dtype=VERTEX_DTYPE),
         np.asarray(dst_l, dtype=VERTEX_DTYPE),
     )
-    if error is not None:
-        raise error
 
 
 def _window_digits(
@@ -279,22 +258,21 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
         yield tail.removesuffix(b"\r") + b"\n"
 
 
-def _decoded_lines(
-    block: bytes, lineno: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _decoded_lines(block: bytes, lineno: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference parse of a block the vectorized parser declined.  At a
-    byte that is not UTF-8 it parses the lines before it, then raises
-    :class:`~repro.errors.GraphFormatError` naming that byte's line."""
+    byte that is not UTF-8 it parses the lines before it, so that their
+    errors come first, then raises :class:`~repro.errors.GraphFormatError`
+    naming that byte's line."""
     try:
         text = block.decode("utf-8")
     except UnicodeDecodeError as exc:
         cut = block.rfind(b"\n", 0, exc.start) + 1
-        yield from _parse_lines(block[:cut].decode("utf-8").split("\n")[:-1], lineno)
+        _parse_lines(block[:cut].decode("utf-8").split("\n")[:-1], lineno)
         bad = lineno + block.count(b"\n", 0, cut)
         raise GraphFormatError(
             f"edge list line {bad}: not UTF-8 text ({exc.reason})"
         ) from None
-    yield from _parse_lines(text[:-1].split("\n"), lineno)
+    return _parse_lines(text[:-1].split("\n"), lineno)
 
 
 def _path_edges(
@@ -306,7 +284,7 @@ def _path_edges(
         for block in _line_blocks(fh):
             parsed = _parse_block(block)
             if parsed is None:
-                yield from _decoded_lines(block, lineno)
+                yield _decoded_lines(block, lineno)
             else:
                 yield parsed
             lineno += block.count(b"\n")
@@ -326,7 +304,7 @@ def _text_edges(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             ) from None
         if not lines:
             return
-        yield from _parse_lines(lines, lineno)
+        yield _parse_lines(lines, lineno)
         lineno += len(lines)
 
 
@@ -353,126 +331,7 @@ def _concatenated(
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
-def _chunked(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], chunk_edges: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Regroup parsed blocks into chunks of exactly ``chunk_edges`` edges;
-    only the last chunk may be shorter."""
-    if chunk_edges < 1:
-        raise GraphFormatError(
-            f"chunk_edges must be >= 1, got {chunk_edges}"
-        )
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    have = 0
-    for block in blocks:
-        parts.append(block)
-        have += block[0].shape[0]
-        if have < chunk_edges:
-            continue
-        src, dst = (np.concatenate(col) for col in zip(*parts))
-        full = have - have % chunk_edges
-        for lo in range(0, full, chunk_edges):
-            yield src[lo : lo + chunk_edges], dst[lo : lo + chunk_edges]
-        parts, have = [(src[full:], dst[full:])], have - full
-    if have:
-        src, dst = (np.concatenate(col) for col in zip(*parts))
-        yield src, dst
-
-
-def iter_edge_list_chunks(
-    fh: TextIO, chunk_edges: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream an open edge-list file as ``(src, dst)`` array blocks of
-    ``chunk_edges`` edges (the last may be shorter), with the same grammar
-    and errors as :func:`read_edge_list`."""
-    return _chunked(_text_edges(fh), chunk_edges)
-
-
-def build_csr_streaming(
-    chunk_factory: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]],
-    num_vertices: int | None = None,
-) -> CSRGraph:
-    """Two-pass out-of-core CSR assembly from an edge-block stream.
-
-    ``chunk_factory`` is called twice and must each time yield the same
-    sequence of ``(src, dst)`` edge blocks (re-reading a file, re-seeding
-    a generator).  Pass one counts degrees (and discovers ``num_vertices``
-    when not given); pass two writes the edge keys of both directions into
-    one preallocated array, which a single sort turns into CSR order (see
-    :func:`~repro.graph.builder.csr_from_sorted_keys`).  The result is
-    :func:`~repro.graph.builder.build_csr`'s default normalisation
-    (symmetrize, drop self loops, dedup, sorted neighbours) bit-exactly,
-    but the COO edge list is never materialised: peak memory is the key
-    array (one int64 per directed edge) plus one block.  The int64 keys
-    limit the graph to 3,037,000,499 vertices; beyond that it raises
-    :class:`~repro.errors.GraphFormatError`.
-    """
-    # Pass 1: degree counts (both directions, self loops dropped).
-    counts = np.zeros(
-        0 if num_vertices is None else num_vertices, dtype=np.int64
-    )
-    for src, dst in chunk_factory():
-        if src.shape[0] == 0:
-            continue
-        if src.min() < 0 or dst.min() < 0:
-            raise GraphFormatError("vertex ids must be non-negative")
-        # Vertex-count discovery sees raw endpoints (before the self-loop
-        # filter) to match from_edge_array's ``max(endpoint) + 1``.
-        hi = int(max(src.max(), dst.max())) + 1
-        if num_vertices is None:
-            if hi > counts.shape[0]:
-                require_vertex_memory(hi - 1)
-                counts = np.concatenate(
-                    [counts, np.zeros(hi - counts.shape[0], dtype=np.int64)]
-                )
-        elif hi > num_vertices:
-            raise GraphFormatError(
-                f"vertex id {hi - 1} out of range for {num_vertices} vertices"
-            )
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        if src.shape[0] == 0:
-            continue
-        counts += np.bincount(src, minlength=counts.shape[0])
-        counts += np.bincount(dst, minlength=counts.shape[0])
-    n = counts.shape[0]
-    m_raw = int(counts.sum())
-    unstable = GraphFormatError(
-        "chunk_factory yielded different edges across passes"
-    )
-
-    # Pass 2: the keys of both directions, in stream order.
-    keys = np.empty(m_raw, dtype=np.int64)
-    filled = 0
-    for src, dst in chunk_factory():
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        k = src.shape[0]
-        if k == 0:
-            continue
-        if filled + 2 * k > m_raw or not (
-            0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
-        ):
-            raise unstable
-        keys[filled : filled + k] = edge_keys(src, dst, n)
-        keys[filled + k : filled + 2 * k] = edge_keys(dst, src, n)
-        filled += 2 * k
-    keys.sort()
-    # Cross-pass check: each row received exactly the entries pass 1
-    # counted for it.
-    if filled != m_raw or not np.array_equal(
-        np.diff(row_starts(keys, n)), counts
-    ):
-        raise unstable
-    return csr_from_sorted_keys(keys, n)
-
-
-def read_edge_list(
-    path: str | os.PathLike | TextIO,
-    *,
-    chunk_edges: int | None = None,
-    **build_kwargs,
-) -> CSRGraph:
+def read_edge_list(path: str | os.PathLike | TextIO, **build_kwargs) -> CSRGraph:
     r"""Read a whitespace-separated edge-list file into a CSR graph.
 
     Grammar, line by line: a blank line, or one whose first non-blank
@@ -486,41 +345,22 @@ def read_edge_list(
     violation; an open text handle is read as the lines iterating it
     yields.
 
-    A path is parsed, on both the whole-file and the chunked path, in
-    blocks of whole lines of about 1 MiB: a vectorized NumPy pass decodes
-    the common grammar (ASCII decimals of at most 18 digits), one 8-byte
-    word per token of up to 7 digits, and a block it cannot decode
-    (non-ASCII text, ``+5``, ``1_0``, overlong or malformed tokens) is
-    re-parsed line by line with the reference grammar, which also raises
-    the exact error.  An open handle takes the reference grammar
-    throughout, in blocks of the same size.  Parse working memory is a
-    small multiple of one block, never an array per byte of the whole
-    file, plus the parsed edge arrays.
+    A path is parsed in blocks of whole lines of about 1 MiB: a
+    vectorized NumPy pass decodes the common grammar (ASCII decimals of
+    at most 18 digits), one 8-byte word per token of up to 7 digits, and
+    a block it cannot decode (non-ASCII text, ``+5``, ``1_0``, overlong
+    or malformed tokens) is re-parsed line by line with the reference
+    grammar, which also raises the exact error.  An open handle takes the
+    reference grammar throughout, in blocks of the same size.  Parse
+    working memory is a small multiple of one block, never an array per
+    byte of the whole file, plus the parsed edge arrays.
 
-    ``chunk_edges`` switches to the out-of-core path: the file is parsed
-    twice, in chunks of that many edges (the last may be shorter), through
-    :func:`build_csr_streaming`, producing a bit-identical graph without
-    ever staging the whole edge list in memory.  The chunked path applies
-    the default normalisation only, so it accepts no ``build_kwargs``.
-
-    The vertex count is the largest id plus one.  On both paths, an id
-    whose vertex arrays (24 bytes a vertex) would not fit the machine's
-    physical memory raises :class:`~repro.errors.GraphFormatError` naming
-    it before anything vertex-sized is allocated.
+    The vertex count is the largest id plus one.  An id whose vertex
+    arrays (24 bytes a vertex) would not fit the machine's physical
+    memory raises :class:`~repro.errors.GraphFormatError` naming it
+    before anything vertex-sized is allocated.  ``build_kwargs`` go to
+    :func:`~repro.graph.builder.build_csr`.
     """
-    if chunk_edges is not None:
-        if build_kwargs:
-            raise GraphFormatError(
-                "chunked edge-list loading supports only the default "
-                f"normalisation; got {sorted(build_kwargs)}"
-            )
-
-        def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            if not isinstance(path, (str, os.PathLike)):
-                path.seek(0)
-            return _chunked(_edge_blocks(path), chunk_edges)
-
-        return build_csr_streaming(chunks)
     src, dst = _concatenated(_edge_blocks(path))
     return from_edge_array(src, dst, **build_kwargs)
 
@@ -600,28 +440,41 @@ def write_edge_list(graph: CSRGraph, path: str | os.PathLike | TextIO) -> None:
 # --------------------------------------------------------------------- #
 
 
+def _metis_ints(tokens: list[str], lineno: int) -> list[int]:
+    """``tokens`` of METIS line ``lineno`` as integers."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise GraphFormatError(f"METIS line {lineno}: non-integer token") from None
+
+
 def read_metis(path: str | os.PathLike) -> CSRGraph:
-    """Read a METIS ``.graph`` file (unweighted, 1-based vertex ids)."""
+    """Read a METIS ``.graph`` file (unweighted, 1-based vertex ids).
+
+    A non-integer token, a header that disagrees with the rows, or an
+    adjacency that is not symmetric raises
+    :class:`~repro.errors.GraphFormatError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header: list[str] | None = None
         rows: list[list[int]] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("%"):
                 continue
             if header is None:
                 if not line:
                     continue  # leading blank lines before the header
-                header = line.split()
+                header, header_line = line.split(), lineno
                 continue
             # After the header every non-comment line is a vertex row; a
             # blank line is a vertex with no neighbours.
-            rows.append([int(tok) for tok in line.split()])
+            rows.append(_metis_ints(line.split(), lineno))
     if header is None:
         raise GraphFormatError("METIS file has no header line")
     if len(header) < 2:
         raise GraphFormatError("METIS header must contain 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = _metis_ints(header[:2], header_line)
     if len(header) >= 3 and header[2] not in ("0", "00", "000"):
         raise GraphFormatError("weighted METIS graphs are not supported")
     if len(rows) != n:
@@ -641,6 +494,7 @@ def read_metis(path: str | os.PathLike) -> CSRGraph:
         raise GraphFormatError(
             f"METIS header declares {m} edges but adjacency encodes {graph.num_edges}"
         )
+    check_symmetric(graph)
     return graph
 
 
@@ -668,7 +522,8 @@ def load_npz(path: str | os.PathLike) -> CSRGraph:
 
     A file that is not a readable archive of the ``indptr`` and
     ``indices`` arrays (truncated, corrupt, missing an array, or a member
-    ``np.load`` rejects) raises :class:`~repro.errors.GraphFormatError`.
+    ``np.load`` rejects), or whose arrays are not a symmetric adjacency,
+    raises :class:`~repro.errors.GraphFormatError`.
     """
     try:
         with np.load(Path(path)) as data:
@@ -676,11 +531,13 @@ def load_npz(path: str | os.PathLike) -> CSRGraph:
                 raise GraphFormatError(
                     "npz file missing 'indptr'/'indices' arrays"
                 )
-            return CSRGraph(
+            graph = CSRGraph(
                 _npz_member(data, "indptr"), _npz_member(data, "indices")
             )
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise GraphFormatError(f"unreadable npz archive: {exc}") from exc
+    check_symmetric(graph)
+    return graph
 
 
 def _npz_member(data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:

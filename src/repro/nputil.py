@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "segment_ranges",
-    "expand_slices",
     "sorted_unique",
     "merge_min",
     "vertex_ids",
@@ -82,24 +81,6 @@ def segment_ranges(counts: np.ndarray) -> np.ndarray:
     if nz.shape[0] > 1:
         out[np.cumsum(nz)[:-1]] = 1 - nz[:-1]
     return np.cumsum(out)
-
-
-def expand_slices(
-    starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the slices ``[starts[i], starts[i] + counts[i])``.
-
-    Returns ``(owner, offset)``: ``owner[k]`` is the slice index that
-    produced flat element ``k`` and ``offset[k]`` its absolute position.
-    The core idiom for touching the CSR neighbourhoods of a vertex set in
-    one vectorised gather.
-    """
-    counts = np.maximum(counts, 0)
-    owner = np.repeat(
-        np.arange(counts.shape[0], dtype=VERTEX_DTYPE), counts
-    )
-    offset = np.repeat(starts, counts) + segment_ranges(counts)
-    return owner, offset
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -117,10 +117,6 @@ class RunDiff:
         """Phases whose movement is significant, largest |delta| first."""
         return [p for p in self.phases if p.moved()]
 
-    def regressed(self, threshold: float = 1.0) -> bool:
-        """Whether side b is slower than ``threshold`` x side a."""
-        return self.ratio > threshold
-
     def attribution(self, max_counters: int = 3) -> str:
         """The attribution clause: top phase moves plus moved counters."""
         parts: list[str] = []

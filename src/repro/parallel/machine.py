@@ -154,10 +154,6 @@ class SimulatedMachine:
         if self.trace is not None:
             self.trace.record(address, worker, op)
 
-    def reset_stats(self) -> None:
-        """Discard accumulated phase statistics (the trace is unaffected)."""
-        self.stats = RunStats(num_workers=self.num_workers, phases=[])
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #

@@ -63,11 +63,6 @@ class MemoryTrace:
         self._phases.append(label)
         return len(self._phases) - 1
 
-    @property
-    def current_phase(self) -> int:
-        """Index of the most recently begun phase (−1 before any)."""
-        return len(self._phases) - 1
-
     def record(self, address: int, worker: int, op: int) -> None:
         """Append one access event (attributed to the current phase)."""
         if self._fill == _CHUNK:

@@ -66,18 +66,6 @@ class RunStats:
     def total_span(self) -> int:
         return sum(ph.span for ph in self.phases)
 
-    @property
-    def total_cas_failures(self) -> int:
-        return sum(ph.cas_failures for ph in self.phases)
-
-    @property
-    def total_reads(self) -> int:
-        return sum(ph.reads for ph in self.phases)
-
-    @property
-    def total_writes(self) -> int:
-        return sum(ph.writes for ph in self.phases)
-
     def phase(self, label: str) -> PhaseStats:
         """First phase with the given label (KeyError if absent)."""
         for ph in self.phases:

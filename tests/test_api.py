@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import inspect
+import io
+import pydoc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import repro
 from repro.analysis import equivalent_labelings
 from repro.errors import ConfigurationError
+from repro.graph.io import read_edge_list
 from repro.obs.ledger import RunRecord
 
 ALGORITHMS = [
@@ -79,9 +82,10 @@ def test_removed_surface_rejected(mixed_graph, capsys):
     """``engine.run`` is the one way in: the per-algorithm shims, the
     modules nothing reached, SV's ``shortcut`` knob, the FastSV and
     data-driven LP finishes, ``<sampling>+<finish>`` names, the
-    engine's ``Instrumentation`` shim and the plan layer (``Plan``, the
+    engine's ``Instrumentation`` shim, the plan layer (``Plan``, the
     phase specs, the sampling and finish packages, the recorded ``plan``
-    field) are gone."""
+    field), the ``repro plans`` command, the out-of-core edge-list path
+    and the helpers that only their own tests called are gone."""
     for module in (
         "repro.baselines",
         "repro.core.afforest",
@@ -145,3 +149,27 @@ def test_removed_surface_rejected(mixed_graph, capsys):
     assert "unknown algorithm 'kout+sv'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["compare", "dataset:kron:tiny", "--plans"])
+    with pytest.raises(SystemExit):
+        main(["plans"])
+    with pytest.raises(TypeError, match="chunk_edges"):
+        read_edge_list(io.StringIO("0 1\n"), chunk_edges=1)
+    for owner, names in {
+        "repro.graph.io": ["iter_edge_list_chunks", "build_csr_streaming"],
+        "repro.nputil": ["expand_slices"],
+        "repro.core.spanning_forest": ["spanning_forest_size"],
+        "repro.graph.csr.CSRGraph": ["iter_edges"],
+        "repro.graph.coo.EdgeList": ["permuted"],
+        "repro.analysis.memaccess.AccessSummary": ["combined_histogram"],
+        "repro.obs.diff.RunDiff": ["regressed"],
+        "repro.parallel.machine.SimulatedMachine": ["reset_stats"],
+        "repro.parallel.memtrace.MemoryTrace": ["current_phase"],
+        "repro.parallel.metrics.RunStats": [
+            "total_cas_failures",
+            "total_reads",
+            "total_writes",
+        ],
+    }.items():
+        found = pydoc.locate(owner)
+        assert found is not None, owner
+        for name in names:
+            assert not hasattr(found, name), f"{owner}.{name}"

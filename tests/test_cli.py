@@ -121,7 +121,7 @@ class TestSolve:
 class TestPlans:
     def test_lists_matrix(self, capsys):
         # The table: one row per name, with its fixed parameters.
-        assert main(["plans"]) == 0
+        assert main(["algorithms"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["algorithm", "fixed", "parameters"]
         rows = {line.split()[0]: line.split(None, 1)[1] for line in lines[1:]}
@@ -133,16 +133,16 @@ class TestPlans:
         assert sorted(rows) == available_algorithms()
 
     def test_check_validates_matrix(self, capsys):
-        assert main(["plans", "--check", "--workers", "1"]) == 0
+        assert main(["algorithms", "--check", "--workers", "1"]) == 0
         out = capsys.readouterr().out
         # Every name but the sequential reference, on every backend.
         checked = (len(engine.ALGORITHMS) - 1) * len(backend_kinds())
         assert checked == 18
-        assert f"{checked} algorithm×backend combinations OK" in out
+        assert f"algorithms check: {checked} algorithm×backend combinations OK" in out
 
     def test_check_restricted_to_one_backend(self, capsys):
         assert main(
-            ["plans", "--check", "--backend", "distributed", "--ranks", "3"]
+            ["algorithms", "--check", "--backend", "distributed", "--ranks", "3"]
         ) == 0
         out = capsys.readouterr().out
         assert "6 algorithm×backend combinations OK" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nputil import expand_slices, merge_min, segment_ranges, sorted_unique
+from repro.nputil import merge_min, segment_ranges, sorted_unique
 
 
 class TestSegmentRanges:
@@ -31,27 +31,6 @@ class TestSegmentRanges:
             counts = rng.integers(0, 6, size=rng.integers(0, 12))
             expected = [i for c in counts for i in range(c)]
             assert segment_ranges(counts).tolist() == expected
-
-
-class TestExpandSlices:
-    def test_basic(self):
-        owner, offset = expand_slices(
-            np.array([10, 20, 30]), np.array([2, 0, 3])
-        )
-        assert owner.tolist() == [0, 0, 2, 2, 2]
-        assert offset.tolist() == [10, 11, 30, 31, 32]
-
-    def test_negative_counts_clamped(self):
-        owner, offset = expand_slices(np.array([5, 7]), np.array([-3, 2]))
-        assert owner.tolist() == [1, 1]
-        assert offset.tolist() == [7, 8]
-
-    def test_empty(self):
-        owner, offset = expand_slices(
-            np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        )
-        assert owner.size == 0
-        assert offset.size == 0
 
 
 class TestSortedUnique:
