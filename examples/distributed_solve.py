@@ -1,9 +1,10 @@
 """Distributed-memory connected components (the paper's future work).
 
-Demonstrates the engine's distributed substrate: edges are sharded
-across simulated ranks and every algorithm runs as BSP supersteps that
-exchange only changed-label deltas (index+value pairs, switching to
-bitmap or dense encodings as density grows — see docs/distributed.md).
+Demonstrates the engine's distributed substrate: each simulated rank
+holds one contiguous, edge-balanced block of the CSR edges, and every
+algorithm runs as BSP supersteps that exchange only changed-label
+deltas (index+value pairs, switching to bitmap or dense encodings as
+density grows — see docs/distributed.md).
 The backend counts supersteps and meters every byte per rank pair, so
 the communication behaviour is measurable.
 
@@ -24,9 +25,9 @@ from repro.engine.backends import DistributedBackend
 from repro.generators import uniform_random_graph
 
 
-def solve(graph, ranks: int, partition: str = "hash"):
+def solve(graph, ranks: int):
     """One delta-exchange Afforest solve; returns (labels, comm stats)."""
-    backend = DistributedBackend(ranks=ranks, partition=partition)
+    backend = DistributedBackend(ranks=ranks)
     result = engine.run("afforest", graph, backend=backend)
     return result.labels, backend.comm.stats
 
@@ -73,17 +74,16 @@ def main() -> None:
         )
 
     # ------------------------------------------------------------------ #
-    # 3. Partition modes: hash sharding balances per-rank edge work.
+    # 3. Edge balance: the CSR blocks are cut at even edge counts, so
+    #    every rank holds about m/R edges whatever the degree skew.
     # ------------------------------------------------------------------ #
-    print("\npartition balance (8 ranks, directed edges per rank):")
-    for mode in ("block", "hash"):
-        backend = DistributedBackend(ranks=8, partition=mode)
-        engine.run("afforest", graph, backend=backend)
-        counts = backend.shard_sizes(graph)
-        print(
-            f"  {mode:>5}: min {min(counts)}, max {max(counts)}, "
-            f"imbalance {max(counts) / max(min(counts), 1):.2f}"
-        )
+    print("\nblock edge balance (8 ranks, directed edges per rank):")
+    counts = DistributedBackend(ranks=8).shard_sizes(graph)
+    print(f"  {counts}")
+    print(
+        f"  min {min(counts)}, max {max(counts)}, "
+        f"imbalance {max(counts) / max(min(counts), 1):.3f}"
+    )
 
 
 if __name__ == "__main__":

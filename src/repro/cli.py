@@ -135,15 +135,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ranks=getattr(args, "ranks", None),
         label_dtype=getattr(args, "label_dtype", "auto"),
     )
-    try:
-        t0 = time.perf_counter()
-        result = repro.engine.run(
-            args.algorithm, graph, backend=backend,
-            trace=bool(args.trace_out),
-        )
-        elapsed = time.perf_counter() - t0
-    finally:
-        backend.close()
+    t0 = time.perf_counter()
+    result = repro.engine.run(
+        args.algorithm, graph, backend=backend, trace=bool(args.trace_out)
+    )
+    elapsed = time.perf_counter() - t0
     labels = result.labels
     tag = "" if args.backend == "vectorized" else f" [{args.backend}]"
     print(
@@ -224,21 +220,18 @@ def _check_algorithms(args: argparse.Namespace) -> int:
         backend = make_backend(
             kind, workers=args.workers, ranks=getattr(args, "ranks", None)
         )
-        try:
-            for name in ALGORITHMS:
-                if name == SEQUENTIAL:
-                    continue
-                checked += 1
-                try:
-                    result = repro.engine.run(name, graph, backend=backend)
-                    ok = np.array_equal(result.labels, expected)
-                except ReproError as exc:
-                    failures.append(f"{name} [{kind}]: {exc}")
-                    continue
-                if not ok:
-                    failures.append(f"{name} [{kind}]: labels diverge from oracle")
-        finally:
-            backend.close()
+        for name in ALGORITHMS:
+            if name == SEQUENTIAL:
+                continue
+            checked += 1
+            try:
+                result = repro.engine.run(name, graph, backend=backend)
+                ok = np.array_equal(result.labels, expected)
+            except ReproError as exc:
+                failures.append(f"{name} [{kind}]: {exc}")
+                continue
+            if not ok:
+                failures.append(f"{name} [{kind}]: labels diverge from oracle")
     if failures:
         for line in failures:
             print(f"FAIL {line}", file=sys.stderr)
@@ -276,15 +269,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ranks=getattr(args, "ranks", None),
         label_dtype=getattr(args, "label_dtype", "auto"),
     )
-    try:
-        records = [
-            run_algorithm(
-                graph, algo, args.graph, repeats=args.repeats, backend=backend
-            )
-            for algo in algorithms
-        ]
-    finally:
-        backend.close()
+    records = [
+        run_algorithm(graph, algo, args.graph, repeats=args.repeats, backend=backend)
+        for algo in algorithms
+    ]
     baseline = records[0]
     rows = [
         [
@@ -538,17 +526,11 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         print(format_event(event), flush=True)
 
     backend = make_backend(args.backend, workers=args.workers)
-    try:
-        t0 = time.perf_counter()
-        result = repro.engine.run(
-            args.algorithm,
-            graph,
-            backend=backend,
-            heartbeat=HeartbeatMonitor(sink),
-        )
-        elapsed = time.perf_counter() - t0
-    finally:
-        backend.close()
+    t0 = time.perf_counter()
+    result = repro.engine.run(
+        args.algorithm, graph, backend=backend, heartbeat=HeartbeatMonitor(sink)
+    )
+    elapsed = time.perf_counter() - t0
     print(
         f"{args.algorithm}: {result.num_components} components in "
         f"{elapsed * 1000:.1f} ms ({rounds} rounds)"

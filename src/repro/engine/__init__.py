@@ -186,9 +186,9 @@ def run(
 
     ``backend`` selects the execution substrate: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, a kind
-    string (``"vectorized"`` / ``"simulated"`` / ``"distributed"``, built via
-    :func:`~repro.engine.backends.make_backend` with ``workers`` /
-    ``ranks`` and torn down after the run), or ``None`` for a fresh
+    string (``"vectorized"`` / ``"simulated"`` / ``"distributed"``, built
+    for this run via :func:`~repro.engine.backends.make_backend` with
+    ``workers`` / ``ranks``), or ``None`` for a fresh
     :class:`~repro.engine.backends.VectorizedBackend`.  Every name runs on
     every backend; ``sequential`` runs on vectorized only.
 
@@ -229,12 +229,10 @@ def run(
             "a Tracer records one run, and this one already holds spans or "
             "instruments; pass a fresh Tracer"
         )
-    owned = False
     if backend is None:
         backend = VectorizedBackend()
     elif isinstance(backend, str):
         backend = make_backend(backend, workers=workers, ranks=ranks)
-        owned = True
     if name == SEQUENTIAL and backend.kind != "vectorized":
         raise ConfigurationError(
             f"algorithm {name!r} does not support the {backend.kind!r} "
@@ -253,23 +251,19 @@ def run(
     backend.tracer, backend.heartbeat = tracer, monitor
     t_start = time.perf_counter()
     try:
-        try:
-            if tracer.enabled:
-                with tracer.span("total"):
-                    result = algorithm.fn(graph, backend, **merged)
-            else:
+        if tracer.enabled:
+            with tracer.span("total"):
                 result = algorithm.fn(graph, backend, **merged)
-        finally:
-            # Leave shared/reused backends with a clean disabled recorder.
-            backend.tracer, backend.heartbeat = Tracer(False), None
-        if result.labels.dtype != VERTEX_DTYPE:
-            # Backends may run on narrowed labels (label_dtype policy);
-            # results always leave the engine at the canonical width, so
-            # the visible labeling is bit-identical either way.
-            result.labels = result.labels.astype(VERTEX_DTYPE)
+        else:
+            result = algorithm.fn(graph, backend, **merged)
     finally:
-        if owned:
-            backend.close()
+        # Leave shared/reused backends with a clean disabled recorder.
+        backend.tracer, backend.heartbeat = Tracer(False), None
+    if result.labels.dtype != VERTEX_DTYPE:
+        # Backends may run on narrowed labels (label_dtype policy);
+        # results always leave the engine at the canonical width, so
+        # the visible labeling is bit-identical either way.
+        result.labels = result.labels.astype(VERTEX_DTYPE)
     elapsed = time.perf_counter() - t_start
     result.algorithm = name
     result.backend = backend.kind

@@ -72,7 +72,6 @@ from repro.parallel.metrics import RunStats
 
 __all__ = [
     "ExecutionBackend",
-    "PARTITION_MODES",
     "VectorizedBackend",
     "SimulatedBackend",
     "DistributedBackend",
@@ -145,14 +144,6 @@ def remaining_edges(
     src = np.repeat(verts, counts)
     offsets = np.repeat(indptr[verts] + start, counts) + segment_ranges(counts)
     return src, indices[offsets]
-
-
-def _holds(v: slice | np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mask of the ``ids`` among a rank's round vertices ``v``: a window
-    slice, or a sorted id array."""
-    if isinstance(v, slice):
-        return (ids >= v.start) & (ids < v.stop)
-    return np.isin(ids, v)
 
 
 def _kept(pi: np.ndarray, largest: int | None) -> np.ndarray:
@@ -588,12 +579,6 @@ class ExecutionBackend:
         """Work/span statistics of the substrate, when it collects any."""
         return None
 
-    # -- lifecycle ------------------------------------------------------- #
-
-    def close(self) -> None:
-        """Release substrate resources; a no-op for the built-in
-        backends and safe to call repeatedly."""
-
 
 class VectorizedBackend(ExecutionBackend):
     """NumPy batch-kernel substrate: the wall-clock performance path.
@@ -794,6 +779,11 @@ class SimulatedBackend(ExecutionBackend):
         super().__init__(label_dtype=label_dtype)
         self.machine = machine
 
+    @property
+    def workers(self) -> int:
+        """The simulated machine's worker count."""
+        return self.machine.num_workers
+
     def init_labels(
         self, n: int, *, phase: str = "I", fill: int | None = None
     ) -> np.ndarray:
@@ -984,10 +974,6 @@ class SimulatedBackend(ExecutionBackend):
         return self.machine.stats
 
 
-#: CSR sharding modes of the distributed backend (1-D edge partitioning).
-PARTITION_MODES = ("block", "hash")
-
-
 class DistributedBackend(VectorizedBackend):
     """BSP delta-exchange substrate: ``ranks`` simulated machines, each
     holding a shard of the edges and a full replica of π.
@@ -1003,11 +989,11 @@ class DistributedBackend(VectorizedBackend):
     kernels also gather all candidates before any write, the merged π is
     bit-identical to the single-machine result, round for round.
 
-    Vertex ownership is an even 1-D block map (``block_bounds``); edge
-    sharding follows ``partition`` — ``block`` keeps CSR row locality per
-    rank (``partition_csr_blocks``), ``hash`` spreads edges pseudo-randomly
-    (``hash_owners``).  Pure replica-local work (compression, the
-    giant-component probe) is inherited from the vectorized substrate
+    Vertex ownership is an even 1-D block map (``block_bounds``).  Each
+    rank holds one contiguous, edge-balanced CSR block of the graph's
+    edges (``partition_csr_blocks``), and ad-hoc edge batches are cut at
+    even ``block_bounds`` points.  Pure replica-local work (compression,
+    the giant-component probe) is inherited from the vectorized substrate
     and costs no traffic; all bytes that do cross ranks flow
     through ``self.comm`` and surface as ``comm_*`` counters.
     """
@@ -1018,24 +1004,17 @@ class DistributedBackend(VectorizedBackend):
         self,
         ranks: int = 4,
         *,
-        partition: str = "block",
         comm: SimulatedComm | None = None,
         label_dtype: str = "auto",
     ) -> None:
         super().__init__(label_dtype=label_dtype)
         if ranks < 1:
             raise ConfigurationError(f"ranks must be >= 1, got {ranks}")
-        if partition not in PARTITION_MODES:
-            raise ConfigurationError(
-                f"unknown partition mode {partition!r}; "
-                f"available: {list(PARTITION_MODES)}"
-            )
         if comm is not None and comm.num_ranks != ranks:
             raise ConfigurationError(
                 f"communicator has {comm.num_ranks} ranks, expected {ranks}"
             )
         self.ranks = ranks
-        self.partition = partition
         self.comm = comm if comm is not None else SimulatedComm(ranks)
         # Replica state as of the last barrier, and the slots the driver
         # has written since (``seed``), which the next primitive charges
@@ -1045,10 +1024,11 @@ class DistributedBackend(VectorizedBackend):
         # Vertex-ownership cut points, cached per n.
         self._bounds_n = -1
         self._bounds: np.ndarray | None = None
-        # Per-graph edge shards (identity-cached like ``_edges``).
+        # Per-graph edge shards and the first CSR offset of each
+        # (identity-cached like ``_edges``).
         self._shard_graph: CSRGraph | None = None
         self._shards: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._shard_owner: np.ndarray | None = None
+        self._shard_starts: np.ndarray | None = None
         # Watermarks for flushing CommStats into the run's counters (the
         # comm object outlives runs; counters must see per-run deltas).
         self._seen_bytes = 0
@@ -1066,36 +1046,27 @@ class DistributedBackend(VectorizedBackend):
         return self._bounds
 
     def _graph_shards(self, graph: CSRGraph) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-rank ``(src, dst)`` directed-edge shards of ``graph``."""
+        """Per-rank ``(src, dst)`` directed-edge shards of ``graph``: rank
+        ``r`` holds CSR block ``r`` of :func:`partition_csr_blocks`."""
         if self._shard_graph is not graph:
             src, dst = self._edges(graph)
-            m = int(src.shape[0])
-            owner = np.empty(m, dtype=np.int64)
-            if self.partition == "hash":
-                owner[:] = _part.hash_owners(m, self.ranks)
-                shards = [
-                    (src[owner == r], dst[owner == r])
-                    for r in range(self.ranks)
-                ]
-            else:
-                blocks = _part.partition_csr_blocks(graph.indptr, self.ranks)
-                shards = []
-                for r, blk in enumerate(blocks):
-                    owner[blk.e_lo : blk.e_hi] = r
-                    shards.append(
-                        (src[blk.e_lo : blk.e_hi], dst[blk.e_lo : blk.e_hi])
-                    )
+            blocks = _part.partition_csr_blocks(graph.indptr, self.ranks)
             self._shard_graph = graph
-            self._shards = shards
-            self._shard_owner = owner
+            self._shards = [
+                (src[blk.e_lo : blk.e_hi], dst[blk.e_lo : blk.e_hi])
+                for blk in blocks
+            ]
+            self._shard_starts = np.array([blk.e_lo for blk in blocks])
         assert self._shards is not None
         return self._shards
 
-    def _edge_owner(self, graph: CSRGraph) -> np.ndarray:
-        """Owner rank per flat directed-edge position."""
+    def _edge_owner(self, graph: CSRGraph, offsets: np.ndarray) -> np.ndarray:
+        """Owner rank of each CSR edge offset: the last block that starts
+        at or before it.  An empty block starts where the next one does,
+        so it never owns an offset."""
         self._graph_shards(graph)
-        assert self._shard_owner is not None
-        return self._shard_owner
+        assert self._shard_starts is not None
+        return np.searchsorted(self._shard_starts, offsets, side="right") - 1
 
     def shard_sizes(self, graph: CSRGraph) -> list[int]:
         """Directed-edge count held by each rank for ``graph``."""
@@ -1104,15 +1075,9 @@ class DistributedBackend(VectorizedBackend):
     def _batch_shards(
         self, src: np.ndarray, dst: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Shard an ad-hoc edge batch (sampling rounds, SV hooks) by flat
-        position, mirroring the configured partition mode."""
-        m = int(src.shape[0])
-        if self.partition == "hash":
-            owner = _part.hash_owners(m, self.ranks)
-            return [
-                (src[owner == r], dst[owner == r]) for r in range(self.ranks)
-            ]
-        cuts = _part.block_bounds(m, self.ranks).tolist()
+        """Shard an ad-hoc edge batch (sampling rounds, SV hooks) into
+        even contiguous runs of flat positions, one per rank."""
+        cuts = _part.block_bounds(int(src.shape[0]), self.ranks).tolist()
         return [(src[lo:hi], dst[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     # -- replica consistency / traffic accounting ------------------------ #
@@ -1446,30 +1411,21 @@ class DistributedBackend(VectorizedBackend):
             self._exchange(pi, deltas)
             cursors = [(pi[pi[high]], pi[low]) for high, low in climbs]
 
-    def _round_ranks(
-        self, short: np.ndarray, n: int
-    ) -> list[slice] | list[np.ndarray] | None:
-        """Each rank's vertices in a neighbour round whose degree <= r
-        vertices are ``short``: the ones :meth:`_batch_shards` gives it
-        of the other vertices, or None when no vertex has slot ``r``.
+    def _round_ranks(self, short: np.ndarray, n: int) -> list[slice] | None:
+        """Each rank's window of vertices in a neighbour round whose
+        degree <= r vertices are ``short``, holding the ones
+        :meth:`_batch_shards` gives it of the other vertices, or None
+        when no vertex has slot ``r``.
 
-        ``block`` cuts a contiguous window per rank.  Its cut points are
-        the even ``block_bounds`` positions among the vertices of
-        degree > r, mapped to vertex ids by counting the degree ≤ r
-        vertices before each: ``short[i]`` precedes the p-th one exactly
-        when ``short[i] - i <= p``.  A window may hold degree ≤ r
-        vertices too; their slot is themselves, no edge.  ``hash`` lists
-        the vertices ``hash_owners`` assigns to each rank.
+        The cut points are the even ``block_bounds`` positions among the
+        vertices of degree > r, mapped to vertex ids by counting the
+        degree ≤ r vertices before each: ``short[i]`` precedes the p-th
+        one exactly when ``short[i] - i <= p``.  A window may hold degree
+        ≤ r vertices too; their slot is themselves, no edge.
         """
         m = n - int(short.shape[0])
         if m == 0:
             return None
-        if self.partition == "hash":
-            has_slot = np.ones(n, dtype=np.bool_)
-            has_slot[short] = False
-            verts = np.flatnonzero(has_slot)
-            owner = _part.hash_owners(m, self.ranks)
-            return [verts[owner == k] for k in range(self.ranks)]
         pos = _part.block_bounds(m, self.ranks)
         shift = short - np.arange(short.shape[0])
         cuts = pos + np.searchsorted(shift, pos, side="right")
@@ -1480,7 +1436,7 @@ class DistributedBackend(VectorizedBackend):
         self,
         pi: np.ndarray,
         nbr: np.ndarray,
-        ranks: list[slice] | list[np.ndarray],
+        ranks: list[slice],
     ) -> int:
         """A neighbour round on an identity π: round 1 the way
         :func:`~repro.core.link.link_out` runs it, rank by rank, then
@@ -1508,11 +1464,8 @@ class DistributedBackend(VectorizedBackend):
             up = np.flatnonzero(nb > own)
             d_val = nb[down].astype(pi.dtype, copy=False)
             u_tgt = nb[up]
-            if isinstance(v, slice):  # positions count from the window start
-                down += v.start
-                up += v.start
-            else:
-                down, up = v[down], v[up]
+            down += v.start  # positions count from the window start
+            up += v.start
             ups.append((up, u_tgt))
             flags.append(bool(down.shape[0] or up.shape[0]))
             if up.shape[0]:
@@ -1538,7 +1491,7 @@ class DistributedBackend(VectorizedBackend):
         low = dst[(pi[dst] == src) & (src < tnbr) & (tnbr < dst)]
         cursors = []
         for v, (up, tgt) in zip(ranks, ups):
-            mine = low[_holds(v, low)]
+            mine = low[(low >= v.start) & (low < v.stop)]
             high = np.concatenate((tgt, mine))
             cursors.append((pi[pi[high]], pi[np.concatenate((up, nbr[mine]))]))
         return self._dist_link_rounds(pi, cursors, 1)
@@ -1699,7 +1652,7 @@ class DistributedBackend(VectorizedBackend):
         self._sync_driver(pi)
         with self.tracer.span(phase):
             offsets, dst, cand = frontier_edges(pi, graph, frontier)
-            owner = self._edge_owner(graph)[offsets]
+            owner = self._edge_owner(graph, offsets)
             deltas = []
             for r in range(self.ranks):
                 sel = owner == r

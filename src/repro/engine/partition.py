@@ -9,11 +9,10 @@ backends build on:
   vertex range ``[v_lo, v_hi)`` whose neighbour slots form the contiguous
   span ``indices[e_lo:e_hi]``, cut so every block carries roughly the same
   number of edge slots regardless of degree skew (the distributed
-  backend's ``block`` edge sharding);
+  backend's edge shards, one block per rank);
 - **even 1-D cuts** (:func:`block_bounds`): the distributed backend's
   vertex-ownership map and its cuts of flat edge batches and of each
-  neighbour round's vertices, and **hashed owners** (:func:`hash_owners`)
-  for its ``hash`` edge sharding;
+  neighbour round's vertices;
 - the **bottom-up BFS block sweep** (:func:`bottom_up_block`), run once
   over all vertices by the vectorized backend and once per rank by the
   distributed backend.
@@ -33,7 +32,6 @@ __all__ = [
     "EdgeBlock",
     "block_bounds",
     "bottom_up_block",
-    "hash_owners",
     "partition_csr_blocks",
 ]
 
@@ -92,25 +90,12 @@ def partition_csr_blocks(indptr: np.ndarray, num_blocks: int) -> list[EdgeBlock]
     ]
 
 
-def _check_ranks(num_ranks: int) -> None:
-    if num_ranks < 1:
-        raise ConfigurationError(f"num_ranks must be >= 1, got {num_ranks}")
-
-
 def block_bounds(total: int, num_ranks: int) -> np.ndarray:
     """Even 1-D block boundaries: ``num_ranks + 1`` int64 cut points over
     ``[0, total)``, block ``k`` being ``[bounds[k], bounds[k + 1])``."""
-    _check_ranks(num_ranks)
+    if num_ranks < 1:
+        raise ConfigurationError(f"num_ranks must be >= 1, got {num_ranks}")
     return np.linspace(0, total, num_ranks + 1).astype(np.int64)
-
-
-def hash_owners(total: int, num_ranks: int, *, seed: int = 0) -> np.ndarray:
-    """Pseudo-random owner rank per flat position (hash of the id), the
-    ``DistributedBackend``'s ``hash`` sharding mode — one seeded draw, so
-    repeated calls agree on which rank holds which edge."""
-    _check_ranks(num_ranks)
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, num_ranks, size=total)
 
 
 def bottom_up_block(

@@ -451,13 +451,13 @@ def _metis_ints(tokens: list[str], lineno: int) -> list[int]:
 def read_metis(path: str | os.PathLike) -> CSRGraph:
     """Read a METIS ``.graph`` file (unweighted, 1-based vertex ids).
 
-    A non-integer token, a header that disagrees with the rows, or an
-    adjacency that is not symmetric raises
+    A non-integer token, a row id outside ``[1, n]``, a header that
+    disagrees with the rows, or an adjacency that is not symmetric raises
     :class:`~repro.errors.GraphFormatError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header: list[str] | None = None
-        rows: list[list[int]] = []
+        rows: list[tuple[int, list[int]]] = []
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("%"):
@@ -469,7 +469,7 @@ def read_metis(path: str | os.PathLike) -> CSRGraph:
                 continue
             # After the header every non-comment line is a vertex row; a
             # blank line is a vertex with no neighbours.
-            rows.append(_metis_ints(line.split(), lineno))
+            rows.append((lineno, _metis_ints(line.split(), lineno)))
     if header is None:
         raise GraphFormatError("METIS file has no header line")
     if len(header) < 2:
@@ -482,10 +482,14 @@ def read_metis(path: str | os.PathLike) -> CSRGraph:
             f"METIS header declares {n} vertices but file has {len(rows)} rows"
         )
     indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-    for v, row in enumerate(rows):
+    for v, (lineno, row) in enumerate(rows):
+        if row and (min(row) < 1 or max(row) > n):
+            raise GraphFormatError(
+                f"METIS line {lineno}: vertex ids must lie in [1, {n}]"
+            )
         indptr[v + 1] = indptr[v] + len(row)
     indices = np.fromiter(
-        (w - 1 for row in rows for w in row),
+        (w - 1 for _, row in rows for w in row),
         dtype=VERTEX_DTYPE,
         count=int(indptr[-1]),
     )

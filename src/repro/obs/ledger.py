@@ -219,17 +219,18 @@ def record_from_result(
     ``result`` is duck-typed against :class:`~repro.engine.result.CCResult`
     (``algorithm``/``backend``/``counters``/``phase_seconds``/
     ``trace``/``num_components``); anything missing stays at its default,
-    so callers can pass lighter objects.
+    so callers can pass lighter objects.  The record's ``workers`` is
+    ``meta["workers"]``, or the trace's when ``meta`` names none.
     """
     trace = getattr(result, "trace", None)
     gauges: dict[str, float] = {}
     histograms: dict[str, Any] = {}
-    workers: int | None = None
+    workers = (meta or {}).get("workers")
     if isinstance(trace, Trace):
         gauges = dict(trace.gauges)
         histograms = dict(trace.histograms)
-        raw_workers = trace.meta.get("workers")
-        workers = None if raw_workers is None else int(raw_workers)
+        if workers is None:
+            workers = trace.meta.get("workers")
     bits = gauges.get("label_dtype_bits")
     now = time.time() if timestamp is None else timestamp
     total = getattr(result, "phase_seconds", {}).get("total", 0.0)
@@ -243,7 +244,7 @@ def record_from_result(
         kind=kind,
         algorithm=str(getattr(result, "algorithm", "") or ""),
         backend=str(getattr(result, "backend", "") or ""),
-        workers=workers,
+        workers=None if workers is None else int(workers),
         graph=fingerprint_graph(graph) if graph is not None else {},
         seconds=float(total if seconds is None else seconds),
         phase_seconds=dict(getattr(result, "phase_seconds", {}) or {}),

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import engine
 from repro.analysis import equivalent_labelings, is_valid_labeling
 from repro.distributed import SimulatedComm
 from repro.engine import DistributedBackend
 from repro.engine.bufferpool import BufferPool
-from repro.engine.partition import block_bounds, hash_owners
+from repro.engine.partition import block_bounds, partition_csr_blocks
 from repro.errors import ConfigurationError
 from repro.generators import (
     barabasi_albert_graph,
@@ -27,11 +29,21 @@ def solve(graph, ranks, **kwargs):
     return engine.run("sv", graph, backend=backend), backend
 
 
+@st.composite
+def tailed_graphs(draw):
+    """Up to 40 vertices: random edges among the first ``core`` of them,
+    then an isolated tail, so the last edge blocks can be empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core = draw(st.integers(0, 30))
+    n = core + draw(st.integers(0, 10))
+    m = draw(st.integers(0, 3 * core)) if core else 0
+    src, dst = rng.integers(0, max(core, 1), size=(2, m))
+    return build_csr(EdgeList(n, src, dst), drop_self_loops=False)
+
+
 class TestPartitioners:
-    @pytest.mark.parametrize("partition", ["block", "hash"])
-    def test_covers_each_edge_once(self, partition, mixed_graph):
-        backend = DistributedBackend(ranks=3, partition=partition)
-        sizes = backend.shard_sizes(mixed_graph)
+    def test_covers_each_edge_once(self, mixed_graph):
+        sizes = DistributedBackend(ranks=3).shard_sizes(mixed_graph)
         assert len(sizes) == 3
         assert sum(sizes) == mixed_graph.num_directed_edges
 
@@ -40,10 +52,25 @@ class TestPartitioners:
         assert bounds[0] == 0 and bounds[-1] == 10
         assert np.all(np.diff(bounds) >= 0)
 
-    def test_hash_deterministic(self):
-        a = hash_owners(50, 4, seed=1)
-        assert np.array_equal(a, hash_owners(50, 4, seed=1))
-        assert a.min() >= 0 and a.max() < 4
+    @settings(max_examples=200, deadline=None)
+    @given(graph=tailed_graphs(), ranks=st.integers(1, 9), data=st.data())
+    def test_edge_owner_matches_block_owner_array(self, graph, ranks, data):
+        """The owner that ``frontier_expand`` looks up for a CSR offset is
+        the rank whose block holds it, as an m-sized owner array filled
+        block by block says, empty blocks included."""
+        m = graph.num_directed_edges
+        owner = np.empty(m, dtype=np.int64)
+        for r, blk in enumerate(partition_csr_blocks(graph.indptr, ranks)):
+            owner[blk.e_lo : blk.e_hi] = r
+        backend = DistributedBackend(ranks)
+        every = np.arange(m)
+        assert backend._edge_owner(graph, every).tolist() == owner.tolist()
+        # A frontier's offsets come in any order, repeats included.
+        picks = np.asarray(
+            data.draw(st.lists(st.integers(0, m - 1) if m else st.nothing())),
+            dtype=np.int64,
+        )
+        assert backend._edge_owner(graph, picks).tolist() == owner[picks].tolist()
 
     def test_rejects_zero_ranks(self):
         with pytest.raises(ConfigurationError):
@@ -58,10 +85,9 @@ class TestDistributedCC:
             result.labels, sequential_components(mixed_graph)
         )
 
-    @pytest.mark.parametrize("partition", ["block", "hash"])
-    def test_exact_both_partitioners(self, partition):
+    def test_exact_on_kron(self):
         g = kronecker_graph(9, edge_factor=8, seed=0)
-        result, _ = solve(g, 4, partition=partition)
+        result, _ = solve(g, 4)
         assert is_valid_labeling(g, result.labels)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -113,46 +139,32 @@ class TestDistributedCC:
 
     def test_bit_identical_to_engine_backend(self, mixed_graph):
         """Superstep merges reproduce the single-machine labels exactly."""
-        dist, _ = solve(mixed_graph, 4, partition="hash")
+        dist, _ = solve(mixed_graph, 4)
         vec = engine.run("sv", mixed_graph)
         assert np.array_equal(dist.labels, vec.labels)
 
 
 #: ``(comm_bytes_sent, comm_messages, comm_supersteps)`` of one solve of
-#: ``kronecker_graph(9, edge_factor=8, seed=0)`` per (algorithm, ranks,
-#: partition).  The merge bookkeeping may change how candidates are
-#: deduplicated and routed, never what crosses the wire.  ``sv`` pins the
-#: hook exchange, ``lp`` the sweep exchange (``_sweep_exchange``), and
-#: ``bfs``/``dobfs`` the frontier exchanges plus the broadcast of each
-#: component's seed, batched with the seeds of the isolated vertices
-#: before it.
+#: ``kronecker_graph(9, edge_factor=8, seed=0)`` per (algorithm, ranks).
+#: The merge bookkeeping may change how candidates are deduplicated and
+#: routed, never what crosses the wire.  ``sv`` pins the hook exchange,
+#: ``lp`` the sweep exchange (``_sweep_exchange``), and ``bfs``/``dobfs``
+#: the frontier exchanges plus the broadcast of each component's seed,
+#: batched with the seeds of the isolated vertices before it.
 PINNED_TRAFFIC = {
-    ("afforest", 2, "block"): (2076, 20, 16),
-    ("afforest", 2, "hash"): (2192, 18, 15),
-    ("afforest", 4, "block"): (6084, 75, 18),
-    ("afforest", 4, "hash"): (7280, 76, 17),
-    ("afforest", 16, "block"): (28892, 690, 18),
-    ("afforest", 16, "hash"): (30980, 873, 18),
-    ("sv", 2, "block"): (2524, 4, 2),
-    ("sv", 2, "hash"): (2884, 4, 2),
-    ("sv", 4, "block"): (7872, 36, 4),
-    ("sv", 4, "hash"): (8688, 46, 4),
-    ("sv", 16, "block"): (33936, 623, 4),
-    ("sv", 16, "hash"): (35216, 736, 4),
-    ("lp", 2, "block"): (7060, 8, 4),
-    ("lp", 2, "hash"): (7340, 8, 4),
-    ("lp", 4, "block"): (21444, 89, 8),
-    ("lp", 4, "hash"): (21988, 94, 8),
-    ("lp", 16, "block"): (86144, 1507, 8),
-    ("lp", 16, "hash"): (87124, 1619, 8),
-    ("bfs", 2, "block"): (2748, 9, 7),
-    ("bfs", 2, "hash"): (2848, 10, 7),
-    ("bfs", 4, "block"): (8280, 62, 9),
-    ("bfs", 4, "hash"): (8744, 85, 10),
-    ("dobfs", 2, "block"): (1932, 9, 7),
-    ("dobfs", 2, "hash"): (2060, 10, 7),
-    ("dobfs", 4, "block"): (5796, 39, 7),
-    ("dobfs", 4, "hash"): (6360, 63, 8),
+    ("afforest", 2): (2076, 20, 16),
+    ("afforest", 4): (6084, 75, 18),
+    ("afforest", 16): (28892, 690, 18),
+    ("sv", 2): (2524, 4, 2),
+    ("sv", 4): (7872, 36, 4),
+    ("sv", 16): (33936, 623, 4),
+    ("lp", 2): (7060, 8, 4),
+    ("lp", 4): (21444, 89, 8),
+    ("lp", 16): (86144, 1507, 8),
+    ("bfs", 2): (2748, 9, 7),
+    ("bfs", 4): (8280, 62, 9),
+    ("dobfs", 2): (1932, 9, 7),
+    ("dobfs", 4): (5796, 39, 7),
 }
 
 #: The same totals for ``afforest`` on ``barabasi_albert_graph(3000,
@@ -160,10 +172,8 @@ PINNED_TRAFFIC = {
 #: leaves one tree, so round 1 runs no barrier and ``C1`` and ``C*`` no
 #: sweep (``link_rounds`` [1, 0, 0], ``compress_passes`` [3, 0, 0]).
 PINNED_CONNECTED_TRAFFIC = {
-    (2, "block"): (12032, 6, 5),
-    (2, "hash"): (12778, 6, 5),
-    (4, "block"): (36096, 24, 5),
-    (4, "hash"): (40596, 24, 5),
+    2: (12032, 6, 5),
+    4: (36096, 24, 5),
 }
 
 
@@ -172,37 +182,38 @@ class TestExchangeTraffic:
     def graph(self):
         return kronecker_graph(9, edge_factor=8, seed=0)
 
+    # The ids keep the name of the edge layout the totals were pinned on.
     @pytest.mark.parametrize(
-        "algorithm,ranks,partition",
+        "algorithm,ranks",
         sorted(PINNED_TRAFFIC),
-        ids=[f"{a}-R{r}-{p}" for a, r, p in sorted(PINNED_TRAFFIC)],
+        ids=[f"{a}-R{r}-block" for a, r in sorted(PINNED_TRAFFIC)],
     )
-    def test_traffic_pinned(self, graph, algorithm, ranks, partition):
-        backend = DistributedBackend(ranks=ranks, partition=partition)
+    def test_traffic_pinned(self, graph, algorithm, ranks):
+        backend = DistributedBackend(ranks=ranks)
         result = engine.run(algorithm, graph, backend=backend, profile=True)
         counters = result.counters
         assert (
             counters["comm_bytes_sent"],
             counters["comm_messages"],
             counters["comm_supersteps"],
-        ) == PINNED_TRAFFIC[(algorithm, ranks, partition)]
+        ) == PINNED_TRAFFIC[(algorithm, ranks)]
         assert np.array_equal(result.labels, engine.run(algorithm, graph).labels)
 
     @pytest.mark.parametrize(
-        "ranks,partition",
+        "ranks",
         sorted(PINNED_CONNECTED_TRAFFIC),
-        ids=[f"R{r}-{p}" for r, p in sorted(PINNED_CONNECTED_TRAFFIC)],
+        ids=[f"R{r}-block" for r in sorted(PINNED_CONNECTED_TRAFFIC)],
     )
-    def test_connected_order_traffic_pinned(self, ranks, partition):
+    def test_connected_order_traffic_pinned(self, ranks):
         graph = barabasi_albert_graph(3000, edges_per_vertex=4, seed=1)
-        backend = DistributedBackend(ranks=ranks, partition=partition)
+        backend = DistributedBackend(ranks=ranks)
         result = engine.run("afforest", graph, backend=backend, profile=True)
         counters = result.counters
         assert (
             counters["comm_bytes_sent"],
             counters["comm_messages"],
             counters["comm_supersteps"],
-        ) == PINNED_CONNECTED_TRAFFIC[(ranks, partition)]
+        ) == PINNED_CONNECTED_TRAFFIC[ranks]
         assert result.link_rounds == [1, 0, 0]
         assert result.compress_passes == [3, 0, 0]
         assert counters["rounds_skipped"] == 2
@@ -235,7 +246,7 @@ class TestExchangeTraffic:
 
 #: ``(bytes_sent, messages, supersteps, bytes_per_rank)`` of one
 #: ``sv`` solve of ``barabasi_albert_graph(5000,
-#: edges_per_vertex=4, seed=7)`` under the block partition, per rank
+#: edges_per_vertex=4, seed=7)``, per rank
 #: count: the traffic-vs-ranks curve.  Skewed degrees make the early dense
 #: rounds a worst case for delta shipping.  The simulated communicator is
 #: deterministic, so any movement is protocol drift.
@@ -258,7 +269,7 @@ class TestTrafficCurve:
 
     @pytest.mark.parametrize("ranks", sorted(PINNED_CURVE))
     def test_curve_pinned(self, graph, ranks):
-        result, backend = solve(graph, ranks, partition="block")
+        result, backend = solve(graph, ranks)
         stats = backend.comm.stats
         per_rank = list(stats.sent_by_rank(ranks))
         assert (
@@ -332,18 +343,15 @@ class TestAfforestMatchesVectorized:
         return graphs, runs
 
     @pytest.mark.parametrize("sampling", ["first", "random"])
-    @pytest.mark.parametrize("partition", ["block", "hash"])
-    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("ranks", [1, 3], ids=["1-block", "3-block"])
     @pytest.mark.parametrize("name", list(AFFOREST_GRAPHS))
-    def test_same_labels_and_counters(
-        self, vectorized, name, ranks, partition, sampling
-    ):
+    def test_same_labels_and_counters(self, vectorized, name, ranks, sampling):
         graphs, runs = vectorized
         vec = runs[name, sampling]
         dist = engine.run(
             "afforest",
             graphs[name],
-            backend=DistributedBackend(ranks=ranks, partition=partition),
+            backend=DistributedBackend(ranks=ranks),
             sampling=sampling,
         )
         assert np.array_equal(dist.labels, vec.labels)

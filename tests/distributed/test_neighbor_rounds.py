@@ -1,8 +1,8 @@
 """The distributed neighbour round against the batch path it replaced.
 
 ``DistributedBackend.link_neighbor_round`` gathers slot r of every vertex
-and gives each rank a window of vertices (``block``) or its hashed ones
-(``hash``).  The reference below keeps the earlier path as test code:
+and gives each rank a window of vertices.  The reference below keeps the
+earlier path as test code:
 the ``(v, N(v)[r])`` batch of every vertex with degree > r, sharded by
 ``_batch_shards`` and linked by the plain boolean-mask superstep loop.
 Both must leave the same π, count the same rounds, and put the same
@@ -145,15 +145,12 @@ def _stats(comm):
     graph=round_graphs(),
     rs=st.lists(st.integers(0, 3), min_size=1, max_size=3),
     ranks=st.sampled_from([1, 2, 3, 5]),
-    partition=st.sampled_from(["block", "hash"]),
 )
-def test_round_matches_vertex_list_reference(data, graph, rs, ranks, partition):
+def test_round_matches_vertex_list_reference(data, graph, rs, ranks):
     pi = data.draw(parents(graph.num_vertices))
     policy = "auto" if pi.dtype == np.int32 else "wide"
     new, ref = (
-        DistributedBackend(
-            ranks, partition=partition, comm=RecordingComm(ranks), label_dtype=policy
-        )
+        DistributedBackend(ranks, comm=RecordingComm(ranks), label_dtype=policy)
         for _ in range(2)
     )
     got, want = pi.copy(), pi.copy()
@@ -172,7 +169,7 @@ def test_round_matches_vertex_list_reference(data, graph, rs, ranks, partition):
     ranks=st.integers(1, 7),
 )
 def test_block_windows_hold_the_batch_shards(deg, r, ranks):
-    """Each ``block`` window holds exactly the degree > r vertices that
+    """Each window holds exactly the degree > r vertices that
     ``block_bounds`` gives the rank, and the windows tile [0, n)."""
     deg = np.asarray(deg, dtype=np.int64)
     short = np.flatnonzero(deg <= r)

@@ -18,7 +18,7 @@ from repro.generators import barabasi_albert_graph, road_network_graph
 from repro.graph.builder import build_csr
 from repro.graph.coo import EdgeList
 from repro.graph.csr import CSRGraph
-from repro.obs import Tracer
+from repro.obs import RunLedger, Tracer
 from repro.parallel.machine import SimulatedMachine
 from repro.unionfind import sequential_components
 
@@ -99,6 +99,20 @@ class TestProvenance:
         )
         assert result.backend == "simulated"
         assert result.run_stats is not None
+
+    @pytest.mark.parametrize("profile", [False, True], ids=["plain", "profiled"])
+    def test_simulated_workers_recorded(self, mixed_graph, tmp_path, profile):
+        """A simulated run records its machine's worker count, read-only
+        on the backend, with or without a trace."""
+        backend = SimulatedBackend(SimulatedMachine(3))
+        with pytest.raises(AttributeError):
+            backend.workers = 5
+        path = tmp_path / "ledger.jsonl"
+        engine.run(
+            "sv", mixed_graph, backend=backend, profile=profile, record=str(path)
+        )
+        (rec,) = RunLedger(path).records()
+        assert (rec.workers, rec.meta["workers"]) == (3, 3)
 
     def test_noskip_defaults_recorded(self, mixed_graph):
         result = engine.run("afforest-noskip", mixed_graph)

@@ -138,8 +138,7 @@ class TestOptimizationCounters:
 #: one backend of each kind that runs Afforest's neighbour rounds
 REUSED_BACKENDS = {
     "vectorized": VectorizedBackend,
-    "distributed-block": lambda: DistributedBackend(ranks=3, partition="block"),
-    "distributed-hash": lambda: DistributedBackend(ranks=3, partition="hash"),
+    "distributed-block": lambda: DistributedBackend(ranks=3),
 }
 
 

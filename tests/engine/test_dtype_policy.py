@@ -56,13 +56,8 @@ def _run_both(kind: str, size: int | None, algorithm: str, graph):
     ``size`` is the simulated worker count or the distributed rank count."""
     out = []
     for policy in ("auto", "wide"):
-        backend = make_backend(
-            kind, workers=size, ranks=size, label_dtype=policy
-        )
-        try:
-            out.append(engine.run(algorithm, graph, backend=backend).labels)
-        finally:
-            backend.close()
+        backend = make_backend(kind, workers=size, ranks=size, label_dtype=policy)
+        out.append(engine.run(algorithm, graph, backend=backend).labels)
     return out
 
 
@@ -89,10 +84,7 @@ class TestBitIdentity:
     def test_engine_always_returns_wide_labels(self, mixed_graph):
         for kind in ("vectorized", "simulated"):
             backend = make_backend(kind, workers=2, label_dtype="auto")
-            try:
-                result = engine.run("sv", mixed_graph, backend=backend)
-            finally:
-                backend.close()
+            result = engine.run("sv", mixed_graph, backend=backend)
             assert result.labels.dtype == np.dtype(VERTEX_DTYPE)
 
     def test_label_dtype_bits_gauge_recorded(self, mixed_graph):

@@ -50,12 +50,11 @@ def test_vectorized_matches_oracle(graph_and_oracle, plan):
     assert np.array_equal(result.labels, oracle)
 
 
-@pytest.mark.parametrize("partition", ["block", "hash"])
-@pytest.mark.parametrize("ranks", [2, 3])
+@pytest.mark.parametrize("ranks", [2, 3], ids=["2-block", "3-block"])
 @pytest.mark.parametrize("plan", COMPRESS_PLANS)
-def test_distributed_matches_oracle(graph_and_oracle, plan, ranks, partition):
+def test_distributed_matches_oracle(graph_and_oracle, plan, ranks):
     graph, oracle = graph_and_oracle
-    backend = DistributedBackend(ranks=ranks, partition=partition)
+    backend = DistributedBackend(ranks=ranks)
     result = engine.run(COMPRESS_PLANS[plan], graph, backend=backend)
     assert np.array_equal(result.labels, oracle)
 

@@ -122,19 +122,15 @@ def skip_graphs(draw):
 
 
 BACKENDS = st.one_of(
-    st.just(("vectorized", 1, "block")),
-    st.tuples(
-        st.just("distributed"),
-        st.integers(1, 4),
-        st.sampled_from(["block", "hash"]),
-    ),
+    st.just(("vectorized", 1)),
+    st.tuples(st.just("distributed"), st.integers(1, 4)),
 )
 
 
-def _spy(kind, ranks, partition):
+def _spy(kind, ranks):
     if kind == "vectorized":
         return SpyVectorized()
-    return SpyDistributed(ranks, partition=partition)
+    return SpyDistributed(ranks)
 
 
 @settings(max_examples=250, deadline=None)
@@ -166,12 +162,8 @@ def test_skips_are_exact(graph, backend, name, sampling, rounds):
 @pytest.mark.parametrize("rounds", [2, 3])
 @pytest.mark.parametrize(
     "backend",
-    [
-        ("vectorized", 1, "block"),
-        ("distributed", 2, "block"),
-        ("distributed", 3, "hash"),
-    ],
-    ids=["vectorized", "distributed-R2-block", "distributed-R3-hash"],
+    [("vectorized", 1), ("distributed", 2), ("distributed", 3)],
+    ids=["vectorized", "distributed-R2-block", "distributed-R3-block"],
 )
 def test_connected_order_skips_every_later_round(backend, rounds):
     """On a BA graph in growth order round 0 leaves one tree: every later
@@ -193,10 +185,10 @@ def test_connected_order_skips_every_later_round(backend, rounds):
     [
         VectorizedBackend,
         lambda: DistributedBackend(1),
-        lambda: DistributedBackend(3, partition="block"),
-        lambda: DistributedBackend(4, partition="hash"),
+        lambda: DistributedBackend(3),
+        lambda: DistributedBackend(4),
     ],
-    ids=["vectorized", "distributed-R1", "distributed-R3-block", "distributed-R4-hash"],
+    ids=["vectorized", "distributed-R1", "distributed-R3-block", "distributed-R4-block"],
 )
 def test_round_on_all_zero_pi_is_free(monkeypatch, make, dtype, r):
     """An all-zero π links nothing: the round returns 0 before its

@@ -204,6 +204,17 @@ class TestMetisFormat:
             read_metis(path)
 
     @pytest.mark.parametrize(
+        "token", ["0", "3", "99999999999999999999"], ids=["zero", "n+1", "20-digit"]
+    )
+    def test_rejects_row_id_out_of_range(self, tmp_path, token):
+        path = tmp_path / "bad.graph"
+        path.write_text(f"2 1\n% c\n{token}\n1\n")
+        with pytest.raises(
+            GraphFormatError, match=r"METIS line 3: vertex ids must lie in \[1, 2\]"
+        ):
+            read_metis(path)
+
+    @pytest.mark.parametrize(
         "text, line",
         [("2 1\n2 x\n1\n", 2), ("% c\ntwo 1\n2\n1\n", 2)],
         ids=["row", "header"],

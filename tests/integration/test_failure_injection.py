@@ -167,12 +167,6 @@ class TestConfigurationRejection:
         with pytest.raises(ConfigurationError):
             DistributedBackend(ranks=4, comm=SimulatedComm(2))
 
-    def test_bad_partitioner_detected(self):
-        from repro.engine import DistributedBackend
-
-        with pytest.raises(ConfigurationError, match="partition"):
-            DistributedBackend(ranks=3, partition="psychic")
-
 
 class TestRecoveryAfterFailure:
     def test_library_usable_after_convergence_error(self):

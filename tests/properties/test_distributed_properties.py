@@ -23,13 +23,10 @@ def graphs(draw, max_n=25, max_edges=50):
     return from_edge_list(edges, num_vertices=n)
 
 
-@given(graphs(), st.integers(1, 9), st.booleans())
+@given(graphs(), st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
-def test_any_world_size_and_partitioner_exact(g, ranks, use_hash):
-    backend = DistributedBackend(
-        ranks=ranks, partition="hash" if use_hash else "block"
-    )
-    result = engine.run("sv", g, backend=backend)
+def test_any_world_size_exact(g, ranks):
+    result = engine.run("sv", g, backend=DistributedBackend(ranks=ranks))
     assert equivalent_labelings(result.labels, sequential_components(g))
 
 
@@ -92,24 +89,10 @@ def _run_checked(g, plan, random_sampling=False, **kwargs):
     return backend
 
 
-@given(
-    graphs(),
-    st.integers(1, 9),
-    st.booleans(),
-    st.sampled_from(PARALLEL),
-    st.booleans(),
-)
+@given(graphs(), st.integers(1, 9), st.sampled_from(PARALLEL), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_shadow_equals_pi_after_every_primitive(
-    g, ranks, use_hash, plan, random_sampling
-):
-    _run_checked(
-        g,
-        plan,
-        random_sampling,
-        ranks=ranks,
-        partition="hash" if use_hash else "block",
-    )
+def test_shadow_equals_pi_after_every_primitive(g, ranks, plan, random_sampling):
+    _run_checked(g, plan, random_sampling, ranks=ranks)
 
 
 def test_shadow_check_reaches_every_primitive():

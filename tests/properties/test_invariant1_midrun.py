@@ -80,8 +80,8 @@ class CheckedSimulated(Invariant1Checks, SimulatedBackend):
 
 
 class CheckedDistributed(Invariant1Checks, DistributedBackend):
-    def __init__(self, ranks, partition):
-        super().__init__(ranks=ranks, partition=partition)
+    def __init__(self, ranks):
+        super().__init__(ranks=ranks)
         self.checked: set[str] = set()
 
 
@@ -105,9 +105,7 @@ def backends(draw, kind):
         return CheckedSimulated(
             draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
         )
-    return CheckedDistributed(
-        draw(st.integers(1, 4)), draw(st.sampled_from(["block", "hash"]))
-    )
+    return CheckedDistributed(draw(st.integers(1, 4)))
 
 
 def _run_checked(g, plan, backend, random_sampling=False):
@@ -141,7 +139,7 @@ def test_invariant1_check_reaches_every_primitive():
         for backend in (
             CheckedVectorized(),
             CheckedSimulated(3, 1),
-            CheckedDistributed(3, "block"),
+            CheckedDistributed(3),
         ):
             for random_sampling in (False, True):
                 seen |= _run_checked(g, plan, backend, random_sampling)

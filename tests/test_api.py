@@ -84,8 +84,10 @@ def test_removed_surface_rejected(mixed_graph, capsys):
     data-driven LP finishes, ``<sampling>+<finish>`` names, the
     engine's ``Instrumentation`` shim, the plan layer (``Plan``, the
     phase specs, the sampling and finish packages, the recorded ``plan``
-    field), the ``repro plans`` command, the out-of-core edge-list path
-    and the helpers that only their own tests called are gone."""
+    field), the ``repro plans`` command, the out-of-core edge-list path,
+    the helpers that only their own tests called, the distributed
+    backend's ``hash`` edge layout (its ``partition`` keyword) and the
+    backends' ``close`` are gone."""
     for module in (
         "repro.baselines",
         "repro.core.afforest",
@@ -115,8 +117,10 @@ def test_removed_surface_rejected(mixed_graph, capsys):
     assert not hasattr(repro.serve.ConnectivityService(mixed_graph), "plan")
     for kind in repro.engine.backend_kinds():
         backend = repro.engine.make_backend(kind, workers=2, ranks=2)
-        for name in ("instr", "bind", "record_frontier"):
+        for name in ("instr", "bind", "record_frontier", "close"):
             assert not hasattr(backend, name)
+    with pytest.raises(TypeError, match="partition"):
+        repro.engine.DistributedBackend(2, partition="block")
     assert not hasattr(repro.obs.Tracer, "phase_seconds")
     removed = {
         "afforest",
@@ -155,6 +159,8 @@ def test_removed_surface_rejected(mixed_graph, capsys):
         read_edge_list(io.StringIO("0 1\n"), chunk_edges=1)
     for owner, names in {
         "repro.graph.io": ["iter_edge_list_chunks", "build_csr_streaming"],
+        "repro.engine.partition": ["hash_owners"],
+        "repro.engine.backends": ["PARTITION_MODES"],
         "repro.nputil": ["expand_slices"],
         "repro.core.spanning_forest": ["spanning_forest_size"],
         "repro.graph.csr.CSRGraph": ["iter_edges"],

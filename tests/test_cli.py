@@ -394,6 +394,14 @@ class TestObs:
         assert "sv/" in out and "lp/" in out
         assert "2 record(s)" in out
 
+    def test_simulated_solve_shows_its_workers(self, tmp_path, monkeypatch, capsys):
+        ledger = str(tmp_path / "led.jsonl")
+        monkeypatch.setenv("REPRO_LEDGER", ledger)
+        solve = ["solve", "dataset:kron:tiny", "--backend", "simulated"]
+        assert main(solve + ["--workers", "3"]) == 0
+        assert main(["obs", "show", "latest", "--ledger", ledger]) == 0
+        assert "backend:    simulated, workers=3" in capsys.readouterr().out
+
     def test_runs_empty_ledger(self, tmp_path, capsys):
         empty = str(tmp_path / "none.jsonl")
         assert main(["obs", "runs", "--ledger", empty]) == 0

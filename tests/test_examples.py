@@ -17,7 +17,11 @@ EXPECTED_SNIPPETS = {
     "road_network_resilience.py": ["progressive closures", "reachable"],
     "sampling_strategies.py": ["linkage by % of edges", "neighbour rounds"],
     "simulated_machine_tour.py": ["afforest phases", "modeled scaling"],
-    "distributed_solve.py": ["supersteps", "traffic vs density"],
+    "distributed_solve.py": [
+        "supersteps",
+        "traffic vs density",
+        "block edge balance (8 ranks",
+    ],
     "streaming_connectivity.py": [
         "edges_seen",
         "merges",
