@@ -324,10 +324,9 @@ def _print_profile(rec) -> None:
 
     Rows follow the first sample's span tree: phases directly under the
     ``total`` span flush left, nested ones (the distributed exchange's
-    ``X-merge`` and ``X`` inside ``L<r>``, ``X-encode`` and ``X-send``
-    inside ``X``) indented under the first phase they appear in, and
-    repeated labels accumulate.  Coverage sums the top-level phases
-    only, so no nested span counts twice.
+    ``X-merge`` and ``X`` inside ``L<r>``) indented under the first
+    phase they appear in, and repeated labels accumulate.  Coverage sums
+    the top-level phases only, so no nested span counts twice.
     """
     spans = rec.trace.spans if rec.trace is not None else []
     total = next((s for s in spans if s.label == "total"), None)
@@ -398,11 +397,13 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
     print(f"run:        {rec.run_id}  ({rec.kind})")
     print(f"algorithm:  {rec.algorithm or '-'}")
     workers = "" if rec.workers is None else f", workers={rec.workers}"
-    print(f"backend:    {rec.backend or '-'}{workers}")
+    ranks = rec.meta.get("ranks")
+    world = "" if ranks is None else f", ranks={ranks}"
+    print(f"backend:    {rec.backend or '-'}{workers}{world}")
     if rec.graph:
         print(
             f"graph:      {rec.graph.get('vertices', '?')} vertices, "
-            f"{rec.graph.get('edges', '?')} edges "
+            f"{rec.graph.get('edges', '?')} directed edges "
             f"[{rec.graph.get('digest', '?')}]"
         )
     comps = "" if rec.num_components is None else f"  {rec.num_components} components"
@@ -525,7 +526,12 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         rounds += 1
         print(format_event(event), flush=True)
 
-    backend = make_backend(args.backend, workers=args.workers)
+    backend = make_backend(
+        args.backend,
+        workers=args.workers,
+        ranks=args.ranks,
+        label_dtype=args.label_dtype,
+    )
     t0 = time.perf_counter()
     result = repro.engine.run(
         args.algorithm, graph, backend=backend, heartbeat=HeartbeatMonitor(sink)
@@ -888,18 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="afforest",
         help=f"algorithm name (one of: {algo_names})",
     )
-    q.add_argument(
-        "--backend",
-        choices=backend_kinds(),
-        default="vectorized",
-        help="execution substrate (default: vectorized)",
-    )
-    q.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the simulated backend",
-    )
+    add_backend_args(q)
     q.set_defaults(fn=_cmd_obs_watch)
 
     return parser

@@ -8,12 +8,12 @@ every algorithm in the name table as BSP delta-exchange supersteps
 (see ``docs/distributed.md``), sharding by the 1-D maps of
 :mod:`repro.engine.partition`.
 
-:mod:`~repro.distributed.comm` is a BSP-style simulated communicator:
-ranks hold private state, exchange messages in supersteps, and every
-byte moved is accounted per rank pair and per superstep (the
-distributed analogue of the simulated machine's operation counters),
-with the collective shapes the backend's exchanges use (``alltoallv``,
-``bcast_all``, ``allreduce_any``).
+:mod:`~repro.distributed.comm` is a BSP-style simulated communicator
+that meters the wire: every rank holds the same replica of π, so a
+message is recorded by its size alone, per rank pair and per superstep
+(the distributed analogue of the simulated machine's operation
+counters), in the collective shapes the backend's exchanges use
+(``alltoallv``, ``bcast_all``, ``allreduce_any``).
 """
 
 from repro.distributed.comm import CommStats, SimulatedComm

@@ -1,19 +1,17 @@
 """Simulated message-passing communicator (BSP supersteps).
 
 Mirrors the slice of MPI the distributed substrate needs — point-to-point
-array sends within a superstep and the collective shapes the
-delta-exchange supersteps are built from (``alltoallv``, ``bcast_all``,
-``allreduce_any``) — while accounting every transferred byte per rank
-pair and per superstep.  Ranks are simulated as explicit state owned by
-a driver; the communicator is the *only* channel through which data may
-cross ranks, so message accounting is complete by construction.
+sends within a superstep and the collective shapes the delta-exchange
+supersteps are built from (``alltoallv``, ``bcast_all``,
+``allreduce_any``) — as a meter: a send records its size per rank pair
+and per superstep, and no payload is built or delivered.  Every rank
+holds the same replica of π, so the receiver already has what a message
+would carry; what the simulation prices is the wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -64,9 +62,8 @@ class CommStats:
 class SimulatedComm:
     """A ``num_ranks``-way communicator with superstep semantics.
 
-    Within a superstep, ranks enqueue sends; :meth:`step` delivers all
-    pending messages at once (BSP barrier), and :meth:`drain` empties a
-    rank's inbox in arrival order.
+    Within a superstep, ranks record sends; :meth:`step` closes it (BSP
+    barrier).  Each collective is one or two supersteps.
     """
 
     def __init__(self, num_ranks: int) -> None:
@@ -74,10 +71,6 @@ class SimulatedComm:
             raise ConfigurationError(f"num_ranks must be >= 1, got {num_ranks}")
         self.num_ranks = num_ranks
         self.stats = CommStats()
-        self._outbox: list[tuple[int, int, np.ndarray]] = []
-        self._inbox: list[list[tuple[int, np.ndarray]]] = [
-            [] for _ in range(num_ranks)
-        ]
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.num_ranks:
@@ -85,62 +78,40 @@ class SimulatedComm:
                 f"rank {rank} out of range for {self.num_ranks}-rank world"
             )
 
-    def send(self, src: int, dst: int, array: np.ndarray) -> None:
-        """Enqueue an array from ``src`` to ``dst`` (delivered at the next
-        superstep barrier).  The array is copied — ranks share no memory."""
+    def send(self, src: int, dst: int, nbytes: int) -> None:
+        """Record one ``nbytes`` message from ``src`` to ``dst`` in the
+        open superstep."""
         self._check_rank(src)
         self._check_rank(dst)
-        payload = np.ascontiguousarray(array).copy()
-        self.stats.record(src, dst, payload.nbytes)
-        self._outbox.append((src, dst, payload))
+        self.stats.record(src, dst, nbytes)
 
     def step(self) -> None:
-        """Superstep barrier: deliver all enqueued messages."""
+        """Superstep barrier: close the open superstep."""
         self.stats.flush_step()
-        for src, dst, payload in self._outbox:
-            self._inbox[dst].append((src, payload))
-        self._outbox = []
-
-    def drain(self, rank: int) -> list[tuple[int, np.ndarray]]:
-        """Pop every delivered message for ``rank`` as ``(src, payload)``."""
-        self._check_rank(rank)
-        out = self._inbox[rank]
-        self._inbox[rank] = []
-        return out
 
     # -- collectives (one barrier each) ---------------------------------- #
 
-    def alltoallv(
-        self, parts: dict[tuple[int, int], np.ndarray]
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """Personalised all-to-all: each ``(src, dst) -> array`` entry is
-        sent in one shared superstep; returns the delivered copies keyed
-        the same way.  Pairs with empty arrays cost nothing and are
-        dropped from the result."""
-        for (src, dst), array in parts.items():
-            if array.size:
-                self.send(src, dst, array)
+    def alltoallv(self, parts: dict[tuple[int, int], int]) -> None:
+        """Personalised all-to-all: each ``(src, dst) -> nbytes`` entry is
+        one message of one shared superstep.  Zero-size entries cost
+        nothing."""
+        for (src, dst), nbytes in parts.items():
+            if nbytes:
+                self.send(src, dst, nbytes)
         self.step()
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for rank in range(self.num_ranks):
-            for src, payload in self.drain(rank):
-                out[(src, rank)] = payload
-        return out
 
-    def bcast_all(self, arrays: dict[int, np.ndarray]) -> None:
-        """Every ``root -> array`` entry is broadcast to all other ranks
+    def bcast_all(self, sizes: dict[int, int]) -> None:
+        """Every ``root -> nbytes`` entry is broadcast to all other ranks
         inside one shared superstep (the owner-publication half of a
-        delta exchange).  Empty arrays cost nothing."""
-        for root, array in arrays.items():
+        delta exchange).  Zero-size entries cost nothing."""
+        for root, nbytes in sizes.items():
             self._check_rank(root)
-            if not array.size:
+            if not nbytes:
                 continue
             for dst in range(self.num_ranks):
                 if dst != root:
-                    self.send(root, dst, array)
+                    self.send(root, dst, nbytes)
         self.step()
-        for rank in range(self.num_ranks):
-            self.drain(rank)
 
     def allreduce_any(self, flags: list[bool]) -> bool:
         """Reduce one boolean per rank to a replicated OR.
@@ -155,15 +126,10 @@ class SimulatedComm:
             )
         if self.num_ranks == 1:
             return bool(flags[0])
-        token = np.empty(SCALAR_BYTES, dtype=np.uint8)
         for rank in range(1, self.num_ranks):
-            self.send(rank, 0, token)
-        self.step()
-        self.drain(0)
-        result = any(flags)
-        for rank in range(1, self.num_ranks):
-            self.send(0, rank, token)
+            self.send(rank, 0, SCALAR_BYTES)
         self.step()
         for rank in range(1, self.num_ranks):
-            self.drain(rank)
-        return result
+            self.send(0, rank, SCALAR_BYTES)
+        self.step()
+        return any(flags)

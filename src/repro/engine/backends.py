@@ -1016,11 +1016,10 @@ class DistributedBackend(VectorizedBackend):
             )
         self.ranks = ranks
         self.comm = comm if comm is not None else SimulatedComm(ranks)
-        # Replica state as of the last barrier, and the slots the driver
-        # has written since (``seed``), which the next primitive charges
-        # as a root broadcast.
-        self._shadow: np.ndarray | None = None
-        self._seeds: list[int] = []
+        # The slots the driver has written since the last barrier
+        # (``seed``), each with its value at that barrier; the next
+        # primitive charges the ones that moved as a root broadcast.
+        self._seeds: dict[int, int] = {}
         # Vertex-ownership cut points, cached per n.
         self._bounds_n = -1
         self._bounds: np.ndarray | None = None
@@ -1030,11 +1029,14 @@ class DistributedBackend(VectorizedBackend):
         self._shards: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._shard_starts: np.ndarray | None = None
         # Watermarks for flushing CommStats into the run's counters (the
-        # comm object outlives runs; counters must see per-run deltas).
-        self._seen_bytes = 0
-        self._seen_msgs = 0
-        self._seen_steps = 0
-        self._seen_pair: dict[tuple[int, int], int] = {}
+        # comm object outlives runs, and may have carried traffic before
+        # this backend was built; counters must see this backend's
+        # per-run deltas).
+        stats = self.comm.stats
+        self._seen_bytes = stats.bytes_sent
+        self._seen_msgs = stats.messages
+        self._seen_steps = stats.supersteps
+        self._seen_pair: dict[tuple[int, int], int] = dict(stats.by_pair)
 
     # -- sharding -------------------------------------------------------- #
 
@@ -1112,71 +1114,36 @@ class DistributedBackend(VectorizedBackend):
 
     def seed(self, pi: np.ndarray, v: int, label: int) -> None:
         """Write ``pi[v] = label`` on the driver's replica and record
-        ``v`` for the next primitive to broadcast."""
+        ``v``, with its value at the last barrier, for the next primitive
+        to broadcast."""
+        self._seeds.setdefault(int(v), int(pi[v]))
         pi[v] = label
-        self._seeds.append(int(v))
 
     def _sync_driver(self, pi: np.ndarray) -> None:
         """Fold driver-side writes into every replica.
 
         Pipelines own π between primitives and write it only through
-        :meth:`seed`.  The slots seeded since the last primitive that
-        differ from the last-barrier shadow go out as one broadcast —
-        sparse or dense, whichever is smaller — before the primitive's
-        supersteps run; batching them keeps a run of seeded isolated
-        vertices to one superstep.  A π the backend has not seen (no
-        shadow yet, or another length) is adopted as every replica's.
+        :meth:`seed`.  The slots seeded since the last barrier whose value
+        moved go out as one broadcast before the primitive's supersteps
+        run; batching them keeps a run of seeded isolated vertices to one
+        superstep.
         """
-        shadow = self._shadow
-        seeds, self._seeds = self._seeds, []
-        if shadow is None or shadow.shape[0] != pi.shape[0]:
-            self._shadow = pi.copy()
+        seeds, self._seeds = self._seeds, {}
+        if self.ranks == 1 or not seeds:
             return
-        if not seeds:
-            return
-        idx = sorted_unique(np.asarray(seeds, dtype=np.int64))
-        idx = idx[pi[idx] != shadow[idx]]
-        if idx.shape[0] == 0:
-            return
-        shadow[idx] = pi[idx]
-        if self.ranks == 1:
-            return
-        payload = self._encode(pi, idx, pi[idx], 0, int(pi.shape[0]))
-        self.comm.bcast_all({0: payload})
-        self._flush_comm()
+        moved = sum(int(pi[v]) != was for v, was in seeds.items())
+        if moved:
+            n = int(pi.shape[0])
+            self.comm.bcast_all({0: self._enc_cost(moved, n, pi.dtype.itemsize)})
+            self._flush_comm()
 
     @staticmethod
     def _enc_cost(k: int, span: int, item: int) -> int:
-        """Wire bytes of ``k`` changed slots in a ``span``-slot window under
-        the cheapest of the three delta encodings (see ``_encode``)."""
+        """Wire bytes of ``k`` changed slots in a ``span``-slot window at
+        ``item`` bytes a label, under the cheapest of three encodings:
+        sparse ``(index, value)`` pairs, a changed-slot bitmap plus the
+        values, or the raw dense window."""
         return min(2 * k * item, (span + 7) // 8 + k * item, span * item)
-
-    def _encode(
-        self, pi: np.ndarray, idx: np.ndarray, val: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """Pack a delta set for the wire, cheapest encoding first.
-
-        Three tiers by measured change density: sparse ``(index, value)``
-        pairs while ``2k`` stays under the bitmap break-even, a changed-slot
-        bitmap plus packed values in the mid range, and the raw dense window
-        slice once most slots moved.  All tiers carry values at the run's
-        (possibly narrowed) label width.
-        """
-        item = pi.dtype.itemsize
-        k = int(idx.shape[0])
-        span = int(hi - lo)
-        pairs = 2 * k * item
-        bitmap = (span + 7) // 8 + k * item
-        dense = span * item
-        if pairs <= bitmap and pairs <= dense:
-            return np.concatenate([idx.astype(pi.dtype), val]).view(np.uint8)
-        if bitmap <= dense:
-            mask = np.zeros(span, dtype=bool)
-            mask[np.asarray(idx) - lo] = True
-            return np.concatenate(
-                [np.packbits(mask), np.ascontiguousarray(val).view(np.uint8)]
-            )
-        return np.ascontiguousarray(pi[lo:hi]).view(np.uint8)
 
     def _ship_deltas(
         self,
@@ -1201,63 +1168,38 @@ class DistributedBackend(VectorizedBackend):
           collapse before the broadcast fan-out.
 
         Sparse sweeps favour all-gather; contended early rounds with heavy
-        cross-rank duplication favour owner routing.  Every index array
-        arrives sorted, so its share of an owner block is one slice.  All
-        payloads are built (``X-encode``) before any is sent (``X-send``).
+        cross-rank duplication favour owner routing.  Each message is
+        recorded at :meth:`_enc_cost`'s size.  Every index array arrives
+        sorted, so its share of an owner block is one ``searchsorted``
+        count.
         """
         n = int(pi.shape[0])
         item = pi.dtype.itemsize
         bounds = self._vertex_bounds(n)
         span = np.diff(bounds).tolist()
 
-        def by_owner(idx: np.ndarray) -> list[tuple[int, slice]]:
-            cuts = np.searchsorted(idx, bounds)
-            return [
-                (d, slice(cuts[d], cuts[d + 1]))
-                for d in np.flatnonzero(np.diff(cuts)).tolist()
-            ]
+        def by_owner(idx: np.ndarray) -> list[tuple[int, int]]:
+            counts = np.diff(np.searchsorted(idx, bounds)).tolist()
+            return [(d, k) for d, k in enumerate(counts) if k]
 
-        owner_parts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        routed: dict[tuple[int, int], int] = {}
         if not already_applied:
-            for r, idx, val in live:
-                for dest, cut in by_owner(idx):
+            for r, idx, _ in live:
+                for dest, k in by_owner(idx):
                     if dest != r:
-                        owner_parts[(r, dest)] = (idx[cut], val[cut])
-        pub = {root: changed[cut] for root, cut in by_owner(changed)}
-        owner_cost = sum(
-            self._enc_cost(idx.shape[0], span[dest], item)
-            for (_, dest), (idx, _) in owner_parts.items()
-        ) + (self.ranks - 1) * sum(
-            self._enc_cost(sel.shape[0], span[root], item)
-            for root, sel in pub.items()
-        )
-        gather_cost = (self.ranks - 1) * sum(
-            self._enc_cost(idx.shape[0], n, item) for _, idx, _ in live
-        )
-        with self.tracer.span("X-encode"):
-            routed: dict[tuple[int, int], np.ndarray] = {}
-            if gather_cost <= owner_cost:
-                published = {
-                    r: self._encode(pi, idx, val, 0, n) for r, idx, val in live
-                }
-            else:
-                routed = {
-                    (r, dest): self._encode(
-                        pi, idx, val, int(bounds[dest]), int(bounds[dest + 1])
-                    )
-                    for (r, dest), (idx, val) in owner_parts.items()
-                }
-                published = {
-                    root: self._encode(
-                        pi, sel, pi[sel], int(bounds[root]), int(bounds[root + 1])
-                    )
-                    for root, sel in pub.items()
-                }
-        with self.tracer.span("X-send"):
-            if routed:
-                self.comm.alltoallv(routed)
-            if published:
-                self.comm.bcast_all(published)
+                        routed[(r, dest)] = self._enc_cost(k, span[dest], item)
+        published = {
+            root: self._enc_cost(k, span[root], item) for root, k in by_owner(changed)
+        }
+        gathered = {r: self._enc_cost(idx.shape[0], n, item) for r, idx, _ in live}
+        peers = self.ranks - 1
+        owner_cost = sum(routed.values()) + peers * sum(published.values())
+        if peers * sum(gathered.values()) <= owner_cost:
+            self.comm.bcast_all(gathered)
+            return
+        if routed:
+            self.comm.alltoallv(routed)
+        self.comm.bcast_all(published)
 
     def _dedup_min(
         self, idx: np.ndarray, val: np.ndarray, n: int
@@ -1291,12 +1233,10 @@ class DistributedBackend(VectorizedBackend):
         Candidates are deduplicated per rank (minimum per index) and merged
         by scatter-min — order-independent, so every replica lands on the
         same values the single-machine kernel produces.  The changed slots
-        are read off the diff against the last-barrier shadow, which π
-        equals on entry (every primitive syncs it first, every exchange
-        refreshes it).  The wire protocol is delegated to
-        :meth:`_ship_deltas`; an exchange with no candidates anywhere is
-        skipped entirely, so a converged sweep costs zero bytes and zero
-        barriers.
+        are the union of the live ranks' indices (:meth:`_changed`).  The
+        wire protocol is delegated to :meth:`_ship_deltas`; an exchange
+        with no candidates anywhere is skipped entirely, so a converged
+        sweep costs zero bytes and zero barriers.
 
         ``already_applied`` marks deltas whose writes already landed in π
         by rank-disjoint local kernels (the bottom-up pull): owner routing
@@ -1310,7 +1250,6 @@ class DistributedBackend(VectorizedBackend):
         ]
         if not live:
             return np.empty(0, dtype=np.int64)
-        assert self._shadow is not None
         if already_applied:
             changed = np.concatenate([idx for _, idx, _ in live])
         else:
@@ -1321,8 +1260,26 @@ class DistributedBackend(VectorizedBackend):
                 ]
                 for _, idx, val in live:
                     np.minimum.at(pi, idx, val)
-                changed = np.flatnonzero(pi != self._shadow)
+                changed = self._changed(live, n)
         return self._publish(pi, live, changed, already_applied=already_applied)
+
+    def _changed(
+        self, live: list[tuple[int, np.ndarray, np.ndarray]], n: int
+    ) -> np.ndarray:
+        """The sorted slots a merge changed.
+
+        Every merged candidate strictly lowers its slot of the
+        pre-exchange π, so the changed slots are the union of the live
+        ranks' sorted distinct indices: one live rank's array as it is,
+        otherwise one scan of the pooled n-byte ``changed`` mask.
+        """
+        if len(live) == 1:
+            return live[0][1]
+        mask = self.pool.get("changed", n, np.bool_)
+        mask.fill(False)
+        for _, idx, _ in live:
+            mask[idx] = True
+        return np.flatnonzero(mask)
 
     def _publish(
         self,
@@ -1333,21 +1290,14 @@ class DistributedBackend(VectorizedBackend):
         already_applied: bool = False,
     ) -> np.ndarray:
         """Ship one merged exchange — each live rank's sorted distinct
-        candidates and the ``changed`` slots π already holds — and
-        refresh the shadow; returns ``changed``."""
+        candidates and the ``changed`` slots π already holds; returns
+        ``changed``."""
         if self.ranks > 1:
             with self.tracer.span("X"):
                 self._ship_deltas(
                     pi, live, changed, already_applied=already_applied
                 )
             self._flush_comm()
-        assert self._shadow is not None
-        if 8 * changed.shape[0] > pi.shape[0]:
-            # π differs from the shadow exactly at ``changed``: at this
-            # density one sequential copy beats the gather and scatter.
-            np.copyto(self._shadow, pi)
-        else:
-            self._shadow[changed] = pi[changed]
         return changed
 
     # -- link primitives ------------------------------------------------- #
@@ -1446,7 +1396,7 @@ class DistributedBackend(VectorizedBackend):
         slots ``(v, nbr[v])``, ``nbr[v] < v``, already sorted and
         distinct, plus its up slots ``(nbr[u], u)``, deduplicated and
         merged in (:func:`merge_min`).  That is the set the rank would
-        ship from its whole edge batch, so the payloads are unchanged.
+        ship from its whole edge batch, so the messages are unchanged.
         The merge is ``π ← minimum(π, nbr)`` plus one scatter-min of the
         up slots.  Round 2 carries on, each on the rank that owns it,
         every up edge and each down edge ``(t, nbr[t])`` whose ``π[t]``
@@ -1477,13 +1427,12 @@ class DistributedBackend(VectorizedBackend):
         self._flush_comm()
         if not any_edge:
             return 0
-        assert self._shadow is not None
         src = np.concatenate([u for u, _ in ups])
         dst = np.concatenate([t for _, t in ups])
         with self.tracer.span("X-merge"):
             np.minimum(pi, nbr, out=pi)
             np.minimum.at(pi, dst, src)
-            changed = np.flatnonzero(pi != self._shadow)
+            changed = self._changed(live, n)
         self._publish(pi, live, changed)
         # t's own edge is lowered iff its hook's winner u lies below
         # nbr[t] < t (as in link_out); a fan-in of up edges yields t once.
@@ -1554,14 +1503,13 @@ class DistributedBackend(VectorizedBackend):
         self, n: int, *, phase: str = "I", fill: int | None = None
     ) -> np.ndarray:
         # The identity (or constant) seed is generated locally on every
-        # rank — no traffic; the shadow records the common starting state.
-        # ``replica_bytes`` is the O(n·R) memory of the R replicas of π.
+        # rank — no traffic.  ``replica_bytes`` is the O(n·R) memory of
+        # the R replicas of π.
         pi = super().init_labels(n, phase=phase, fill=fill)
         self.tracer.metrics.counter("replica_bytes").inc(
             self.ranks * pi.nbytes
         )
-        self._shadow = pi.copy()
-        self._seeds = []
+        self._seeds = {}
         self._vertex_bounds(n)
         return pi
 
@@ -1569,10 +1517,7 @@ class DistributedBackend(VectorizedBackend):
         # Compression reads/writes only the local replica: since every
         # rank holds the same π, all replicas converge identically for free.
         self._sync_driver(pi)
-        passes = super().compress(pi, phase=phase)
-        assert self._shadow is not None
-        np.copyto(self._shadow, pi)
-        return passes
+        return super().compress(pi, phase=phase)
 
     def find_largest(
         self,

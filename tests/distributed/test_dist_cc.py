@@ -128,6 +128,22 @@ class TestDistributedCC:
         solve(g, 2, comm=comm)
         assert comm.stats.bytes_sent == 2 * first
 
+    def test_used_comm_reports_only_this_backends_traffic(self):
+        """A backend built over a communicator that already carried
+        traffic counts none of it: its run's ``comm_*`` counters and
+        ``comm_step_bytes`` histogram read as a fresh backend's."""
+        g = uniform_random_graph(400, edge_factor=4, seed=5)
+
+        def traffic(backend):
+            trace = engine.run("sv", g, backend=backend, profile=True).trace
+            comm = {k: v for k, v in trace.counters.items() if k.startswith("comm_")}
+            return comm, trace.histograms["comm_step_bytes"]
+
+        comm = SimulatedComm(2)
+        fresh = traffic(DistributedBackend(ranks=2, comm=comm))
+        assert fresh[0]["comm_bytes_sent"] > 0
+        assert traffic(DistributedBackend(ranks=2, comm=comm)) == fresh
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="ranks"):
             DistributedBackend(ranks=3, comm=SimulatedComm(2))
@@ -233,10 +249,7 @@ class TestExchangeTraffic:
         )
         spans = [s for s, _ in result.trace.walk()]
         exchanges = [s for s in spans if s.name == "X"]
-        assert exchanges and all(
-            [c.name for c in s.children] == ["X-encode", "X-send"]
-            for s in exchanges
-        )
+        assert exchanges and all(not s.children for s in exchanges)
         # The merge is compute: it sits beside the exchange span, not in it.
         merge_parents = [
             s.name for s in spans for c in s.children if c.name == "X-merge"

@@ -5,8 +5,9 @@ and gives each rank a window of vertices.  The reference below keeps the
 earlier path as test code:
 the ``(v, N(v)[r])`` batch of every vertex with degree > r, sharded by
 ``_batch_shards`` and linked by the plain boolean-mask superstep loop.
-Both must leave the same π, count the same rounds, and put the same
-payloads on the wire.
+Both must leave the same π, count the same rounds, and publish the same
+exchanges: each live rank's ``(index, value)`` set and the changed
+slots.  With π and ``CommStats`` those determine every message.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from repro.constants import ITERATION_CAP_FACTOR, ITERATION_CAP_SLACK
 from repro.core.compress import compress_all
 from repro.core.link import link_batch
-from repro.distributed import SimulatedComm
 from repro.engine import DistributedBackend
 from repro.engine import partition as _part
 from repro.errors import ConvergenceError
@@ -24,26 +24,18 @@ from repro.graph.builder import build_csr
 from repro.graph.coo import EdgeList
 
 
-class RecordingComm(SimulatedComm):
-    """Keeps every payload, but not the flag reductions' scalar tokens,
-    whose bytes are uninitialised."""
+class RecordingBackend(DistributedBackend):
+    """Keeps every published exchange: each live rank's sorted distinct
+    ``(index, value)`` set and the changed slots."""
 
-    def __init__(self, num_ranks):
-        super().__init__(num_ranks)
-        self.payloads = []
-        self._reducing = False
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.published = []
 
-    def allreduce_any(self, flags):
-        self._reducing = True
-        try:
-            return super().allreduce_any(flags)
-        finally:
-            self._reducing = False
-
-    def send(self, src, dst, array):
-        if not self._reducing:
-            self.payloads.append((src, dst, array.tobytes()))
-        super().send(src, dst, array)
+    def _publish(self, pi, live, changed, **kwargs):
+        sets = [(r, idx.tolist(), val.dtype.str, val.tolist()) for r, idx, val in live]
+        self.published.append((sets, changed.tolist()))
+        return super()._publish(pi, live, changed, **kwargs)
 
 
 def reference_link_round(backend, pi, graph, r):
@@ -127,15 +119,15 @@ def parents(draw, n):
     return pi
 
 
-def _stats(comm):
-    stats = comm.stats
+def _stats(backend):
+    stats = backend.comm.stats
     return (
         stats.bytes_sent,
         stats.messages,
         stats.supersteps,
         stats.by_pair,
         stats.step_bytes,
-        comm.payloads,
+        backend.published,
     )
 
 
@@ -149,17 +141,14 @@ def _stats(comm):
 def test_round_matches_vertex_list_reference(data, graph, rs, ranks):
     pi = data.draw(parents(graph.num_vertices))
     policy = "auto" if pi.dtype == np.int32 else "wide"
-    new, ref = (
-        DistributedBackend(ranks, comm=RecordingComm(ranks), label_dtype=policy)
-        for _ in range(2)
-    )
+    new, ref = (RecordingBackend(ranks, label_dtype=policy) for _ in range(2))
     got, want = pi.copy(), pi.copy()
     for r in rs:
         rounds = new.link_neighbor_round(got, graph, r, phase="L")
         assert rounds == reference_link_round(ref, want, graph, r)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-        assert _stats(new.comm) == _stats(ref.comm)
+        assert _stats(new) == _stats(ref)
 
 
 @settings(max_examples=200, deadline=None)

@@ -185,8 +185,8 @@ class TestCompare:
         assert "no requested algorithm" in capsys.readouterr().err
 
     def test_profile_coverage_counts_top_level_phases(self, capsys):
-        # The distributed exchange nests X-merge/X inside L<r> and
-        # X-encode/X-send inside X; coverage must count each once.
+        # The distributed exchange nests X-merge/X inside L<r>; coverage
+        # must count each once.
         assert main(
             [
                 "compare", "dataset:web:small",
@@ -204,7 +204,7 @@ class TestCompare:
             and not r.startswith(("  total", "  counters"))
         ]
         nested = {r.split()[0] for r in rows if r.startswith("    ")}
-        assert {"X-merge", "X", "X-encode", "X-send"} <= nested
+        assert {"X-merge", "X"} <= nested
         assert "L0" in {r.split()[0] for r in top}
         top_ms = sum(float(r.split()[1]) for r in top)
         cover = float(total.split("phases cover ")[1].split("%")[0])
@@ -401,6 +401,27 @@ class TestObs:
         assert main(solve + ["--workers", "3"]) == 0
         assert main(["obs", "show", "latest", "--ledger", ledger]) == 0
         assert "backend:    simulated, workers=3" in capsys.readouterr().out
+
+    def test_distributed_solve_shows_its_ranks(self, tmp_path, monkeypatch, capsys):
+        ledger = str(tmp_path / "led.jsonl")
+        monkeypatch.setenv("REPRO_LEDGER", ledger)
+        solve = ["solve", "dataset:kron:tiny", "--backend", "distributed"]
+        assert main(solve + ["--ranks", "3"]) == 0
+        edges = int(capsys.readouterr().out.split(" vertices, ")[1].split()[0])
+        assert main(["obs", "show", "latest", "--ledger", ledger]) == 0
+        out = capsys.readouterr().out
+        assert "backend:    distributed, ranks=3\n" in out
+        # The record stores the directed count, each edge in both rows.
+        assert f" vertices, {2 * edges} directed edges [" in out
+
+    def test_watch_runs_on_the_given_ranks(self, tmp_path, monkeypatch, capsys):
+        ledger = str(tmp_path / "led.jsonl")
+        monkeypatch.setenv("REPRO_LEDGER", ledger)
+        watch = ["obs", "watch", "dataset:kron:tiny", "--backend", "distributed"]
+        assert main(watch + ["--ranks", "2"]) == 0
+        assert "components in" in capsys.readouterr().out
+        assert main(["obs", "show", "latest", "--ledger", ledger]) == 0
+        assert "backend:    distributed, ranks=2\n" in capsys.readouterr().out
 
     def test_runs_empty_ledger(self, tmp_path, capsys):
         empty = str(tmp_path / "none.jsonl")
